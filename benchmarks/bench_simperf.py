@@ -295,16 +295,14 @@ def test_simperf_paper_scale_within_budget(simperf_doc):
 
 
 def test_simperf_dedup_byte_reduction(simperf_doc):
-    """Dedup cuts tree-plane bytes >= 5x at 8192 producers."""
+    """Dedup + combined walks cut measured wire bytes >= 8x at 8192
+    producers (223.5 MB -> 21.8 MB; the one-key walk reached 7.56x)."""
     legacy = max(_rows(simperf_doc, "legacy"),
                  key=lambda r: r["producers"])
     opt = max(_rows(simperf_doc, "optimized"),
               key=lambda r: r["producers"])
-    assert opt["bytes_sent"] * 5 <= legacy["bytes_sent"], \
+    assert opt["bytes_sent"] * 8 <= legacy["bytes_sent"], \
         (opt["bytes_sent"], legacy["bytes_sent"])
-    # The dedup counters account for (far) more avoided bytes than the
-    # optimized run actually sent.
-    assert opt["interned_bytes_saved"] > opt["bytes_sent"]
 
 
 def test_simperf_chaos_converged(simperf_doc):

@@ -129,8 +129,7 @@ class Broker:
         self.node_id = session.node_of_rank(rank)
         # Live wiring (mutable for self-healing).
         self.parent: Optional[int] = session.parent_map[rank]
-        self.children: list[int] = [
-            r for r, p in session.parent_map.items() if p == rank]
+        self.children: list[int] = session.children_of(rank)
         self.modules: dict[str, CommsModule] = {}
         self._pending: dict[int, _Pending] = {}
         # Idempotent-replay state (tentpole of the chaos work): per
@@ -591,11 +590,18 @@ class Broker:
         entry.timer = None
         if self._pending.get(entry.msg.msgid) is not entry:
             return  # answered/failed while the timer was in flight
-        if entry.attempts >= self.session.retransmit_max:
-            return  # give up quietly: the request may be legitimately
-            # held upstream (barrier/fence); deadlines and client-level
-            # retries are the backstop for genuinely lost ones.
-        if self._expired(entry.msg):
+        if (entry.attempts >= self.session.retransmit_max
+                or self._expired(entry.msg)):
+            # Give up quietly: the request may be legitimately held
+            # upstream (barrier/fence); deadlines and client-level
+            # retries are the backstop for genuinely lost ones.  A
+            # failfast read is never held on purpose and may have other
+            # requests coalesced behind it, so it fails out loud.
+            if entry.msg.ctx is not None and entry.msg.ctx.failfast:
+                self._fail_pending(
+                    entry, "giveup", ETIMEDOUT, self.rank,
+                    f"no answer from rank {entry.hop} after "
+                    f"{entry.attempts} retransmissions")
             return
         hop = self._resolve_hop(entry)
         if hop is None:
@@ -985,19 +991,23 @@ class Broker:
                         and self.session.retransmit_max > 0):
                     self._arm_retransmit(entry)
                 continue
-            del self._pending[msgid]
-            self._cancel_retransmit(entry)
-            self._frec(self.sim.now, "fail_via", entry.msg.topic,
-                       dead_rank, None)
-            if entry.span is not None:
-                tr = self.session.span_tracer
-                if tr is not None:
-                    tr.finish(entry.span, error=EHOSTUNREACH,
-                              dead=dead_rank)
-            resp = entry.msg.make_response(
-                error=f"next hop rank {dead_rank} declared down",
-                errnum=EHOSTUNREACH, err_rank=dead_rank)
-            self._send_response(entry.source, resp)
+            self._fail_pending(
+                entry, "fail_via", EHOSTUNREACH, dead_rank,
+                f"next hop rank {dead_rank} declared down", dead=dead_rank)
+
+    def _fail_pending(self, entry: _Pending, kind: str, errnum: str,
+                      err_rank: int, error: str, **span_attrs) -> None:
+        """Answer a pending request's source with a transport error
+        (recorded as ``kind`` in the flight recorder)."""
+        del self._pending[entry.msg.msgid]
+        self._cancel_retransmit(entry)
+        self._frec(self.sim.now, kind, entry.msg.topic, entry.hop, None)
+        if entry.span is not None:
+            tr = self.session.span_tracer
+            if tr is not None:
+                tr.finish(entry.span, error=errnum, **span_attrs)
+        self._send_response(entry.source, entry.msg.make_response(
+            error=error, errnum=errnum, err_rank=err_rank))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Broker rank={self.rank} node={self.node_id}>"

@@ -50,6 +50,11 @@ class RequestContext:
       every forward hop and answer ``ETIMEDOUT`` instead of forwarding
       a request that can no longer meet it.
 
+    - ``failfast`` (a header flag) marks an idempotent read nobody
+      upstream holds on purpose: a hop whose retransmission budget or
+      deadline is spent answers ``ETIMEDOUT`` instead of going silent,
+      so whoever coalesced other requests behind it can move on.
+
     The per-message hop count lives in :attr:`Message.hops` (it is a
     property of the message's path, not of the logical request) but is
     part of the same fixed-size header frame.
@@ -58,6 +63,7 @@ class RequestContext:
     reqid: int
     origin_rank: int = -1
     deadline: Optional[float] = None
+    failfast: bool = False
 
     def expired(self, now: float) -> bool:
         """True once ``now`` has passed the deadline (if any)."""

@@ -62,7 +62,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Optional
 
 from ..cmb.errors import (EAGAIN, EEXIST, EHOSTUNREACH, EINVAL, EIO,
-                          ENOENT, RETRYABLE_CODES)
+                          ENOENT, ETIMEDOUT, RETRYABLE_CODES)
 from ..cmb.message import (HEADER_BYTES, Message, MessageType,
                            RequestContext)
 from ..cmb.module import CommsModule, request_handler
@@ -283,16 +283,15 @@ class KvsModule(CommsModule):
         #: correctness.  Cleared wholesale on every topology-visible
         #: event (live.down, promotion, newmaster).
         self._link_sent: dict[int, set] = {}
-        #: Walk-get triggers already charged to the "walk" savings
-        #: counter (one legacy directory fault-in avoided per distinct
-        #: trigger sha per rank, mirroring ``_loads`` coalescing).
-        self._walk_seen: set = set()
+        #: Walk combiner: the one outstanding ``{name}.walk`` batch and the
+        #: queue behind it, ``(key, root, want_ref) -> [(msg, fn, tag)]``.
+        self._walk_out: dict = {}
+        self._walk_q: dict = {}
         # Bytes of work the interning/dedup machinery avoided, by kind:
         # "sizing" (canonical re-serialization skipped via the intern
-        # table), "link" (wire bytes replaced by sha references), and
-        # "walk" (directory bytes not faulted down the tree).  Cells
-        # materialize on first inc, so snapshots are unchanged when the
-        # machinery is idle.
+        # table) and "link" (wire bytes replaced by sha references).
+        # Cells materialize on first inc, so snapshots are unchanged
+        # when the machinery is idle.
         self._cv_interned = broker.registry.counter_vec(
             "kvs_interned_bytes_saved_total", ("ns", "kind"))
         self._cv_walks = broker.registry.counter_vec(
@@ -2003,6 +2002,10 @@ class KvsModule(CommsModule):
             "fence_deferred": sorted(self._fence_deferred),
             "dirty_clients": len(self._dirty),
             "dirty_ops": sum(len(d.ops) for d in self._dirty.values()),
+            "loads": sorted(self._loads),
+            "walks": {"outstanding": len(self._walk_out),
+                      "queued": len(self._walk_q), "keys": [i[0] for i in [
+                          *self._walk_out, *self._walk_q][:4]]},
         }
 
     # ------------------------------------------------------------------
@@ -2259,7 +2262,7 @@ class KvsModule(CommsModule):
                         # Dedup-mode cold read: ship the walk to the
                         # data instead of faulting whole directories
                         # down the tree (the Figure 4a effect).
-                        self._walk_remote(msg, key, want_ref, root, sha)
+                        self._walk_remote(msg, key, want_ref, root)
                         return
                     obj = yield self._fault(sha, ctx=msg.ctx,
                                             span=msg.span)
@@ -2287,7 +2290,7 @@ class KvsModule(CommsModule):
             obj = self._obj_get(sha)
             if obj is None:
                 if self.dedup and allow_walk and self.master is None:
-                    self._walk_remote(msg, key, want_ref, root, sha)
+                    self._walk_remote(msg, key, want_ref, root)
                     return
                 obj = yield self._fault(sha, ctx=msg.ctx, span=msg.span)
             if obj is None:
@@ -2376,115 +2379,152 @@ class KvsModule(CommsModule):
                                ctx=msg.ctx, span=msg.span)
 
     # ------------------------------------------------------------------
-    # remote walks (dedup mode)
+    # combined remote walks (dedup mode)
     # ------------------------------------------------------------------
     def _walk_remote(self, msg: Message, key: str, want_ref: bool,
-                     root: str, trigger: str) -> None:
-        """Resolve a cold read by shipping the *walk* master-ward
-        instead of faulting every directory on the path into this
-        rank's cache.  The response's ``"sv"`` reports the directory
-        bytes the resolver traversed on our behalf — bytes that, under
-        the legacy protocol, would have crossed every tree edge between
-        here and the resolver exactly once (``_fault`` coalescing), so
-        they are charged to the "walk" savings counter once per
-        distinct trigger sha."""
+                     root: str) -> None:
+        """Resolve a cold read by shipping the *walk* master-ward instead
+        of faulting the path's directories into our cache (Figure 4a)."""
         self._cv_walks.inc((self.name,))
-        payload = {"key": key, "root": root}
-        if want_ref:
-            payload["ref"] = True
 
-        def done(resp: Message) -> None:
-            if resp.error is not None:
-                self.respond(msg, error=resp.error, code=resp.errnum,
-                             err_rank=resp.err_rank)
-                return
-            p = resp.payload
-            if p.get("link"):
+        def done(_tag, r: dict) -> None:
+            if "error" in r:
+                self.respond(msg, error=r["error"], code=r["errnum"],
+                             err_rank=r["rank"])
+            elif "link" in r:
                 # The walk crossed into a delegated namespace; the
                 # legacy fault-in path re-routes through link objects.
                 self.broker.sim.spawn(self._get_proc(msg, False),
                                       name=self._getproc_name)
-                return
-            sv = p.get("sv", 0)
-            if sv and trigger not in self._walk_seen:
-                self._walk_seen.add(trigger)
-                self._cv_interned.inc((self.name, "walk"), sv)
-            if "ref" in p:
-                self.respond(msg, {"ref": p["ref"]})
-            elif "dir" in p:
-                self.respond(msg, {"dir": p["dir"]})
+            elif "sha" in r:
+                # Cache the terminal value object (the legacy path
+                # would have), so repeat gets stay local.
+                self._obj_put(r["sha"], make_val_obj(r["value"]))
+                self.respond(msg, {"value": r["value"]})
             else:
-                if "sha" in p:
-                    # Cache the terminal value object (the legacy path
-                    # would have), so repeat gets stay local.
-                    self._obj_put(p["sha"], make_val_obj(p["value"]))
-                self.respond(msg, {"value": p["value"]})
+                self.respond(msg, r)
 
-        self._toward_master_cb(f"{self.name}.walk", payload, done,
-                               ctx=msg.ctx, span=msg.span)
+        self._walk_enqueue(msg, {None: (key, root, want_ref)}, done)
 
-    @request_handler(required=("key", "root"))
-    def req_walk(self, msg: Message) -> None:
-        """Resolve a full key walk on behalf of a downstream rank
-        (dedup mode).  The request carries the requester's root
-        snapshot, so this is the same pure hash-tree lookup the
-        requester would have performed — identical read semantics,
-        minus the directory fault-ins.  A rank missing any object on
-        the path forwards the walk another hop toward the master."""
-        p = msg.payload
-        key, root = p["key"], p["root"]
+    def _walk_enqueue(self, msg: Message, items: dict, fn) -> None:
+        """Queue ``items`` (``tag -> (key, root, want_ref)``) on this
+        rank's walk combiner; ``fn(tag, result)`` gets each per-item
+        result.  At most one ``{name}.walk`` request is outstanding
+        toward the master: items arriving meanwhile are deduplicated
+        and leave as one list the moment it returns (self-clocked like
+        ``_fault`` coalescing): one request per child, not per key."""
+        for tag, item in items.items():
+            waiters = (self._walk_out.get(item)
+                       or self._walk_q.setdefault(item, []))
+            waiters.append((msg, fn, tag))
+        self._walk_pump()
+
+    def _walk_pump(self) -> None:
+        if self._walk_out or not self._walk_q:
+            return
+        queued, self._walk_q = self._walk_q, {}
+        batch = self._walk_out = {}
+        late = {"error": "deadline expired in the walk queue",
+                "errnum": ETIMEDOUT, "rank": self.rank}
+        for item, waiters in queued.items():
+            for w in waiters:
+                if w[0].ctx.expired(self.broker.sim.now):
+                    w[1](w[2], late)    # its client gave up already
+                else:
+                    batch.setdefault(item, []).append(w)
+        if not batch:
+            return
+        msgs = [w[0] for waiters in batch.values() for w in waiters]
+        # Rides the first waiter's context (as a coalesced ``_fault``
+        # does) under the earliest deadline of its items — and failfast,
+        # so a hop giving up on it cannot strand the reads queued here.
+        ends = [m.ctx.deadline for m in msgs if m.ctx.deadline is not None]
+        self._toward_master_cb(
+            f"{self.name}.walk", {"items": [list(i) for i in batch]},
+            lambda resp: self._walk_done(batch, resp),
+            ctx=RequestContext(msgs[0].ctx.reqid, msgs[0].ctx.origin_rank,
+                               min(ends, default=None), True),
+            span=msgs[0].span)
+
+    def _walk_done(self, batch: dict, resp: Message) -> None:
+        self._walk_out = {}
+        self._walk_pump()
+        if resp.error is not None:
+            # Every waiter of a failed batch gets its (retryable) code.
+            results = [{"error": resp.error, "errnum": resp.errnum,
+                        "rank": resp.err_rank}] * len(batch)
+        else:
+            results = resp.payload["res"]
+        for waiters, r in zip(batch.values(), results):
+            for _msg, fn, tag in waiters:
+                fn(tag, r)
+
+    def _walk_local(self, key: str, root: str,
+                    want_ref: bool) -> Optional[dict]:
+        """The pure hash-tree lookup of ``key`` under the requester's
+        root snapshot (what it would have computed itself, minus the
+        fault-ins); ``None`` when an object on the path is not here."""
         try:
-            parts = split_key(key)
+            sha, parts = root, split_key(key)
+            for i, part in enumerate(parts):
+                obj = self._obj_get(sha)
+                if obj is None:
+                    return None
+                if is_link_obj(obj):
+                    return {"link": True}
+                if not is_dir_obj(obj):
+                    raise KvsPathError(
+                        f"{'.'.join(parts[:i])!r} is not a directory")
+                sha = dir_entries(obj).get(part)
+                if sha is None:
+                    raise KvsPathError(f"key {key!r} not found",
+                                       code=ENOENT)
         except KvsPathError as exc:
-            self.respond(msg, error=str(exc), code=exc.code)
-            return
-        sha = root
-        traversed = 0
-        for i, part in enumerate(parts):
-            obj = self._obj_get(sha)
-            if obj is None:
-                self._forward_walk(msg, sha)
-                return
-            if is_link_obj(obj):
-                self.respond(msg, {"link": True, "sv": traversed})
-                return
-            if not is_dir_obj(obj):
-                self.respond(
-                    msg,
-                    error=f"{'.'.join(parts[:i])!r} is not a directory",
-                    code=EINVAL)
-                return
-            traversed += self._obj_size(sha, obj)
-            entries = dir_entries(obj)
-            if part not in entries:
-                self.respond(msg, error=f"key {key!r} not found",
-                             code=ENOENT)
-                return
-            sha = entries[part]
-        if p.get("ref"):
-            self.respond(msg, {"ref": sha, "sv": traversed})
-            return
+            return {"error": exc.args[0], "errnum": exc.code,
+                    "rank": self.rank}
+        if want_ref:
+            return {"ref": sha}
         obj = self._obj_get(sha)
         if obj is None:
-            self._forward_walk(msg, sha)
-            return
+            return None
         if is_link_obj(obj):
-            self.respond(msg, {"link": True, "sv": traversed})
-        elif is_dir_obj(obj):
-            self.respond(msg, {"dir": sorted(dir_entries(obj)),
-                               "sv": traversed})
-        else:
-            self.respond(msg, {"value": val_of(obj), "sha": sha,
-                               "sv": traversed})
+            return {"link": True}
+        if is_dir_obj(obj):
+            return {"dir": sorted(dir_entries(obj))}
+        return {"value": val_of(obj), "sha": sha}
 
-    def _forward_walk(self, msg: Message, sha: str) -> None:
-        if self.master is not None:
-            self.respond(msg, error=f"unknown object {sha}", code=ENOENT)
+    @request_handler(required=("items",))
+    def req_walk(self, msg: Message) -> None:
+        """Resolve a downstream rank's ``[key, root, want_ref]`` walks,
+        answering ``{"res": [...]}`` with one result per item (value+sha
+        / ref / dir / link / error+errnum+rank) so one item's ENOENT
+        does not fail its neighbours; unresolved items join our combiner."""
+        try:
+            items = [(k, r, bool(f)) for k, r, f in msg.payload["items"]]
+            if not all(type(k) is type(r) is str for k, r, _f in items):
+                raise TypeError
+        except (TypeError, ValueError):
+            self.respond(msg, error="items must be [key, root, ref] "
+                         "triples", code=EINVAL)
             return
-        self._toward_master_cb(
-            f"{self.name}.walk", dict(msg.payload),
-            lambda resp: self._relay_response(msg, resp),
-            ctx=msg.ctx, span=msg.span)
+        res = [self._walk_local(*item) for item in items]
+        todo = {i: items[i] for i, r in enumerate(res) if r is None}
+        if self.master is not None:
+            for i in todo:
+                res[i] = {"error": f"unknown object under {items[i][0]!r}",
+                          "errnum": ENOENT, "rank": self.rank}
+            todo = {}
+        if not todo:
+            self.respond(msg, {"res": res})
+            return
+
+        def fill(i: int, r: dict) -> None:
+            res[i] = r
+            del todo[i]
+            if not todo:
+                self.respond(msg, {"res": res})
+
+        self._walk_enqueue(msg, todo, fill)
 
     # ------------------------------------------------------------------
     # debugging / administration

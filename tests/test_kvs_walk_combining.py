@@ -1,0 +1,401 @@
+"""Tree-combined ``kvs.walk``: batching, per-item results, failure
+semantics of a batch.
+
+In dedup mode a cold read ships its *walk* master-ward.  Each rank
+keeps at most one ``kvs.walk`` request outstanding; cold reads that
+arrive meanwhile queue, deduplicated by ``(key, root, ref)``, and leave
+as one list when it returns.  These tests pin what a batch may and may
+not share: one round trip, yes; one item's fate, no.
+"""
+
+import pytest
+
+from repro import make_cluster, standard_session
+from repro.cmb.errors import (EHOSTUNREACH, EINVAL, ENOENT, ETIMEDOUT,
+                              RETRYABLE_CODES, RpcError)
+from repro.cmb.message import Message, MessageType
+from repro.kap import KapConfig, run_kap
+from repro.kvs import KvsClient
+from repro.sim.faults import FaultPlan
+
+LEAF = 7            # depth 3 in the 8-node binary tree: 7 -> 3 -> 1 -> 0
+NKEYS = 16
+
+
+def _seeded(n=8, seed=7, fault_plan=None, **kw):
+    """A dedup session whose master holds ``w.k0..w.k15`` while every
+    slave cache is cold."""
+    cluster = make_cluster(n, seed=seed)
+    cluster.network.fault_plan = fault_plan
+    session = standard_session(cluster, kvs_dedup=True, **kw).start()
+
+    def writer():
+        kvs = KvsClient(session.connect(0, collective=False))
+        for i in range(NKEYS):
+            yield kvs.put(f"w.k{i}", i * 10)
+        yield kvs.commit()
+
+    proc = cluster.sim.spawn(writer())
+    cluster.sim.run(until=0.4)     # setroot reaches every rank
+    assert proc.ok
+    return cluster, session
+
+
+class _WalkSpy:
+    """Record every ``kvs.walk`` request ``mod`` sends master-ward as
+    ``(payload, ctx)`` in ``sent``.  With ``hold_first`` the first one
+    is captured instead of sent, to be released or failed by hand."""
+
+    def __init__(self, mod, hold_first=False):
+        self.sent = []
+        self._held = None
+        real = mod._toward_master_cb
+
+        def spy(topic, payload, callback, ctx=None, **kw):
+            if topic == "kvs.walk":
+                if hold_first and self._held is None:
+                    self._held = (callback, lambda: real(
+                        topic, payload, callback, ctx=ctx, **kw))
+                    return
+                self.sent.append((payload, ctx))
+            real(topic, payload, callback, ctx=ctx, **kw)
+
+        mod._toward_master_cb = spy
+
+    def release(self):
+        self._held[1]()
+
+    def fail(self, code):
+        self._held[0](Message(topic="kvs.walk",
+                              mtype=MessageType.RESPONSE,
+                              error="uplink gone", errnum=code,
+                              err_rank=3))
+
+
+def _gets(session, sim, rank, keys, **client_kw):
+    procs = []
+    for key in keys:
+        kvs = KvsClient(session.connect(rank, collective=False),
+                        **client_kw)
+
+        def reader(kvs=kvs, key=key):
+            try:
+                return (yield kvs.get(key))
+            except RpcError as exc:
+                return exc
+
+        procs.append(sim.spawn(reader()))
+    return procs
+
+
+def _idle(session):
+    """No rank still holds an outstanding or queued walk."""
+    return all(
+        session.module_at(b.rank, "kvs").waiter_census()["walks"]
+        == {"outstanding": 0, "queued": 0, "keys": []}
+        for b in session.brokers if b.alive)
+
+
+# ----------------------------------------------------------------------
+# (a) a burst of cold reads shares round trips
+# ----------------------------------------------------------------------
+def test_burst_of_cold_gets_combines_into_two_requests():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    sent = _WalkSpy(leaf).sent
+    procs = _gets(session, sim, LEAF, [f"w.k{i}" for i in range(NKEYS)])
+    sim.run()
+    assert [p.value for p in procs] == [i * 10 for i in range(NKEYS)]
+    # Self-clocked: the first read leaves alone, the other fifteen
+    # queue behind it and leave as one list when it returns.
+    assert len(sent) <= 2
+    assert sum(len(p["items"]) for p, _ctx in sent) == NKEYS
+    assert leaf._cv_walks.data[("kvs",)] == NKEYS   # same logical reads
+    assert _idle(session)
+
+
+def test_identical_cold_gets_are_deduplicated():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    sent = _WalkSpy(session.module_at(LEAF, "kvs")).sent
+    procs = _gets(session, sim, LEAF, ["w.k3"] * 8)
+    sim.run()
+    assert [p.value for p in procs] == [30] * 8
+    assert sum(len(p["items"]) for p, _ctx in sent) == 1
+
+
+# ----------------------------------------------------------------------
+# (b) per-item results
+# ----------------------------------------------------------------------
+def test_batch_answers_per_item():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    root = session.module_at(3, "kvs").root_sha
+    handle = session.connect(3, collective=False)
+    ev = handle.rpc("kvs.walk", {"items": [["w.k1", root, False],
+                                           ["w.nope", root, False],
+                                           ["w.k2", root, True],
+                                           ["w", root, False]]})
+    sim.run()
+    present, missing, ref, listing = ev.value["res"]
+    assert present["value"] == 10 and len(present["sha"]) == 40
+    assert missing["errnum"] == ENOENT and missing["rank"] == 0
+    assert missing["error"] == "key 'w.nope' not found"   # not repr-quoted
+    assert set(ref) == {"ref"} and len(ref["ref"]) == 40
+    assert listing == {"dir": sorted(f"k{i}" for i in range(NKEYS))}
+
+
+def test_enoent_item_does_not_fail_its_neighbours():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    hold = _WalkSpy(session.module_at(LEAF, "kvs"), hold_first=True)
+    first, = _gets(session, sim, LEAF, ["w.k0"])
+    sim.run()
+    good, bad = _gets(session, sim, LEAF, ["w.k5", "w.nope"])
+    ref = session.connect(LEAF, collective=False).rpc(
+        "kvs.get", {"key": "w.k6", "ref": True})
+    sim.run()
+    hold.release()
+    sim.run()
+    (payload, _ctx), = hold.sent
+    assert len(payload["items"]) == 3
+    assert first.value == 0 and good.value == 50
+    assert len(ref.value["ref"]) == 40
+    assert bad.value.code == ENOENT and not bad.value.retryable
+
+
+@pytest.mark.parametrize("items", [[["w.k1"]], [[7, "root", False]],
+                                   [["w.k1", None, False]], "w.k1"])
+def test_malformed_items_are_rejected(items):
+    cluster, session = _seeded()
+    ev = session.connect(3, collective=False).rpc(
+        "kvs.walk", {"items": items})
+    cluster.sim.run()
+    assert not ev.ok and ev._exc.code == EINVAL
+
+
+# ----------------------------------------------------------------------
+# (c) delegation links fall back to the fault-in path
+# ----------------------------------------------------------------------
+def test_walk_crossing_a_link_falls_back_to_fault_in():
+    cluster, session = _seeded()
+    sim = cluster.sim
+
+    def setup():
+        kvs = KvsClient(session.connect(5, collective=False))
+        yield kvs.put("job.1.a", 11)
+        yield kvs.commit()
+        yield kvs.delegate("job.1", 3)
+
+    setup_proc = sim.spawn(setup())
+    sim.run(until=sim.now + 1.0)
+    assert setup_proc.ok
+    reader = session.module_at(6, "kvs")
+    reader.owners.clear()       # stale table: the read meets the link
+    fallbacks = []
+    real = reader._get_proc
+
+    def spy(msg, allow_walk=True):
+        fallbacks.append(allow_walk)
+        return real(msg, allow_walk)
+
+    reader._get_proc = spy
+    proc, = _gets(session, sim, 6, ["job.1.a"])
+    sim.run(until=sim.now + 1.0)
+    assert proc.value == 11
+    assert fallbacks == [True, False]
+    assert reader._cv_walks.data[("kvs",)] == 1
+
+
+# ----------------------------------------------------------------------
+# (d) a failed batch fails retryably, and the queue moves on
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("code", [EHOSTUNREACH, ETIMEDOUT])
+def test_failed_batch_is_retryable_and_queue_is_pumped(code):
+    cluster, session = _seeded()
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    hold = _WalkSpy(leaf, hold_first=True)
+    doomed = _gets(session, sim, LEAF, ["w.k0", "w.k0"])
+    sim.run()
+    queued = _gets(session, sim, LEAF, ["w.k1", "w.k2"])
+    sim.run()
+    assert leaf.waiter_census()["walks"] == {
+        "outstanding": 1, "queued": 2, "keys": ["w.k0", "w.k1", "w.k2"]}
+    assert not hold.sent
+    hold.fail(code)
+    sim.run()
+    assert code in RETRYABLE_CODES
+    for proc in doomed:
+        assert proc.value.code == code and proc.value.retryable
+        assert proc.value.rank == 3
+    # The queue left the moment the failure landed — nobody stranded.
+    (payload, _ctx), = hold.sent
+    assert len(payload["items"]) == 2
+    assert [p.value for p in queued] == [10, 20]
+    assert _idle(session)
+
+
+def _cut(cluster, session, plan, src, dst, rate):
+    plan.set_link(session.node_of_rank(src), session.node_of_rank(dst),
+                  drop_rate=rate)
+
+
+def test_lost_batch_does_not_wedge_later_reads():
+    """A batch lost on a dead link whose only waiter gave up must not
+    block the rank's reads for good: the hop that stops retransmitting
+    it fails it out loud, so the combiner is idle again."""
+    plan = FaultPlan(seed=1)
+    cluster, session = _seeded(fault_plan=plan)
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    _cut(cluster, session, plan, LEAF, 3, 1.0)
+    doomed, = _gets(session, sim, LEAF, ["w.k0"], timeout=0.01, retries=0)
+    sim.run(until=sim.now + 1.0)
+    assert doomed.value.code == ETIMEDOUT
+    assert leaf.waiter_census()["walks"]["outstanding"] == 0
+    _cut(cluster, session, plan, LEAF, 3, 0.0)
+    fresh = _gets(session, sim, LEAF, ["w.k1", "w.k2"],
+                  timeout=1.0, retries=5)
+    sim.run(until=sim.now + 30.0)
+    assert [p.value for p in fresh] == [10, 20]
+    assert _idle(session)
+
+
+def test_reads_queued_behind_a_lost_batch_are_released():
+    """Reads already queued when the outstanding batch is lost get the
+    retryable ETIMEDOUT of the give-up (not silence), so their clients'
+    retries succeed once the link heals — with no fresh read needed to
+    revive anything."""
+    plan = FaultPlan(seed=1)
+    cluster, session = _seeded(fault_plan=plan)
+    sim = cluster.sim
+    _cut(cluster, session, plan, LEAF, 3, 1.0)
+    doomed, = _gets(session, sim, LEAF, ["w.k0"], timeout=0.01, retries=0)
+    queued = _gets(session, sim, LEAF, ["w.k1", "w.k2", "w.k3"],
+                   timeout=1.0, retries=5)
+    heal = sim.timeout(0.5)
+    heal.add_callback(
+        lambda _e: _cut(cluster, session, plan, LEAF, 3, 0.0))
+    sim.run(until=sim.now + 30.0)
+    assert doomed.value.code == ETIMEDOUT
+    assert [p.value for p in queued] == [10, 20, 30]
+    # The give-up is in the flight recorder for the post-mortem.
+    assert any(r[2] == "giveup" and r[3] == "kvs.walk"
+               for r in session.brokers[LEAF].flight.records())
+    assert _idle(session)
+
+
+def test_no_stranded_waiters_across_root_failover():
+    """Master killed with walks in flight on a lossy fabric: live.down
+    fails or reroutes every outstanding batch, promotion + newmaster
+    re-route the retries, and every combiner ends idle."""
+    cluster, session = _seeded(
+        n=15, seed=9, fault_plan=FaultPlan(seed=13, drop_rate=0.01),
+        with_heartbeat=True, hb_period=0.05, hb_max_epochs=400,
+        kvs_replicas=(1, 2))
+    sim = cluster.sim
+    procs = []
+    for rank in range(7, 15):
+        procs += _gets(session, sim, rank,
+                       [f"w.k{rank}", f"w.k{rank - 7}"],
+                       timeout=0.5, retries=10)
+    kill = sim.timeout(2.5e-5)      # some walks answered, most in flight
+    kill.add_callback(lambda _e: session.fail_rank(0))
+    sim.run(until=sim.now + 15.0)
+    assert [p.value for p in procs] == [
+        v for rank in range(7, 15) for v in (rank * 10, (rank - 7) * 10)]
+    assert session.module_at(1, "kvs").master is not None
+    # The reads in flight at the kill failed retryably and walked again.
+    assert sum(session.module_at(r, "kvs")._cv_walks.data[("kvs",)]
+               for r in range(7, 15)) > len(procs)
+    assert _idle(session)
+
+
+# ----------------------------------------------------------------------
+# (e) deadlines and replay
+# ----------------------------------------------------------------------
+def test_batch_carries_earliest_deadline_and_is_never_replayed():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    hold = _WalkSpy(session.module_at(LEAF, "kvs"), hold_first=True)
+    first, = _gets(session, sim, LEAF, ["w.k0"])
+    sim.run()
+    t0 = sim.now
+    procs = [_gets(session, sim, LEAF, [key], timeout=timeout)[0]
+             for key, timeout in (("w.k1", 5.0), ("w.k2", 2.0),
+                                  ("w.k3", None), ("w.k4", 9.0))]
+    sim.run(until=t0 + 1e-3)
+    hold.release()
+    sim.run(until=t0 + 1.0)
+    assert first.value == 0
+    assert [p.value for p in procs] == [10, 20, 30, 40]
+    (payload, ctx), = hold.sent
+    assert len(payload["items"]) == 4
+    assert ctx.deadline == pytest.approx(t0 + 2.0)
+    # Two batches, two idempotency keys at the parent; nothing replayed.
+    parent = session.brokers[3]
+    keys = [k for k in parent._replay["kvs"] if k[2] == "kvs.walk"]
+    assert len(keys) == 2 and len({k[1] for k in keys}) == 2
+    assert sum(b.replay_hits for b in session.brokers) == 0
+
+
+def test_expired_waiter_is_dropped_at_pump_not_batched():
+    """A read whose deadline passed while it sat in the queue is
+    answered ETIMEDOUT here; it neither rides nor dates the batch, so
+    its neighbours keep their own (later, or no) deadlines."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    hold = _WalkSpy(session.module_at(LEAF, "kvs"), hold_first=True)
+    first, = _gets(session, sim, LEAF, ["w.k0"])
+    sim.run()
+    t0 = sim.now
+    short, = _gets(session, sim, LEAF, ["w.k1"], timeout=1e-3)
+    late, = _gets(session, sim, LEAF, ["w.k2"], timeout=5.0)
+    free, = _gets(session, sim, LEAF, ["w.k3"])
+    sim.run(until=t0 + 0.01)          # ``short`` expires in the queue
+    assert short.value.code == ETIMEDOUT
+    hold.release()
+    sim.run(until=t0 + 1.0)
+    (payload, ctx), = hold.sent
+    assert [i[0] for i in payload["items"]] == ["w.k2", "w.k3"]
+    assert ctx.deadline == pytest.approx(t0 + 5.0) and ctx.failfast
+    assert (first.value, late.value, free.value) == (0, 20, 30)
+    assert _idle(session)
+
+
+def test_all_waiters_expired_sends_nothing():
+    cluster, session = _seeded()
+    sim = cluster.sim
+    hold = _WalkSpy(session.module_at(LEAF, "kvs"), hold_first=True)
+    first, = _gets(session, sim, LEAF, ["w.k0"])
+    sim.run()
+    short, = _gets(session, sim, LEAF, ["w.k1"], timeout=1e-3)
+    sim.run(until=sim.now + 0.01)
+    hold.release()
+    sim.run(until=sim.now + 1.0)
+    assert first.value == 0 and short.value.code == ETIMEDOUT
+    assert not hold.sent and _idle(session)
+    after, = _gets(session, sim, LEAF, ["w.k2"])     # combiner still works
+    sim.run(until=sim.now + 1.0)
+    assert after.value == 20
+
+
+# ----------------------------------------------------------------------
+# (f) kernels agree with combining on
+# ----------------------------------------------------------------------
+def test_merged_and_burst_kernels_agree_with_combining():
+    kw = dict(nnodes=32, procs_per_node=8, value_size=64, seed=3,
+              dedup=True)
+    single = run_kap(KapConfig(**kw))
+    burst = run_kap(KapConfig(**kw, shards=4))
+    merged = run_kap(KapConfig(**kw, shards=4), sanitize=True)
+    assert merged.sanitizer_findings == []
+    for res in (burst, merged):
+        assert res.events == single.events
+        assert res.bytes_sent == single.bytes_sent
+        assert res.total_time == single.total_time
+        assert res.max_consumer_latency == single.max_consumer_latency
+    fault_in = run_kap(KapConfig(**{**kw, "dedup": False}))
+    assert single.bytes_sent < fault_in.bytes_sent

@@ -202,6 +202,47 @@ def test_doctor_root_causes_lost_fence_ack(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# hung reads: the census shows what a read is stuck behind
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dedup", [False, True])
+def test_bundle_shows_read_stuck_behind_dead_uplink(dedup):
+    cluster = make_cluster(7, seed=6)
+    session = standard_session(cluster, kvs_dedup=dedup)
+    session.start()
+    sim = cluster.sim
+
+    def writer():
+        kvs = KvsClient(session.connect(0, collective=False))
+        yield kvs.put("hung.a", 1)
+        yield kvs.put("hung.b", 2)
+        yield kvs.commit()
+
+    sim.spawn(writer())
+    sim.run()
+    session.fail_rank(1)            # rank 3's uplink; nobody detects it
+    reader = KvsClient(session.connect(3, collective=False))
+    reader.get("hung.a")
+    reader.get("hung.b")
+    sim.run(until=sim.now + 1.0)
+    bundle = capture_bundle(session, "seeded hung read", kind="test")
+    session.stop()
+    census = bundle["brokers"][3]["kvs"]
+    if dedup:
+        # One walk left for the dead parent; the other queued behind it.
+        assert census["walks"] == {"outstanding": 1, "queued": 1,
+                                   "keys": ["hung.a", "hung.b"]}
+        assert census["loads"] == []
+    else:
+        root = session.module_at(3, "kvs").root_sha
+        assert census["loads"] == [root]        # coalesced fault-in
+        assert census["walks"] == {"outstanding": 0, "queued": 0,
+                                   "keys": []}
+    idle = bundle["brokers"][2]["kvs"]
+    assert idle["loads"] == [] and idle["walks"]["outstanding"] == 0
+    json.dumps(bundle)              # the census stays JSON-able
+
+
+# ----------------------------------------------------------------------
 # multi-bundle merge
 # ----------------------------------------------------------------------
 def test_doctor_merges_bundles(clean_bundle_path, lost_job_bundle):
