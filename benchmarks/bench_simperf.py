@@ -5,14 +5,12 @@ nodes x 16 brokers = 1024-8192 producers) is bounded by simulator
 throughput, not by anything the paper measures.  This bench records
 the perf trajectory in two modes:
 
-- ``legacy`` — the classic protocol (whole objects on every hop,
-  single-heap kernel): the baseline whose tree-plane bytes explode
-  super-linearly with producer count.
+- ``legacy`` — the classic protocol (whole objects on every hop):
+  the baseline whose tree-plane bytes explode super-linearly with
+  producer count.
 - ``optimized`` — per-link payload dedup (``dedup=True``: object
   bodies cross each tree edge once, sha references afterward; misses
-  walk to the master instead of faulting whole directories) on the
-  sharded kernel (``shards=16``: per-subtree sub-kernels under the
-  conservative lookahead barrier).
+  walk to the master instead of faulting whole directories).
 
 Each row records the *real* row dimensions (producers, nnodes,
 procs_per_node, value_size), the per-tree-level ``bytes_sent``
@@ -25,9 +23,9 @@ Timing numbers are machine-dependent, so — unlike the figure tables —
 ``out/simperf.txt``/``out/BENCH_simperf.json`` are gitignored and the
 assertions here are *determinism* gates, not speed gates: same-seed
 runs must reproduce the golden SAN105 replay fingerprints (the
-optimization contract: interning, dedup-off defaults, the merged
-sharded kernel and the inlined run loop must be invisible to the
-default event stream), plus a *flat-scaling* gate in smoke mode
+optimization contract: interning, dedup-off defaults and the inlined
+run loop must be invisible to the default event stream), plus a
+*flat-scaling* gate in smoke mode
 (optimized events/sec at 4096 producers >= 0.7x the 256-producer
 rate) and wall-clock ceilings.
 
@@ -57,9 +55,6 @@ SWEEP_NODES = (4, 16, 64, 256, 512)
 SMOKE_NODES = (4, 16, 64, 256, 512)
 PAPER_SCALE_NODES = (1024, 4096)
 
-#: Shard count for optimized rows (per-subtree sub-kernels).
-OPT_SHARDS = 16
-
 #: CI ceiling for the 8192-producer (512 x 16) run.  Measured ~4 s
 #: legacy / ~6 s optimized on a development box; the ceiling leaves
 #: >10x headroom for slow runners.
@@ -73,8 +68,8 @@ PAPER_65K_BUDGET_S = 600.0
 #: producers must stay within this fraction of the 256-producer rate.
 FLAT_SCALING_MIN_RATIO = 0.7
 
-#: Golden SAN105 replay fingerprints for the default (single-shard,
-#: dedup-off) mode.  Any change to these is an event-stream change and
+#: Golden SAN105 replay fingerprints for the default (dedup-off)
+#: mode.  Any change to these is an event-stream change and
 #: must be deliberate.
 GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
 GOLDEN_CHAOS_15 = "aab95fab6805f380726e1e083f4889f731cb2654"
@@ -94,10 +89,7 @@ def paper_config(nnodes: int, seed: int = 1, **kw) -> KapConfig:
 
 def time_kap(nnodes: int, mode: str = "legacy") -> dict:
     """One timed paper-default run; returns the table row."""
-    if mode == "optimized":
-        cfg = paper_config(nnodes, dedup=True, shards=OPT_SHARDS)
-    else:
-        cfg = paper_config(nnodes)
+    cfg = paper_config(nnodes, dedup=(mode == "optimized"))
     # Wall-clock on purpose: this benchmark measures the *host's*
     # simulator throughput (events/sec of real time), not simulated
     # time — the one place wall time is the measurand.
@@ -142,9 +134,8 @@ def fingerprint_gate() -> dict:
 
     These license every optimization in this bench: the default mode
     must reproduce the *golden* fingerprints exactly (interning and
-    the dedup/shard machinery are invisible when off), the sharded
-    kernel in merged mode must produce the identical event stream,
-    and dedup mode must be same-seed deterministic.
+    the dedup machinery are invisible when off), and dedup mode must
+    be same-seed deterministic.
     """
     cfg = dict(nnodes=16, procs_per_node=16, value_size=64, seed=1)
     a = run_kap(KapConfig(**cfg), sanitize=True)
@@ -155,11 +146,6 @@ def fingerprint_gate() -> dict:
         f"default-mode fingerprint {a.event_fingerprint} != golden"
     assert a.max_producer_latency == b.max_producer_latency
     assert a.events == b.events
-    # Sharded kernel, merged mode (the fingerprint hook forces it):
-    # provably the same total order, so the same fingerprint.
-    sh = run_kap(KapConfig(**cfg, shards=4), sanitize=True)
-    assert sh.event_fingerprint == GOLDEN_KAP_256, \
-        "sharded (merged) fingerprint diverged from single-shard"
     # Dedup mode changes the wire protocol (different stream, by
     # design) but must be same-seed deterministic.
     da = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)

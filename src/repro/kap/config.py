@@ -29,9 +29,10 @@ class KapConfig:
     nnodes / procs_per_node:
         Session shape; the paper always fully populates 16-core nodes.
     nproducers / nconsumers:
-        Role counts.  Process ``i`` produces iff ``i < nproducers`` and
-        consumes iff ``i < nconsumers`` ("fully populated" = both equal
-        to total process count).  ``None`` means all processes.
+        Role counts, ``0..nprocs``.  Process ``i`` produces iff
+        ``i < nproducers`` and consumes iff ``i < nconsumers`` ("fully
+        populated" = both equal to total process count).  ``None``
+        means all processes.
     value_size:
         Bytes per stored value (JSON string payload of that length).
     nputs:
@@ -62,11 +63,6 @@ class KapConfig:
         remote walks for cold reads (see ``KvsModule``).  Off by
         default — the classic protocol stays byte-identical, so the
         golden SAN105 fingerprints keep reproducing.
-    shards:
-        Event-loop shards (``>1`` runs the KAP on a
-        :class:`~repro.sim.shard.ShardedSimulation` with per-subtree
-        sub-kernels under the conservative lookahead barrier).  1 (the
-        default) keeps the classic single-heap kernel.
     """
 
     nnodes: int = 64
@@ -83,13 +79,18 @@ class KapConfig:
     tree_arity: int = 2
     seed: int = 0
     dedup: bool = False
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.nnodes < 1 or self.procs_per_node < 1:
             raise ValueError("need at least one node and one proc")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
+        for name, count in (("nproducers", self.producers),
+                            ("nconsumers", self.consumers)):
+            if not 0 <= count <= self.nprocs:
+                raise ValueError(
+                    f"{name} must be within 0..{self.nprocs} (the "
+                    f"session's process count), got {count}")
+        if self.nputs < 0 or self.naccess < 0:
+            raise ValueError("nputs and naccess must be non-negative")
         if self.sync not in ("fence", "commit_wait"):
             raise ValueError(f"unknown sync primitive {self.sync!r}")
         if self.dir_width is not None and self.dir_width < 1:

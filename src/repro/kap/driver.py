@@ -31,8 +31,7 @@ from ..cmb.topology import TreeTopology
 from ..kvs.api import KvsClient
 from ..kvs.module import KvsModule
 from ..sim.kernel import paused_gc
-from ..sim.cluster import make_cluster, zin_like_params
-from ..sim.shard import ShardedSimulation, shard_map_from_topology
+from ..sim.cluster import make_cluster
 from .config import KapConfig
 from .patterns import consumer_targets, make_value, object_key, proc_rank_node
 from .results import KapResult
@@ -67,21 +66,11 @@ def run_kap(config: KapConfig,
     flight-recorder ring plus waiter/pending censuses are dumped to
     that path for ``python -m repro.obs.doctor``.
     """
-    topology = TreeTopology(config.nnodes, arity=config.tree_arity)
-    if config.shards > 1:
-        params = zin_like_params()
-        sim = ShardedSimulation(
-            seed=config.seed, strict=True, nshards=config.shards,
-            lookahead=params.per_message_overhead + params.latency)
-        sim.set_shard_map(
-            shard_map_from_topology(topology, config.shards))
-        cluster = make_cluster(config.nnodes, sim=sim)
-    else:
-        cluster = make_cluster(config.nnodes, seed=config.seed)
-        sim = cluster.sim
+    cluster = make_cluster(config.nnodes, seed=config.seed)
+    sim = cluster.sim
     session = CommsSession(
         cluster,
-        topology=topology,
+        topology=TreeTopology(config.nnodes, arity=config.tree_arity),
         modules=[ModuleSpec(KvsModule, dedup=config.dedup),
                  ModuleSpec(BarrierModule)],
     ).start()

@@ -12,7 +12,6 @@ from .kernel import (AllOf, AnyOf, Channel, Event, Interrupt, Process,
 from .network import Network, NetworkParams, Nic
 from .node import Node, NodeSpec
 from .cluster import Cluster, make_cluster, zin_like_params
-from .shard import ShardedSimulation, shard_map_from_topology
 from .sharedres import (Flow, SharedResource, max_min_rates,
                         proportional_rates)
 from .trace import StatSeries, Summary, Tracer
@@ -24,7 +23,6 @@ __all__ = [
     "Network", "NetworkParams", "Nic",
     "Node", "NodeSpec",
     "Cluster", "make_cluster", "zin_like_params",
-    "ShardedSimulation", "shard_map_from_topology",
     "Flow", "SharedResource", "max_min_rates",
     "proportional_rates",
     "StatSeries", "Summary", "Tracer",

@@ -68,8 +68,7 @@ class Cluster:
 def make_cluster(n_nodes: int, *, seed: int = 0,
                  node_spec: Optional[NodeSpec] = None,
                  net_params: Optional[NetworkParams] = None,
-                 strict: bool = True,
-                 sim: Optional[Simulation] = None) -> Cluster:
+                 strict: bool = True) -> Cluster:
     """Build an ``n_nodes`` cluster with Zin/Cab-like defaults.
 
     Parameters
@@ -83,15 +82,10 @@ def make_cluster(n_nodes: int, *, seed: int = 0,
         QDR-like fabric.
     strict:
         Propagate process exceptions out of ``run`` (on for tests).
-    sim:
-        Pre-built kernel to run on (e.g. a
-        :class:`~repro.sim.shard.ShardedSimulation`); ``seed`` and
-        ``strict`` are ignored when supplied.
     """
     if n_nodes <= 0:
         raise ValueError("cluster needs at least one node")
-    if sim is None:
-        sim = Simulation(seed=seed, strict=strict)
+    sim = Simulation(seed=seed, strict=strict)
     network = Network(sim, net_params or zin_like_params())
     spec = node_spec or NodeSpec()
     nodes = [Node(i, spec) for i in range(n_nodes)]

@@ -547,15 +547,6 @@ class Simulation:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def deliver_timeout(self, node_id: int, delay: float) -> Timeout:
-        """Create the delivery timeout for a message arriving at
-        ``node_id`` in ``delay`` seconds.  Identical to :meth:`timeout`
-        here; the sharded kernel overrides it to home the event in the
-        destination node's shard (the only scheduling operation that
-        may cross shards — everything else an event's callbacks
-        schedule stays in the shard that ran them)."""
-        return Timeout(self, delay)
-
     def channel(self, name: str = "") -> Channel:
         """Create an unbounded FIFO :class:`Channel`."""
         return Channel(self, name=name)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .kernel import Channel, Simulation
+from .kernel import Channel, Simulation, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultPlan
@@ -234,16 +234,14 @@ class Network:
                                              self.sim.now + delay + extra)
                 for _ in range(1 + dups):
                     at = plan.fifo_clamp(src, dst, deliver_at)
-                    ev = self.sim.deliver_timeout(dst, at - self.sim.now)
+                    ev = Timeout(self.sim, at - self.sim.now)
                     ev._cb1 = (
                         lambda _ev: self._deliver(src, dst, port, payload))
                 return
         # Freshly created timeouts have no waiters, so the first-callback
         # slot is assigned directly (equivalent to add_callback, minus
-        # its state checks on this hottest of paths).  deliver_timeout
-        # (not timeout) so a sharded kernel can home the delivery event
-        # in the destination node's shard.
-        ev = self.sim.deliver_timeout(dst, delay)
+        # its state checks on this hottest of paths).
+        ev = Timeout(self.sim, delay)
         ev._cb1 = lambda _ev: self._deliver(src, dst, port, payload)
 
     def _deliver(self, src: int, dst: int, port: Any,

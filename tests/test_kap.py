@@ -32,6 +32,19 @@ class TestConfig:
             KapConfig(dir_width=0)
         with pytest.raises(ValueError):
             KapConfig(value_size=0)
+        # Role counts outside the session cannot run: commit_wait
+        # waits for committers that do not exist, consumers read keys
+        # nobody wrote.
+        small = dict(nnodes=4, procs_per_node=2)
+        for bad in (dict(nproducers=100), dict(nproducers=9),
+                    dict(nproducers=-1), dict(nconsumers=9),
+                    dict(nconsumers=-1), dict(nputs=-1),
+                    dict(naccess=-1)):
+            with pytest.raises(ValueError):
+                KapConfig(**small, **bad)
+        edge = KapConfig(**small, nproducers=8, nconsumers=0, nputs=0,
+                         naccess=0)
+        assert edge.producers == 8 and edge.consumers == 0
 
 
 class TestPatterns:
