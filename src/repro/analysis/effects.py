@@ -26,9 +26,8 @@ RETRY001  error      A handler emits a message (request or event) and
                      retry re-executes the handler and duplicates the
                      side effect.
 TIME001   error      Event-returning wait (``rpc``/``rpc_up``/
-                     ``rpc_rank``/``rpc_rank_tree``) with no deadline
-                     or timeout — a dead peer parks the waiting proc
-                     forever.
+                     ``rpc_rank``) with no deadline or timeout — a
+                     dead peer parks the waiting proc forever.
 BLOCK001  error      Event-returning RPC form called in the direct
                      body of a request handler: handlers run on the
                      broker dispatch path and cannot yield, so the
@@ -78,23 +77,21 @@ FLOW_RULES = {
 #: (callback- or event-returning) — these form wait edges in the graph.
 _WAITING_SENDS = frozenset({
     "rpc", "_rpc", "rpc_up", "rpc_up_cb", "rpc_parent_cb",
-    "rpc_rank", "rpc_rank_tree", "rpc_hop_cb",
+    "rpc_rank", "rpc_hop_cb",
 })
 #: One-way request send: no pending entry, no response, no wait edge.
 _ONEWAY_SENDS = frozenset({"send_parent"})
 #: Event-returning forms: a proc that yields the returned event blocks
 #: until the response (or its deadline) arrives.
-_BLOCKING_SENDS = frozenset({"rpc", "rpc_up", "rpc_rank",
-                             "rpc_rank_tree"})
+_BLOCKING_SENDS = frozenset({"rpc", "rpc_up", "rpc_rank"})
 #: Positional index of the topic argument per send primitive.
 _TOPIC_ARG = {
     "rpc": 0, "_rpc": 0, "rpc_up": 0, "rpc_up_cb": 0,
     "rpc_parent_cb": 0, "send_parent": 0, "publish": 0,
-    "rpc_rank": 1, "rpc_rank_tree": 1, "rpc_hop_cb": 1,
+    "rpc_rank": 1, "rpc_hop_cb": 1,
 }
 #: Positional index of the deadline/timeout argument of blocking forms.
-_DEADLINE_ARG = {"rpc": 2, "rpc_up": 2, "rpc_rank": 3,
-                 "rpc_rank_tree": 3}
+_DEADLINE_ARG = {"rpc": 2, "rpc_up": 2, "rpc_rank": 3}
 
 _FN_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _CLOSURE_NODES = _FN_NODES + (ast.Lambda,)

@@ -98,7 +98,7 @@ _RPC_TOPIC_ARG0 = frozenset({
     "rpc", "_rpc", "rpc_up", "rpc_up_cb", "rpc_parent_cb", "send_parent",
 })
 #: ... and whose *second* argument is (first is a rank).
-_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_rank_tree", "rpc_hop_cb"})
+_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_hop_cb"})
 
 #: Event-plane call attributes; first argument is the event topic.
 _EVENT_EMIT = frozenset({"publish"})

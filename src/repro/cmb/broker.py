@@ -43,7 +43,6 @@ PLANE_TREE = "tree"
 PLANE_EVENT_UP = "event_up"
 PLANE_EVENT_DOWN = "event_down"
 PLANE_RING = "ring"
-PLANE_TREE_RANK = "tree_rank"  # rank-addressed over the tree (extension)
 # Pseudo-planes for the message-count breakdown: local IPC deliveries to
 # clients and in-broker deliveries (module/callback/event sources).
 PLANE_IPC = "ipc"
@@ -98,7 +97,6 @@ class _Pending:
 
     - ``parent`` — follows the broker's *live* parent pointer, so the
       request heals with the overlay;
-    - ``treerank`` — recomputed via the static-topology routing table;
     - ``ring`` — the static ring successor;
     - ``fixed`` — pinned to the original peer (direct neighbour RPCs).
     """
@@ -353,8 +351,6 @@ class Broker:
     def _dispatch(self, plane: str, msg: Message) -> None:
         if plane == PLANE_RING:
             self._dispatch_ring(msg)
-        elif plane == PLANE_TREE_RANK:
-            self._dispatch_tree_rank(msg)
         elif plane in (PLANE_EVENT_UP, PLANE_EVENT_DOWN):
             self._dispatch_event(plane, msg)
         elif msg.mtype == MessageType.RESPONSE:
@@ -623,9 +619,6 @@ class Broker:
         have healed since the original send)."""
         if entry.hop_kind == "parent":
             return self.parent
-        if entry.hop_kind == "treerank":
-            return self.session.topology.next_hop_toward(
-                self.rank, entry.msg.dst_rank)
         if entry.hop_kind == "ring":
             return self.session.ring.next_rank(self.rank)
         return entry.hop  # fixed neighbour
@@ -685,48 +678,7 @@ class Broker:
             if topic.startswith(prefix):
                 fn(msg)
 
-    # -- tree-routed rank addressing (extension) ---------------------------
-    # The paper's secondary rank-addressed overlay uses a ring ("the
-    # high latency of a ring is manageable" for debug tools).  The
-    # distributed-KVS-master extension needs low-latency point-to-point
-    # RPCs, so this plane routes rank-addressed requests along the tree
-    # (up to the lowest common ancestor, then down); responses retrace.
-    def _dispatch_tree_rank(self, msg: Message) -> None:
-        if msg.mtype == MessageType.RESPONSE:
-            self._dispatch_response(msg)
-            return
-        if msg.dst_rank == self.rank:
-            self._route_request(msg, _Source("child", msg.src_rank))
-            return
-        if self._expired(msg):
-            self._send(msg.src_rank, PLANE_TREE_RANK,
-                       self._expiry_response(msg))
-            return
-        hop = self.session.topology.next_hop_toward(self.rank, msg.dst_rank)
-        fwd = msg.copy(src_rank=self.rank)
-        self._register_pending(_Source("child", msg.src_rank), fwd,
-                               PLANE_TREE_RANK, hop, "treerank")
-        self._send(hop, PLANE_TREE_RANK, fwd)
-
-    def rpc_rank_tree(self, dst_rank: int, topic: str,
-                      payload: dict,
-                      deadline: Optional[float] = None,
-                      span: Optional[tuple] = None) -> Event:
-        """Rank-addressed RPC routed over the tree instead of the ring:
-        O(log n) hops at the cost of routing knowledge at each hop."""
-        ev = self.sim.event(name=("treerank:%s@%d", topic, dst_rank))
-        msg = Message(topic=topic, mtype=MessageType.RING, payload=payload,
-                      src_rank=self.rank, dst_rank=dst_rank, span=span)
-        msg.ensure_context(origin_rank=self.rank, deadline=deadline)
-        if dst_rank == self.rank:
-            self._route_request(msg, _Source("local", ev))
-            return ev
-        hop = self.session.topology.next_hop_toward(self.rank, dst_rank)
-        self._register_pending(_Source("local", ev), msg,
-                               PLANE_TREE_RANK, hop, "treerank")
-        self._send(hop, PLANE_TREE_RANK, msg)
-        return ev
-
+    # -- neighbour-addressed module hops ----------------------------------
     def rpc_hop_cb(self, peer_rank: int, topic: str, payload: dict,
                    callback: Callable[[Message], None],
                    ctx: Optional[RequestContext] = None,

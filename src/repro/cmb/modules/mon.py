@@ -190,17 +190,15 @@ class MonModule(CommsModule):
                 lambda resp: None)
 
     def _store_kvs(self, name: str, epoch: int, value: float) -> None:
+        # Through the KVS module's in-broker write API, never around it:
+        # a commit applied behind the module's back skips the
+        # replication log and wedges every standby on the missing
+        # version.
         kvs = self.broker.modules.get("kvs")
-        if kvs is None or kvs.master is None:
+        if kvs is None:
             return
-        from ...jsonutil import sha1_of
-        from ...kvs.store import make_val_obj
-        obj = make_val_obj(value)
-        sha = sha1_of(obj)
-        kvs.master.ingest_objects({sha: obj})
-        res = kvs.master.commit([(f"mon.{name}.{epoch}", sha)])
-        kvs._apply_root(res.version, res.root_sha)
-        kvs._publish_setroot(res.version, res.root_sha)
+        kvs.local_put(("mon", name), f"mon.{name}.{epoch}", value)
+        kvs.local_commit(("mon", name))
 
     # ------------------------------------------------------------------
     @request_handler(required=("name",))

@@ -7,8 +7,8 @@ single ``stats.aggregate`` RPC at the root tree-reduces a session-wide
 aggregate without ever shipping raw samples:
 
 - ``stats.get`` — the local broker's registry snapshot (route with
-  ``Handle.rpc_rank``/``rpc_rank_tree`` to reach a specific rank, or
-  plain ``rpc`` for the first broker on the upstream path).
+  ``Handle.rpc_rank`` to reach a specific rank, or plain ``rpc`` for
+  the first broker on the upstream path).
 - ``stats.aggregate`` — recursive: each instance fans out to its live
   tree children, merges their subtree aggregates with its own
   snapshot, and answers one merged snapshot upward.  Asking rank 0

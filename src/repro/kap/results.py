@@ -29,8 +29,8 @@ class KapResult:
     events: int = 0
     bytes_sent: int = 0
     #: Payload bytes sent per fabric plane (tree / event_up /
-    #: event_down / ring / tree_rank) — the per-plane attribution the
-    #: ROADMAP's fence-payload investigation tabulates.
+    #: event_down / ring) — the per-plane attribution the ROADMAP's
+    #: fence-payload investigation tabulates.
     plane_bytes: dict = field(default_factory=dict)
     #: Highest flight-recorder ring occupancy across brokers.
     flight_peak: int = 0

@@ -10,7 +10,7 @@ from .api import KvsClient, Watcher
 from .cache import CacheStats, SlaveCache
 from .hashtree import (KvsPathError, apply_update, apply_updates, list_dir,
                        lookup, lookup_ref, split_key)
-from .master import CommitResult, FenceState, KvsMaster
+from .master import CommitResult, KvsMaster
 from .module import KvsModule
 from .store import (EMPTY_DIR, EMPTY_DIR_SHA, ObjectStore, dir_entries,
                     is_dir_obj, is_val_obj, make_dir_obj, make_val_obj,
@@ -19,7 +19,7 @@ from .store import (EMPTY_DIR, EMPTY_DIR_SHA, ObjectStore, dir_entries,
 __all__ = [
     "KvsClient", "Watcher", "CacheStats", "SlaveCache", "KvsPathError",
     "apply_update", "apply_updates", "list_dir", "lookup", "lookup_ref",
-    "split_key", "CommitResult", "FenceState", "KvsMaster", "KvsModule",
+    "split_key", "CommitResult", "KvsMaster", "KvsModule",
     "EMPTY_DIR", "EMPTY_DIR_SHA", "ObjectStore", "dir_entries",
     "is_dir_obj", "is_val_obj", "make_dir_obj", "make_val_obj",
     "obj_size", "val_of",

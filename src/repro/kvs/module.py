@@ -15,10 +15,11 @@ Implements the full Section IV-B protocol:
   so redundant values reduce; (key, SHA1) tuples concatenate, which is
   why Figure 3's redundant case still falls short of logarithmic —
   and forwards a single combined contribution to its parent.  The
-  master applies the completed fence and multicasts the new root.
-  When only a subset of a subtree's clients joins a fence, a short
-  aggregation window flushes partial aggregates upstream so the root
-  still reaches the ``nprocs`` total.
+  master rank holds what arrives until all ``nprocs`` participants are
+  in, then commits the fence and multicasts the new root.  When only a
+  subset of a subtree's clients joins a fence, a short aggregation
+  window flushes partial aggregates upstream so the root still gets
+  there.
 - **get** — resolves hash-tree paths against the currently applied
   root; objects missing from the slave cache are faulted in from the
   tree parent, recursively up to the master.  Whole objects transfer,
@@ -28,6 +29,10 @@ Implements the full Section IV-B protocol:
   the event plane; slaves apply versions monotonically, release
   ``wait_version`` waiters, and complete held fences.
 
+Whatever brings a root-namespace write to the master rank (client
+commit, relayed flush, in-broker service, delegation link, completed
+fence), it commits through :meth:`KvsModule._master_commit` only.
+
 The multi-master extension (the paper's stated future work of
 "distributing the KVS master itself") adds two orthogonal mechanisms,
 both inert — and event-identical to the single-master protocol — until
@@ -35,10 +40,10 @@ explicitly configured:
 
 - **subtree ownership delegation** — ``kvs.delegate`` hands a directory
   subtree (e.g. ``job.42``) to an interior broker, which instantiates
-  its own :class:`KvsMaster` for that namespace (own root ref, version
-  sequence, fence bookkeeping).  Every rank keeps an ownership table
-  fed by totally-ordered ``kvs.delegation`` events; writes and reads
-  under a delegated prefix route hop-by-hop toward the owner
+  its own :class:`KvsMaster` for that namespace (own root ref and
+  version sequence).  Every rank keeps an ownership table fed by
+  totally-ordered ``kvs.delegation`` events; writes and reads under a
+  delegated prefix route hop-by-hop toward the owner
   (``rpc_hop_cb``), falling back root-ward on a miss.  The root binds a
   *link object* at the delegated path so cross-subtree reads still
   compose into one hash tree: a walk landing on a link re-routes to the
@@ -70,12 +75,20 @@ from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
                         interned_size)
 from .cache import SlaveCache
-from .hashtree import KvsPathError, apply_updates, lookup_ref, split_key
+from .hashtree import KvsPathError, lookup_ref, split_key
 from .master import CommitRecord, KvsMaster
 from .store import (EMPTY_DIR_SHA, dir_entries, is_dir_obj, is_link_obj,
                     link_of, make_link_obj, make_val_obj, val_of)
 
 __all__ = ["KvsModule"]
+
+#: Aggregation window for partial fence flushes (seconds): how long a
+#: slave waits for more subtree contributions before forwarding an
+#: incomplete aggregate upstream.
+_FENCE_WINDOW = 1e-4
+#: Standby acks required before a commit is acknowledged to the client
+#: (clamped to the number of live replicas).
+_REPL_ACK_MIN = 1
 
 
 class _Dirty:
@@ -89,14 +102,16 @@ class _Dirty:
 
 
 class _FenceAgg:
-    """Per-name fence aggregation at one slave.
+    """Per-name fence aggregation at one rank.
 
     ``count``/``ops``/``objs`` hold contributions not yet flushed
     upstream; ``total_seen`` counts everything that ever arrived (the
     fast-path trigger: flush as soon as the whole subtree has
     contributed).  When only a subset of the subtree participates in a
     fence (e.g. two jobs sharing a session), a window timer flushes
-    partial aggregates so the root can still complete the fence.
+    partial aggregates so the root can still complete the fence.  The
+    master rank never flushes: it holds everything until ``total_seen``
+    reaches ``nprocs``, then commits the fence once (``completing``).
 
     ``local_count``/``local_ops``/``local_objs`` additionally keep the
     *cumulative* contributions of this rank's own clients (never
@@ -161,24 +176,18 @@ class KvsModule(CommsModule):
     name = "kvs"
 
     def __init__(self, broker, *, expiry: Optional[float] = None,
-                 fence_window: float = 1e-4, name: str = "kvs",
-                 master_rank: int = 0, master_commit_cost: float = 0.0,
+                 name: str = "kvs", master_rank: int = 0,
+                 master_commit_cost: float = 0.0,
                  master_op_cost: float = 0.0,
-                 replicas: tuple = (), repl_ack_min: int = 1,
-                 dedup: bool = False):
+                 replicas: tuple = (), dedup: bool = False):
         self.name = name  # instance override: sharded namespaces load
         # several KvsModule instances under distinct topic heads.
-        super().__init__(broker, expiry=expiry, fence_window=fence_window,
-                         name=name, master_rank=master_rank,
+        super().__init__(broker, expiry=expiry, name=name,
+                         master_rank=master_rank,
                          master_commit_cost=master_commit_cost,
                          master_op_cost=master_op_cost,
-                         replicas=replicas, repl_ack_min=repl_ack_min,
-                         dedup=dedup)
+                         replicas=replicas, dedup=dedup)
         self.expiry = expiry
-        #: Aggregation window for partial fence flushes (seconds): how
-        #: long a slave waits for more subtree contributions before
-        #: forwarding an incomplete aggregate upstream.
-        self.fence_window = fence_window
         #: Which session rank hosts this namespace's master.  The paper
         #: places it at the tree root; the distributed-master extension
         #: (its stated future work) spreads shard masters across ranks.
@@ -221,9 +230,6 @@ class KvsModule(CommsModule):
         #: Empty (the default) keeps the single-master protocol
         #: event-identical to the pre-replication revision.
         self.replicas = tuple(sorted(r for r in replicas))
-        #: Standby acks required before a commit is acknowledged to the
-        #: client (clamped to the number of live replicas).
-        self.repl_ack_min = repl_ack_min
         self._standby: Optional[KvsMaster] = (
             KvsMaster() if (self.rank in self.replicas
                             and self.rank != master_rank) else None)
@@ -501,7 +507,7 @@ class KvsModule(CommsModule):
                 self._start_election()
 
     # ------------------------------------------------------------------
-    # master service-time queue
+    # the root-namespace master: service-time queue and the one door in
     # ------------------------------------------------------------------
     def _master_run(self, nops: int, apply_fn) -> None:
         """Run ``apply_fn`` on the master after its FIFO service time.
@@ -528,62 +534,56 @@ class KvsModule(CommsModule):
             apply_fn()
         self._master_busy = False
 
+    def _master_commit(self, ops: list, objs: dict,
+                       done: Callable[[int, str], None], *,
+                       span: Optional[tuple] = None,
+                       fence: Optional[str] = None) -> None:
+        """The one door into this rank's root-namespace master: commit
+        ``ops``/``objs`` and run ``done(version, rootref)`` once the
+        commit is durable, applied here and published.
+
+        Client commits, relayed flushes, in-broker services, delegation
+        link/recall commits and completed fences of either wire format
+        (``fence`` names it) all come through here, so each queues for
+        the master's service time, enters the replication log and
+        publishes its setroot exactly once.  With replicas, ``done``
+        waits until ``_REPL_ACK_MIN`` live standbys acknowledged the
+        :class:`CommitRecord` (an acknowledged write survives the
+        master's death); a fence also waits for its delegated parts.
+        """
+        def finish(res) -> None:
+            if fence is not None:
+                self._record_completed(fence, res.version, res.root_sha)
+            self._apply_root(res.version, res.root_sha)
+            self._publish_setroot(res.version, res.root_sha, fence=fence,
+                                  span=span)
+            done(res.version, res.root_sha)
+
+        def durable(res) -> None:
+            self._fence_finish_when_shipped(fence, lambda: finish(res))
+
+        def apply() -> None:
+            if not self.replicas:
+                self.master.ingest_objects(objs)
+                durable(self.master.commit(ops))
+                return
+            res, rec = self.master.commit_logged(ops, objs)
+            if objs or fence is not None:
+                # The journal only captures objects *new* to the store;
+                # merge the flushed objects in explicitly so records stay
+                # self-contained even when a value object was pre-stored
+                # (e.g. by a master-rank client's put).  ``fence`` tags
+                # the record so a promoted standby can seed its
+                # completed-fence digest.
+                rec = CommitRecord(rec.version, rec.root_sha,
+                                   {**objs, **rec.objs}, fence)
+            self._replicate(rec, lambda: durable(res))
+
+        self._master_run(len(ops), apply)
+
     # ------------------------------------------------------------------
     # root replication (semi-synchronous commit log streaming)
     # ------------------------------------------------------------------
-    def _commit_replicated(self, ops: list, objs: dict,
-                           fn: Callable[[int, str], None],
-                           fence: Optional[str] = None) -> None:
-        """Apply a root-namespace commit; run ``fn(version, rootref)``
-        once it is durable.
-
-        Without replicas that is immediately — the exact single-master
-        code path, no extra bookkeeping.  With replicas the commit is
-        journaled into a :class:`CommitRecord`, streamed to the
-        standbys, and ``fn`` (which publishes the setroot and answers
-        the client) is deferred until ``repl_ack_min`` live standbys
-        acknowledged it — so an acknowledged write survives the
-        master's death by construction.
-        """
-        if not self.replicas:
-            self.master.ingest_objects(objs)
-            res = self.master.commit([(k, s) for k, s in ops])
-            fn(res.version, res.root_sha)
-            return
-        res, rec = self.master.commit_logged([(k, s) for k, s in ops],
-                                             objs)
-        if objs or fence is not None:
-            # The journal only captures objects *new* to the store;
-            # merge the flushed objects in explicitly so records stay
-            # self-contained even when a value object was pre-stored
-            # (e.g. by a master-rank client's put).  ``fence`` tags the
-            # record so a promoted standby can seed its completed-fence
-            # digest (shares-mode fences complete via plain commits).
-            rec = CommitRecord(rec.version, rec.root_sha,
-                               {**objs, **rec.objs}, fence)
-        self._replicate(rec, lambda: fn(res.version, res.root_sha))
-
-    def _fence_replicated(self, name: str, nprocs: int, count: int,
-                          ops: list, objs: dict,
-                          fn: Callable[[int, str], None]) -> bool:
-        """Replication-aware :meth:`KvsMaster.fence_add`; ``fn`` fires
-        (durably, as in :meth:`_commit_replicated`) only when this
-        contribution completed the fence.  Returns True when the fence
-        completed."""
-        if not self.replicas:
-            res = self.master.fence_add(name, nprocs, count,
-                                        [(k, s) for k, s in ops], objs)
-            if res is None:
-                return False
-            fn(res.version, res.root_sha)
-            return True
-        res, rec = self.master.fence_add_logged(
-            name, nprocs, count, [(k, s) for k, s in ops], objs)
-        if res is None:
-            return False
-        self._replicate(rec, lambda: fn(res.version, res.root_sha))
-        return True
-
     def _replicate(self, rec: CommitRecord,
                    fn: Callable[[], None]) -> None:
         self._repl_log.append(rec)
@@ -595,11 +595,11 @@ class KvsModule(CommsModule):
                 if r != self.rank and self.broker.session.brokers[r].alive]
 
     def _ack_watermark(self) -> Optional[int]:
-        """Highest version ``repl_ack_min`` live standbys have acked,
+        """Highest version ``_REPL_ACK_MIN`` live standbys have acked,
         or ``None`` when no ack is required (degraded: no live
         replicas left — proceed unreplicated rather than hang)."""
         live = self._live_replicas()
-        need = min(self.repl_ack_min, len(live))
+        need = min(_REPL_ACK_MIN, len(live))
         if need <= 0:
             return None
         acks = sorted((self._repl_acks.get(r, 0) for r in live),
@@ -829,10 +829,9 @@ class KvsModule(CommsModule):
             self._record_completed(fname, ver, root)
         self._apply_root(self.master.version, self.master.root_sha)
         self._publish_newmaster()
-        # In-flight fences replay (idempotently, via the shares
-        # protocol) toward the promoted master.
-        self.broker.after(0.0, self._recover_shared if self._shared_mode()
-                          else self._recover_after_down)
+        # In-flight fences replay (idempotently: shares re-emission or
+        # the epoch-tagged reset) toward the promoted master.
+        self.broker.after(0.0, self._recover_after_down)
 
     def _publish_newmaster(self) -> None:
         self.broker.publish(f"{self.name}.newmaster",
@@ -862,8 +861,7 @@ class KvsModule(CommsModule):
             self.broker._frec(self.broker.sim.now, "kvs_demote",
                               p["rank"], p["version"], None)
         self._apply_root(p["version"], p["rootref"])
-        self.broker.after(0.0, self._recover_shared if self._shared_mode()
-                          else self._recover_after_down)
+        self.broker.after(0.0, self._recover_after_down)
 
     # ------------------------------------------------------------------
     # subtree ownership delegation
@@ -922,7 +920,7 @@ class KvsModule(CommsModule):
         if dm is not None:
             def apply():
                 dm.ingest_objects(objs)
-                res = dm.commit([(k, s) for k, s in ops])
+                res = dm.commit(ops)
                 self._cv_owner_commits.inc((self.name, self.rank))
                 ns = f"{self.name}/{pfx}"
                 seen = self._pfx_seen.get(pfx, -1)
@@ -962,38 +960,37 @@ class KvsModule(CommsModule):
                           done: Callable[[Message], None],
                           ctx: Optional[RequestContext] = None,
                           span: Optional[tuple] = None) -> None:
-        """Commit the root-namespace part of a partitioned commit —
-        locally when this rank is the master, else forwarded."""
+        """Commit root-namespace ``ops`` — on the master when it is here,
+        else as a flush forwarded toward it (the one place that decides).
+        ``done`` gets a flush response, its root already applied here."""
         if self.master is not None:
-            def apply():
-                def fin(version, rootref):
-                    self._apply_root(version, rootref)
-                    self._publish_setroot(version, rootref, span=span)
-                    done(self._local_response({"version": version,
-                                               "rootref": rootref}))
-                self._commit_replicated(ops, objs, fin)
-            self._master_run(len(ops), apply)
+            self._master_commit(
+                ops, objs,
+                lambda version, rootref: done(self._local_response(
+                    {"version": version, "rootref": rootref})),
+                span=span)
             return
 
         def relay(resp: Message) -> None:
             if resp.error is None:
+                # Read-your-writes: apply the commit's root before answering.
                 self._apply_root(resp.payload["version"],
                                  resp.payload["rootref"])
             done(resp)
 
-        self._forward_flush(ops, objs, relay, ctx=ctx, span=span)
+        self._send_objs(f"{self.name}.flush", {"ops": ops}, objs, relay,
+                        ctx=ctx, span=span)
 
     def _commit_partitioned(self, msg: Message, sender: Any,
                             root_ops: list, root_objs: dict,
-                            groups: dict, *,
-                            ack_here: bool = True) -> None:
+                            groups: dict) -> None:
         """Run a partitioned commit: the root part plus one delegated
         part per owner, all concurrently; answer ``msg`` once every
-        part settled.  ``sender`` (when this rank fronts the client)
-        re-stashes the whole batch on a retryable failure so the
-        client's retry re-flushes it.  ``ack_here`` notifies the
-        consistency sanitizers — True at the client-facing rank, False
-        when relaying a downstream flush (the origin acks)."""
+        part settled.  ``sender`` is set when this rank fronts the
+        client (``None`` when relaying a downstream flush): the fronting
+        rank re-stashes the whole batch on a retryable failure so the
+        client's retry re-flushes it, and on success unpins it and
+        notifies the consistency sanitizers (the origin acks)."""
         state: dict[str, Any] = {"left": 1 + len(groups), "error": None,
                                  "version": self.version,
                                  "rootref": self.root_sha,
@@ -1013,7 +1010,8 @@ class KvsModule(CommsModule):
                 self.respond(msg, error=err.error, code=err.errnum,
                              err_rank=err.err_rank)
                 return
-            if ack_here:
+            if sender is not None:
+                self._unpin(all_objs)
                 san = self._san()
                 if san is not None:
                     san.kvs_commit_ack(self.name, self.rank,
@@ -1059,17 +1057,6 @@ class KvsModule(CommsModule):
                               ctx=msg.ctx, span=msg.span)
 
     # -- fence completions with delegated parts -------------------------
-    def _fence_ship_delegated(self, name: str, groups: dict) -> None:
-        """Ship a fence's delegated op groups to their owners; the
-        fence's completion (setroot publish + release) defers until
-        every part is acknowledged, so a fence ack implies the whole
-        collective write — delegated parts included — is readable."""
-        for pfx in sorted(groups):
-            g_ops, g_objs = groups[pfx]
-            self._fence_deleg_pending[name] = (
-                self._fence_deleg_pending.get(name, 0) + 1)
-            self._fence_part_flush(name, pfx, g_ops, g_objs)
-
     def _fence_part_flush(self, name: str, pfx: str, ops: list,
                           objs: dict) -> None:
         def shipped(resp: Message) -> None:
@@ -1092,8 +1079,9 @@ class KvsModule(CommsModule):
         if fire is not None:
             fire()
 
-    def _fence_finish_when_shipped(self, name: str,
+    def _fence_finish_when_shipped(self, name: Optional[str],
                                    finish: Callable[[], None]) -> None:
+        """``name`` is ``None`` for a plain commit: nothing to wait for."""
         if self._fence_deleg_pending.get(name):
             self._fence_deferred[name] = finish
         else:
@@ -1156,17 +1144,14 @@ class KvsModule(CommsModule):
         link = make_link_obj(pfx, rank)
         sha, _size = digest_and_size(link)
 
-        def apply():
-            def fin(version, rootref):
-                self._apply_root(version, rootref)
-                self._publish_setroot(version, rootref, span=msg.span)
-                self.broker.publish(f"{self.name}.delegation",
-                                    {"pfx": pfx, "rank": rank})
-                self.respond(msg, {"pfx": pfx, "rank": rank,
-                                   "version": version})
-            self._commit_replicated([[pfx, sha]], {sha: link}, fin)
+        def linked(version, _rootref):
+            self.broker.publish(f"{self.name}.delegation",
+                                {"pfx": pfx, "rank": rank})
+            self.respond(msg, {"pfx": pfx, "rank": rank,
+                               "version": version})
 
-        self._master_run(1, apply)
+        self._master_commit([[pfx, sha]], {sha: link}, linked,
+                            span=msg.span)
 
     @request_handler(required=("pfx", "ver", "rootref", "objs"))
     def req_adopt(self, msg: Message) -> None:
@@ -1238,17 +1223,13 @@ class KvsModule(CommsModule):
             return
         p = resp.payload
 
-        def apply():
-            def fin(version, rootref):
-                self._apply_root(version, rootref)
-                self._publish_setroot(version, rootref, span=msg.span)
-                self.broker.publish(f"{self.name}.delegation",
-                                    {"pfx": pfx, "rank": None})
-                self.respond(msg, {"pfx": pfx, "version": version})
-            self._commit_replicated([[pfx, p["rootref"]]], p["objs"],
-                                    fin)
+        def grafted(version, _rootref):
+            self.broker.publish(f"{self.name}.delegation",
+                                {"pfx": pfx, "rank": None})
+            self.respond(msg, {"pfx": pfx, "version": version})
 
-        self._master_run(1, apply)
+        self._master_commit([[pfx, p["rootref"]]], p["objs"], grafted,
+                            span=msg.span)
 
     def req_owners(self, msg: Message) -> None:
         """The ownership table as this rank sees it (introspection)."""
@@ -1376,6 +1357,12 @@ class KvsModule(CommsModule):
             total += len(objs) - 1
         return total
 
+    def _unpin(self, objs: dict) -> None:
+        """An acknowledged commit or fence made ``objs`` clean: let
+        disuse expiry reclaim them (puts pin them in the slave cache)."""
+        for sha in objs:
+            self.cache.unpin(sha)
+
     def _dirty_for(self, sender: Any) -> _Dirty:
         d = self._dirty.get(sender)
         if d is None:
@@ -1388,22 +1375,13 @@ class KvsModule(CommsModule):
     @request_handler(required=("key", "value"))
     def req_put(self, msg: Message) -> None:
         key = msg.payload["key"]
-        value = msg.payload["value"]
-        sender = msg.payload.get("sender", 0)
         try:
             split_key(key)
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
-        obj = make_val_obj(value)
-        # Keyed digest memo: KAP's redundant-value mode stores the same
-        # string from every producer — one serialization covers all.
-        sha, size = digest_and_size(
-            obj, key=("v", value) if isinstance(value, str) else None)
-        self._obj_put(sha, obj, pin=True, size=size)
-        d = self._dirty_for(sender)
-        d.ops.append([key, sha])
-        d.objs[sha] = obj
+        sha = self.local_put(msg.payload.get("sender", 0), key,
+                             msg.payload["value"])
         self.respond(msg, {"sha": sha})
 
     @request_handler(required=("key",))
@@ -1418,9 +1396,11 @@ class KvsModule(CommsModule):
     # e.g. wexec stdout capture and resvc resource enumeration)
     # ------------------------------------------------------------------
     def local_put(self, sender: Any, key: str, value: Any) -> str:
-        """Write-back a value on behalf of an in-broker service; returns
-        the value object's SHA1."""
+        """Write-back a value into ``sender``'s dirty buffer (clients come
+        through ``req_put``); returns the value object's SHA1."""
         obj = make_val_obj(value)
+        # Keyed digest memo: KAP's redundant-value mode stores the same
+        # string from every producer — one serialization covers all.
         sha, size = digest_and_size(
             obj, key=("v", value) if isinstance(value, str) else None)
         self._obj_put(sha, obj, pin=True, size=size)
@@ -1445,21 +1425,10 @@ class KvsModule(CommsModule):
             for pfx in sorted(groups):
                 g_ops, g_objs = groups[pfx]
                 self._owner_flush(pfx, g_ops, g_objs, lambda resp: None)
-        if self.master is not None:
-            def apply():
-                def fin(version, rootref):
-                    self._apply_root(version, rootref)
-                    self._publish_setroot(version, rootref)
-                    if callback is not None:
-                        callback(version, rootref)
-                self._commit_replicated(ops, objs, fin)
-            self._master_run(len(ops), apply)
-            return
 
         def done(resp: Message) -> None:
             if resp.error is None:
-                self._apply_root(resp.payload["version"],
-                                 resp.payload["rootref"])
+                self._unpin(objs)
                 if callback is not None:
                     callback(resp.payload["version"],
                              resp.payload["rootref"])
@@ -1471,7 +1440,7 @@ class KvsModule(CommsModule):
                 self.broker.after(5e-3,
                                   lambda: self.local_commit(sender, callback))
 
-        self._forward_flush(ops, objs, done)
+        self._root_part_commit(ops, objs, done)
 
     # ------------------------------------------------------------------
     # commit (single-client flush)
@@ -1487,20 +1456,7 @@ class KvsModule(CommsModule):
                 self._commit_partitioned(msg, sender, root_ops, root_objs,
                                          groups)
                 return
-        if self.master is not None:
-            def apply():
-                def fin(version, rootref):
-                    self._apply_root(version, rootref)
-                    self._publish_setroot(version, rootref, span=msg.span)
-                    san = self._san()
-                    if san is not None:
-                        san.kvs_commit_ack(self.name, self.rank, version)
-                    self.respond(msg, {"version": version,
-                                       "rootref": rootref})
-                self._commit_replicated(ops, objs, fin)
-            self._master_run(len(ops), apply)
-            return
-        self._forward_flush(
+        self._root_part_commit(
             ops, objs,
             lambda resp: self._finish_commit(msg, resp, sender, ops, objs),
             ctx=msg.ctx, span=msg.span)
@@ -1513,9 +1469,8 @@ class KvsModule(CommsModule):
         for sha, obj in objs.items():
             d.objs.setdefault(sha, obj)
 
-    def _finish_commit(self, msg: Message, resp: Message,
-                       sender: Any = None, ops: Optional[list] = None,
-                       objs: Optional[dict] = None) -> None:
+    def _finish_commit(self, msg: Message, resp: Message, sender: Any,
+                       ops: list, objs: dict) -> None:
         if resp.error is not None:
             # A transiently failed flush took the popped dirty data with
             # it; re-stash so the client's retry commit re-flushes it
@@ -1525,8 +1480,7 @@ class KvsModule(CommsModule):
             self.respond(msg, error=resp.error, code=resp.errnum,
                          err_rank=resp.err_rank)
             return
-        # Read-your-writes: apply the commit's root before answering.
-        self._apply_root(resp.payload["version"], resp.payload["rootref"])
+        self._unpin(objs)
         san = self._san()
         if san is not None:
             san.kvs_commit_ack(self.name, self.rank,
@@ -1537,13 +1491,6 @@ class KvsModule(CommsModule):
                 san.kvs_commit_ack(f"{self.name}/{pfx}", self.rank,
                                    resp.payload["subroots"][pfx][0])
         self.respond(msg, dict(resp.payload))
-
-    def _forward_flush(self, ops: list, objs: dict,
-                       callback: Callable[[Message], None],
-                       ctx: Optional[RequestContext] = None,
-                       span: Optional[tuple] = None) -> None:
-        self._send_objs(f"{self.name}.flush", {"ops": ops}, objs,
-                        callback, ctx=ctx, span=span)
 
     def _uplink_peer(self) -> Optional[int]:
         """The next-hop rank the master-ward path currently uses
@@ -1655,65 +1602,50 @@ class KvsModule(CommsModule):
                               lambda resp: self._relay_response(msg, resp),
                               ctx=msg.ctx, span=msg.span)
             return
-        # Replicated masters skip the eager store insert: the commit
-        # journal must capture every object the record needs, and the
-        # journal only sees objects *new* to the store.
-        if self.master is None or not self.replicas:
+        if self.master is None:
+            # Slaves cache what passes through; the master ingests on commit.
             for sha, obj in objs.items():
                 self._obj_put(sha, obj)
-        if self.master is not None:
-            if self.owners:
-                root_ops, root_objs, groups = self._partition_ops(ops,
-                                                                  objs)
-                if groups:
-                    # Delegated keys reached the root (stale table
-                    # downstream): never fold them into the root tree —
-                    # that would overwrite the link objects.  Re-split
-                    # and ship each part to its owner.
-                    self._commit_partitioned(msg, None, root_ops,
-                                             root_objs, groups,
-                                             ack_here=False)
-                    return
-
-            def apply():
-                def fin(version, rootref):
-                    self._apply_root(version, rootref)
-                    self._publish_setroot(version, rootref, span=msg.span)
-                    self.respond(msg, {"version": version,
-                                       "rootref": rootref})
-                self._commit_replicated(ops, objs, fin)
-            self._master_run(len(ops), apply)
-            return
-        self._forward_flush(ops, objs,
-                            lambda resp: self._relay_flush(msg, resp),
-                            ctx=msg.ctx, span=msg.span)
-
-    def _relay_flush(self, msg: Message, resp: Message) -> None:
-        if resp.error is not None:
-            self.respond(msg, error=resp.error, code=resp.errnum,
-                         err_rank=resp.err_rank)
-            return
-        self._apply_root(resp.payload["version"], resp.payload["rootref"])
-        self.respond(msg, dict(resp.payload))
+        elif self.owners:
+            root_ops, root_objs, groups = self._partition_ops(ops, objs)
+            if groups:
+                # Delegated keys reached the root (stale table
+                # downstream): never fold them into the root tree —
+                # that would overwrite the link objects.  Re-split
+                # and ship each part to its owner.
+                self._commit_partitioned(msg, None, root_ops, root_objs,
+                                         groups)
+                return
+        self._root_part_commit(
+            ops, objs, lambda resp: self._relay_response(msg, resp),
+            ctx=msg.ctx, span=msg.span)
 
     # ------------------------------------------------------------------
     # fence (collective commit with tree reduction)
     # ------------------------------------------------------------------
-    def _fence_for(self, name: str, nprocs: int) -> _FenceAgg:
+    def _fence_for(self, msg: Message) -> Optional[_FenceAgg]:
+        """The aggregate ``msg`` (``fence``/``fencedata``) contributes
+        to.  ``nprocs`` comes from the client: one contradicting the
+        pending aggregate's is answered ``EINVAL`` and leaves it alone."""
+        name, nprocs = msg.payload["name"], msg.payload["nprocs"]
         agg = self._fences.get(name)
         if agg is None:
             agg = self._fences[name] = _FenceAgg(
                 name, nprocs, created_version=self.version)
+        elif agg.nprocs != nprocs:
+            self.respond(msg, error=f"fence {name!r}: inconsistent nprocs "
+                         f"({agg.nprocs} vs {nprocs})", code=EINVAL)
+            return None
         return agg
 
     @request_handler(required=("name", "nprocs"))
     def req_fence(self, msg: Message) -> None:
         """A local client entering a fence (carries its dirty state)."""
-        name = msg.payload["name"]
-        nprocs = msg.payload["nprocs"]
+        agg = self._fence_for(msg)
+        if agg is None:
+            return
         sender = msg.payload.get("sender", 0)
         d = self._dirty.pop(sender, None)
-        agg = self._fence_for(name, nprocs)
         agg.held.append(msg)
         if d is not None:
             agg.ops.extend(d.ops)
@@ -1727,7 +1659,7 @@ class KvsModule(CommsModule):
         agg.total_seen += 1
         agg.local_count += 1
         self.broker._frec(self.broker.sim.now, "kvs_fence_enter",
-                          name, sender, agg.total_seen)
+                          agg.name, sender, agg.total_seen)
         if msg.span is not None:
             agg.span = msg.span
         self._maybe_flush_fence(agg)
@@ -1758,7 +1690,9 @@ class KvsModule(CommsModule):
         resolved = self._resolve_orefs(msg)
         if resolved is None:
             return
-        agg = self._fence_for(p["name"], p["nprocs"])
+        agg = self._fence_for(msg)
+        if agg is None:
+            return
         agg.count += p["count"]
         agg.total_seen += p["count"]
         if msg.span is not None:
@@ -1796,7 +1730,9 @@ class KvsModule(CommsModule):
         resolved = self._resolve_orefs(msg)
         if resolved is None:
             return
-        agg = self._fence_for(name, p["nprocs"])
+        agg = self._fence_for(msg)
+        if agg is None:
+            return
         if msg.span is not None:
             agg.span = msg.span
         for sha, obj in resolved.items():
@@ -1840,7 +1776,7 @@ class KvsModule(CommsModule):
             self._flush_fence(agg.name)
         elif not agg.timer_armed:
             agg.timer_armed = True
-            self.broker.after(self.fence_window,
+            self.broker.after(_FENCE_WINDOW,
                               lambda: self._fence_timer(agg.name))
 
     def _fence_timer(self, name: str) -> None:
@@ -1857,35 +1793,16 @@ class KvsModule(CommsModule):
         if self._shared_mode():
             self._flush_fence_shared(agg)
             return
+        if self.master is not None:
+            if agg.total_seen >= agg.nprocs:    # else keep holding
+                self._complete_fence(agg, agg.ops, agg.objs)
+            return
         if agg.count == 0:
             return
         count, agg.count = agg.count, 0
         ops, agg.ops = agg.ops, []
         objs, agg.objs = agg.objs, {}
         ops_size, agg.ops_size = agg.ops_size, 0
-        if self.master is not None:
-            groups: dict = {}
-            if self.owners:
-                ops, objs, groups = self._partition_ops(ops, objs)
-
-            def apply():
-                def fin(version, rootref):
-                    def finish():
-                        self._record_completed(agg.name, version,
-                                               rootref)
-                        self._apply_root(version, rootref)
-                        self._publish_setroot(version, rootref,
-                                              fence=agg.name,
-                                              span=agg.span)
-                        self._release_fence(agg)
-                    self._fence_finish_when_shipped(agg.name, finish)
-                self._fence_replicated(agg.name, agg.nprocs, count, ops,
-                                       objs, fin)
-
-            if groups:
-                self._fence_ship_delegated(agg.name, groups)
-            self._master_run(len(ops), apply)
-            return
         payload = {"name": agg.name, "nprocs": agg.nprocs, "count": count,
                    "ops": ops}
         if self.fence_epoch > 0:
@@ -1902,8 +1819,22 @@ class KvsModule(CommsModule):
             if interned_size(ops) is not None:
                 self._cv_interned.inc((self.name, "sizing"), total)
         self._send_objs(f"{self.name}.fencedata", payload, objs,
-                        lambda resp: None, span=agg.span)
+                        lambda resp: self._fencedata_sent(agg, resp),
+                        span=agg.span)
         # Held client fences answer when the fence's setroot arrives.
+
+    def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
+        """The parent's answer to a contribution.  Transient failures
+        are repaired by the recovery re-emissions; a refusal (``EINVAL``:
+        our clients' ``nprocs`` contradicts the fence the parent is
+        collecting) is final and fails the requests held here."""
+        if resp.errnum != EINVAL:
+            return
+        if self._fences.get(agg.name) is agg:
+            del self._fences[agg.name]
+        held, agg.held = agg.held, []
+        for msg in held:
+            self._relay_response(msg, resp)
 
     def _flush_fence_shared(self, agg: _FenceAgg) -> None:
         """Shares-mode flush: send (or, at the master, evaluate) the
@@ -1922,56 +1853,61 @@ class KvsModule(CommsModule):
                    "shares": {str(o): [s[0], s[1]]
                               for o, s in agg.shares.items()}}
         self._send_objs(f"{self.name}.fencedata", payload, objs,
-                        lambda resp: None, span=agg.span)
+                        lambda resp: self._fencedata_sent(agg, resp),
+                        span=agg.span)
 
     def _maybe_complete_shared(self, agg: _FenceAgg) -> None:
         """Commit a shares-mode fence once every participant's share
         has arrived (counts are disjoint per origin, so the sum is
-        exact no matter how often shares were re-sent)."""
-        if agg.completing:
+        exact no matter how often shares were re-sent).  Unlike a
+        legacy-format name, a name still in the completed-fence digest
+        is refused: a late re-emission must never commit it twice."""
+        if agg.name in self._completed:
             return
         if sum(s[0] for s in agg.shares.values()) < agg.nprocs:
             return
-        agg.completing = True
         ops = []
         for origin in sorted(agg.shares):
-            ops.extend((k, s) for k, s in agg.shares[origin][1])
-        objs = {**agg.objs, **agg.local_objs}
-        groups: dict = {}
+            ops.extend(agg.shares[origin][1])
+        self._complete_fence(agg, ops, {**agg.objs, **agg.local_objs})
+
+    def _complete_fence(self, agg: _FenceAgg, ops: list,
+                        objs: dict) -> None:
+        """Every participant of ``agg`` is in (either wire format): ship
+        the delegated parts to their owners and commit the rest as one
+        master commit, which publishes and releases the waiters only
+        once every part is acknowledged — a fence ack implies the whole
+        collective write is readable."""
+        if agg.completing:
+            return
+        agg.completing = True
         if self.owners:
             ops, objs, groups = self._partition_ops(ops, objs)
-
-        def apply():
-            if agg.name in self._completed:
-                return
-
-            def fin(version, rootref):
-                def finish():
-                    self._record_completed(agg.name, version, rootref)
-                    self._apply_root(version, rootref)
-                    self._publish_setroot(version, rootref,
-                                          fence=agg.name, span=agg.span)
-                    self._release_fence(agg)
-                self._fence_finish_when_shipped(agg.name, finish)
-
-            self._commit_replicated(ops, objs, fin, fence=agg.name)
-
-        if groups:
-            self._fence_ship_delegated(agg.name, groups)
-        self._master_run(len(ops), apply)
+            if groups:
+                self._fence_deleg_pending[agg.name] = len(groups)
+            for pfx in sorted(groups):
+                self._fence_part_flush(agg.name, pfx, *groups[pfx])
+        self._master_commit(ops, objs,
+                            lambda _ver, _ref: self._release_fence(agg),
+                            span=agg.span, fence=agg.name)
 
     def _release_fence(self, agg: _FenceAgg) -> None:
+        """Answer the fence requests held at this rank (once: the
+        master's own setroot delivery and its commit finisher both land
+        here) and let their now-clean objects expire again."""
         self._fences.pop(agg.name, None)
+        held, agg.held = agg.held, []
+        self._unpin(agg.local_objs)
         now = self.broker.sim.now
         san = self._san()
-        if san is not None and agg.held:
+        if san is not None and held:
             san.kvs_commit_ack(self.name, self.rank, self.version)
-        for held in agg.held:
-            t0 = getattr(held, "_obs_t0", None)
+        for msg in held:
+            t0 = getattr(msg, "_obs_t0", None)
             if t0 is not None:
                 self._h_fence_wait.observe(now - t0)
-            self.respond(held, {"version": self.version,
-                                "rootref": self.root_sha})
+            self.respond(msg, {"version": self.version,
+                               "rootref": self.root_sha})
 
     def _record_completed(self, name: str, version: int,
                           root_sha: str) -> None:
@@ -2017,11 +1953,8 @@ class KvsModule(CommsModule):
         bump before their descendants' re-emissions can arrive), but
         defer the state recovery one tick: this module subscribed to
         ``live.down`` before the live module did, so the broker has not
-        re-wired around the corpse yet when we run.
-
-        In shares mode (fault plan installed) there is nothing to
-        reset: the merged per-origin map is idempotent, so recovery is
-        simply "re-send everything over the healed route".
+        re-wired around the corpse yet when we run.  (Shares mode,
+        used while a fault plan is installed, needs no epoch.)
         """
         dead = msg.payload.get("rank")
         if dead == self.master_rank and self.master is None:
@@ -2040,44 +1973,37 @@ class KvsModule(CommsModule):
         # is suspect (the uplink may heal to a different peer).  Clear
         # them all — worst case the next send re-ships some objects.
         self._link_sent.clear()
-        if self._shared_mode():
-            self.broker.after(0.0, self._recover_shared)
-            return
-        self.fence_epoch += 1
+        if not self._shared_mode():
+            self.fence_epoch += 1
         self.broker.after(0.0, self._recover_after_down)
-
-    def _recover_shared(self) -> None:
-        for name in list(self._fences):
-            self._flush_fence(name)
-        if self.master is None and (self.master_rank == 0
-                                    or self._failed_over):
-            self._resync_root()
 
     def _recover_after_down(self) -> None:
         """Re-establish KVS invariants on the healed overlay.
 
-        - The master resets incomplete fence accumulators; every rank
-          then re-contributes its *cumulative local* fence state under
-          the new epoch.  Local shares are disjoint, so the re-reduction
-          sums exactly; in-flight pre-failure aggregates are discarded
-          by the receivers' epoch check.
+        - Every rank (the master included) resets its incomplete fence
+          aggregates to its own clients' *cumulative local* state and
+          re-contributes that under the new epoch.  Local shares are
+          disjoint, so the re-reduction sums exactly; in-flight
+          pre-failure aggregates are discarded by the receivers' epoch
+          check.  In shares mode there is nothing to reset: the merged
+          per-origin map is idempotent, so recovery is simply "re-send
+          everything over the healed route".
         - Slaves pull their (possibly new) parent's root version and
           completed-fence digest: setroot events flooding through the
           corpse at the moment of death are lost for its whole former
           subtree, and a lost fence-completion notice would strand held
           waiters forever.
         """
-        if self.master is not None:
-            self.master.reset_incomplete_fences()
+        shared = self._shared_mode()
         for name, agg in list(self._fences.items()):
-            agg.count = agg.local_count
-            agg.ops = list(agg.local_ops)
-            agg.objs = dict(agg.local_objs)
-            agg.total_seen = agg.local_count
-            agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
-                            if agg.ops else 0)
-            if agg.count > 0:
-                self._flush_fence(name)
+            if not shared:
+                agg.count = agg.local_count
+                agg.ops = list(agg.local_ops)
+                agg.objs = dict(agg.local_objs)
+                agg.total_seen = agg.local_count
+                agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
+                                if agg.ops else 0)
+            self._flush_fence(name)
         if self.master is None and (self.master_rank == 0
                                     or self._failed_over):
             self._resync_root()

@@ -65,7 +65,6 @@ def spread_master_ranks(nshards: int, session_size: int) -> list[int]:
 
 def sharded_kvs_specs(nshards: int, session_size: int, *,
                       prefix: str = "kvs",
-                      fence_window: float = 1e-4,
                       expiry: Optional[float] = None,
                       master_commit_cost: float = 0.0,
                       master_op_cost: float = 0.0) -> list[ModuleSpec]:
@@ -81,8 +80,7 @@ def sharded_kvs_specs(nshards: int, session_size: int, *,
     masters = spread_master_ranks(nshards, session_size)
     return [
         ModuleSpec(KvsModule, name=f"{prefix}{i}", master_rank=masters[i],
-                   fence_window=fence_window, expiry=expiry,
-                   master_commit_cost=master_commit_cost,
+                   expiry=expiry, master_commit_cost=master_commit_cost,
                    master_op_cost=master_op_cost)
         for i in range(nshards)
     ]

@@ -340,6 +340,35 @@ class TestMon:
             session.connect(2, collective=False)))
         assert value == 80.0
 
+    def test_stored_samples_enter_the_replication_log(self):
+        """A sample stored at a replicated master must pass through the
+        commit log like any other write: committed behind the KVS
+        module's back it left every standby waiting for a version that
+        never came, and each later client commit timed out."""
+        samplers = {"watts": lambda broker: 10.0}
+        cluster, session = make_session(modules=[
+            ModuleSpec(KvsModule, replicas=(1, 2)),
+            ModuleSpec(MonModule, samplers=samplers),
+            ModuleSpec(HeartbeatModule, period=0.1, max_epochs=6)])
+
+        def client(h):
+            yield h.rpc("mon.activate", {"name": "watts", "op": "sum"})
+            yield cluster.sim.timeout(0.25)    # first epoch is stored
+            kvs = KvsClient(h, timeout=2.0)
+            yield kvs.put("after.mon", 1)
+            yield kvs.commit()
+            return (yield kvs.get("mon.watts.1"))
+
+        assert run_proc(cluster, client(
+            session.connect(5, collective=False))) == 80.0
+        cluster.sim.run()
+        root = session.module_at(0, "kvs")
+        assert root.master.version >= 6 and not root._repl_waiters
+        for r in (1, 2):
+            standby = session.module_at(r, "kvs")._standby
+            assert (standby.version, standby.root_sha) == (
+                root.master.version, root.master.root_sha)
+
 
 def _task_registry():
     def hello(ctx):

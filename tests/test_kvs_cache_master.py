@@ -105,38 +105,19 @@ class TestKvsMaster:
         with pytest.raises(KeyError):
             m.commit([("k", "f" * 40)])
 
-    def test_fence_waits_for_all_contributions(self):
-        m = KvsMaster()
-        sha1v, obj1 = obj_for("one")
-        sha2v, obj2 = obj_for("two")
-        assert m.fence_add("f", 2, 1, [("k1", sha1v)], {sha1v: obj1}) is None
-        assert m.version == 0  # nothing applied yet
-        res = m.fence_add("f", 2, 1, [("k2", sha2v)], {sha2v: obj2})
-        assert res is not None and res.version == 1
-        assert m.pending_fences() == []
+    def test_apply_record_ignores_duplicates_and_requires_order(self):
+        master = KvsMaster()
+        recs = []
+        for i in range(3):
+            sha, obj = obj_for(i)
+            _, rec = master.commit_logged([(f"k{i}", sha)], {sha: obj})
+            recs.append(rec)
 
-    def test_fence_aggregated_counts(self):
-        m = KvsMaster()
-        sha, obj = obj_for("x")
-        res = m.fence_add("f", 4, 4, [("k", sha)], {sha: obj})
-        assert res is not None  # one pre-aggregated contribution of 4
-
-    def test_fence_nprocs_conflict_rejected(self):
-        m = KvsMaster()
-        m.fence_add("f", 2, 1, [], {})
-        with pytest.raises(ValueError):
-            m.fence_add("f", 3, 1, [], {})
-
-    def test_fence_name_reusable_after_completion(self):
-        m = KvsMaster()
-        assert m.fence_add("f", 1, 1, [], {}) is not None
-        assert m.fence_add("f", 1, 1, [], {}) is not None
-        assert m.version == 2
-
-    def test_interleaved_fences(self):
-        m = KvsMaster()
-        assert m.fence_add("a", 2, 1, [], {}) is None
-        assert m.fence_add("b", 2, 1, [], {}) is None
-        assert sorted(m.pending_fences()) == ["a", "b"]
-        assert m.fence_add("b", 2, 1, [], {}) is not None
-        assert m.fence_add("a", 2, 1, [], {}) is not None
+        standby = KvsMaster()
+        standby.apply_record(recs[0])
+        standby.apply_record(recs[0])          # duplicate: ignored
+        assert standby.version == 1
+        standby.apply_record(recs[1])
+        standby.apply_record(recs[2])
+        assert standby.version == 3
+        assert standby.root_sha == master.root_sha

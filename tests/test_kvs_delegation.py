@@ -311,6 +311,110 @@ def test_root_death_promotes_replica_and_serves():
     session.stop()
 
 
+def test_legacy_fence_record_is_self_contained_and_survives_failover():
+    """A fence on a loss-free fabric (legacy wire format) carrying a
+    value the master rank had already stored: the commit journal sees
+    that object as not-new, yet every standby must end up holding every
+    object reachable from its root — and serve them all once promoted."""
+    cluster, session = _session(
+        8, seed=12, kvs_replicas=(1, 2), with_heartbeat=True,
+        hb_period=0.05, hb_max_epochs=100000)
+    sim = cluster.sim
+
+    root = session.module_at(0, "kvs").master
+
+    def standbys_hold_everything():
+        want = root.reachable_objects()
+        for r in (1, 2):
+            standby = session.module_at(r, "kvs")._standby
+            assert (standby.version, standby.root_sha) == (root.version,
+                                                           root.root_sha)
+            assert standby.reachable_objects() == want
+
+    def scenario():
+        # A master-rank put stores its object in the master's store at
+        # once — long before any commit could replicate it.
+        seeder = KvsClient(session.connect(0), timeout=5.0, retries=8)
+        yield seeder.put("seed", "dup")
+
+        def fencer(idx, rank, value):
+            k = KvsClient(session.connect(rank), timeout=5.0, retries=8)
+            yield k.put(f"g.k{idx}", value)
+            yield k.fence("g", 3)
+
+        yield sim.all_of([sim.spawn(fencer(0, 0, "dup")),
+                          sim.spawn(fencer(1, 3, "dup")),
+                          sim.spawn(fencer(2, 5, "fresh"))])
+        standbys_hold_everything()
+        yield seeder.commit()
+        return "ok"
+
+    assert _run(sim, scenario(), budget=5.0) == "ok"
+    standbys_hold_everything()
+
+    # Only the pulse-starvation watchdog can notice the *root* dying,
+    # and it is armed by a (zero-rate) fault plan.
+    from repro.sim import FaultPlan
+    cluster.network.fault_plan = FaultPlan(seed=1)
+    sim.run(until=sim.now + 0.2)
+    session.fail_rank(0)
+    sim.run(until=sim.now + 3.0)
+    assert [r for r in (1, 2)
+            if session.module_at(r, "kvs").master is not None] != []
+
+    def after():
+        kvs = KvsClient(session.connect(6), timeout=2.0, retries=10)
+        values = []
+        for key in ("seed", "g.k0", "g.k1", "g.k2"):
+            values.append((yield kvs.get(key)))
+        return values
+
+    assert _run(sim, after(), budget=10.0) == ["dup", "dup", "dup", "fresh"]
+    session.stop()
+
+
+def test_interior_death_mid_fence_completes_once_under_new_epoch():
+    """An interior broker dies after forwarding its subtree's share of
+    a fence (heartbeat + ``live``, loss-free fabric, so the legacy
+    format's epoch-tagged recovery runs): every rank — the master's own
+    aggregate included — restarts from its clients' cumulative local
+    state, and the fence still commits exactly once."""
+    cluster, session = _session(15, seed=21, with_heartbeat=True,
+                                hb_period=0.05, hb_max_epochs=200)
+    sim = cluster.sim
+    root = session.module_at(0, "kvs")
+    before = root.master.version
+    ranks = [5, 6, 0, 1, 3, 4, 7, 8, 9, 10, 11, 12]     # 5, 6: under 2
+
+    def member(i):
+        k = KvsClient(session.connect(ranks[i]), timeout=5.0, retries=8)
+        yield k.put(f"ik.k{i}", i)
+        yield sim.timeout(0.0 if i < 4 else 0.4 if i < 10 else 0.6)
+        version = (yield k.fence("ik", len(ranks)))["version"]
+        return version, (yield k.get(f"ik.k{(i + 1) % len(ranks)}"))
+
+    procs = [sim.spawn(member(i)) for i in range(len(ranks))]
+    sim.run(until=0.12)
+    assert root.waiter_census()["fences"]["ik"]["total_seen"] == 4
+    session.fail_rank(2)
+    sim.run(until=0.5)
+    # Ten of twelve are in, the two early ones under the corpse counted
+    # once: their pre-failure share went with the reset, their
+    # re-emission under epoch 1 replaced it.
+    assert root.waiter_census()["fences"]["ik"]["total_seen"] == 10
+    assert root.master.version == before
+    sim.run(until=20.0)
+    assert [p.value for p in procs] == [
+        (before + 1, (i + 1) % len(ranks)) for i in range(len(ranks))]
+    assert root.master.version == before + 1
+    for r in range(15):
+        if r != 2:
+            mod = session.module_at(r, "kvs")
+            assert mod.fence_epoch == 1
+            assert mod.waiter_census()["fences"] == {}
+    session.stop()
+
+
 def test_single_master_state_untouched_by_feature_plumbing():
     """With no replicas and no delegations, the multi-master state on
     every module stays inert — the event-identity guarantee's

@@ -5,6 +5,7 @@ watch, and the three Vogels consistency properties."""
 import pytest
 
 from repro.cmb.api import RpcError
+from repro.cmb.errors import EINVAL
 from repro.cmb.modules import BarrierModule, HeartbeatModule
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
@@ -358,6 +359,132 @@ class TestFence:
 
         assert run(cluster, solo()) == [1]
 
+    def test_every_call_is_answered_exactly_once(self):
+        """Fence waiters at the master rank are released both by the
+        master's own (synchronously delivered) setroot event and by the
+        commit finisher: each must still get one answer, not two."""
+        cluster, session = make_kvs_session(n=4)
+        N = 8                       # two clients per rank, rank 0 included
+
+        def member(i):
+            kvs = KvsClient(session.connect(i % 4))
+            yield kvs.put(f"once.k{i}", i)
+            yield kvs.fence("once", N)
+            return (yield kvs.get(f"once.k{(i + 1) % N}"))
+
+        assert run(cluster, *[member(i) for i in range(N)]) == [
+            (i + 1) % N for i in range(N)]
+        answered = session.message_counts()[("kvs", "ipc", "response")]
+        assert answered == 3 * N    # puts + fences + gets
+
+    def test_nprocs_mismatch_on_one_rank_is_einval(self):
+        cluster, session = make_kvs_session(n=4)
+        sim = cluster.sim
+
+        def member(i, nprocs, delay):
+            kvs = KvsClient(session.connect(3))
+            yield kvs.put(f"m.k{i}", i)
+            yield sim.timeout(delay)
+            return (yield kvs.fence("m", nprocs))["version"]
+
+        def odd_one_out():
+            kvs = KvsClient(session.connect(3))
+            yield sim.timeout(1e-3)
+            with pytest.raises(RpcError, match="inconsistent nprocs") as err:
+                yield kvs.fence("m", 3)
+            assert err.value.code == EINVAL
+            # The pending aggregate is untouched: one of two, waiting.
+            census = session.module_at(3, "kvs").waiter_census()
+            assert census["fences"]["m"]["nprocs"] == 2
+            assert census["fences"]["m"]["total_seen"] == 1
+            return "refused"
+
+        assert run(cluster, member(0, 2, 0.0), odd_one_out(),
+                   member(1, 2, 2e-3)) == [1, "refused", 1]
+
+    def test_nprocs_mismatch_across_ranks_fails_the_refused_subtree(self):
+        """The contradiction is only visible where the contributions
+        meet: the parent refuses the child's aggregate, and the child
+        fails the requests it holds instead of leaving them to hang."""
+        cluster, session = make_kvs_session(n=4)
+        sim = cluster.sim
+
+        def member(rank, nprocs, delay):
+            kvs = KvsClient(session.connect(rank))
+            yield kvs.put(f"x.k{rank}.{nprocs}", rank)
+            yield sim.timeout(delay)
+            return (yield kvs.fence("x", nprocs))["version"]
+
+        def odd_one_out():
+            kvs = KvsClient(session.connect(2))
+            yield sim.timeout(1e-3)
+            with pytest.raises(RpcError, match="inconsistent nprocs") as err:
+                yield kvs.fence("x", 3)
+            assert err.value.code == EINVAL
+            assert "x" not in session.module_at(2, "kvs").waiter_census()[
+                "fences"]
+            return "refused"
+
+        assert run(cluster, member(1, 2, 0.0), odd_one_out(),
+                   member(2, 2, 2e-3)) == [1, "refused", 1]
+        assert session.module_at(0, "kvs").master.version == 1
+
+    def test_interleaved_fences_straddling_the_window(self):
+        """Two named fences whose contributions reach the master rank
+        on both sides of its aggregation window: the window timer must
+        not complete either early, and each commits exactly once."""
+        cluster, session = make_kvs_session(n=4)
+        sim = cluster.sim
+        root = session.module_at(0, "kvs")
+
+        def member(name, i, rank, at):
+            kvs = KvsClient(session.connect(rank))
+            yield kvs.put(f"{name}.k{i}", i)
+            yield sim.timeout(at)
+            version = (yield kvs.fence(name, 4))["version"]
+            return name, version, (yield kvs.get(name))["__dir__"]
+
+        def probe():
+            yield sim.timeout(4.5e-4)   # windows of the early halves over
+            fences = root.waiter_census()["fences"]
+            assert {n: f["total_seen"] for n, f in fences.items()} == {
+                "a": 2, "b": 2}
+            assert root.master.version == 0
+            return "pending"
+
+        gens = [member("a", 0, 0, 0.0), member("b", 0, 2, 0.0),
+                member("b", 1, 0, 1.5e-4), member("a", 1, 3, 1.5e-4),
+                probe(),
+                member("a", 2, 1, 6e-4), member("b", 2, 3, 6e-4),
+                member("b", 3, 0, 7.5e-4), member("a", 3, 2, 7.5e-4)]
+        results = run(cluster, *gens)
+        results.remove("pending")
+        committed_at = {}
+        for name, version, listing in results:
+            assert listing == ["k0", "k1", "k2", "k3"]
+            committed_at.setdefault(name, set()).add(version)
+        assert sorted(map(sorted, committed_at.values())) == [[1], [2]]
+        assert root.master.version == 2
+        assert root.waiter_census()["fences"] == {}
+
+    def test_completed_fence_name_is_reusable(self):
+        """KAP re-fences one name every iteration: each round is a
+        fresh fence — including one with a different ``nprocs``."""
+        cluster, session = make_kvs_session(n=4)
+
+        def member(i):
+            kvs = KvsClient(session.connect(i))
+            versions = []
+            for rnd in range(3):
+                yield kvs.put(f"same.r{rnd}.k{i}", i)
+                versions.append((yield kvs.fence("same", 4))["version"])
+            if i < 2:
+                versions.append((yield kvs.fence("same", 2))["version"])
+            return versions
+
+        results = run(cluster, *[member(i) for i in range(4)])
+        assert results == [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3], [1, 2, 3]]
+
 
 class TestFaultInAndCaching:
     def test_objects_cached_along_the_chain(self):
@@ -463,6 +590,31 @@ class TestFaultInAndCaching:
             return "ok"
 
         assert run(cluster, flow()) == ["ok"]
+
+    def test_acknowledged_writes_unpin_and_expire(self):
+        """Puts pin their objects only until the commit or fence that
+        carries them is acknowledged; afterwards disuse expiry must be
+        able to reclaim them (memory is bounded by construction)."""
+        cluster, session = make_kvs_session(n=4, expiry=0.5, hb=True)
+        mod = session.module_at(3, "kvs")
+
+        def flow():
+            kvs = KvsClient(session.connect(3))
+            for i in range(50):
+                yield kvs.put(f"pin.c{i}", f"committed-{i}")
+            assert len(mod.cache._pinned) == 50
+            yield kvs.commit()
+            for i in range(10):
+                yield kvs.put(f"pin.f{i}", f"fenced-{i}")
+            yield kvs.fence("pin", 1)
+            assert mod.cache._pinned == set()
+            yield kvs.put("pin.dirty", "not yet committed")
+            yield cluster.sim.timeout(2.0)      # many heartbeats idle
+            assert len(mod.cache._pinned) == 1  # the dirty one stays
+            assert mod.cache.stats.evictions >= 60
+            return (yield kvs.get("pin.c7")), (yield kvs.get("pin.f3"))
+
+        assert run(cluster, flow()) == [("committed-7", "fenced-3")]
 
     def test_stats_rpc(self):
         cluster, session = make_kvs_session(n=4)

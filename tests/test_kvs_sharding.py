@@ -1,14 +1,12 @@
 """Tests for the distributed-KVS-master extension (the paper's stated
-future work: "distributing the KVS master itself") and the tree-routed
-rank addressing it relies on."""
+future work: "distributing the KVS master itself") and the static tree
+routing table it relies on."""
 
 import hashlib
 
 import pytest
 
-from repro.cmb.message import Message
-from repro.cmb.module import CommsModule
-from repro.cmb.session import CommsSession, ModuleSpec
+from repro.cmb.session import CommsSession
 from repro.cmb.topology import TreeTopology
 from repro.kvs import KvsClient, KvsModule
 from repro.kvs.hashtree import split_key
@@ -16,13 +14,6 @@ from repro.kvs.sharding import (ShardedKvsClient, _shard_of_top,
                                 shard_of_key, sharded_kvs_specs,
                                 spread_master_ranks)
 from repro.sim.cluster import make_cluster
-
-
-class EchoModule(CommsModule):
-    name = "echo"
-
-    def req_ping(self, msg: Message) -> None:
-        self.respond(msg, {"served_by": self.rank})
 
 
 def make_session(n=16, modules=(), seed=41):
@@ -70,46 +61,6 @@ class TestTopologyRouting:
     def test_path_lengths_logarithmic(self):
         t = TreeTopology(127, arity=2)
         assert len(t.path(63, 126)) <= 2 * t.max_depth() + 1
-
-
-class TestTreeRankRpc:
-    def test_reaches_any_rank(self):
-        cluster, session = make_session(modules=[ModuleSpec(EchoModule)])
-
-        def client():
-            # drive through a broker-level API from rank 5's broker
-            ev = session.brokers[5].rpc_rank_tree(11, "echo.ping", {})
-            resp = yield ev
-            return resp
-
-        [resp] = run_all(cluster, [client()])
-        assert resp == {"served_by": 11}
-
-    def test_self_addressed(self):
-        cluster, session = make_session(modules=[ModuleSpec(EchoModule)])
-
-        def client():
-            return (yield session.brokers[4].rpc_rank_tree(
-                4, "echo.ping", {}))
-
-        [resp] = run_all(cluster, [client()])
-        assert resp == {"served_by": 4}
-
-    def test_tree_routing_beats_ring(self):
-        cluster, session = make_session(modules=[ModuleSpec(EchoModule)])
-        sim = cluster.sim
-        spans = {}
-
-        def client():
-            t0 = sim.now
-            yield session.brokers[1].rpc_rank_tree(14, "echo.ping", {})
-            spans["tree"] = sim.now - t0
-            t0 = sim.now
-            yield session.brokers[1].rpc_rank(14, "echo.ping", {})
-            spans["ring"] = sim.now - t0
-
-        run_all(cluster, [client()])
-        assert spans["tree"] < spans["ring"]
 
 
 class TestShardPlacement:

@@ -14,6 +14,11 @@ arithmetic, these pins catch it; they are the regression gate the
 DESIGN.md "Performance engineering" section points at.
 """
 
+import copy
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.kap import KapConfig, run_kap
@@ -99,3 +104,33 @@ def test_same_seed_runs_are_identical():
     assert a.max_producer_latency == b.max_producer_latency
     assert a.max_sync_latency == b.max_sync_latency
     assert a.total_time == b.total_time
+
+
+def test_exact_metric_gate_trips_on_any_moved_metric():
+    """``benchmarks/check_exact.py`` (last step of CI's perf-harness
+    job) compares a ``run.py --out`` document with the committed
+    baseline: equal documents pass, one moved value is one finding."""
+    path = pathlib.Path(__file__).parent.parent / "benchmarks"
+    spec = importlib.util.spec_from_file_location(
+        "check_exact", path / "check_exact.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    want = json.loads((path / "exact_quick.json").read_text())
+    assert len(want["workloads"]) == 5
+    assert all(set(row) == set(gate.EXACT)
+               for row in want["workloads"].values())
+
+    doc = {"seed": want["seed"], "quick": want["quick"], "workloads": {
+        name: {"end_to_end": {"events": row["events"], "metrics": {
+            m: v for m, v in row.items() if m != "events"}}}
+        for name, row in want["workloads"].items()}}
+    assert gate.differences(want, gate.exact_of(doc)) == []
+
+    moved = copy.deepcopy(doc)
+    moved["workloads"]["kap_fence_4k"]["end_to_end"]["metrics"][
+        "wire_bytes"] += 14
+    del moved["workloads"]["kap_scale_4k"]
+    found = gate.differences(want, gate.exact_of(moved))
+    assert len(found) == 2
+    assert any("kap_fence_4k wire_bytes" in line for line in found)
+    assert any("kap_scale_4k" in line for line in found)
