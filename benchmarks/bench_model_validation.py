@@ -40,6 +40,15 @@ def model_rows(scale):
         ratio = row["measured"] / row["model"]
         lines.append(f"{row['consumers']:>10} {row['model']*1e3:>10.3f} "
                      f"{row['measured']*1e3:>10.3f} {ratio:>6.2f}")
+    lines += ["", "Fence model (bottleneck uplink + head of the stream) "
+              "vs simulation",
+              f"{'producers':>10} {'model(ms)':>10} {'meas(ms)':>10} "
+              f"{'ratio':>6}"]
+    for row in rows:
+        ratio = row["fence_measured"] / row["fence_model"]
+        lines.append(f"{row['consumers']:>10} "
+                     f"{row['fence_model']*1e3:>10.3f} "
+                     f"{row['fence_measured']*1e3:>10.3f} {ratio:>6.2f}")
     write_table("model_validation", "\n".join(lines), data=rows)
     return rows
 
@@ -74,6 +83,16 @@ def test_producer_model_tracks_measurement(model_rows):
     for row in model_rows:
         ratio = row["producer_measured"] / row["producer_model"]
         assert 1 / 4 < ratio < 4
+
+
+def test_fence_model_tracks_measurement(model_rows):
+    """The fence model's bottleneck is one root child's uplink: it must
+    track the simulation closely, and by the same factor at both ends
+    of the sweep (a ratio that drifts with scale is a wrong term)."""
+    ratios = [row["fence_measured"] / row["fence_model"]
+              for row in model_rows]
+    assert all(0.75 < ratio < 1.33 for ratio in ratios), ratios
+    assert ratios[-1] == pytest.approx(ratios[0], rel=0.15)
 
 
 def test_model_evaluation_is_fast(benchmark, scale, model_rows):

@@ -2,7 +2,7 @@
 not declare.
 
     python3 benchmarks/perf/run.py --quick --trace 0 --rounds 1 --out DOC
-    python3 benchmarks/check_exact.py DOC [--update]
+    python3 benchmarks/check_exact.py DOC [--update --reason TEXT]
 
 The simulated latencies, the wire bytes and the event count of a
 workload are exact for a given commit, workload and seed — unlike the
@@ -10,7 +10,9 @@ host-clock metrics they do not depend on the machine, so they can be
 gated hard.  This compares a result document written by ``run.py
 --out`` against the committed ``benchmarks/exact_quick.json`` and exits
 non-zero on any difference.  A PR that means to move one of them
-re-declares the baseline with ``--update`` and says why.
+re-declares the baseline with ``--update --reason TEXT``; the reason
+and the ``workload metric: old → new`` lines are kept in the baseline
+and printed by every passing check.
 """
 
 import argparse
@@ -47,7 +49,7 @@ def differences(want, got):
             out.append(f"{name}: only in the "
                        f"{'run' if a is None else 'baseline'}")
             continue
-        out += [f"{name} {m}: baseline {a[m]!r}, run {b[m]!r}"
+        out += [f"{name} {m}: {a[m]!r} → {b[m]!r}"
                 for m in EXACT if a[m] != b[m]]
     return out
 
@@ -57,26 +59,35 @@ def main(argv=None):
     ap.add_argument("doc", help="result document written by run.py --out")
     ap.add_argument("--update", action="store_true",
                     help="re-declare the baseline from this document")
+    ap.add_argument("--reason", help="why the baseline moves "
+                    "(required with --update, kept in the baseline)")
     args = ap.parse_args(argv)
+    if args.update and not args.reason:
+        ap.error("--update needs --reason TEXT: say why the baseline moves")
     doc = json.loads(Path(args.doc).read_text(encoding="utf-8"))
     got = exact_of(doc)
-    if args.update:
-        BASELINE.write_text(
-            json.dumps({"declared_at": doc["commit"], **got}, indent=1,
-                       sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {BASELINE}")
-        return 0
     want = json.loads(BASELINE.read_text(encoding="utf-8"))
     diffs = differences(want, got)
+    if args.update:
+        BASELINE.write_text(
+            json.dumps({"declared_at": doc["commit"], "reason": args.reason,
+                        "moved": diffs, **got}, indent=1, sort_keys=True,
+                       ensure_ascii=False) + "\n", encoding="utf-8")
+        print(f"wrote {BASELINE}")
+        return 0
     for line in diffs:
         print(f"EXACT METRIC MOVED {line}")
     if diffs:
         print(f"{len(diffs)} undeclared difference(s) against "
               f"{BASELINE.name} (declared at {want['declared_at'][:12]}); "
-              "re-declare with --update if the change is meant")
+              "re-declare with --update --reason TEXT if the change is "
+              "meant")
         return 1
     print(f"exact metrics match {BASELINE.name}: "
           f"{len(got['workloads'])} workloads x {len(EXACT)} metrics")
+    print(f"declared at {want['declared_at'][:12]}: {want['reason']}")
+    for line in want["moved"]:
+        print(f"  {line}")
     return 0
 
 

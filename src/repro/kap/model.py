@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 
 from ..cmb.message import HEADER_BYTES
+from ..cmb.topology import TreeTopology
 from ..jsonutil import canonical_size
+from ..kvs.module import _FENCE_CHUNK, _FENCE_WINDOW
 from ..sim.network import NetworkParams
 from .config import KapConfig
 from .patterns import make_value
@@ -35,6 +37,11 @@ __all__ = [
 #: Approximate canonical-JSON bytes per directory entry: a name like
 #: ``"o12345"`` plus a 40-hex SHA1 reference plus JSON punctuation.
 _DIR_ENTRY_BYTES = 52
+
+
+def _depth(config: KapConfig) -> int:
+    """Levels below the root of the ``tree_arity``-ary comms tree."""
+    return max(1, TreeTopology(config.nnodes, config.tree_arity).max_depth())
 
 
 def dir_object_bytes(nentries: int) -> int:
@@ -64,7 +71,7 @@ def predict_consumer_latency(config: KapConfig,
     value objects themselves) are added once the directories are
     resident.
     """
-    depth = max(1.0, math.log2(config.nnodes))
+    depth = _depth(config)
     total = config.total_objects
     value_bytes = canonical_size(
         make_value(0, config.value_size, config.redundant_values))
@@ -101,26 +108,49 @@ def predict_fence_latency(config: KapConfig,
                           params: NetworkParams) -> float:
     """Fence phase under the tree reduction.
 
-    Unique values: each level of the tree forwards roughly the whole
-    accumulated payload, so the dominant cost is the serialization of
-    ~P x (value + tuple) bytes through the root's children — linear in
-    the producer count.  Redundant values: content objects reduce to
-    one, but the (key, SHA1) tuples still concatenate, leaving a
-    linear term with a much smaller constant — "short of logarithmic",
-    exactly as the paper observes.
+    The bottleneck is one root child's uplink, which carries its
+    subtree's share (~``1/arity``) of the payload.  Unique values:
+    ~P x (value + tuple) / arity bytes — linear in the producer count.
+    Redundant values: content objects reduce to one, but the (key,
+    SHA1) tuples still concatenate, leaving a linear term with a much
+    smaller constant — "short of logarithmic", exactly as the paper
+    observes.  To the bottleneck's link time the levels below add only
+    the time the head of the stream takes to reach it: store-and-
+    forward per level, but of at most one ``_FENCE_CHUNK`` (a rank
+    holding more forwards at once) — or, in a fence of several chunks,
+    the window flushes of each rank's own clients, which grow
+    ``arity``-fold per level and window until they fill a chunk,
+    whichever is sooner.
     """
     p = config.producers * config.nputs
     value_bytes = canonical_size(
         make_value(0, config.value_size, config.redundant_values))
     tuple_bytes = 60  # ["kap.oNNN", "<40-hex sha>"] in canonical JSON
-    if config.redundant_values:
-        payload = value_bytes + p * tuple_bytes
-    else:
-        payload = p * (value_bytes + 50 + tuple_bytes)
-    depth = max(1.0, math.log2(config.nnodes))
-    # Each level re-serializes ~ its subtree's share; summed over the
-    # root's child link this approaches 2x the root payload.
-    wire = 2.0 * payload / params.bandwidth
-    per_level = (params.per_message_overhead + params.latency)
-    # Completion: setroot event floods back down (depth hops).
-    return wire + 2 * depth * per_level
+
+    def subtree_bytes(ops: float) -> float:
+        objs = 1 if config.redundant_values else ops
+        return ops * tuple_bytes + objs * (value_bytes + 50)
+
+    arity = config.tree_arity
+    topology = TreeTopology(config.nnodes, arity)
+    # Rank 1 and its first-child chain: the fullest subtree per level.
+    levels, rank = [], 1
+    while rank < config.nnodes:
+        levels.append(subtree_bytes(
+            p * topology.subtree_size(rank) / config.nnodes))
+        rank = arity * rank + 1
+    top = levels[0] if levels else 0.0
+    head = sum(min(nbytes, _FENCE_CHUNK)
+               for nbytes in levels[1:]) / params.bandwidth
+    if top > _FENCE_CHUNK and arity > 1:
+        node = subtree_bytes(p / config.nnodes)
+        head = min(head, _FENCE_WINDOW * max(
+            0.0, math.log(_FENCE_CHUNK / node, arity)))
+    # Per chunk the bottleneck NIC pays its own send and the ack to the
+    # child; per level a hop up, and the setroot event back down behind
+    # its siblings' copies; the client's request and answer over IPC.
+    chunks = 2 * params.per_message_overhead * (top // _FENCE_CHUNK)
+    hops = _depth(config) * ((1 + arity) * params.per_message_overhead
+                             + 2 * params.latency)
+    ipc = 2 * (params.ipc_latency + params.per_message_overhead)
+    return top / params.bandwidth + head + chunks + hops + ipc

@@ -86,6 +86,12 @@ __all__ = ["KvsModule"]
 #: slave waits for more subtree contributions before forwarding an
 #: incomplete aggregate upstream.
 _FENCE_WINDOW = 1e-4
+#: Pending fence bytes (``ops_size + objs_size``) at which a slave
+#: forwards its aggregate at once instead of waiting for the window or
+#: for its whole subtree: big fences stream up the tree in bounded
+#: messages, so every interior NIC forwards while it is still
+#: receiving.  Swept on ``kap_fence_4k`` (DESIGN.md "Fence path").
+_FENCE_CHUNK = 512 * 1024
 #: Standby acks required before a commit is acknowledged to the client
 #: (clamped to the number of live replicas).
 _REPL_ACK_MIN = 1
@@ -134,7 +140,7 @@ class _FenceAgg:
     __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
                  "total_seen", "timer_armed", "local_count", "local_ops",
                  "local_objs", "created_version", "shares", "completing",
-                 "span", "ops_size")
+                 "span", "ops_size", "objs_size")
 
     def __init__(self, name: str, nprocs: int, created_version: int = 0):
         self.name = name
@@ -147,6 +153,11 @@ class _FenceAgg:
         #: aggregate (outgoing list size = 1 + len(ops) + ops_size).
         self.ops_size = 0
         self.objs: dict[str, dict] = {}
+        #: ``objs``'s share of the outgoing payload, kept the same way:
+        #: 44 framing bytes (quoted sha, colon, comma) plus the object's
+        #: canonical size per *distinct* pending object.  Slaves only —
+        #: the master never flushes.
+        self.objs_size = 0
         self.held: list[Message] = []       # local client fence requests
         self.total_seen = 0
         self.timer_armed = False
@@ -1501,8 +1512,11 @@ class KvsModule(CommsModule):
 
     def _send_objs(self, topic: str, payload: dict, objs: dict, callback,
                    *, ctx: Optional[RequestContext] = None,
-                   span: Optional[tuple] = None) -> None:
-        """Send an objs-carrying payload toward the master.
+                   span: Optional[tuple] = None,
+                   size: Optional[int] = None) -> None:
+        """Send an objs-carrying payload toward the master.  ``size`` is
+        the canonical size of ``{**payload, "objs": objs}`` when the
+        caller already knows it.
 
         In dedup mode each distinct object crosses a given uplink once:
         objects the per-link filter says the peer has already been sent
@@ -1513,27 +1527,22 @@ class KvsModule(CommsModule):
         error and the payload is re-sent in full — so no chaos path can
         ever lose an object to it.
         """
-        if not self.dedup or not objs:
-            body = {**payload, "objs": objs}
-            self._toward_master_cb(
-                topic, body, callback, ctx=ctx, span=span,
-                payload_size=self._payload_size_with_objs(body, objs))
-            return
-        peer = self._uplink_peer()
-        sent = self._link_sent.setdefault(peer, set()) \
-            if peer is not None else set()
-        known = objs.keys() & sent
-        sent.update(objs)
+        full = {**payload, "objs": objs}
+        full_size = (size if size is not None
+                     else self._payload_size_with_objs(full, objs))
+        known = ()
+        if self.dedup and objs:
+            peer = self._uplink_peer()
+            sent = self._link_sent.setdefault(peer, set()) \
+                if peer is not None else set()
+            known = objs.keys() & sent
+            sent.update(objs)
         if not known:
-            body = {**payload, "objs": objs}
-            self._toward_master_cb(
-                topic, body, callback, ctx=ctx, span=span,
-                payload_size=self._payload_size_with_objs(body, objs))
+            self._toward_master_cb(topic, full, callback, ctx=ctx,
+                                   span=span, payload_size=full_size)
             return
         new = {s: o for s, o in objs.items() if s not in known}
         body = {**payload, "objs": new, "orefs": sorted(known)}
-        full = {**payload, "objs": objs}
-        full_size = self._payload_size_with_objs(full, objs)
         body_size = self._payload_size_with_objs(body, new)
 
         def cb(resp: Message) -> None:
@@ -1653,6 +1662,8 @@ class KvsModule(CommsModule):
             for op in d.ops:
                 agg.ops_size += canonical_size(op)
             for sha, obj in d.objs.items():
+                if self.master is None and sha not in agg.objs:
+                    agg.objs_size += 44 + self._obj_size(sha, obj)
                 agg.objs[sha] = obj
                 agg.local_objs[sha] = obj
         agg.count += 1
@@ -1710,10 +1721,19 @@ class KvsModule(CommsModule):
             else:
                 csize = canonical_size(child_ops)
             agg.ops_size += csize - 1 - len(child_ops)
+        slave = self.master is None
         for sha, obj in p["objs"].items():
+            size = None
+            if slave and sha not in agg.objs:
+                # Sized once, here: the store keeps the size and the
+                # flush adds counters instead of re-walking objects.
+                size = canonical_size(obj)
+                agg.objs_size += 44 + size
             agg.objs[sha] = obj      # union by SHA1: redundancy reduces
-            self._obj_put(sha, obj)
+            self._obj_put(sha, obj, size=size)
         for sha, obj in resolved.items():
+            if slave and sha not in agg.objs:
+                agg.objs_size += 44 + self._obj_size(sha, obj)
             agg.objs[sha] = obj
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
@@ -1761,30 +1781,33 @@ class KvsModule(CommsModule):
         return self.broker.network.fault_plan is not None
 
     def _maybe_flush_fence(self, agg: _FenceAgg) -> None:
-        """Flush the aggregate upstream when complete — or after the
-        aggregation window, so fences joined by only a subset of the
-        subtree's clients (e.g. two jobs sharing a session) still make
-        progress."""
+        """Flush the aggregate upstream when complete, when a chunk's
+        worth is pending — or after the aggregation window, so fences
+        joined by only a subset of the subtree's clients (e.g. two jobs
+        sharing a session) still make progress."""
         if self._shared_mode():
             self._flush_fence(agg.name)
             return
         expected = self.broker.session.subtree_procs(self.rank)
-        if self.master_rank == 0 and agg.total_seen >= min(expected,
-                                                           agg.nprocs):
+        if ((self.master_rank == 0
+             and agg.total_seen >= min(expected, agg.nprocs))
+                or agg.ops_size + agg.objs_size >= _FENCE_CHUNK):
             # Fast path (master at the root, whole session fencing):
-            # the root-ward aggregation matches the subtree counts.
+            # the root-ward aggregation matches the subtree counts —
+            # or a chunk's worth is pending: keep the uplink busy.
             self._flush_fence(agg.name)
         elif not agg.timer_armed:
             agg.timer_armed = True
             self.broker.after(_FENCE_WINDOW,
-                              lambda: self._fence_timer(agg.name))
+                              lambda: self._fence_timer(agg))
 
-    def _fence_timer(self, name: str) -> None:
-        agg = self._fences.get(name)
-        if agg is None:
+    def _fence_timer(self, agg: _FenceAgg) -> None:
+        # The timer belongs to *this* aggregate: a legacy fence name is
+        # reusable, and a later fence of the name arms its own.
+        if self._fences.get(agg.name) is not agg:
             return
         agg.timer_armed = False
-        self._flush_fence(name)
+        self._flush_fence(agg.name)
 
     def _flush_fence(self, name: str) -> None:
         agg = self._fences.get(name)
@@ -1803,6 +1826,7 @@ class KvsModule(CommsModule):
         ops, agg.ops = agg.ops, []
         objs, agg.objs = agg.objs, {}
         ops_size, agg.ops_size = agg.ops_size, 0
+        objs_size, agg.objs_size = agg.objs_size, 0
         payload = {"name": agg.name, "nprocs": agg.nprocs, "count": count,
                    "ops": ops}
         if self.fence_epoch > 0:
@@ -1818,9 +1842,13 @@ class KvsModule(CommsModule):
             intern_fragment(ops, total)
             if interned_size(ops) is not None:
                 self._cv_interned.inc((self.name, "sizing"), total)
+        # Canonical sizes are additive: the frame plus the per-object
+        # counter, less the comma the last entry does not have.
+        size = (canonical_size({**payload, "objs": {}})
+                + max(objs_size - 1, 0))
         self._send_objs(f"{self.name}.fencedata", payload, objs,
                         lambda resp: self._fencedata_sent(agg, resp),
-                        span=agg.span)
+                        span=agg.span, size=size)
         # Held client fences answer when the fence's setroot arrives.
 
     def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
@@ -2003,6 +2031,8 @@ class KvsModule(CommsModule):
                 agg.total_seen = agg.local_count
                 agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
                                 if agg.ops else 0)
+                agg.objs_size = sum(44 + self._obj_size(sha, obj)
+                                    for sha, obj in agg.objs.items())
             self._flush_fence(name)
         if self.master is None and (self.master_rank == 0
                                     or self._failed_over):

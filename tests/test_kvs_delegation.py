@@ -373,12 +373,15 @@ def test_legacy_fence_record_is_self_contained_and_survives_failover():
     session.stop()
 
 
-def test_interior_death_mid_fence_completes_once_under_new_epoch():
+def test_interior_death_mid_fence_completes_once_under_new_epoch(
+        fencedata_log, pad=0, rank_5_waits_its_window=True):
     """An interior broker dies after forwarding its subtree's share of
     a fence (heartbeat + ``live``, loss-free fabric, so the legacy
     format's epoch-tagged recovery runs): every rank — the master's own
     aggregate included — restarts from its clients' cumulative local
-    state, and the fence still commits exactly once."""
+    state, and the fence still commits exactly once.  The restart
+    covers the flush-size counters too: ranks that had already
+    flushed re-emit their local share at its exact encoded size."""
     cluster, session = _session(15, seed=21, with_heartbeat=True,
                                 hb_period=0.05, hb_max_epochs=200)
     sim = cluster.sim
@@ -386,9 +389,12 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch():
     before = root.master.version
     ranks = [5, 6, 0, 1, 3, 4, 7, 8, 9, 10, 11, 12]     # 5, 6: under 2
 
+    def value(i):
+        return f"{i}-".ljust(pad, "x") if pad else i
+
     def member(i):
         k = KvsClient(session.connect(ranks[i]), timeout=5.0, retries=8)
-        yield k.put(f"ik.k{i}", i)
+        yield k.put(f"ik.k{i}", value(i))
         yield sim.timeout(0.0 if i < 4 else 0.4 if i < 10 else 0.6)
         version = (yield k.fence("ik", len(ranks)))["version"]
         return version, (yield k.get(f"ik.k{(i + 1) % len(ranks)}"))
@@ -396,6 +402,10 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch():
     procs = [sim.spawn(member(i)) for i in range(len(ranks))]
     sim.run(until=0.12)
     assert root.waiter_census()["fences"]["ik"]["total_seen"] == 4
+    # Ranks 5 and 6 hear from their clients at the same instant; 6's
+    # subtree is complete, 5's is not.
+    first = {m.src: m.time for m in reversed(fencedata_log)}
+    assert (first[5] - first[6] > 5e-5) is rank_5_waits_its_window
     session.fail_rank(2)
     sim.run(until=0.5)
     # Ten of twelve are in, the two early ones under the corpse counted
@@ -405,14 +415,26 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch():
     assert root.master.version == before
     sim.run(until=20.0)
     assert [p.value for p in procs] == [
-        (before + 1, (i + 1) % len(ranks)) for i in range(len(ranks))]
+        (before + 1, value((i + 1) % len(ranks)))
+        for i in range(len(ranks))]
     assert root.master.version == before + 1
     for r in range(15):
         if r != 2:
             mod = session.module_at(r, "kvs")
             assert mod.fence_epoch == 1
             assert mod.waiter_census()["fences"] == {}
+    # Ranks 1, 5 and 6 had flushed before the failure and flush again.
+    assert {m.src for m in fencedata_log if m.time > 0.12} >= {1, 5, 6}
+    assert [m for m in fencedata_log if m.accounted != m.encoded] == []
     session.stop()
+
+
+def test_interior_death_mid_fence_after_a_flush_by_size(fencedata_log):
+    """The same failure with values of 600 KB: one is a chunk, so rank 5
+    forwards its early client's share at once although two of its
+    subtree's three participants are still out."""
+    test_interior_death_mid_fence_completes_once_under_new_epoch(
+        fencedata_log, pad=600_000, rank_5_waits_its_window=False)
 
 
 def test_single_master_state_untouched_by_feature_plumbing():

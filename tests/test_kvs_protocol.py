@@ -359,10 +359,12 @@ class TestFence:
 
         assert run(cluster, solo()) == [1]
 
-    def test_every_call_is_answered_exactly_once(self):
+    def test_every_call_is_answered_exactly_once(self, fencedata_log):
         """Fence waiters at the master rank are released both by the
         master's own (synchronously delivered) setroot event and by the
-        commit finisher: each must still get one answer, not two."""
+        commit finisher: each must still get one answer, not two.  A
+        fence this small goes up as one message per complete subtree,
+        nowhere near the chunk threshold."""
         cluster, session = make_kvs_session(n=4)
         N = 8                       # two clients per rank, rank 0 included
 
@@ -376,6 +378,8 @@ class TestFence:
             (i + 1) % N for i in range(N)]
         answered = session.message_counts()[("kvs", "ipc", "response")]
         assert answered == 3 * N    # puts + fences + gets
+        assert [(m.src, m.count, m.accounted) for m in fencedata_log] == [
+            (2, 2, 329), (3, 2, 329), (1, 4, 541)]
 
     def test_nprocs_mismatch_on_one_rank_is_einval(self):
         cluster, session = make_kvs_session(n=4)
@@ -484,6 +488,89 @@ class TestFence:
 
         results = run(cluster, *[member(i) for i in range(4)])
         assert results == [[1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3], [1, 2, 3]]
+
+
+    def test_window_timer_belongs_to_its_aggregate(self):
+        """A window timer armed for a completed fence must not flush
+        the next fence that reuses the name: round two's lone early
+        contribution leaves one window after *its own* arrival (at
+        ~171 us), not when round one's timer runs out (at ~104 us)."""
+        cluster, session = make_kvs_session(n=2)
+        sim = cluster.sim
+        root = session.module_at(0, "kvs")
+
+        def member(i, late):
+            kvs = KvsClient(session.connect(1))
+            versions = [(yield kvs.fence("f", 2))["version"]]
+            yield sim.timeout(late)
+            versions.append((yield kvs.fence("f", 2))["version"])
+            return versions
+
+        def seen_at_root(at):
+            yield sim.timeout(at)
+            return root.waiter_census()["fences"].get(
+                "f", {}).get("total_seen", 0)
+
+        assert run(cluster, member(0, 5e-5), member(1, 3e-4),
+                   seen_at_root(1.4e-4), seen_at_root(2e-4)) == [
+            [1, 2], [1, 2], 0, 1]
+        for rank in (0, 1):
+            assert session.module_at(rank, "kvs").waiter_census()[
+                "fences"] == {}
+
+    @staticmethod
+    def _kap_fence():
+        """The quick ``kap_fence_4k`` shape (16 x 16, four unique 2 KB
+        values each) on a session the test can look into:
+        ``(max fence latency, root sha, {key: value})``."""
+        from repro.kap.patterns import make_value, object_key
+        nnodes, nprocs, nputs, size = 16, 256, 4, 2048
+        cluster, session = make_kvs_session(n=nnodes)
+        sim = cluster.sim
+        waits = []
+
+        def tester(i):
+            handle = session.connect(i % nnodes)
+            kvs = KvsClient(handle)
+            yield handle.barrier("kap.setup", nprocs)
+            for gid in range(i * nputs, (i + 1) * nputs):
+                yield kvs.put(object_key(gid, None),
+                              make_value(gid, size, False))
+            t0 = sim.now
+            yield kvs.fence("kap.sync", nprocs)
+            waits.append(sim.now - t0)
+
+        run(cluster, *[tester(i) for i in range(nprocs)])
+
+        def reader():
+            kvs = KvsClient(session.connect(0, collective=False))
+            keys = (yield kvs.get("kap"))["__dir__"]
+            values = {}
+            for key in keys:
+                values[key] = yield kvs.get(f"kap.{key}")
+            return values
+
+        values, = run(cluster, reader())
+        return max(waits), session.module_at(0, "kvs").root_sha, values
+
+    def test_big_fence_streams_in_chunks_and_commits_the_same_tree(
+            self, monkeypatch, fencedata_log):
+        """Size-or-window flush: 2 MB of unique values no longer wait
+        for whole subtrees level by level (0.604 ms before), and what
+        is committed is what one flush per complete subtree commits."""
+        import repro.kvs.module as kvs_module
+        latency, root_sha, values = self._kap_fence()
+        chunked = list(fencedata_log)
+        assert latency < 0.56e-3
+        assert len(values) == 16 * 16 * 4
+        assert max(m.accounted for m in chunked) < 2 * kvs_module._FENCE_CHUNK
+
+        del fencedata_log[:]
+        monkeypatch.setattr(kvs_module, "_FENCE_CHUNK", float("inf"))
+        slow, whole_sha, whole_values = self._kap_fence()
+        assert slow > 0.6e-3 > latency
+        assert len(fencedata_log) < len(chunked)
+        assert (whole_sha, whole_values) == (root_sha, values)
 
 
 class TestFaultInAndCaching:

@@ -106,10 +106,12 @@ def test_same_seed_runs_are_identical():
     assert a.total_time == b.total_time
 
 
-def test_exact_metric_gate_trips_on_any_moved_metric():
+def test_exact_metric_gate_trips_on_any_moved_metric(tmp_path, monkeypatch,
+                                                     capsys):
     """``benchmarks/check_exact.py`` (last step of CI's perf-harness
     job) compares a ``run.py --out`` document with the committed
-    baseline: equal documents pass, one moved value is one finding."""
+    baseline: equal documents pass, one moved value is one finding,
+    and re-declaring the baseline takes a reason that stays with it."""
     path = pathlib.Path(__file__).parent.parent / "benchmarks"
     spec = importlib.util.spec_from_file_location(
         "check_exact", path / "check_exact.py")
@@ -134,3 +136,18 @@ def test_exact_metric_gate_trips_on_any_moved_metric():
     assert len(found) == 2
     assert any("kap_fence_4k wire_bytes" in line for line in found)
     assert any("kap_scale_4k" in line for line in found)
+
+    assert want["reason"] and all(" → " in line for line in want["moved"])
+    baseline = tmp_path / "exact_quick.json"
+    baseline.write_text(json.dumps(want))
+    monkeypatch.setattr(gate, "BASELINE", baseline)
+    run = tmp_path / "doc.json"
+    run.write_text(json.dumps({**moved, "commit": "f" * 40}))
+    with pytest.raises(SystemExit):         # no reason: nothing written
+        gate.main([str(run), "--update"])
+    assert json.loads(baseline.read_text()) == want
+    assert gate.main([str(run), "--update", "--reason", "14 B more"]) == 0
+    assert gate.main([str(run)]) == 0
+    shown = capsys.readouterr().out
+    assert "declared at ffffffffffff: 14 B more" in shown
+    assert all(f"  {line}\n" in shown for line in found)

@@ -23,6 +23,11 @@ import pytest
 from repro.cmb.message import HEADER_BYTES, Message, MessageType, split_topic
 from repro.jsonutil import (canonical_dumps, canonical_size,
                             digest_and_size, sha1_of)
+from repro.cmb.session import CommsSession, ModuleSpec
+from repro.cmb.topology import TreeTopology
+from repro.kap import KapConfig, run_kap
+from repro.kvs import KvsClient, KvsModule
+from repro.sim.cluster import make_cluster
 from repro.kvs.store import ObjectStore, make_dir_obj, make_val_obj
 
 
@@ -145,6 +150,47 @@ class TestObjsPayloadFramingIdentity:
         composed += len(objs) - 1
         assert composed == canonical_size(payload)
         assert composed == len(canonical_dumps(payload))
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_fence_counters_charge_the_exact_encoding(self, fencedata_log,
+                                                      redundant):
+        """A fence flush adds ``_FenceAgg.ops_size`` and ``objs_size``
+        to its frame instead of walking the objects: every message must
+        still be charged its real encoding — chunked flushes of unique
+        values, and redundant ones, where an object already pending
+        must not be counted twice."""
+        run_kap(KapConfig(nnodes=16, procs_per_node=16, value_size=2048,
+                          nputs=4, nconsumers=1,
+                          redundant_values=redundant))
+        assert len(fencedata_log) >= 15     # every slave rank flushed
+        assert [m for m in fencedata_log if m.accounted != m.encoded] == []
+
+    def test_fence_counters_include_objects_that_arrived_as_references(
+            self, fencedata_log):
+        """Dedup mode: a value the uplink has carried before arrives as
+        an ``orefs`` sha; the receiver's aggregate holds the object
+        again and must count it, or the next full send is under-
+        charged (here rank 1's own filter was cleared, as on
+        ``live.down``)."""
+        cluster = make_cluster(4, seed=5)
+        session = CommsSession(
+            cluster, topology=TreeTopology(4, arity=2),
+            modules=[ModuleSpec(KvsModule, dedup=True)]).start()
+
+        def client():
+            kvs = KvsClient(session.connect(3))
+            for rnd in range(2):
+                yield kvs.put(f"k{rnd}", "same" * 64)
+                yield kvs.fence(f"f{rnd}", 1)
+                session.module_at(1, "kvs")._link_sent.clear()
+
+        proc = cluster.sim.spawn(client())
+        cluster.sim.run()
+        assert proc.ok, proc._exc
+        assert [(m.src, m.accounted == m.encoded) for m in fencedata_log
+                ] == [(3, True), (1, True)] * 2
+        first, full, ref, full_again = (m.accounted for m in fencedata_log)
+        assert ref < first and full_again == full
 
 
 class TestMessageFastPaths:
