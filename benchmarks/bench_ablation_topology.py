@@ -8,6 +8,8 @@ traffic on the root (the traditional single-daemon layout Flux
 replaces) and loses at scale.
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import write_table
@@ -23,10 +25,10 @@ def config_for(nnodes, ppn, arity, **kw):
 
 @pytest.fixture(scope="module")
 def arity_series(scale):
-    fence_cols, get_cols = {}, {}
+    fence_cols, get_cols, walk_cols = {}, {}, {}
     for arity in ARITIES:
         label = f"arity-{arity}" if arity else "flat"
-        fence, get = {}, {}
+        fence, get, walk = {}, {}, {}
         for nn in scale["nodes"]:
             cfg = config_for(nn, scale["ppn"], arity, value_size=2048,
                              naccess=0, nconsumers=0)
@@ -34,14 +36,20 @@ def arity_series(scale):
             cfg2 = config_for(nn, scale["ppn"], arity, value_size=8,
                               naccess=4, nputs=1 if scale["paper"] else 16)
             get[cfg2.nprocs] = run_kap(cfg2).max_consumer_latency
+            walk[cfg2.nprocs] = run_kap(dataclasses.replace(
+                cfg2, dedup=True)).max_consumer_latency
         fence_cols[label] = fence
         get_cols[label] = get
+        walk_cols[label] = walk
     write_table("ablation_topology_fence", format_series_table(
         "Ablation: fence latency vs tree arity", "producers", fence_cols),
         data=fence_cols)
     write_table("ablation_topology_get", format_series_table(
         "Ablation: consumer latency vs tree arity", "consumers", get_cols),
         data=get_cols)
+    write_table("ablation_topology_walk", format_series_table(
+        "Ablation: consumer latency vs tree arity, combined kvs.walk "
+        "reads (dedup=True)", "consumers", walk_cols), data=walk_cols)
     return fence_cols, get_cols
 
 

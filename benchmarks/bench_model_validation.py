@@ -6,6 +6,8 @@ These benches regenerate a model-vs-measured table and assert the
 model tracks the simulator within a small factor.
 """
 
+import dataclasses
+
 import pytest
 
 from conftest import write_table
@@ -24,6 +26,7 @@ def model_rows(scale):
                         value_size=8, naccess=4,
                         nputs=1 if scale["paper"] else 16)
         res = run_kap(cfg)
+        walk_cfg = dataclasses.replace(cfg, dedup=True)
         rows.append({
             "consumers": cfg.nprocs,
             "model": predict_consumer_latency(cfg, params),
@@ -32,6 +35,8 @@ def model_rows(scale):
             "producer_measured": res.max_producer_latency,
             "fence_model": predict_fence_latency(cfg, params),
             "fence_measured": res.max_sync_latency,
+            "walk_model": predict_consumer_latency(walk_cfg, params),
+            "walk_measured": run_kap(walk_cfg).max_consumer_latency,
         })
     lines = ["Consumer model log2(C) x T(G) vs simulation",
              f"{'consumers':>10} {'model(ms)':>10} {'meas(ms)':>10} "
@@ -49,6 +54,15 @@ def model_rows(scale):
         lines.append(f"{row['consumers']:>10} "
                      f"{row['fence_model']*1e3:>10.3f} "
                      f"{row['fence_measured']*1e3:>10.3f} {ratio:>6.2f}")
+    lines += ["", "Walk model (master NIC + stored-and-forwarded lists) "
+              "vs simulation, dedup=True",
+              f"{'consumers':>10} {'model(ms)':>10} {'meas(ms)':>10} "
+              f"{'ratio':>6}"]
+    for row in rows:
+        ratio = row["walk_measured"] / row["walk_model"]
+        lines.append(f"{row['consumers']:>10} "
+                     f"{row['walk_model']*1e3:>10.3f} "
+                     f"{row['walk_measured']*1e3:>10.3f} {ratio:>6.2f}")
     write_table("model_validation", "\n".join(lines), data=rows)
     return rows
 

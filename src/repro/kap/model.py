@@ -27,7 +27,7 @@ from ..jsonutil import canonical_size
 from ..kvs.module import _FENCE_CHUNK, _FENCE_WINDOW
 from ..sim.network import NetworkParams
 from .config import KapConfig
-from .patterns import make_value
+from .patterns import make_value, object_key
 
 __all__ = [
     "dir_object_bytes", "replication_time", "predict_consumer_latency",
@@ -69,8 +69,11 @@ def predict_consumer_latency(config: KapConfig,
     directory layout, or only the directories its accesses touch for
     the ``dir_width`` layout.  Per-access local costs (IPC hops and the
     value objects themselves) are added once the directories are
-    resident.
+    resident.  With ``dedup`` a cold read walks remotely instead, and
+    the prediction is :func:`_predict_walk_latency`'s.
     """
+    if config.dedup:
+        return _predict_walk_latency(config, params)
     depth = _depth(config)
     total = config.total_objects
     value_bytes = canonical_size(
@@ -90,6 +93,38 @@ def predict_consumer_latency(config: KapConfig,
     ipc = config.naccess * 2 * (
         params.ipc_latency + params.per_message_overhead)
     return depth * (t_dirs + t_vals) + ipc
+
+
+def _predict_walk_latency(config: KapConfig,
+                          params: NetworkParams) -> float:
+    """Consumer phase on the combined ``kvs.walk`` read path.
+
+    No directory moves: every remote read costs the master's NIC one
+    result (value + sha + framing), and each of its children two
+    responses per access (a rank's first read leaves alone, the rest
+    behind it).  Around that, per level: the item lists on their way up
+    and the result lists on their way down are stored and forwarded,
+    each ``1/arity`` of the one above; one hop each way; and the
+    client's IPC round trips.  It takes the lists as fully merged; the
+    residual against the per-message cost of the batches the combiner
+    really sends is in EXPERIMENTS.md.
+    """
+    arity, nnodes = config.tree_arity, config.nnodes
+    remote = config.consumers * config.naccess * (nnodes - 1) / nnodes
+    sha = "0" * 40
+    result_bytes = 1 + canonical_size({"sha": sha, "value": make_value(
+        0, config.value_size, config.redundant_values)})
+    item_bytes = 1 + canonical_size(
+        [object_key(config.total_objects - 1, config.dir_width), sha, False])
+    overhead = params.per_message_overhead
+    nic = (remote * result_bytes / params.bandwidth
+           + 2 * overhead * config.naccess * min(arity, nnodes - 1))
+    depth = _depth(config)
+    lists = sum(remote / arity ** level for level in range(1, depth + 1))
+    forward = lists * (item_bytes + result_bytes) / params.bandwidth
+    hops = depth * 2 * (overhead + params.latency)
+    ipc = config.naccess * 2 * (params.ipc_latency + overhead)
+    return nic + forward + hops + ipc
 
 
 def predict_producer_latency(config: KapConfig,

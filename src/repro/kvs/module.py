@@ -300,10 +300,12 @@ class KvsModule(CommsModule):
         #: correctness.  Cleared wholesale on every topology-visible
         #: event (live.down, promotion, newmaster).
         self._link_sent: dict[int, set] = {}
-        #: Walk combiner: the one outstanding ``{name}.walk`` batch and the
-        #: queue behind it, ``(key, root, want_ref) -> [(msg, fn, tag)]``.
-        self._walk_out: dict = {}
+        #: Walk combiner: the ``{name}.walk`` batches in flight (at most
+        #: two) and the queue behind them, each ``(key, root, want_ref) ->
+        #: [(msg, fn, tag)]``; and per child, its walks parked here.
+        self._walk_out: list = []
         self._walk_q: dict = {}
+        self._walk_parked: dict[int, int] = {}
         # Bytes of work the interning/dedup machinery avoided, by kind:
         # "sizing" (canonical re-serialization skipped via the intern
         # table) and "link" (wire bytes replaced by sha references).
@@ -1967,9 +1969,12 @@ class KvsModule(CommsModule):
             "dirty_clients": len(self._dirty),
             "dirty_ops": sum(len(d.ops) for d in self._dirty.values()),
             "loads": sorted(self._loads),
-            "walks": {"outstanding": len(self._walk_out),
-                      "queued": len(self._walk_q), "keys": [i[0] for i in [
-                          *self._walk_out, *self._walk_q][:4]]},
+            "walks": {"outstanding": sum(map(len, self._walk_out)),
+                      "batches": len(self._walk_out),
+                      "parked": sum(map(bool, self._walk_parked.values())),
+                      "queued": len(self._walk_q), "keys": [
+                          i[0] for b in (*self._walk_out, self._walk_q)
+                          for i in b][:4]},
         }
 
     # ------------------------------------------------------------------
@@ -2001,6 +2006,8 @@ class KvsModule(CommsModule):
         # is suspect (the uplink may heal to a different peer).  Clear
         # them all — worst case the next send re-ships some objects.
         self._link_sent.clear()
+        # A corpse's parked walks can neither open nor close the gate.
+        self._walk_parked.pop(dead, None)
         if not self._shared_mode():
             self.fence_epoch += 1
         self.broker.after(0.0, self._recover_after_down)
@@ -2365,21 +2372,32 @@ class KvsModule(CommsModule):
     def _walk_enqueue(self, msg: Message, items: dict, fn) -> None:
         """Queue ``items`` (``tag -> (key, root, want_ref)``) on this
         rank's walk combiner; ``fn(tag, result)`` gets each per-item
-        result.  At most one ``{name}.walk`` request is outstanding
-        toward the master: items arriving meanwhile are deduplicated
-        and leave as one list the moment it returns (self-clocked like
-        ``_fault`` coalescing): one request per child, not per key."""
+        result.  An item already in flight is joined, not re-sent; the
+        rest queue, deduplicated, and leave as one list when
+        :meth:`_walk_pump` next may send (self-clocked like ``_fault``
+        coalescing): one request per child, not per key."""
         for tag, item in items.items():
-            waiters = (self._walk_out.get(item)
-                       or self._walk_q.setdefault(item, []))
+            waiters = next((b[item] for b in self._walk_out if item in b),
+                           None)
+            if waiters is None:
+                waiters = self._walk_q.setdefault(item, [])
             waiters.append((msg, fn, tag))
         self._walk_pump()
 
     def _walk_pump(self) -> None:
-        if self._walk_out or not self._walk_q:
+        """Send the queue as one ``{name}.walk`` batch if none is in
+        flight — or as a second one when every live child already has
+        an unanswered walk parked here: a blocked child asks again only
+        under this same rule, so holding the queue merges next to
+        nothing and idles the uplink (DESIGN.md "Read path")."""
+        if not self._walk_q or len(self._walk_out) > 1:
+            return
+        children = self.broker.children
+        if self._walk_out and not (children and all(
+                self._walk_parked.get(c) for c in children)):
             return
         queued, self._walk_q = self._walk_q, {}
-        batch = self._walk_out = {}
+        batch: dict = {}
         late = {"error": "deadline expired in the walk queue",
                 "errnum": ETIMEDOUT, "rank": self.rank}
         for item, waiters in queued.items():
@@ -2390,6 +2408,7 @@ class KvsModule(CommsModule):
                     batch.setdefault(item, []).append(w)
         if not batch:
             return
+        self._walk_out.append(batch)
         msgs = [w[0] for waiters in batch.values() for w in waiters]
         # Rides the first waiter's context (as a coalesced ``_fault``
         # does) under the earliest deadline of its items — and failfast,
@@ -2403,7 +2422,7 @@ class KvsModule(CommsModule):
             span=msgs[0].span)
 
     def _walk_done(self, batch: dict, resp: Message) -> None:
-        self._walk_out = {}
+        self._walk_out = [b for b in self._walk_out if b is not batch]
         self._walk_pump()
         if resp.error is not None:
             # Every waiter of a failed batch gets its (retryable) code.
@@ -2474,10 +2493,15 @@ class KvsModule(CommsModule):
             self.respond(msg, {"res": res})
             return
 
+        child = msg.src_rank
+        self._walk_parked[child] = self._walk_parked.get(child, 0) + 1
+
         def fill(i: int, r: dict) -> None:
             res[i] = r
             del todo[i]
             if not todo:
+                if self._walk_parked.get(child):    # dropped if it died
+                    self._walk_parked[child] -= 1
                 self.respond(msg, {"res": res})
 
         self._walk_enqueue(msg, todo, fill)

@@ -236,6 +236,16 @@ class TestModels:
         predicted = predict_consumer_latency(cfg, zin_like_params())
         assert predicted == pytest.approx(measured, rel=0.9)
 
+    def test_consumer_model_is_dedup_aware(self):
+        """Walk reads move no directories: the walk model, not the
+        fault-in chain, is inside the band on a paper-shaped run (the
+        chain reads 0.74 here and drifts to 0.50 at 512 nodes)."""
+        cfg = KapConfig(nnodes=128, procs_per_node=16, value_size=64,
+                        dedup=True)
+        measured = run_kap(cfg).max_consumer_latency
+        predicted = predict_consumer_latency(cfg, zin_like_params())
+        assert 0.8 < measured / predicted < 1.25
+
     def test_geometric_series_doubling(self):
         """The paper: if G doubles when C doubles, latency ~doubles."""
         p = zin_like_params()

@@ -2,11 +2,14 @@
 semantics of a batch.
 
 In dedup mode a cold read ships its *walk* master-ward.  Each rank
-keeps at most one ``kvs.walk`` request outstanding; cold reads that
-arrive meanwhile queue, deduplicated by ``(key, root, ref)``, and leave
-as one list when it returns.  These tests pin what a batch may and may
-not share: one round trip, yes; one item's fate, no.
+keeps one ``kvs.walk`` request outstanding — two once every child is
+itself blocked on a walk parked here, when waiting longer could merge
+nothing more; cold reads that arrive meanwhile queue, deduplicated by
+``(key, root, ref)``, and leave as one list.  These tests pin what a
+batch may and may not share: one round trip, yes; one item's fate, no.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -14,9 +17,10 @@ from repro import make_cluster, standard_session
 from repro.cmb.errors import (EHOSTUNREACH, EINVAL, ENOENT, ETIMEDOUT,
                               RETRYABLE_CODES, RpcError)
 from repro.cmb.message import Message, MessageType
-from repro.kap import KapConfig, run_kap
+from repro.kap import KapConfig, driver, run_kap
 from repro.kvs import KvsClient
 from repro.sim.faults import FaultPlan
+from repro.sim.network import Network
 
 LEAF = 7            # depth 3 in the 8-node binary tree: 7 -> 3 -> 1 -> 0
 NKEYS = 16
@@ -44,32 +48,35 @@ def _seeded(n=8, seed=7, fault_plan=None, **kw):
 class _WalkSpy:
     """Record every ``kvs.walk`` request ``mod`` sends master-ward as
     ``(payload, ctx)`` in ``sent``.  With ``hold_first`` the first one
-    is captured instead of sent, to be released or failed by hand."""
+    (``hold_first=2``: the first two) is captured instead of sent, to
+    be released or failed by hand; ``held`` lists their payloads."""
 
     def __init__(self, mod, hold_first=False):
         self.sent = []
-        self._held = None
+        self.held = []
+        self._held = []
         real = mod._toward_master_cb
 
         def spy(topic, payload, callback, ctx=None, **kw):
             if topic == "kvs.walk":
-                if hold_first and self._held is None:
-                    self._held = (callback, lambda: real(
-                        topic, payload, callback, ctx=ctx, **kw))
+                if len(self._held) < hold_first:
+                    self.held.append(payload)
+                    self._held.append((callback, lambda: real(
+                        topic, payload, callback, ctx=ctx, **kw)))
                     return
                 self.sent.append((payload, ctx))
             real(topic, payload, callback, ctx=ctx, **kw)
 
         mod._toward_master_cb = spy
 
-    def release(self):
-        self._held[1]()
+    def release(self, i=0):
+        self._held[i][1]()
 
-    def fail(self, code):
-        self._held[0](Message(topic="kvs.walk",
-                              mtype=MessageType.RESPONSE,
-                              error="uplink gone", errnum=code,
-                              err_rank=3))
+    def fail(self, code, i=0):
+        self._held[i][0](Message(topic="kvs.walk",
+                                 mtype=MessageType.RESPONSE,
+                                 error="uplink gone", errnum=code,
+                                 err_rank=3))
 
 
 def _gets(session, sim, rank, keys, **client_kw):
@@ -92,7 +99,8 @@ def _idle(session):
     """No rank still holds an outstanding or queued walk."""
     return all(
         session.module_at(b.rank, "kvs").waiter_census()["walks"]
-        == {"outstanding": 0, "queued": 0, "keys": []}
+        == {"outstanding": 0, "batches": 0, "parked": 0, "queued": 0,
+            "keys": []}
         for b in session.brokers if b.alive)
 
 
@@ -222,7 +230,8 @@ def test_failed_batch_is_retryable_and_queue_is_pumped(code):
     queued = _gets(session, sim, LEAF, ["w.k1", "w.k2"])
     sim.run()
     assert leaf.waiter_census()["walks"] == {
-        "outstanding": 1, "queued": 2, "keys": ["w.k0", "w.k1", "w.k2"]}
+        "outstanding": 1, "batches": 1, "parked": 0, "queued": 2,
+        "keys": ["w.k0", "w.k1", "w.k2"]}
     assert not hold.sent
     hold.fail(code)
     sim.run()
@@ -397,3 +406,188 @@ def test_sanitized_run_agrees_with_tight_loop_with_combining():
     assert hooked.max_consumer_latency == tight.max_consumer_latency
     fault_in = run_kap(KapConfig(**{**kw, "dedup": False}))
     assert tight.bytes_sent < fault_in.bytes_sent
+
+
+# ----------------------------------------------------------------------
+# (g) double buffering: a second batch leaves when every child is
+#     already blocked here
+# ----------------------------------------------------------------------
+def _kap_reads(monkeypatch, dedup):
+    """A 63 x 16 binary-tree KAP run: its result, every ``(key, value)``
+    a consumer read, and the item count of each ``kvs.walk`` request
+    that reached the master."""
+    reads, at_master = [], []
+
+    class Recording(KvsClient):
+        def get(self, key, timeout=None):
+            ev = super().get(key, timeout)
+            ev.add_callback(lambda e: reads.append((key, e.value)))
+            return ev
+
+    real = Network.send
+
+    def send(self, src, dst, payload, size, port=Network.DEFAULT_PORT):
+        msg = payload[1]
+        if (dst == 0 != src and msg.topic == "kvs.walk"
+                and msg.mtype == MessageType.REQUEST):
+            at_master.append(len(msg.payload["items"]))
+        real(self, src, dst, payload, size, port)
+
+    monkeypatch.setattr(driver, "KvsClient", Recording)
+    monkeypatch.setattr(Network, "send", send)
+    res = run_kap(KapConfig(nnodes=63, procs_per_node=16, value_size=64,
+                            seed=1, dedup=dedup))
+    return res, sorted(reads), at_master
+
+
+def test_convoy_regression_binary_tree_keeps_batches_large(monkeypatch):
+    """Hop-by-hop stop-and-wait doubles the cycle per level, which a
+    fan-in of two exactly cancels: every request rank 1 sent carried one
+    leaf's batch and the master's NIC idled 40% of the read phase."""
+    walk, walk_reads, at_master = _kap_reads(monkeypatch, dedup=True)
+    _fault, fault_reads, none = _kap_reads(monkeypatch, dedup=False)
+    assert walk_reads == fault_reads and len(walk_reads) == 63 * 16
+    assert not none
+    assert walk.max_consumer_latency < 0.20e-3      # parent: 0.297 ms
+    assert len(at_master) <= 50                     # parent: 66
+    assert sum(at_master) == 62 * 16    # nothing sent twice, nothing lost
+
+
+def _in_flight_peaks(session):
+    """Highest number of ``kvs.walk`` requests each rank ever had
+    unanswered toward the master."""
+    live, peak = Counter(), Counter()
+    for broker in session.brokers:
+        mod = session.module_at(broker.rank, "kvs")
+
+        def spy(topic, payload, callback, _real=mod._toward_master_cb,
+                _rank=broker.rank, **kw):
+            if topic != "kvs.walk":
+                return _real(topic, payload, callback, **kw)
+            live[_rank] += 1
+            peak[_rank] = max(peak[_rank], live[_rank])
+
+            def done(resp):
+                live[_rank] -= 1
+                callback(resp)
+
+            _real(topic, payload, done, **kw)
+
+        mod._toward_master_cb = spy
+    return peak
+
+
+def test_at_most_two_in_flight_one_at_leaves_and_beside_an_idle_child():
+    cluster, session = _seeded(n=15)
+    sim = cluster.sim
+    peak = _in_flight_peaks(session)
+    # Under rank 1 all four leaves read; under rank 2 only leaf 11, so
+    # rank 5 (children 11, 12) and rank 2 (5, 6) each keep an idle child.
+    # Each starts at a key of its own: an item already in flight would
+    # be joined, not queued.
+    readers = (7, 8, 9, 10, 11)
+    order = {rank: [(rank - 7 + i) % NKEYS for i in range(NKEYS)]
+             for rank in readers}
+    procs = [p for rank in readers for p in _gets(
+        session, sim, rank, [f"w.k{i}" for i in order[rank]])]
+    sim.run()
+    assert [p.value for p in procs] == [
+        i * 10 for rank in readers for i in order[rank]]
+    assert max(peak.values()) == 2
+    assert peak[1] == peak[3] == peak[4] == 2   # every child blocked here
+    assert all(peak[leaf] == 1 for leaf in readers)
+    assert peak[5] == peak[2] == 1      # the idle child may yet ask
+    assert _idle(session)
+
+
+def _two_in_flight():
+    """Rank 3 (one child, the leaf) with two batches held on the wire:
+    ``w.k0`` asked here, then ``w.k1`` by the leaf — whose walk parks,
+    so every child is blocked and the queue leaves as a second batch."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    mod = session.module_at(3, "kvs")
+    hold = _WalkSpy(mod, hold_first=2)
+    own, = _gets(session, sim, 3, ["w.k0"])
+    sim.run()
+    below, = _gets(session, sim, LEAF, ["w.k1"])
+    sim.run()
+    assert mod.waiter_census()["walks"] == {
+        "outstanding": 2, "batches": 2, "parked": 1, "queued": 0,
+        "keys": ["w.k0", "w.k1"]}
+    return session, sim, mod, hold, own, below
+
+
+def test_item_in_flight_in_either_batch_is_joined_not_resent():
+    session, sim, mod, hold, own, below = _two_in_flight()
+    again = _gets(session, sim, 3, ["w.k0", "w.k1", "w.k2"])
+    sim.run()
+    assert mod.waiter_census()["walks"] == {
+        "outstanding": 2, "batches": 2, "parked": 1, "queued": 1,
+        "keys": ["w.k0", "w.k1", "w.k2"]}
+    assert not hold.sent                # never a third in flight
+    hold.release(0)
+    hold.release(1)
+    sim.run()
+    assert (own.value, below.value) == (0, 10)
+    assert [p.value for p in again] == [0, 10, 20]
+    payloads = hold.held + [p for p, _ctx in hold.sent]
+    assert [[i[0] for i in p["items"]] for p in payloads] == [
+        ["w.k0"], ["w.k1"], ["w.k2"]]
+    assert _idle(session)
+
+
+def test_two_batches_in_flight_fail_independently():
+    session, sim, _mod, hold, own, below = _two_in_flight()
+    queued, = _gets(session, sim, 3, ["w.k2"])
+    sim.run()
+    hold.fail(EHOSTUNREACH, 0)
+    sim.run()
+    assert own.value.code == EHOSTUNREACH and own.value.retryable
+    assert not below.triggered          # the other batch is untouched
+    (payload, _ctx), = hold.sent        # ... and the queue pumped once
+    assert [i[0] for i in payload["items"]] == ["w.k2"]
+    assert queued.value == 20
+    hold.release(1)
+    sim.run()
+    assert below.value == 10
+    assert _idle(session)
+
+
+def test_lone_cold_get_on_an_idle_tree_is_what_it_always_was():
+    cluster, session = _seeded(n=15)
+    sim = cluster.sim
+    spies = [_WalkSpy(session.module_at(r, "kvs")).sent
+             for r in (14, 6, 2)]
+    before = sim.event_count
+    proc, = _gets(session, sim, 14, ["w.k3"])
+    sim.run()
+    assert proc.value == 30
+    # One single-item request per hop, forwarded at once.
+    assert [[len(p["items"]) for p, _ctx in sent] for sent in spies] == [
+        [1], [1], [1]]
+    assert sim.event_count - before == 20    # as with one in flight
+
+
+def test_child_killed_mid_read_strands_no_walk():
+    """Rank 3 dies with its own and its leaves' walks parked at rank 1:
+    its parked count goes with it (a corpse neither opens nor closes
+    the gate), the orphaned leaves re-issue through rank 1 and count as
+    its children from then on, and every combiner ends idle."""
+    cluster, session = _seeded(
+        n=15, seed=9, fault_plan=FaultPlan(seed=13, drop_rate=0.01),
+        with_heartbeat=True, hb_period=0.05, hb_max_epochs=400)
+    sim = cluster.sim
+    procs = []
+    for rank in range(7, 15):
+        procs += _gets(session, sim, rank,
+                       [f"w.k{rank}", f"w.k{rank - 7}"],
+                       timeout=0.5, retries=10)
+    kill = sim.timeout(2.5e-5)
+    kill.add_callback(lambda _e: session.fail_rank(3))
+    sim.run(until=sim.now + 5.0)        # detection takes 0.55 s
+    assert [p.value for p in procs] == [
+        v for rank in range(7, 15) for v in (rank * 10, (rank - 7) * 10)]
+    assert sorted(session.brokers[1].children) == [4, 7, 8]
+    assert 3 not in session.module_at(1, "kvs")._walk_parked
+    assert _idle(session)

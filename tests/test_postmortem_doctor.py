@@ -229,14 +229,15 @@ def test_bundle_shows_read_stuck_behind_dead_uplink(dedup):
     census = bundle["brokers"][3]["kvs"]
     if dedup:
         # One walk left for the dead parent; the other queued behind it.
-        assert census["walks"] == {"outstanding": 1, "queued": 1,
+        assert census["walks"] == {"outstanding": 1, "batches": 1,
+                                   "parked": 0, "queued": 1,
                                    "keys": ["hung.a", "hung.b"]}
         assert census["loads"] == []
     else:
         root = session.module_at(3, "kvs").root_sha
         assert census["loads"] == [root]        # coalesced fault-in
-        assert census["walks"] == {"outstanding": 0, "queued": 0,
-                                   "keys": []}
+        assert census["walks"] == {"outstanding": 0, "batches": 0,
+                                   "parked": 0, "queued": 0, "keys": []}
     idle = bundle["brokers"][2]["kvs"]
     assert idle["loads"] == [] and idle["walks"]["outstanding"] == 0
     json.dumps(bundle)              # the census stays JSON-able
