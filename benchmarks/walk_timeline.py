@@ -37,8 +37,8 @@ def walk_sends(log):
     real = Network.send
 
     def send(self, src, dst, payload, size, port=Network.DEFAULT_PORT):
-        msg = payload[1] if isinstance(payload, tuple) else None
-        if getattr(msg, "topic", None) == TOPIC and src != dst:
+        msg = payload[1]        # brokers send (plane, Message)
+        if msg.topic == TOPIC and src != dst:
             log.append((self.sim.now, src, dst, msg, size))
         real(self, src, dst, payload, size, port)
 
@@ -88,8 +88,9 @@ def timeline(config: KapConfig) -> dict:
                      "last_s": max(t for t, _n, _src in sent)})
     resp = [r for r in log if r[1] == 0
             and r[3].mtype == MessageType.RESPONSE]
+    nbytes = sum(r[4] for r in resp)
     busy = (len(resp) * params.per_message_overhead
-            + sum(r[4] for r in resp) / params.bandwidth)
+            + nbytes / params.bandwidth)
     # The NIC's FIFO, replayed: it is done one serialisation after the
     # last response was handed to it, or later if it was backed up.
     done = 0.0
@@ -102,7 +103,7 @@ def timeline(config: KapConfig) -> dict:
             "get_max_ms": result.max_consumer_latency * 1e3,
             "phase_s": phase,
             "master": {"responses": len(resp),
-                       "bytes": sum(r[4] for r in resp),
+                       "bytes": nbytes,
                        "busy_s": busy,
                        "busy_share": busy / phase},
             "rank1": {"requests": len(rank1),
