@@ -9,18 +9,15 @@ keys and commits — the multi-job/multi-service pattern that serializes
 at a single root master.  The master service-time model is enabled
 (50 us per commit + 5 us per op — hashing, dedup, hash-tree rebuild),
 since the serialization being relieved is the master's processing; with
-a cost-free master the workload is communication-bound and sharding
-merely lengthens paths.
+a cost-free master the workload is communication-bound and a second
+master merely lengthens paths.
 
-Two distribution strategies are compared on the same workload:
-
-- **sharded namespaces** — the key space is statically split over
-  independent ``kvs0..kvsN-1`` module instances (hash of the top-level
-  component);
-- **multi-master delegation** — one ``kvs`` namespace whose directory
-  subtrees are delegated at runtime to interior-broker owners, each
-  running its own subtree master (per-owner commit counts come from
-  the ``kvs_owner_commits_total`` metric).
+The master is distributed by **runtime subtree delegation**: one ``kvs``
+namespace whose directory subtrees are delegated to interior-broker
+owners, each running its own subtree master (per-owner commit counts
+come from the ``kvs_owner_commits_total`` metric).  DESIGN.md "Why
+there is one way to distribute the master" records the static
+hash-split alternative this replaced.
 
 A failover probe additionally kills the root master with standby
 replicas configured and reports the ring-election latency from the
@@ -28,7 +25,7 @@ replicas configured and reports the ring-election latency from the
 
 Standalone smoke mode for CI (from ``benchmarks/``)::
 
-    PYTHONPATH=../src python bench_ablation_sharding.py --smoke
+    PYTHONPATH=../src python bench_ablation_multimaster.py --smoke
 """
 
 import argparse
@@ -41,12 +38,10 @@ from repro import make_cluster, standard_session
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
 from repro.kvs import KvsClient, KvsModule
-from repro.kvs.sharding import ShardedKvsClient, sharded_kvs_specs
 from repro.sim import FaultPlan
 
-SHARD_COUNTS = (1, 2, 4, 8)
-#: Delegated-owner counts for the multi-master rows (0 = classic
-#: single master, the delegation-disabled baseline).
+#: Delegated-owner counts (0 = classic single master, the
+#: delegation-disabled baseline).
 OWNER_COUNTS = (0, 2, 4, 8)
 N_NODES = 16
 CLIENTS = 32
@@ -56,37 +51,9 @@ MASTER_COMMIT_COST = 5e-5
 MASTER_OP_COST = 5e-6
 
 
-def run_workload(nshards: int, clients: int = CLIENTS,
-                 rounds: int = ROUNDS) -> dict:
-    cluster = make_cluster(N_NODES, seed=55)
-    session = CommsSession(
-        cluster, topology=TreeTopology(N_NODES),
-        modules=sharded_kvs_specs(nshards, N_NODES,
-                                  master_commit_cost=MASTER_COMMIT_COST,
-                                  master_op_cost=MASTER_OP_COST)).start()
-    sim = cluster.sim
-
-    def client(i):
-        kvs = ShardedKvsClient(session.connect(i % N_NODES), nshards)
-        for r in range(rounds):
-            yield kvs.put(f"job{i}.round{r}", VALUE)
-            yield kvs.commit_shard(kvs.shard_of(f"job{i}.round{r}"))
-        value = yield kvs.get(f"job{i}.round{rounds - 1}")
-        assert value == VALUE
-
-    procs = [sim.spawn(client(i)) for i in range(clients)]
-    sim.run()
-    assert all(p.ok for p in procs)
-    return {
-        "time": sim.now,
-        "commits_per_s": clients * rounds / sim.now,
-        "bytes": cluster.network.total_bytes_sent(),
-    }
-
-
 def run_multimaster_workload(nowners: int, clients: int = CLIENTS,
                              rounds: int = ROUNDS) -> dict:
-    """Same workload over ONE ``kvs`` namespace whose per-client
+    """The workload over one ``kvs`` namespace whose per-client
     subtrees are delegated round-robin to ``nowners`` interior-broker
     owners (0 = no delegation: the classic single-master baseline)."""
     cluster = make_cluster(N_NODES, seed=55)
@@ -196,11 +163,6 @@ def _owner_commit_cell(r: dict) -> str:
 
 
 @pytest.fixture(scope="module")
-def shard_results():
-    return {k: run_workload(k) for k in SHARD_COUNTS}
-
-
-@pytest.fixture(scope="module")
 def mm_results():
     return {k: run_multimaster_workload(k) for k in OWNER_COUNTS}
 
@@ -211,18 +173,11 @@ def failover_result():
 
 
 @pytest.fixture(scope="module")
-def ablation_table(shard_results, mm_results, failover_result):
+def ablation_table(mm_results, failover_result):
     lines = [f"Ablation: distributed KVS master — {CLIENTS} clients x "
              f"{ROUNDS} commits of 2 KiB, private namespaces",
-             f"{'masters':>8} {'time(ms)':>10} {'commits/s':>11} "
-             f"{'MB moved':>9}"]
-    for k, r in shard_results.items():
-        lines.append(f"{k:>8} {r['time'] * 1e3:>10.3f} "
-                     f"{r['commits_per_s']:>11.0f} "
-                     f"{r['bytes'] / 1e6:>9.2f}")
-    lines.append("")
-    lines.append("multi-master (runtime subtree delegation, one namespace"
-                 " module; owners=0 is the classic single master)")
+             "multi-master (runtime subtree delegation, one namespace"
+             " module; owners=0 is the classic single master)"]
     lines.append(f"{'owners':>8} {'time(ms)':>10} {'commits/s':>11} "
                  f"{'MB moved':>9}  commits/owner")
     for k, r in mm_results.items():
@@ -236,32 +191,25 @@ def ablation_table(shard_results, mm_results, failover_result):
                  f"{f['elections']} election(s), rank "
                  f"{f['promoted_rank']} promoted, election latency "
                  f"{f['election_latency'] * 1e3:.3f} ms")
-    write_table("ablation_sharding", "\n".join(lines),
-                data={"shards": shard_results,
-                      "multimaster": mm_results,
+    write_table("ablation_multimaster", "\n".join(lines),
+                data={"multimaster": mm_results,
                       "failover": failover_result})
     return lines
 
 
-def test_sharding_table_regenerated(shard_results, ablation_table):
-    assert set(shard_results) == set(SHARD_COUNTS)
+def test_multimaster_table_regenerated(mm_results, ablation_table):
+    assert set(mm_results) == set(OWNER_COUNTS)
 
 
-def test_distributed_master_beats_single(shard_results):
-    """The future-work hypothesis: sharding the master improves commit
-    throughput on namespace-disjoint workloads."""
-    assert shard_results[4]["time"] < shard_results[1]["time"]
-
-
-def test_returns_diminish(shard_results):
-    gain_2 = shard_results[1]["time"] / shard_results[2]["time"]
-    gain_8 = shard_results[4]["time"] / shard_results[8]["time"]
+def test_returns_diminish(mm_results):
+    gain_2 = mm_results[0]["time"] / mm_results[2]["time"]
+    gain_8 = mm_results[4]["time"] / mm_results[8]["time"]
     assert gain_8 < gain_2
 
 
 def test_multimaster_delegation_beats_single(mm_results):
-    """Runtime delegation relieves the same serialization the static
-    sharding does."""
+    """The future-work hypothesis: distributing the master improves
+    commit throughput on namespace-disjoint workloads."""
     assert mm_results[4]["time"] < mm_results[0]["time"]
 
 
@@ -282,8 +230,9 @@ def test_failover_probe_promotes_once(failover_result):
     assert failover_result["election_latency"] > 0.0
 
 
-def test_sharding_benchmark_representative(benchmark, shard_results):
-    benchmark.pedantic(lambda: run_workload(4), rounds=2, iterations=1)
+def test_multimaster_benchmark_representative(benchmark, mm_results):
+    benchmark.pedantic(lambda: run_multimaster_workload(4), rounds=2,
+                       iterations=1)
 
 
 # ----------------------------------------------------------------------
@@ -296,9 +245,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     clients, rounds = (8, 2) if args.smoke else (CLIENTS, ROUNDS)
 
-    sharded = run_workload(2, clients=clients, rounds=rounds)
-    print(f"sharded(2 masters): {sharded['time'] * 1e3:.3f} ms, "
-          f"{sharded['commits_per_s']:.0f} commits/s")
     mm = run_multimaster_workload(2, clients=clients, rounds=rounds)
     print(f"multi-master(2 owners): {mm['time'] * 1e3:.3f} ms, "
           f"{mm['commits_per_s']:.0f} commits/s, "
@@ -313,7 +259,7 @@ def main(argv=None) -> int:
     if fo["elections"] != 1:
         print("FAIL: expected exactly one election")
         return 1
-    print("ablation_sharding OK")
+    print("ablation_multimaster OK")
     return 0
 
 

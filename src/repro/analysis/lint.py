@@ -96,9 +96,10 @@ _GLOBAL_RANDOM_FNS = frozenset({
 #: Messaging call attributes whose *first* argument is a request topic.
 _RPC_TOPIC_ARG0 = frozenset({
     "rpc", "_rpc", "rpc_up", "rpc_up_cb", "rpc_parent_cb", "send_parent",
+    "_toward_master_cb", "_send_objs",
 })
 #: ... and whose *second* argument is (first is a rank).
-_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_hop_cb"})
+_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_hop_cb", "_hop_rpc"})
 
 #: Event-plane call attributes; first argument is the event topic.
 _EVENT_EMIT = frozenset({"publish"})
@@ -143,8 +144,6 @@ class _Linter(ast.NodeVisitor):
         self.filename = filename
         self.det_core = det_core
         self.registry = registry
-        self.all_methods = frozenset(
-            m for methods in registry.values() for m in methods)
         self.event_topics = event_topics
         self.error_codes = error_codes
         self.findings: list[Finding] = []
@@ -246,7 +245,7 @@ class _Linter(ast.NodeVisitor):
                             f"(runtime ENOSYS)")
             return
         if isinstance(topic_node, ast.JoinedStr):
-            head, tail = _fstring_parts(topic_node)
+            head, _tail = _fstring_parts(topic_node)
             if head is not None and "." in head:
                 # f"kvs.{x}" — the module half is literal.
                 mod = head.split(".", 1)[0]
@@ -254,17 +253,6 @@ class _Linter(ast.NodeVisitor):
                     self.report("PROTO001", node,
                                 f"request topic head {mod!r}: no such "
                                 f"module in the registry")
-                return
-            if tail is not None and "." in tail:
-                # f"{ns}.put" — the method half is literal; the head is
-                # a dynamic (e.g. namespace-sharded) module name, so
-                # only require the method to exist *somewhere*.
-                method = tail.rsplit(".", 1)[1]
-                if method and method not in self.all_methods:
-                    self.report("PROTO001", node,
-                                f"request method {method!r} (f-string "
-                                f"tail) matches no req_ handler of any "
-                                f"module")
 
     def _check_event_topic(self, node: ast.Call, topic_node: ast.AST,
                            kind: str) -> None:

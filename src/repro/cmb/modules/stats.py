@@ -101,5 +101,5 @@ class StatsModule(CommsModule):
                 finish()
 
         for child in children:
-            broker.rpc_hop_cb(child, f"{self.name}.aggregate", {},
+            broker.rpc_hop_cb(child, "stats.aggregate", {},
                               child_done, ctx=msg.ctx, span=msg.span)

@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Optional, Sequence, Type
 
 from ..obs import SpanTracer, merge_snapshots
 from ..sim.cluster import Cluster
-from ..sim.trace import Tracer
 from .api import Handle
 from .broker import Broker
 from .module import CommsModule
@@ -63,21 +62,13 @@ class CommsSession:
         experiments).
     modules:
         Comms modules to load at wire-up.
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer`; when set, the
-        session's per-module/per-plane message-count breakdown is
-        recorded into it at :meth:`stop` time (category
-        ``cmb.msgcounts``) so benchmark harnesses can report message
-        counts alongside latencies.
     """
 
     def __init__(self, cluster: Cluster,
                  node_ids: Optional[Sequence[int]] = None,
                  topology: Optional[TreeTopology] = None,
-                 modules: Iterable[ModuleSpec] = (),
-                 tracer: Optional[Tracer] = None):
+                 modules: Iterable[ModuleSpec] = ()):
         self.cluster = cluster
-        self.tracer = tracer
         self.sim = cluster.sim
         self.network = cluster.network
         self.node_ids = list(node_ids if node_ids is not None
@@ -193,17 +184,11 @@ class CommsSession:
         return self
 
     def stop(self) -> None:
-        """Tear the session down (recording message counts if traced)."""
+        """Tear the session down."""
         if self.sanitizers is not None:
             self.sanitizers.finish()
         if self.span_tracer is not None:
             self.span_tracer.close_open()
-        if self.tracer is not None:
-            self.trace_message_counts(self.tracer)
-            plan = self.network.fault_plan
-            if plan is not None:
-                self.tracer.record(self.sim.now, "net.faults",
-                                   plan.stats())
         for broker in self.brokers:
             if broker.alive:
                 broker.stop()
@@ -277,14 +262,6 @@ class CommsSession:
             for key, n in broker.msg_counts.items():
                 totals[key] = totals.get(key, 0) + n
         return totals
-
-    def trace_message_counts(self, tracer: Tracer) -> None:
-        """Record the current message-count breakdown into ``tracer``
-        as one ``cmb.msgcounts`` record with a deterministic layout."""
-        counts = self.message_counts()
-        tracer.record(self.sim.now, "cmb.msgcounts", {
-            f"{mod}/{plane}/{kind}": counts[(mod, plane, kind)]
-            for mod, plane, kind in sorted(counts)})
 
     def fail_rank(self, rank: int) -> None:
         """Kill the broker at ``rank`` along with its node (fault

@@ -112,15 +112,6 @@ class TreeTopology:
             hop = (hop - 1) // self.arity
         return hop
 
-    def path(self, src: int, dst: int) -> list[int]:
-        """Ranks on the tree path from ``src`` to ``dst``, inclusive."""
-        hops = [src]
-        cur = src
-        while cur != dst:
-            cur = self.next_hop_toward(cur, dst)
-            hops.append(cur)
-        return hops
-
     def _check(self, rank: int) -> None:
         if not (0 <= rank < self.size):
             raise ValueError(f"rank {rank} outside topology of {self.size}")

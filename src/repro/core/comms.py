@@ -27,7 +27,6 @@ from ..cmb.session import CommsSession, ModuleSpec
 from ..cmb.topology import TreeTopology
 from ..kvs.module import KvsModule
 from ..sim.cluster import Cluster
-from ..sim.trace import Tracer
 
 __all__ = ["CommsConfig"]
 
@@ -53,11 +52,6 @@ class CommsConfig:
         Bring-up cost when a parent session assists: the parent's
         overlay broadcasts the wire-up in one tree sweep, so the cost
         scales with tree depth — the paper's "rapid creation".
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer` handed to every
-        session built from this config; each session records its
-        per-module/per-plane message-count breakdown into it at stop
-        time.
     with_heartbeat / hb_period / hb_max_epochs:
         Load the ``hb`` + ``live`` modules (liveness detection, tree
         self-healing, acting-root takeover).  Off by default so
@@ -78,7 +72,6 @@ class CommsConfig:
     assisted_boot_base: float = 5e-4
     assisted_boot_per_level: float = 1e-4
     extra_modules: Optional[Callable[[int], list[ModuleSpec]]] = None
-    tracer: Optional[Tracer] = None
     with_heartbeat: bool = False
     hb_period: float = 0.1
     hb_max_epochs: Optional[int] = None
@@ -120,4 +113,4 @@ class CommsConfig:
             self.cluster, node_ids=node_ids,
             topology=TreeTopology(size, arity=min(self.tree_arity,
                                                   max(1, size - 1))),
-            modules=modules, tracer=self.tracer)
+            modules=modules)

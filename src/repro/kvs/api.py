@@ -87,18 +87,11 @@ class Watcher:
 
 
 class KvsClient:
-    """The ``kvs_*`` API bound to one CMB handle.
+    """The ``kvs_*`` API bound to one CMB handle."""
 
-    ``module`` selects the KVS namespace's comms-module topic head:
-    ``"kvs"`` for the paper's single-master store, or a shard name like
-    ``"kvs2"`` under the distributed-master extension
-    (:mod:`repro.kvs.sharding`).
-    """
-
-    def __init__(self, handle: Handle, module: str = "kvs",
+    def __init__(self, handle: Handle,
                  timeout: Optional[float] = None, retries: int = 0):
         self.handle = handle
-        self.module = module
         #: Default RPC timeout (simulated seconds) applied to every
         #: call; ``None`` waits forever.  Per-call ``timeout=`` wins.
         #: Timeouts ride the request context, so a mid-tree broker
@@ -125,20 +118,20 @@ class KvsClient:
             timeout: Optional[float] = None) -> Event:
         """``kvs_put``: write-back store of ``value`` under ``key``.
         Fires with ``{"sha": ...}`` once the local slave has buffered it."""
-        return self._rpc(f"{self.module}.put", {
+        return self._rpc("kvs.put", {
             "key": key, "value": value, "sender": self.handle.client_id},
             timeout=timeout)
 
     def unlink(self, key: str, timeout: Optional[float] = None) -> Event:
         """Remove ``key`` at the next commit/fence."""
-        return self._rpc(f"{self.module}.unlink", {
+        return self._rpc("kvs.unlink", {
             "key": key, "sender": self.handle.client_id}, timeout=timeout)
 
     def commit(self, timeout: Optional[float] = None) -> Event:
         """``kvs_commit``: synchronously flush this client's dirty data
         to the master; fires with ``{"version", "rootref"}`` after the
         new root is applied locally (read-your-writes)."""
-        return self._rpc(f"{self.module}.commit",
+        return self._rpc("kvs.commit",
                          {"sender": self.handle.client_id}, timeout=timeout)
 
     def fence(self, name: str, nprocs: int,
@@ -146,7 +139,7 @@ class KvsClient:
         """``kvs_fence``: collective commit across ``nprocs`` clients.
         Fires once every participant entered and the combined commit's
         root reference has been applied on this client's node."""
-        return self._rpc(f"{self.module}.fence", {
+        return self._rpc("kvs.fence", {
             "name": name, "nprocs": nprocs,
             "sender": self.handle.client_id}, timeout=timeout)
 
@@ -154,7 +147,7 @@ class KvsClient:
     def get(self, key: str, timeout: Optional[float] = None) -> Event:
         """``kvs_get``: fires with the value (faulting objects in as
         needed), or fails with RpcError for a missing key."""
-        ev = self._rpc(f"{self.module}.get", {"key": key}, timeout=timeout)
+        ev = self._rpc("kvs.get", {"key": key}, timeout=timeout)
         out = self.handle.sim.event(name=f"kvs-get:{key}")
 
         def done(e: Event) -> None:
@@ -171,12 +164,12 @@ class KvsClient:
     def get_ref(self, key: str, timeout: Optional[float] = None) -> Event:
         """Resolve ``key`` to its SHA1 reference without transferring
         the terminal object."""
-        return self._rpc(f"{self.module}.get", {"key": key, "ref": True},
+        return self._rpc("kvs.get", {"key": key, "ref": True},
                          timeout=timeout)
 
     def get_dir(self, key: str, timeout: Optional[float] = None) -> Event:
         """Names under the directory at ``key``."""
-        ev = self._rpc(f"{self.module}.get", {"key": key}, timeout=timeout)
+        ev = self._rpc("kvs.get", {"key": key}, timeout=timeout)
         out = self.handle.sim.event(name=f"kvs-dir:{key}")
 
         def done(e: Event) -> None:
@@ -193,13 +186,13 @@ class KvsClient:
     # -- consistency ------------------------------------------------------
     def get_version(self, timeout: Optional[float] = None) -> Event:
         """``kvs_get_version``: the root version applied on this node."""
-        return self._rpc(f"{self.module}.getversion", timeout=timeout)
+        return self._rpc("kvs.getversion", timeout=timeout)
 
     def wait_version(self, version: int,
                      timeout: Optional[float] = None) -> Event:
         """``kvs_wait_version``: fires once the local slave has applied
         root version >= ``version`` (the causal-consistency wait)."""
-        return self._rpc(f"{self.module}.waitversion",
+        return self._rpc("kvs.waitversion",
                          {"version": version}, timeout=timeout)
 
     # -- watch --------------------------------------------------------------
@@ -210,7 +203,7 @@ class KvsClient:
         w = Watcher(self, key, callback)
         self._watchers.append(w)
         if not self._subscribed:
-            self.handle.subscribe(f"{self.module}.setroot", self._on_setroot)
+            self.handle.subscribe("kvs.setroot", self._on_setroot)
             self._subscribed = True
         w._prime()
         return w
@@ -231,26 +224,26 @@ class KvsClient:
         tree binds a link object so cross-subtree reads still compose.
         Fires with ``{"pfx", "rank", "version"}`` once the link commit
         has been applied at the root master."""
-        return self._rpc(f"{self.module}.delegate",
+        return self._rpc("kvs.delegate",
                          {"pfx": prefix, "rank": rank}, timeout=timeout)
 
     def recall(self, prefix: str, timeout: Optional[float] = None) -> Event:
         """Undo :meth:`delegate`: fold the subtree's current state back
         into the root master's tree and drop the ownership entry.
         Fires with ``{"pfx", "version"}`` after the fold-back commit."""
-        return self._rpc(f"{self.module}.recall", {"pfx": prefix},
+        return self._rpc("kvs.recall", {"pfx": prefix},
                          timeout=timeout)
 
     def owners(self, timeout: Optional[float] = None) -> Event:
         """The ownership table as seen by the answering broker: fires
         with ``{"owners": {prefix: rank}, "hosted": [prefix, ...]}``
         (``hosted`` lists subtrees mastered by that broker itself)."""
-        return self._rpc(f"{self.module}.owners", timeout=timeout)
+        return self._rpc("kvs.owners", timeout=timeout)
 
     # -- diagnostics --------------------------------------------------------
     def stats(self, rank: Optional[int] = None) -> Event:
         """Cache statistics of the local (or a specific) KVS instance,
         the latter via the rank-addressed ring overlay."""
         if rank is None:
-            return self.handle.rpc(f"{self.module}.stats")
-        return self.handle.rpc_rank(rank, f"{self.module}.stats")
+            return self.handle.rpc("kvs.stats")
+        return self.handle.rpc_rank(rank, "kvs.stats")

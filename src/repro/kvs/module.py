@@ -187,22 +187,17 @@ class KvsModule(CommsModule):
     name = "kvs"
 
     def __init__(self, broker, *, expiry: Optional[float] = None,
-                 name: str = "kvs", master_rank: int = 0,
                  master_commit_cost: float = 0.0,
                  master_op_cost: float = 0.0,
                  replicas: tuple = (), dedup: bool = False):
-        self.name = name  # instance override: sharded namespaces load
-        # several KvsModule instances under distinct topic heads.
-        super().__init__(broker, expiry=expiry, name=name,
-                         master_rank=master_rank,
+        super().__init__(broker, expiry=expiry,
                          master_commit_cost=master_commit_cost,
                          master_op_cost=master_op_cost,
                          replicas=replicas, dedup=dedup)
         self.expiry = expiry
-        #: Which session rank hosts this namespace's master.  The paper
-        #: places it at the tree root; the distributed-master extension
-        #: (its stated future work) spreads shard masters across ranks.
-        self.master_rank = master_rank
+        #: Which session rank hosts the root-namespace master: the tree
+        #: root, until a promotion or a ``kvs.newmaster`` event moves it.
+        self.master_rank = 0
         #: Master service-time model: a commit occupies the master for
         #: ``master_commit_cost + master_op_cost * len(ops)`` simulated
         #: seconds, serialized FIFO.  Defaults to zero (the paper's
@@ -214,7 +209,7 @@ class KvsModule(CommsModule):
         self._master_busy = False
         self.cache = SlaveCache(lambda: broker.sim.now)
         self.master: Optional[KvsMaster] = (
-            KvsMaster() if broker.rank == master_rank else None)
+            KvsMaster() if broker.rank == 0 else None)
         self.root_sha: str = EMPTY_DIR_SHA
         self.version: int = 0
         self._dirty: dict[Any, _Dirty] = {}
@@ -243,7 +238,7 @@ class KvsModule(CommsModule):
         self.replicas = tuple(sorted(r for r in replicas))
         self._standby: Optional[KvsMaster] = (
             KvsMaster() if (self.rank in self.replicas
-                            and self.rank != master_rank) else None)
+                            and self.rank != 0) else None)
         # Master-side replication: in-flight commit log suffix, per-
         # replica ack watermarks, and (version, fn) acks deferred until
         # the watermark covers them.
@@ -267,7 +262,7 @@ class KvsModule(CommsModule):
         #: at promotion (we won) or on the ``newmaster`` event (lost).
         self._elect_span = None
         #: Ownership table: delegated prefix -> owning rank, learned
-        #: from totally-ordered ``{name}.delegation`` events (every
+        #: from totally-ordered ``kvs.delegation`` events (every
         #: rank converges on the same table).
         self.owners: dict[str, int] = {}
         #: Delegate masters hosted at *this* rank: prefix -> KvsMaster.
@@ -300,7 +295,7 @@ class KvsModule(CommsModule):
         #: correctness.  Cleared wholesale on every topology-visible
         #: event (live.down, promotion, newmaster).
         self._link_sent: dict[int, set] = {}
-        #: Walk combiner: the ``{name}.walk`` batches in flight (at most
+        #: Walk combiner: the ``kvs.walk`` batches in flight (at most
         #: two) and the queue behind them, each ``(key, root, want_ref) ->
         #: [(msg, fn, tag)]``; and per child, its walks parked here.
         self._walk_out: list = []
@@ -315,10 +310,9 @@ class KvsModule(CommsModule):
             "kvs_interned_bytes_saved_total", ("ns", "kind"))
         self._cv_walks = broker.registry.counter_vec(
             "kvs_walk_gets_total", ("ns",))
-        # Registry instruments (broker-owned registry; `ns` label keeps
-        # sharded namespaces apart).  Cache hit/miss stay in the
-        # SlaveCache's own hot-path counters and are synced into the
-        # registry at snapshot time (see sync_metrics).
+        # Registry instruments (broker-owned registry).  Cache hit/miss
+        # stay in the SlaveCache's own hot-path counters and are synced
+        # into the registry at snapshot time (see sync_metrics).
         reg = broker.registry
         self._c_cache_hits = reg.counter("kvs_cache_hits_total",
                                          ns=self.name)
@@ -360,10 +354,10 @@ class KvsModule(CommsModule):
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.broker.subscribe(f"{self.name}.setroot", self._on_setroot_event)
-        self.broker.subscribe(f"{self.name}.delegation",
+        self.broker.subscribe("kvs.setroot", self._on_setroot_event)
+        self.broker.subscribe("kvs.delegation",
                               self._on_delegation_event)
-        self.broker.subscribe(f"{self.name}.newmaster",
+        self.broker.subscribe("kvs.newmaster",
                               self._on_newmaster_event)
         self.broker.subscribe("live.down", self._on_live_down)
         self.broker.subscribe("hb.pulse", self._on_pulse)
@@ -376,10 +370,9 @@ class KvsModule(CommsModule):
 
         With the master at the root (the paper's layout) this follows
         the *live* parent pointer, so it keeps working after the
-        overlay self-heals around a dead interior node.  Relocated
-        masters — spread shard masters, or the survivor of a root
-        failover — route on the static topology, detouring around
-        corpses via :meth:`_live_hop_toward`.
+        overlay self-heals around a dead interior node.  The survivor
+        of a root failover is reached on the static topology, detouring
+        around corpses via :meth:`_live_hop_toward`.
 
         ``ctx`` (when forwarding on behalf of a client request) keeps
         the originating request's id/origin/deadline attached to every
@@ -389,7 +382,7 @@ class KvsModule(CommsModule):
         :meth:`_payload_size_with_objs`), sparing the broker a full
         re-serialization of potentially large object payloads.
         """
-        if self.master_rank == 0 and not self._failed_over:
+        if not self._failed_over:
             if self.broker.parent is None:
                 # Acting overlay root during a root-death window: there
                 # is no parent to forward to.  Synthesize a retryable
@@ -500,7 +493,6 @@ class KvsModule(CommsModule):
         # that — no gossip traffic is generated.
         fault = self.broker.network.fault_plan is not None
         if (self.master is None and fault
-                and (self.master_rank == 0 or self._failed_over)
                 and (self.broker.parent is not None or self._failed_over)):
             self._resync_root()
             # Anti-entropy for in-progress fences too: re-emitting the
@@ -537,7 +529,7 @@ class KvsModule(CommsModule):
         if not self._master_busy:
             self._master_busy = True
             self.broker.sim.spawn(self._master_worker(),
-                                  name=f"{self.name}-master[{self.rank}]")
+                                  name=f"kvs-master[{self.rank}]")
 
     def _master_worker(self):
         while self._master_queue:
@@ -656,7 +648,7 @@ class KvsModule(CommsModule):
                     if rec.version > acked]
             if not recs:
                 continue
-            self._hop_rpc(r, f"{self.name}.replicate",
+            self._hop_rpc(r, "kvs.replicate",
                           {"dst": r, "recs": recs},
                           lambda resp, r=r: self._on_repl_ack(r, resp))
 
@@ -706,7 +698,7 @@ class KvsModule(CommsModule):
             return
         self._repl_sync_busy = True
         self._repl_sync_at = now
-        self._hop_rpc(self.master_rank, f"{self.name}.replsync",
+        self._hop_rpc(self.master_rank, "kvs.replsync",
                       {"dst": self.master_rank}, self._on_replsync)
 
     def req_replsync(self, msg: Message) -> None:
@@ -781,7 +773,7 @@ class KvsModule(CommsModule):
     def _send_elect_token(self, ring: list[int], cver: int,
                           cand: int) -> None:
         succ = ring[(ring.index(self.rank) + 1) % len(ring)]
-        self._hop_rpc(succ, f"{self.name}.elect",
+        self._hop_rpc(succ, "kvs.elect",
                       {"dst": succ, "cver": cver, "cand": cand},
                       lambda resp: None)
 
@@ -814,7 +806,7 @@ class KvsModule(CommsModule):
     def _promote(self) -> None:
         """This standby won: adopt the replicated state as the
         authoritative root-namespace master and announce it via the
-        totally-ordered ``{name}.newmaster`` event."""
+        totally-ordered ``kvs.newmaster`` event."""
         if self.master is not None or self._standby is None:
             return
         reg = self.broker.registry
@@ -847,7 +839,7 @@ class KvsModule(CommsModule):
         self.broker.after(0.0, self._recover_after_down)
 
     def _publish_newmaster(self) -> None:
-        self.broker.publish(f"{self.name}.newmaster",
+        self.broker.publish("kvs.newmaster",
                             {"rank": self.rank,
                              "version": self.master.version,
                              "rootref": self.master.root_sha})
@@ -912,7 +904,7 @@ class KvsModule(CommsModule):
         """A synthesized success response for work applied locally
         (keeps locally- and remotely-routed parts on one callback
         shape)."""
-        return Message(topic=f"{self.name}.flush",
+        return Message(topic="kvs.flush",
                        mtype=MessageType.RESPONSE, payload=payload,
                        src_rank=self.rank)
 
@@ -935,7 +927,7 @@ class KvsModule(CommsModule):
                 dm.ingest_objects(objs)
                 res = dm.commit(ops)
                 self._cv_owner_commits.inc((self.name, self.rank))
-                ns = f"{self.name}/{pfx}"
+                ns = f"kvs/{pfx}"
                 seen = self._pfx_seen.get(pfx, -1)
                 if res.version > seen:
                     self._pfx_seen[pfx] = res.version
@@ -957,14 +949,14 @@ class KvsModule(CommsModule):
             self._root_part_commit(ops, objs, done, ctx=ctx, span=span)
             return
         if owner == self.rank:
-            done(Message(topic=f"{self.name}.flush",
+            done(Message(topic="kvs.flush",
                          mtype=MessageType.RESPONSE, payload={},
                          src_rank=self.rank,
                          error=f"delegation of {pfx!r} in flight",
                          errnum=EIO, err_rank=self.rank))
             return
         payload = {"ops": ops, "objs": objs, "pfx": pfx, "dst": owner}
-        self._hop_rpc(owner, f"{self.name}.flush", payload, done,
+        self._hop_rpc(owner, "kvs.flush", payload, done,
                       ctx=ctx, span=span,
                       payload_size=self._payload_size_with_objs(payload,
                                                                 objs))
@@ -991,7 +983,7 @@ class KvsModule(CommsModule):
                                  resp.payload["rootref"])
             done(resp)
 
-        self._send_objs(f"{self.name}.flush", {"ops": ops}, objs, relay,
+        self._send_objs("kvs.flush", {"ops": ops}, objs, relay,
                         ctx=ctx, span=span)
 
     def _commit_partitioned(self, msg: Message, sender: Any,
@@ -1031,7 +1023,7 @@ class KvsModule(CommsModule):
                                        state["version"])
                     for pfx in sorted(state["subroots"]):
                         pver = state["subroots"][pfx][0]
-                        san.kvs_commit_ack(f"{self.name}/{pfx}",
+                        san.kvs_commit_ack(f"kvs/{pfx}",
                                            self.rank, pver)
             out = {"version": state["version"],
                    "rootref": state["rootref"]}
@@ -1109,7 +1101,7 @@ class KvsModule(CommsModule):
         (totally ordered) event plane."""
         if self.master is None:
             self._toward_master_cb(
-                f"{self.name}.delegate", dict(msg.payload),
+                "kvs.delegate", dict(msg.payload),
                 lambda resp: self._relay_response(msg, resp),
                 ctx=msg.ctx, span=msg.span)
             return
@@ -1120,9 +1112,18 @@ class KvsModule(CommsModule):
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
-        if pfx in self.owners:
-            self.respond(msg, error=f"{pfx!r} is already delegated",
+        held = self._owner_prefix(pfx)
+        if held is not None:
+            # Under a delegated prefix the root tree holds only the link:
+            # a nested owner would be seeded empty and shadow the outer
+            # owner's keys.
+            self.respond(msg, error=f"{pfx!r} is already delegated"
+                         + ("" if held == pfx else f" (under {held!r})"),
                          code=EEXIST)
+            return
+        if type(rank) is not int or not 0 <= rank < self.broker.session.size:
+            self.respond(msg, error=f"rank {rank!r} is not in the session",
+                         code=EINVAL)
             return
         if rank == self.master_rank:
             self.respond(msg, error="cannot delegate to the master rank",
@@ -1138,7 +1139,7 @@ class KvsModule(CommsModule):
         # root tree (they would be overwritten by the link object) —
         # they bounce retryably until the owner has adopted.
         self.owners[pfx] = rank
-        self._hop_rpc(rank, f"{self.name}.adopt",
+        self._hop_rpc(rank, "kvs.adopt",
                       {"dst": rank, "pfx": pfx,
                        "ver": self.master.version, "rootref": sub,
                        "objs": self.master.reachable_objects(sub)},
@@ -1158,7 +1159,7 @@ class KvsModule(CommsModule):
         sha, _size = digest_and_size(link)
 
         def linked(version, _rootref):
-            self.broker.publish(f"{self.name}.delegation",
+            self.broker.publish("kvs.delegation",
                                 {"pfx": pfx, "rank": rank})
             self.respond(msg, {"pfx": pfx, "rank": rank,
                                "version": version})
@@ -1191,7 +1192,7 @@ class KvsModule(CommsModule):
         on the event plane."""
         if self.master is None:
             self._toward_master_cb(
-                f"{self.name}.recall", dict(msg.payload),
+                "kvs.recall", dict(msg.payload),
                 lambda resp: self._relay_response(msg, resp),
                 ctx=msg.ctx, span=msg.span)
             return
@@ -1201,7 +1202,7 @@ class KvsModule(CommsModule):
             self.respond(msg, error=f"{pfx!r} is not delegated",
                          code=ENOENT)
             return
-        self._hop_rpc(rank, f"{self.name}.release",
+        self._hop_rpc(rank, "kvs.release",
                       {"dst": rank, "pfx": pfx},
                       lambda resp: self._recall_released(msg, pfx, rank,
                                                          resp),
@@ -1237,7 +1238,7 @@ class KvsModule(CommsModule):
         p = resp.payload
 
         def grafted(version, _rootref):
-            self.broker.publish(f"{self.name}.delegation",
+            self.broker.publish("kvs.delegation",
                                 {"pfx": pfx, "rank": None})
             self.respond(msg, {"pfx": pfx, "version": version})
 
@@ -1264,7 +1265,7 @@ class KvsModule(CommsModule):
         key = msg.payload["key"]
         san = self._san()
         if san is not None:
-            san.kvs_read(f"{self.name}/{pfx}", self.rank, dm.version)
+            san.kvs_read(f"kvs/{pfx}", self.rank, dm.version)
         try:
             sha = lookup_ref(dm.store, dm.root_sha, key)
         except KvsPathError as exc:
@@ -1288,7 +1289,7 @@ class KvsModule(CommsModule):
     def _remote_get(self, msg: Message, pfx: str, owner: int) -> None:
         payload = dict(msg.payload)
         payload["dst"] = owner
-        self._hop_rpc(owner, f"{self.name}.get", payload,
+        self._hop_rpc(owner, "kvs.get", payload,
                       lambda resp: self._finish_remote_get(msg, pfx,
                                                            resp),
                       ctx=msg.ctx, span=msg.span)
@@ -1308,7 +1309,7 @@ class KvsModule(CommsModule):
             self._pfx_seen[pfx] = pver
             san = self._san()
             if san is not None:
-                san.kvs_read(f"{self.name}/{pfx}", self.rank, pver)
+                san.kvs_read(f"kvs/{pfx}", self.rank, pver)
         self.respond(msg, dict(resp.payload))
 
     def _forward_link_get(self, msg: Message, obj: dict) -> None:
@@ -1501,14 +1502,14 @@ class KvsModule(CommsModule):
             for pfx in sorted(resp.payload.get("subroots", {})):
                 # Parts committed on delegate masters upstream: raise
                 # this rank's write floor per delegated namespace too.
-                san.kvs_commit_ack(f"{self.name}/{pfx}", self.rank,
+                san.kvs_commit_ack(f"kvs/{pfx}", self.rank,
                                    resp.payload["subroots"][pfx][0])
         self.respond(msg, dict(resp.payload))
 
     def _uplink_peer(self) -> Optional[int]:
         """The next-hop rank the master-ward path currently uses
         (mirrors :meth:`_toward_master_cb`'s routing), or ``None``."""
-        if self.master_rank == 0 and not self._failed_over:
+        if not self._failed_over:
             return self.broker.parent
         return self._live_hop_toward(self.master_rank)
 
@@ -1791,7 +1792,7 @@ class KvsModule(CommsModule):
             self._flush_fence(agg.name)
             return
         expected = self.broker.session.subtree_procs(self.rank)
-        if ((self.master_rank == 0
+        if ((not self._failed_over
              and agg.total_seen >= min(expected, agg.nprocs))
                 or agg.ops_size + agg.objs_size >= _FENCE_CHUNK):
             # Fast path (master at the root, whole session fencing):
@@ -1848,7 +1849,7 @@ class KvsModule(CommsModule):
         # counter, less the comma the last entry does not have.
         size = (canonical_size({**payload, "objs": {}})
                 + max(objs_size - 1, 0))
-        self._send_objs(f"{self.name}.fencedata", payload, objs,
+        self._send_objs("kvs.fencedata", payload, objs,
                         lambda resp: self._fencedata_sent(agg, resp),
                         span=agg.span, size=size)
         # Held client fences answer when the fence's setroot arrives.
@@ -1882,7 +1883,7 @@ class KvsModule(CommsModule):
         payload = {"name": agg.name, "nprocs": agg.nprocs,
                    "shares": {str(o): [s[0], s[1]]
                               for o, s in agg.shares.items()}}
-        self._send_objs(f"{self.name}.fencedata", payload, objs,
+        self._send_objs("kvs.fencedata", payload, objs,
                         lambda resp: self._fencedata_sent(agg, resp),
                         span=agg.span)
 
@@ -2041,8 +2042,7 @@ class KvsModule(CommsModule):
                 agg.objs_size = sum(44 + self._obj_size(sha, obj)
                                     for sha, obj in agg.objs.items())
             self._flush_fence(name)
-        if self.master is None and (self.master_rank == 0
-                                    or self._failed_over):
+        if self.master is None:
             self._resync_root()
 
     def _resync_root(self) -> None:
@@ -2066,7 +2066,7 @@ class KvsModule(CommsModule):
             if resp.error is None:
                 self._ingest_sync(resp.payload)
 
-        self._toward_master_cb(f"{self.name}.getroot", {"fences": True},
+        self._toward_master_cb("kvs.getroot", {"fences": True},
                                done)
 
     def _ingest_sync(self, p: dict) -> None:
@@ -2091,7 +2091,7 @@ class KvsModule(CommsModule):
         if fence is not None:
             payload["fence"] = fence
         self.broker._deliver_event(
-            Message(topic=f"{self.name}.setroot", mtype=MessageType.EVENT,
+            Message(topic="kvs.setroot", mtype=MessageType.EVENT,
                     payload=payload, src_rank=self.rank))
 
     # ------------------------------------------------------------------
@@ -2109,7 +2109,7 @@ class KvsModule(CommsModule):
             # owner, observability + span-tree completeness); never
             # present in a single-master session.
             payload["pfx"] = pfx
-        self.broker.publish(f"{self.name}.setroot", payload, span=span)
+        self.broker.publish("kvs.setroot", payload, span=span)
 
     def _apply_root(self, version: int, root_sha: str) -> None:
         """Monotonic root switch: never apply an older version."""
@@ -2286,7 +2286,7 @@ class KvsModule(CommsModule):
             return ev
         self._loads[sha] = [lambda obj: ev.succeed(obj)]
         self.cache.stats.faults += 1
-        self._toward_master_cb(f"{self.name}.load", {"sha": sha},
+        self._toward_master_cb("kvs.load", {"sha": sha},
                                lambda resp: self._fault_done(sha, resp),
                                ctx=ctx, span=span)
         return ev
@@ -2337,7 +2337,7 @@ class KvsModule(CommsModule):
             return
         self._loads[sha] = [relay]
         self.cache.stats.faults += 1
-        self._toward_master_cb(f"{self.name}.load", {"sha": sha},
+        self._toward_master_cb("kvs.load", {"sha": sha},
                                lambda resp: self._fault_done(sha, resp),
                                ctx=msg.ctx, span=msg.span)
 
@@ -2385,7 +2385,7 @@ class KvsModule(CommsModule):
         self._walk_pump()
 
     def _walk_pump(self) -> None:
-        """Send the queue as one ``{name}.walk`` batch if none is in
+        """Send the queue as one ``kvs.walk`` batch if none is in
         flight — or as a second one when every live child already has
         an unanswered walk parked here: a blocked child asks again only
         under this same rule, so holding the queue merges next to
@@ -2415,7 +2415,7 @@ class KvsModule(CommsModule):
         # so a hop giving up on it cannot strand the reads queued here.
         ends = [m.ctx.deadline for m in msgs if m.ctx.deadline is not None]
         self._toward_master_cb(
-            f"{self.name}.walk", {"items": [list(i) for i in batch]},
+            "kvs.walk", {"items": [list(i) for i in batch]},
             lambda resp: self._walk_done(batch, resp),
             ctx=RequestContext(msgs[0].ctx.reqid, msgs[0].ctx.origin_rank,
                                min(ends, default=None), True),

@@ -14,7 +14,7 @@ from .node import Node, NodeSpec
 from .cluster import Cluster, make_cluster, zin_like_params
 from .sharedres import (Flow, SharedResource, max_min_rates,
                         proportional_rates)
-from .trace import StatSeries, Summary, Tracer
+from .trace import StatSeries, Summary
 
 __all__ = [
     "AllOf", "AnyOf", "Channel", "Event", "Interrupt", "Process",
@@ -25,5 +25,5 @@ __all__ = [
     "Cluster", "make_cluster", "zin_like_params",
     "Flow", "SharedResource", "max_min_rates",
     "proportional_rates",
-    "StatSeries", "Summary", "Tracer",
+    "StatSeries", "Summary",
 ]

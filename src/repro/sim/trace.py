@@ -1,21 +1,18 @@
-"""Lightweight tracing and statistics collection.
+"""Lightweight statistics collection.
 
 The benchmark harness needs per-phase latency distributions (max, mean,
 percentiles) over thousands of simulated processes; :class:`StatSeries`
 accumulates samples cheaply and summarizes them with numpy.
-:class:`Tracer` records (time, category, payload) tuples for debugging
-and for determinism fingerprints in tests.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-__all__ = ["StatSeries", "Summary", "Tracer"]
+__all__ = ["StatSeries", "Summary"]
 
 
 @dataclass(frozen=True)
@@ -78,46 +75,3 @@ class StatSeries:
             p95=float(np.percentile(arr, 95)),
             p99=float(np.percentile(arr, 99)),
         )
-
-
-class Tracer:
-    """Ring-buffered event trace.
-
-    ``capacity`` bounds memory during huge runs; ``None`` keeps
-    everything (useful in unit tests asserting exact sequences).
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        self.capacity = capacity
-        self._records: list[tuple[float, str, Any]] = []
-        self.enabled = True
-
-    def record(self, t: float, category: str, payload: Any = None) -> None:
-        """Append a trace record (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self._records.append((t, category, payload))
-        if self.capacity is not None and len(self._records) > self.capacity:
-            del self._records[: len(self._records) - self.capacity]
-
-    def records(self, category: Optional[str] = None) -> list[tuple[float, str, Any]]:
-        """All records, optionally filtered by category."""
-        if category is None:
-            return list(self._records)
-        return [r for r in self._records if r[1] == category]
-
-    def fingerprint(self) -> str:
-        """Order-sensitive digest of the trace — equal traces, equal
-        digest.  Uses sha1 rather than the builtin ``hash()`` so the
-        value is stable across processes (``hash()`` of strings is
-        randomized per-interpreter by ``PYTHONHASHSEED``) and can be
-        recorded or compared between runs.
-        """
-        h = hashlib.sha1()
-        for t, cat, payload in self._records:
-            h.update(f"{round(t, 12)!r}|{cat}|{payload!r}\n".encode())
-        return h.hexdigest()
-
-    def clear(self) -> None:
-        """Drop all records."""
-        self._records.clear()

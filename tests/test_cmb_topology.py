@@ -92,6 +92,26 @@ class TestTreeTopology:
         assert t.max_depth() <= bound
 
 
+class TestTopologyRouting:
+    def test_is_in_subtree(self):
+        t = TreeTopology(15, arity=2)
+        assert t.is_in_subtree(7, 1)   # 7 under 3 under 1
+        assert t.is_in_subtree(1, 1)
+        assert not t.is_in_subtree(2, 1)
+        assert t.is_in_subtree(14, 0)
+
+    def test_next_hop_up_and_down(self):
+        t = TreeTopology(15, arity=2)
+        assert t.next_hop_toward(7, 0) == 3   # upward
+        assert t.next_hop_toward(0, 7) == 1   # downward
+        assert t.next_hop_toward(1, 7) == 3
+        assert t.next_hop_toward(7, 8) == 3   # over the LCA
+
+    def test_next_hop_same_rank_rejected(self):
+        with pytest.raises(ValueError):
+            TreeTopology(7).next_hop_toward(3, 3)
+
+
 class TestRingTopology:
     def test_next_wraps(self):
         r = RingTopology(4)

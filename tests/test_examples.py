@@ -50,6 +50,6 @@ def test_uq_ensemble_reports_speedup():
     assert speedup > 1.2
 
 
-def test_sharded_namespaces_reports_recovery():
-    out = run_example("sharded_namespaces.py").stdout
+def test_delegated_namespaces_reports_recovery():
+    out = run_example("delegated_namespaces.py").stdout
     assert "commits/s" in out and "(1.00x)" in out

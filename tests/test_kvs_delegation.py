@@ -15,7 +15,9 @@ import pytest
 from repro import make_cluster, standard_session
 from repro.cmb.errors import EEXIST, EINVAL, ENOENT, RpcError
 from repro.kvs import KvsClient
+from repro.kvs.hashtree import lookup_ref
 from repro.kvs.store import is_link_obj, link_of
+from repro.sim import FaultPlan
 
 
 def _session(n, seed, **kw):
@@ -72,7 +74,6 @@ def test_delegated_subtree_routes_and_reads_compose():
         # The root tree itself binds a link object at the prefix.
         root = session.module_at(0, "kvs")
         sub_sha = root.master.subtree_ref("job") and None
-        from repro.kvs.hashtree import lookup_ref
         sha = lookup_ref(root.master.store, root.master.root_sha, "job.1")
         obj = root.master.store.get(sha)
         assert is_link_obj(obj)
@@ -154,7 +155,6 @@ def test_recall_folds_subtree_back_and_clears_table():
         assert (yield kvs.get("job.3.before")) == 1
         assert (yield kvs.get("job.3.during")) == 2
         root = session.module_at(0, "kvs")
-        from repro.kvs.hashtree import lookup_ref
         sha = lookup_ref(root.master.store, root.master.root_sha, "job.3")
         assert not is_link_obj(root.master.store.get(sha))
         return "ok"
@@ -176,9 +176,43 @@ def test_delegate_validation_errors():
         with pytest.raises(RpcError) as ei:
             yield kvs.delegate("job.8", 0)      # owner == root master
         assert ei.value.code == EINVAL
+        for rank in (99, -1, "3"):              # not a session rank
+            with pytest.raises(RpcError) as ei:
+                yield kvs.delegate("job.8", rank)
+            assert ei.value.code == EINVAL
         with pytest.raises(RpcError) as ei:
             yield kvs.recall("never.delegated")
         assert ei.value.code == ENOENT
+        return "ok"
+
+    assert _run(sim, scenario()) == "ok"
+    session.stop()
+
+
+def test_nested_delegation_is_refused_and_writes_stay_readable():
+    """A prefix under a delegated prefix would get an owner seeded from
+    the root tree, where only the outer link exists: it would start
+    empty and shadow the outer owner's keys."""
+    cluster, session = _session(8, seed=8)
+    sim = cluster.sim
+
+    def scenario():
+        kvs = KvsClient(session.connect(1))
+        yield kvs.put("a.b.c", "acked")
+        yield kvs.commit()
+        yield kvs.delegate("a", 3)
+        with pytest.raises(RpcError) as ei:
+            yield kvs.delegate("a.b", 5)
+        assert ei.value.code == EEXIST
+        assert (yield kvs.get("a.b.c")) == "acked"
+        # The reverse order nests a link inside the outer owner's
+        # snapshot and composes.
+        yield kvs.put("x.y.z", 1)
+        yield kvs.commit()
+        yield kvs.delegate("x.y", 5)
+        yield kvs.delegate("x", 3)
+        assert (yield kvs.get("x.y.z")) == 1
+        assert (yield kvs.owners())["owners"] == {"a": 3, "x": 3, "x.y": 5}
         return "ok"
 
     assert _run(sim, scenario()) == "ok"
@@ -266,7 +300,6 @@ def test_root_death_promotes_replica_and_serves():
     # A (zero-rate) fault plan arms the pulse-starvation watchdog —
     # the only detector that can notice the *root* dying, since the
     # root is the heartbeat source and its death silences everything.
-    from repro.sim import FaultPlan
     cluster.network.fault_plan = FaultPlan(seed=1)
     sim = cluster.sim
 
@@ -308,6 +341,101 @@ def test_root_death_promotes_replica_and_serves():
         return "ok"
 
     assert _run(sim, after(), budget=10.0) == "ok"
+    session.stop()
+
+
+def _failover_session(seed):
+    """15 nodes, standbys at ranks 1 and 2, and a zero-rate fault plan
+    so the pulse-starvation watchdog can notice the root dying."""
+    cluster, session = _session(
+        15, seed=seed, kvs_replicas=(1, 2), with_heartbeat=True,
+        hb_period=0.05, hb_max_epochs=100000)
+    cluster.network.fault_plan = FaultPlan(seed=1)
+    return cluster, session
+
+
+def _kill_root_and_wait(sim, session):
+    sim.run(until=max(sim.now, 0.3))
+    session.fail_rank(0)
+    sim.run(until=sim.now + 3.0)    # detection + election + recovery
+    [new_master] = [r for r in (1, 2)
+                    if session.module_at(r, "kvs").master is not None]
+    return new_master
+
+
+def test_nonroot_master_chain_caches():
+    """Fault-in toward a promoted (non-root) master still populates the
+    slave caches along the path."""
+    cluster, session = _failover_session(seed=13)
+    sim = cluster.sim
+    new_master = _kill_root_and_wait(sim, session)
+    assert new_master == 1
+
+    def writer():
+        kvs = KvsClient(session.connect(new_master), timeout=2.0,
+                        retries=10)
+        yield kvs.put("probe.data", "payload")
+        yield kvs.commit()
+        return (yield kvs.get_version())["version"]
+
+    version = _run(sim, writer(), budget=10.0)
+
+    def reader():
+        # Rank 14 sits under rank 2: its reads cross to rank 1's side.
+        kvs = KvsClient(session.connect(14), timeout=2.0, retries=10)
+        yield kvs.wait_version(version)
+        return (yield kvs.get("probe.data"))
+
+    assert _run(sim, reader(), budget=10.0) == "payload"
+    for rank in (14, 6, 2):     # root dir, "probe" dir and the value
+        assert len(session.module_at(rank, "kvs").cache) >= 3, rank
+    session.stop()
+
+
+def test_delegation_survives_root_failover():
+    """Replicas, delegation and a root kill together: the link object
+    is part of the replicated root tree and the ownership table lives
+    at every rank, so the promoted master keeps routing, splitting
+    mixed commits and can still recall the subtree."""
+    cluster, session = _failover_session(seed=14)
+    sim = cluster.sim
+
+    def before():
+        kvs = KvsClient(session.connect(9), timeout=5.0, retries=8)
+        yield kvs.delegate("job.1", 3)
+        yield kvs.put("job.1.a", 1)
+        yield kvs.put("other.a", 10)
+        resp = yield kvs.commit()
+        assert "job.1" in resp["subroots"]
+        return "ok"
+
+    assert _run(sim, before(), budget=5.0) == "ok"
+    new_master = _kill_root_and_wait(sim, session)
+
+    def after():
+        kvs = KvsClient(session.connect(12), timeout=2.0, retries=10)
+        assert (yield kvs.get("job.1.a")) == 1
+        assert (yield kvs.get("other.a")) == 10
+        yield kvs.put("job.1.b", 2)
+        yield kvs.put("other.b", 20)
+        resp = yield kvs.commit()
+        assert "job.1" in resp["subroots"]
+        assert (yield kvs.get("job.1.b")) == 2
+        assert (yield kvs.get("other.b")) == 20
+        table = yield kvs.owners()
+        assert table["owners"] == {"job.1": 3}
+
+        yield kvs.recall("job.1")
+        assert (yield kvs.owners())["owners"] == {}
+        assert session.module_at(3, "kvs").delegates == {}
+        assert (yield kvs.get("job.1.a")) == 1
+        assert (yield kvs.get("job.1.b")) == 2
+        master = session.module_at(new_master, "kvs").master
+        sha = lookup_ref(master.store, master.root_sha, "job.1")
+        assert not is_link_obj(master.store.get(sha))
+        return "ok"
+
+    assert _run(sim, after(), budget=20.0) == "ok"
     session.stop()
 
 
@@ -354,7 +482,6 @@ def test_legacy_fence_record_is_self_contained_and_survives_failover():
 
     # Only the pulse-starvation watchdog can notice the *root* dying,
     # and it is armed by a (zero-rate) fault plan.
-    from repro.sim import FaultPlan
     cluster.network.fault_plan = FaultPlan(seed=1)
     sim.run(until=sim.now + 0.2)
     session.fail_rank(0)

@@ -1,6 +1,6 @@
 """Coverage for remaining corners: ring routing around failures,
-channel semantics under cancellation, PMI misuse, sharding + watch
-interplay, and jsonutil details."""
+channel semantics under cancellation, PMI misuse, reads and unlinks at a
+delegated owner, and jsonutil details."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.cmb.session import CommsSession
 from repro.cmb.topology import TreeTopology
 from repro.jsonutil import canonical_dumps, sha1_of
 from repro.kvs import KvsClient, KvsModule
-from repro.kvs.sharding import ShardedKvsClient, sharded_kvs_specs
 from repro.sim.cluster import make_cluster as mk
 
 
@@ -110,52 +109,73 @@ class TestPmiMisuse:
         assert run(cluster, rank0()) == "ok"
 
 
-class TestShardingWatchAndDirs:
-    def _session(self):
+class TestDelegatedDirsAndRefs:
+    """Directory listings, reference reads and unlinks of keys whose
+    master is an interior owner (rank 5), issued from other ranks."""
+
+    def _session(self, pfx):
         cluster = mk(8, seed=94)
         session = CommsSession(cluster, topology=TreeTopology(8),
-                               modules=sharded_kvs_specs(2, 8)).start()
+                               modules=[ModuleSpec(KvsModule)]).start()
+        cluster.sim.run_until_complete(
+            KvsClient(session.connect(0)).delegate(pfx, 5))
         return cluster, session
 
     def test_get_dir_routes_to_owner(self):
-        cluster, session = self._session()
+        cluster, session = self._session("ns")
 
         def flow():
-            kvs = ShardedKvsClient(session.connect(3), 2)
+            kvs = KvsClient(session.connect(3))
             yield kvs.put("ns.a", 1)
             yield kvs.put("ns.b", 2)
-            yield kvs.commit_shard(kvs.shard_of("ns.a"))
+            yield kvs.commit()
             return (yield kvs.get_dir("ns"))
 
         assert run(cluster, flow()) == ["a", "b"]
 
     def test_get_ref_roundtrip(self):
-        cluster, session = self._session()
+        cluster, session = self._session("refs")
 
         def flow():
-            kvs = ShardedKvsClient(session.connect(5), 2)
+            kvs = KvsClient(session.connect(6))
             yield kvs.put("refs.x", "val")
-            yield kvs.commit_shard(kvs.shard_of("refs.x"))
+            yield kvs.commit()
             r = yield kvs.get_ref("refs.x")
             return r["ref"]
 
         assert len(run(cluster, flow())) == 40
 
-    def test_unlink_on_shard(self):
-        cluster, session = self._session()
+    def test_unlink_at_owner(self):
+        cluster, session = self._session("dead")
 
         def flow():
-            kvs = ShardedKvsClient(session.connect(2), 2)
-            shard = kvs.shard_of("dead.key")
+            kvs = KvsClient(session.connect(2))
             yield kvs.put("dead.key", 1)
-            yield kvs.commit_shard(shard)
+            yield kvs.commit()
             yield kvs.unlink("dead.key")
-            yield kvs.commit_shard(shard)
-            with pytest.raises(RpcError, match="not found"):
+            yield kvs.commit()
+            with pytest.raises(RpcError, match="missing"):
                 yield kvs.get("dead.key")
             return "ok"
 
         assert run(cluster, flow()) == "ok"
+        assert session.module_at(5, "kvs").delegates["dead"].version >= 2
+
+
+class TestRemovedOptions:
+    def test_are_type_errors(self):
+        """One KVS module named ``kvs`` with its master at rank 0, and no
+        ``sim.trace.Tracer``: the options that said otherwise are gone,
+        not ignored."""
+        cluster = mk(4, seed=95)
+        session = CommsSession(cluster, topology=TreeTopology(4))
+        broker = session.brokers[0]
+        for make in (lambda: KvsModule(broker, name="x"),
+                     lambda: KvsModule(broker, master_rank=1),
+                     lambda: KvsClient(session.connect(0), module="kvs0"),
+                     lambda: CommsSession(cluster, tracer=object())):
+            with pytest.raises(TypeError):
+                make()
 
 
 class TestStandardSessionShape:

@@ -13,7 +13,6 @@ from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
 from repro.kvs.module import KvsModule
 from repro.sim.cluster import make_cluster
-from repro.sim.trace import Tracer
 
 
 class EchoModule(CommsModule):
@@ -31,10 +30,10 @@ class EchoModule(CommsModule):
         self.respond(msg, error="exploded")
 
 
-def make_session(n=8, arity=2, modules=(), tracer=None):
+def make_session(n=8, arity=2, modules=()):
     cluster = make_cluster(n, seed=1)
     session = CommsSession(cluster, topology=TreeTopology(n, arity=arity),
-                           modules=list(modules), tracer=tracer).start()
+                           modules=list(modules)).start()
     return cluster, session
 
 
@@ -270,20 +269,15 @@ class TestMessageCounters:
         assert by_kind["response"] >= 1
         assert by_kind["error"] >= 1
 
-    def test_tracer_records_msgcounts_at_stop(self):
-        tracer = Tracer()
-        cluster, session = make_session(
-            modules=[ModuleSpec(EchoModule)], tracer=tracer)
+    def test_message_counts_survive_stop(self):
+        cluster, session = make_session(modules=[ModuleSpec(EchoModule)])
 
         def client(h):
             yield h.rpc("echo.ping", {})
 
         run_client(cluster, session, 3, client)
         session.stop()
-        recs = tracer.records("cmb.msgcounts")
-        assert len(recs) == 1
-        _, _, breakdown = recs[0]
-        assert any(k.startswith("echo/") and "/request" in k
-                   for k in breakdown)
-        assert all(isinstance(v, int) and v > 0
-                   for v in breakdown.values())
+        counts = session.message_counts()
+        assert any(mod == "echo" and kind == "request"
+                   for mod, _plane, kind in counts)
+        assert all(isinstance(v, int) and v > 0 for v in counts.values())

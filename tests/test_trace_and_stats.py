@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.sim.trace import StatSeries, Summary, Tracer
+from repro.sim.trace import StatSeries, Summary
 from repro.kap.config import KapConfig
 from repro.kap.results import KapResult
 from repro.obs.metrics import (MetricsRegistry, parse_prometheus_text,
@@ -58,51 +58,6 @@ class TestStatSeries:
         arr = s.values
         arr[0] = 99.0
         assert s.values[0] == 1.0
-
-
-class TestTracer:
-    def test_record_and_filter(self):
-        t = Tracer()
-        t.record(0.0, "send", {"to": 1})
-        t.record(1.0, "recv", {"from": 0})
-        t.record(2.0, "send", {"to": 2})
-        assert len(t.records()) == 3
-        assert len(t.records("send")) == 2
-
-    def test_capacity_bounds_memory(self):
-        t = Tracer(capacity=5)
-        for i in range(20):
-            t.record(float(i), "e", i)
-        records = t.records()
-        assert len(records) == 5
-        assert records[0][2] == 15
-
-    def test_disabled_tracer_drops(self):
-        t = Tracer()
-        t.enabled = False
-        t.record(0.0, "e")
-        assert t.records() == []
-
-    def test_fingerprint_detects_order(self):
-        t1, t2 = Tracer(), Tracer()
-        t1.record(0.0, "a")
-        t1.record(1.0, "b")
-        t2.record(1.0, "b")
-        t2.record(0.0, "a")
-        assert t1.fingerprint() != t2.fingerprint()
-
-    def test_fingerprint_equal_for_equal_traces(self):
-        t1, t2 = Tracer(), Tracer()
-        for t in (t1, t2):
-            t.record(0.5, "x", {"k": 1})
-            t.record(0.7, "y", [1, 2])
-        assert t1.fingerprint() == t2.fingerprint()
-
-    def test_clear(self):
-        t = Tracer()
-        t.record(0.0, "e")
-        t.clear()
-        assert t.records() == []
 
 
 class TestKapResult:
