@@ -14,10 +14,11 @@ subscribe to event topics at :meth:`start` time.
 Two service-layer facilities sit on top of the bare ``req_`` discovery:
 
 - a **declarative handler registry** — decorating a handler with
-  :func:`request_handler` records its required payload fields; the
-  dispatcher validates them before the handler runs and auto-responds
-  with a structured ``EINVAL`` error on violation, so every module gets
-  uniform malformed-request handling for free;
+  :func:`request_handler` records its required payload fields and,
+  optionally, their types; the dispatcher validates them before the
+  handler runs and auto-responds with a structured ``EINVAL`` error on
+  violation, so every module gets uniform malformed-request handling
+  for free;
 - the **upstream proxy** :meth:`CommsModule.proxy_upstream` — the one
   canonical implementation of "forward this request toward the root and
   relay whatever comes back", preserving the request context (deadline,
@@ -47,15 +48,16 @@ class NoHandlerError(Exception):
     code = ENOSYS
 
 
-def request_handler(*, required: tuple[str, ...] = ()
-                    ) -> Callable[[Callable], Callable]:
+def request_handler(*, required=()) -> Callable[[Callable], Callable]:
     """Declare payload requirements for a ``req_<method>`` handler.
 
-    ``required`` names payload fields that must be present; a request
-    missing any of them is answered with a structured ``EINVAL`` error
-    before the handler body runs::
+    ``required`` names payload fields that must be present — a tuple
+    of names, or a ``{field: type | (types...) | None}`` mapping that
+    also fixes each field's exact type (``None``: any).  A request that
+    misses a field or carries a wrong type is answered with a
+    structured ``EINVAL`` error before the handler body runs::
 
-        @request_handler(required=("key", "value"))
+        @request_handler(required={"key": str, "value": None})
         def req_put(self, msg): ...
 
     Undecorated handlers keep the permissive legacy behaviour.
@@ -63,6 +65,10 @@ def request_handler(*, required: tuple[str, ...] = ()
 
     def mark(fn: Callable) -> Callable:
         fn.__rpc_required__ = tuple(required)
+        if isinstance(required, dict):
+            fn.__rpc_types__ = tuple(
+                (f, t if isinstance(t, tuple) else (t,))
+                for f, t in required.items() if t is not None)
         return fn
 
     return mark
@@ -86,16 +92,22 @@ class CommsModule:
     #: Per-class handler registry: ``{method: required-field tuple}``,
     #: built once per subclass from the ``req_`` methods it defines.
     _handler_specs: dict[str, tuple[str, ...]] = {}
+    #: ``{method: ((field, types), ...)}`` for the required fields whose
+    #: type the handler declared.
+    _handler_types: dict[str, tuple] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         specs: dict[str, tuple[str, ...]] = {}
+        types: dict[str, tuple] = {}
         for klass in reversed(cls.__mro__):
             for attr, fn in vars(klass).items():
                 if attr.startswith("req_") and callable(fn):
-                    specs[attr[len("req_"):]] = getattr(
-                        fn, "__rpc_required__", ())
+                    method = attr[len("req_"):]
+                    specs[method] = getattr(fn, "__rpc_required__", ())
+                    types[method] = getattr(fn, "__rpc_types__", ())
         cls._handler_specs = specs
+        cls._handler_types = types
 
     def __init__(self, broker: "Broker", **config: Any):
         if not self.name:
@@ -166,7 +178,28 @@ class CommsModule:
                                     f"{', '.join(missing)}"),
                         code=EINVAL)
                     return
+            for f, types in self._handler_types[method]:
+                if type(payload[f]) not in types:
+                    self._bad_field(msg, f, types)
+                    return
         handler(msg)
+
+    def _bad_field(self, msg: Message, field: str, types: tuple) -> None:
+        self.respond(
+            msg, error=(f"{msg.topic}: payload field {field!r} must be "
+                        f"{' or '.join(t.__name__ for t in types)}, not "
+                        f"{type(msg.payload[field]).__name__}"),
+            code=EINVAL)
+
+    def check_field(self, msg: Message, field: str, *types: type) -> bool:
+        """Validate an *optional* payload field from inside a handler:
+        true when it is absent or of one of ``types`` (exactly, as for
+        declared fields); otherwise the request has been answered
+        ``EINVAL`` and the handler returns."""
+        if field not in msg.payload or type(msg.payload[field]) in types:
+            return True
+        self._bad_field(msg, field, types)
+        return False
 
     # -- convenience ---------------------------------------------------
     @property

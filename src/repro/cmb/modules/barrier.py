@@ -62,8 +62,10 @@ class BarrierModule(CommsModule):
             raise ValueError(f"barrier {name!r}: inconsistent nprocs")
         return st
 
-    @request_handler(required=("name", "nprocs"))
+    @request_handler(required={"name": str, "nprocs": int})
     def req_enter(self, msg: Message) -> None:
+        if not self.check_field(msg, "count", int):
+            return
         name = msg.payload["name"]
         nprocs = msg.payload["nprocs"]
         count = msg.payload.get("count", 1)

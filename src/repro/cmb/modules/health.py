@@ -107,6 +107,8 @@ class HealthModule(CommsModule):
         """Root RPC: start health sampling session-wide.  A
         ``thresholds`` dict in the payload overrides the module
         defaults on every broker (partial dicts merge)."""
+        if not self.check_field(msg, "thresholds", dict, type(None)):
+            return
         th = dict(self.thresholds)
         th.update(msg.payload.get("thresholds") or {})
         self.broker.publish("health.activate", {"thresholds": th})

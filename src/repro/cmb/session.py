@@ -276,8 +276,9 @@ class CommsSession:
         self._subtree_procs_cache = None
 
     def heal_around(self, dead_rank: int) -> None:
-        """Rewire all live brokers around ``dead_rank`` (invoked by the
-        ``live`` module after it detects the failure)."""
+        """Rewire all live brokers around ``dead_rank`` at once — a test
+        hook.  In a run, each broker's ``live`` module calls its own
+        :meth:`Broker.handle_peer_down` when ``live.down`` reaches it."""
         for broker in self.brokers:
             if broker.alive and broker.rank != dead_rank:
                 broker.handle_peer_down(dead_rank)

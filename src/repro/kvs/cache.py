@@ -36,7 +36,9 @@ class CacheStats:
 
 
 class SlaveCache:
-    """An :class:`ObjectStore` augmented with last-use tracking.
+    """An :class:`ObjectStore` augmented with last-use tracking (same
+    ``get`` / ``put_with_sha`` / ``size_of``, so either can hold a
+    rank's objects).
 
     ``now_fn`` supplies the simulated clock so expiry is measured in
     simulated seconds.
@@ -65,15 +67,16 @@ class SlaveCache:
         self._last_used[sha] = self._now()
         return obj
 
-    def insert(self, sha: str, obj: dict, *, pin: bool = False,
-               size: Optional[int] = None) -> None:
-        """Cache ``obj`` under ``sha``; ``pin`` protects it from expiry
-        (used for dirty objects awaiting commit).  ``size`` records the
-        canonical byte size when the caller already knows it."""
+    def put_with_sha(self, sha: str, obj: dict, *,
+                     size: Optional[int] = None) -> None:
+        """Cache ``obj`` under ``sha``; ``size`` records the canonical
+        byte size when the caller already knows it."""
         self._store.put_with_sha(sha, obj, size=size)
         self._last_used[sha] = self._now()
-        if pin:
-            self._pinned.add(sha)
+
+    def pin(self, sha: str) -> None:
+        """Protect ``sha`` from expiry (a dirty object awaiting commit)."""
+        self._pinned.add(sha)
 
     def size_of(self, sha: str) -> Optional[int]:
         """Canonical byte size of a cached object (no touch), or None."""

@@ -3,7 +3,13 @@
 Implements the two walks Section IV-B illustrates:
 
 - **lookup** — split ``a.b.c`` into path components, follow SHA1
-  references from the root directory down to the terminal object;
+  references from the root directory down to the terminal object.
+  :func:`resolve` is the only code in the repository that walks a
+  path: every read of the namespace — a slave's fault-in get, a
+  ``kvs.walk`` item, a delegate master's local answer and the
+  store-level :func:`lookup_ref` / :func:`lookup` / :func:`list_dir` —
+  calls it, and differs only in what it does when the walk stops at an
+  object that is not here or at an ownership link;
 - **update** — store the new value object, then rebuild every
   directory along the path bottom-up, producing a brand-new root SHA1
   ("any update results in a new SHA1 root reference").
@@ -17,11 +23,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .store import (ObjectStore, dir_entries, is_dir_obj,
+from .store import (ObjectStore, dir_entries, is_dir_obj, is_link_obj,
                     make_dir_obj, val_of)
 
-__all__ = ["KvsPathError", "split_key", "lookup_ref", "lookup",
-           "apply_update", "apply_updates", "list_dir"]
+__all__ = ["KvsPathError", "split_key", "resolve", "resolve_stored",
+           "lookup_ref", "lookup", "apply_update", "apply_updates",
+           "list_dir"]
 
 
 class KvsPathError(KeyError):
@@ -38,6 +45,10 @@ class KvsPathError(KeyError):
         from ..cmb.errors import EINVAL
         self.code = code if code is not None else EINVAL
 
+    def __str__(self) -> str:
+        # The message as given: KeyError's own __str__ repr-quotes it.
+        return self.args[0]
+
 
 def split_key(key: str) -> list[str]:
     """Split ``"a.b.c"`` into components, validating non-emptiness."""
@@ -47,63 +58,83 @@ def split_key(key: str) -> list[str]:
     return parts
 
 
-def lookup_ref(store: ObjectStore, root_sha: str, key: str,
-               fetch: Optional[Callable[[str], dict]] = None) -> str:
-    """Resolve ``key`` to the SHA1 of its terminal object.
+def resolve(get: Callable[[str], Optional[dict]], sha: str,
+            parts: list[str], want_ref: bool, i: int = 0,
+            obj: Optional[dict] = None
+            ) -> tuple[str, int, str, Optional[dict]]:
+    """The paper's ``kvs_get`` walk: follow ``parts[i:]`` down from the
+    object ``sha``, loading objects with ``get``.
 
-    ``fetch`` is called for objects missing from ``store`` (the slave
-    fault-in path); omitted, a missing object raises KeyError.
+    Returns ``(kind, i, sha, obj)``:
+
+    - ``"obj"`` — ``obj`` is the terminal object, stored under ``sha``;
+    - ``"ref"`` — ``sha`` is the terminal reference (``want_ref``: the
+      terminal object is not loaded);
+    - ``"link"`` — the walk reached the ownership link ``obj`` with
+      ``parts[i:]`` still to go: the rest belongs to another master;
+    - ``"miss"`` — ``get(sha)`` returned ``None`` at depth ``i``.  A
+      caller that obtains the object elsewhere resumes with ``resolve(get,
+      sha, parts, want_ref, i, obj)``, which does not probe for it again.
+
+    Raises :class:`KvsPathError` for a missing component (``ENOENT``)
+    or a value where a directory is needed.
     """
-    def load(sha: str) -> dict:
-        obj = store.get(sha)
+    n = len(parts)
+    while i < n or not want_ref:
         if obj is None:
-            if fetch is None:
-                raise KeyError(f"object {sha} not in store")
-            obj = fetch(sha)
-        return obj
-
-    sha = root_sha
-    parts = split_key(key)
-    for i, part in enumerate(parts):
-        obj = load(sha)
+            obj = get(sha)
+            if obj is None:
+                return "miss", i, sha, None
+        if is_link_obj(obj):
+            return "link", i, sha, obj
+        if i == n:
+            return "obj", i, sha, obj
         if not is_dir_obj(obj):
             raise KvsPathError(
                 f"{'.'.join(parts[:i])!r} is not a directory")
-        entries = dir_entries(obj)
-        if part not in entries:
-            raise KvsPathError(f"key {key!r}: component {part!r} missing",
+        sha = dir_entries(obj).get(parts[i])
+        if sha is None:
+            raise KvsPathError(f"key {'.'.join(parts)!r} not found",
                                code="ENOENT")
-        sha = entries[part]
-    return sha
+        i += 1
+        obj = None
+    return "ref", i, sha, None
 
 
-def lookup(store: ObjectStore, root_sha: str, key: str,
-           fetch: Optional[Callable[[str], dict]] = None) -> Any:
+def resolve_stored(store: ObjectStore, root_sha: str, parts: list[str],
+                   want_ref: bool) -> tuple[str, Optional[dict]]:
+    """:func:`resolve` against a store that holds the whole namespace (a
+    master's): ``(sha, obj)`` of the terminal, and an error where a
+    slave would fault an object in or follow a link."""
+    kind, i, sha, obj = resolve(store.get, root_sha, parts, want_ref)
+    if kind == "miss":
+        raise KvsPathError(f"object {sha} not in store", code="ENOENT")
+    if kind == "link":
+        raise KvsPathError(
+            f"{'.'.join(parts[:i])!r} is a link to another master")
+    return sha, obj
+
+
+def lookup_ref(store: ObjectStore, root_sha: str, key: str) -> str:
+    """Resolve ``key`` to the SHA1 of its terminal object."""
+    return resolve_stored(store, root_sha, split_key(key), True)[0]
+
+
+def lookup(store: ObjectStore, root_sha: str, key: str) -> Any:
     """Resolve ``key`` and return its value (or a directory listing
     ``{"__dir__": [names...]}`` when the terminal object is a directory).
     """
-    sha = lookup_ref(store, root_sha, key, fetch)
-    obj = store.get(sha)
-    if obj is None and fetch is not None:
-        obj = fetch(sha)
-    if obj is None:
-        raise KeyError(f"object {sha} not in store")
+    _sha, obj = resolve_stored(store, root_sha, split_key(key), False)
     if is_dir_obj(obj):
         return {"__dir__": sorted(dir_entries(obj))}
     return val_of(obj)
 
 
-def list_dir(store: ObjectStore, root_sha: str, key: str,
-             fetch: Optional[Callable[[str], dict]] = None) -> dict[str, str]:
+def list_dir(store: ObjectStore, root_sha: str, key: str) -> dict[str, str]:
     """Entries of the directory at ``key`` (``""``/``"."`` = root)."""
-    if key in ("", "."):
-        sha = root_sha
-    else:
-        sha = lookup_ref(store, root_sha, key, fetch)
-    obj = store.get(sha)
-    if obj is None and fetch is not None:
-        obj = fetch(sha)
-    if obj is None or not is_dir_obj(obj):
+    parts = [] if key in ("", ".") else split_key(key)
+    _sha, obj = resolve_stored(store, root_sha, parts, False)
+    if not is_dir_obj(obj):
         raise KvsPathError(f"{key!r} is not a directory")
     return dict(dir_entries(obj))
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hashtree import apply_updates, lookup_ref
+from .hashtree import apply_updates, resolve_stored, split_key
 from .store import EMPTY_DIR_SHA, ObjectStore, dir_entries, is_dir_obj
 
 __all__ = ["CommitRecord", "CommitResult", "KvsMaster"]
@@ -160,10 +160,8 @@ class KvsMaster:
         """SHA1 of the directory at dotted path ``prefix``, or ``None``
         when the path does not resolve to a directory."""
         try:
-            sha = lookup_ref(self.store, self.root_sha, prefix)
+            sha, obj = resolve_stored(self.store, self.root_sha,
+                                      split_key(prefix), False)
         except KeyError:
             return None
-        obj = self.store.get(sha)
-        if obj is None or not is_dir_obj(obj):
-            return None
-        return sha
+        return sha if is_dir_obj(obj) else None

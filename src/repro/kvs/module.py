@@ -20,11 +20,15 @@ Implements the full Section IV-B protocol:
   subset of a subtree's clients joins a fence, a short aggregation
   window flushes partial aggregates upstream so the root still gets
   there.
-- **get** — resolves hash-tree paths against the currently applied
-  root; objects missing from the slave cache are faulted in from the
-  tree parent, recursively up to the master.  Whole objects transfer,
-  so a small value inside a huge directory drags the whole directory
-  through every cache on the path (the Figure 4a effect).
+- **get** — :func:`~repro.kvs.hashtree.resolve` walks the key's path
+  from the currently applied root; it stops at an object missing from
+  the slave cache, which is faulted in from the tree parent,
+  recursively up to the master, and the walk resumes there.  Whole
+  objects transfer, so a small value inside a huge directory drags the
+  whole directory through every cache on the path (the Figure 4a
+  effect).  Every read — fault-in, ``kvs.walk`` item, delegated, via a
+  link — is that one resolver, one fetch (:meth:`KvsModule._fetch`) and
+  one rendering (:meth:`KvsModule._answer_read`).
 - **setroot events** — the master publishes each new root reference on
   the event plane; slaves apply versions monotonically, release
   ``wait_version`` waiters, and complete held fences.
@@ -75,10 +79,10 @@ from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
                         interned_size)
 from .cache import SlaveCache
-from .hashtree import KvsPathError, lookup_ref, split_key
+from .hashtree import KvsPathError, resolve, resolve_stored, split_key
 from .master import CommitRecord, KvsMaster
-from .store import (EMPTY_DIR_SHA, dir_entries, is_dir_obj, is_link_obj,
-                    link_of, make_link_obj, make_val_obj, val_of)
+from .store import (EMPTY_DIR_SHA, dir_entries, is_dir_obj, link_of,
+                    make_link_obj, make_val_obj, val_of)
 
 __all__ = ["KvsModule"]
 
@@ -95,6 +99,16 @@ _FENCE_CHUNK = 512 * 1024
 #: Standby acks required before a commit is acknowledged to the client
 #: (clamped to the number of live replicas).
 _REPL_ACK_MIN = 1
+
+
+def _read_payload(sha: str, obj: Optional[dict]) -> dict:
+    """What a resolved read answers: the reference (``obj`` not
+    loaded), a directory listing, or the value."""
+    if obj is None:
+        return {"ref": sha}
+    if is_dir_obj(obj):
+        return {"dir": sorted(dir_entries(obj))}
+    return {"value": val_of(obj)}
 
 
 class _Dirty:
@@ -208,8 +222,7 @@ class KvsModule(CommsModule):
         self._master_queue: list = []
         self._master_busy = False
         self.cache = SlaveCache(lambda: broker.sim.now)
-        self.master: Optional[KvsMaster] = (
-            KvsMaster() if broker.rank == 0 else None)
+        self._set_master(KvsMaster() if broker.rank == 0 else None)
         self.root_sha: str = EMPTY_DIR_SHA
         self.version: int = 0
         self._dirty: dict[Any, _Dirty] = {}
@@ -382,31 +395,28 @@ class KvsModule(CommsModule):
         :meth:`_payload_size_with_objs`), sparing the broker a full
         re-serialization of potentially large object payloads.
         """
-        if not self._failed_over:
-            if self.broker.parent is None:
-                # Acting overlay root during a root-death window: there
-                # is no parent to forward to.  Synthesize a retryable
-                # failure instead of raising into the broker main loop;
-                # the client retries once a new master is elected.
-                self._unreachable(topic, callback)
-                return
+        hop = self._uplink_peer()
+        if hop is None:
+            # E.g. the acting overlay root during a root-death window:
+            # synthesize a retryable failure instead of raising into the
+            # broker main loop; the client retries once a new master is
+            # elected.
+            self._unreachable(callback)
+        elif self._failed_over:
+            self.broker.rpc_hop_cb(hop, topic, payload, callback, ctx=ctx,
+                                   span=span, payload_size=payload_size)
+        else:
             self.broker.rpc_parent_cb(topic, payload, callback, ctx=ctx,
                                       span=span, payload_size=payload_size)
-            return
-        self._hop_rpc(self.master_rank, topic, payload, callback, ctx=ctx,
-                      span=span, payload_size=payload_size)
 
     # ------------------------------------------------------------------
     # rank-addressed routing (delegation / replication / election)
     # ------------------------------------------------------------------
-    def _unreachable(self, topic: str,
-                     callback: Callable[[Message], None]) -> None:
+    def _unreachable(self, callback: Callable[[Message], None]) -> None:
         """Answer ``callback`` with a locally synthesized retryable
         EHOSTUNREACH response when no live next hop exists."""
-        callback(Message(topic=topic, mtype=MessageType.RESPONSE,
-                         payload={}, src_rank=self.rank,
-                         error="no live route toward target",
-                         errnum=EHOSTUNREACH, err_rank=self.rank))
+        callback(self._local_response({}, "no live route toward target",
+                                      EHOSTUNREACH))
 
     def _live_hop_toward(self, dst: int) -> Optional[int]:
         """Next live hop toward rank ``dst`` on the (healed) overlay.
@@ -442,7 +452,7 @@ class KvsModule(CommsModule):
         intermediate ranks forward on a ``dst`` payload mismatch)."""
         hop = self._live_hop_toward(dst)
         if hop is None:
-            self._unreachable(topic, callback)
+            self._unreachable(callback)
             return
         self.broker.rpc_hop_cb(hop, topic, payload, callback, ctx=ctx,
                                span=span, payload_size=payload_size)
@@ -540,12 +550,14 @@ class KvsModule(CommsModule):
         self._master_busy = False
 
     def _master_commit(self, ops: list, objs: dict,
-                       done: Callable[[int, str], None], *,
+                       done: Callable[[Message], None], *,
                        span: Optional[tuple] = None,
                        fence: Optional[str] = None) -> None:
         """The one door into this rank's root-namespace master: commit
-        ``ops``/``objs`` and run ``done(version, rootref)`` once the
-        commit is durable, applied here and published.
+        ``ops``/``objs`` and run ``done`` on a flush-shaped response,
+        ``{"version", "rootref"}``, once the commit is durable, applied
+        here and published — or on the master's ``EINVAL`` refusal (an op
+        names an object nobody sent, or a malformed key).
 
         Client commits, relayed flushes, in-broker services, delegation
         link/recall commits and completed fences of either wire format
@@ -562,17 +574,25 @@ class KvsModule(CommsModule):
             self._apply_root(res.version, res.root_sha)
             self._publish_setroot(res.version, res.root_sha, fence=fence,
                                   span=span)
-            done(res.version, res.root_sha)
+            done(self._local_response({"version": res.version,
+                                       "rootref": res.root_sha}))
 
         def durable(res) -> None:
             self._fence_finish_when_shipped(fence, lambda: finish(res))
 
         def apply() -> None:
-            if not self.replicas:
-                self.master.ingest_objects(objs)
-                durable(self.master.commit(ops))
+            try:
+                if self.replicas:
+                    res, rec = self.master.commit_logged(ops, objs)
+                else:
+                    self.master.ingest_objects(objs)
+                    res, rec = self.master.commit(ops), None
+            except KeyError as exc:
+                done(self._local_response({}, str(exc.args[0]), EINVAL))
                 return
-            res, rec = self.master.commit_logged(ops, objs)
+            if rec is None:
+                durable(res)
+                return
             if objs or fence is not None:
                 # The journal only captures objects *new* to the store;
                 # merge the flushed objects in explicitly so records stay
@@ -660,7 +680,7 @@ class KvsModule(CommsModule):
             self._repl_acks[r] = acked
             self._drain_repl_waiters()
 
-    @request_handler(required=("recs",))
+    @request_handler(required={"recs": list})
     def req_replicate(self, msg: Message) -> None:
         """Standby side: fold streamed commit records in, in version
         order (buffering gaps), and ack the contiguous watermark."""
@@ -777,7 +797,7 @@ class KvsModule(CommsModule):
                       {"dst": succ, "cver": cver, "cand": cand},
                       lambda resp: None)
 
-    @request_handler(required=("cver", "cand"))
+    @request_handler(required={"cver": int, "cand": int})
     def req_elect(self, msg: Message) -> None:
         if self._forwarded(msg):
             return
@@ -813,7 +833,7 @@ class KvsModule(CommsModule):
         reg.counter("kvs_elections_total", ns=self.name).inc()
         reg.histogram("kvs_election_seconds", ns=self.name).observe(
             self.broker.sim.now - self._master_down_at)
-        self.master = self._standby
+        self._set_master(self._standby)
         self._standby = None
         self._standby_buffer.clear()
         self.master_rank = self.rank
@@ -862,7 +882,7 @@ class KvsModule(CommsModule):
         if self.master is not None:
             # Double promotion resolved by event total order: the later
             # announcement wins everywhere; demote to a plain slave.
-            self.master = None
+            self._set_master(None)
             self.broker._frec(self.broker.sim.now, "kvs_demote",
                               p["rank"], p["version"], None)
         self._apply_root(p["version"], p["rootref"])
@@ -900,13 +920,15 @@ class KvsModule(CommsModule):
                      if s in root_shas or s not in used}
         return root_ops, root_objs, groups
 
-    def _local_response(self, payload: dict) -> Message:
-        """A synthesized success response for work applied locally
+    def _local_response(self, payload: dict, error: Optional[str] = None,
+                        code: Optional[str] = None) -> Message:
+        """A synthesized response for work applied (or refused) locally
         (keeps locally- and remotely-routed parts on one callback
         shape)."""
-        return Message(topic="kvs.flush",
-                       mtype=MessageType.RESPONSE, payload=payload,
-                       src_rank=self.rank)
+        return Message(topic="kvs.flush", mtype=MessageType.RESPONSE,
+                       payload=payload, src_rank=self.rank, error=error,
+                       errnum=code,
+                       err_rank=self.rank if error is not None else -1)
 
     def _owner_flush(self, pfx: str, ops: list, objs: dict,
                      done: Callable[[Message], None],
@@ -949,11 +971,8 @@ class KvsModule(CommsModule):
             self._root_part_commit(ops, objs, done, ctx=ctx, span=span)
             return
         if owner == self.rank:
-            done(Message(topic="kvs.flush",
-                         mtype=MessageType.RESPONSE, payload={},
-                         src_rank=self.rank,
-                         error=f"delegation of {pfx!r} in flight",
-                         errnum=EIO, err_rank=self.rank))
+            done(self._local_response(
+                {}, f"delegation of {pfx!r} in flight", EIO))
             return
         payload = {"ops": ops, "objs": objs, "pfx": pfx, "dst": owner}
         self._hop_rpc(owner, "kvs.flush", payload, done,
@@ -969,11 +988,7 @@ class KvsModule(CommsModule):
         else as a flush forwarded toward it (the one place that decides).
         ``done`` gets a flush response, its root already applied here."""
         if self.master is not None:
-            self._master_commit(
-                ops, objs,
-                lambda version, rootref: done(self._local_response(
-                    {"version": version, "rootref": rootref})),
-                span=span)
+            self._master_commit(ops, objs, done, span=span)
             return
 
         def relay(resp: Message) -> None:
@@ -1007,29 +1022,17 @@ class KvsModule(CommsModule):
             all_objs.update(groups[pfx][1])
 
         def finish() -> None:
-            err = state["error"]
-            if err is not None:
-                if (sender is not None and err.errnum in RETRYABLE_CODES
-                        and (all_ops or all_objs)):
-                    self._restash(sender, all_ops, all_objs)
-                self.respond(msg, error=err.error, code=err.errnum,
-                             err_rank=err.err_rank)
-                return
+            resp = state["error"]
+            if resp is None:
+                out = {"version": state["version"],
+                       "rootref": state["rootref"]}
+                if state["subroots"]:
+                    out["subroots"] = state["subroots"]
+                resp = self._local_response(out)
             if sender is not None:
-                self._unpin(all_objs)
-                san = self._san()
-                if san is not None:
-                    san.kvs_commit_ack(self.name, self.rank,
-                                       state["version"])
-                    for pfx in sorted(state["subroots"]):
-                        pver = state["subroots"][pfx][0]
-                        san.kvs_commit_ack(f"kvs/{pfx}",
-                                           self.rank, pver)
-            out = {"version": state["version"],
-                   "rootref": state["rootref"]}
-            if state["subroots"]:
-                out["subroots"] = state["subroots"]
-            self.respond(msg, out)
+                self._finish_commit(msg, resp, sender, all_ops, all_objs)
+            else:
+                self._relay_response(msg, resp)
 
         def part_done(pfx: Optional[str], resp: Message) -> None:
             state["left"] -= 1
@@ -1093,7 +1096,7 @@ class KvsModule(CommsModule):
             finish()
 
     # -- delegation / recall RPCs ---------------------------------------
-    @request_handler(required=("pfx", "rank"))
+    @request_handler(required={"pfx": str, "rank": int})
     def req_delegate(self, msg: Message) -> None:
         """Delegate the subtree at ``pfx`` to broker ``rank``: snapshot
         it out of the root tree, ship it to the new owner, bind a link
@@ -1121,7 +1124,7 @@ class KvsModule(CommsModule):
                          + ("" if held == pfx else f" (under {held!r})"),
                          code=EEXIST)
             return
-        if type(rank) is not int or not 0 <= rank < self.broker.session.size:
+        if not 0 <= rank < self.broker.session.size:
             self.respond(msg, error=f"rank {rank!r} is not in the session",
                          code=EINVAL)
             return
@@ -1152,22 +1155,22 @@ class KvsModule(CommsModule):
         if resp.error is not None:
             if self.owners.get(pfx) == rank:
                 del self.owners[pfx]
-            self.respond(msg, error=resp.error, code=resp.errnum,
-                         err_rank=resp.err_rank)
+            self._relay_response(msg, resp)
             return
         link = make_link_obj(pfx, rank)
         sha, _size = digest_and_size(link)
 
-        def linked(version, _rootref):
+        def linked(ack: Message) -> None:
             self.broker.publish("kvs.delegation",
                                 {"pfx": pfx, "rank": rank})
             self.respond(msg, {"pfx": pfx, "rank": rank,
-                               "version": version})
+                               "version": ack.payload["version"]})
 
         self._master_commit([[pfx, sha]], {sha: link}, linked,
                             span=msg.span)
 
-    @request_handler(required=("pfx", "ver", "rootref", "objs"))
+    @request_handler(required={"pfx": str, "ver": int, "rootref": str,
+                               "objs": dict})
     def req_adopt(self, msg: Message) -> None:
         """New-owner side of delegation: seed a delegate master from
         the shipped subtree snapshot (idempotent on retry)."""
@@ -1185,7 +1188,7 @@ class KvsModule(CommsModule):
             self.owners[pfx] = self.rank
         self.respond(msg, {"pfx": pfx, "version": dm.version})
 
-    @request_handler(required=("pfx",))
+    @request_handler(required={"pfx": str})
     def req_recall(self, msg: Message) -> None:
         """Recall a delegated subtree: pull the owner's state back,
         graft it over the link object, and retire the ownership entry
@@ -1208,7 +1211,7 @@ class KvsModule(CommsModule):
                                                          resp),
                       ctx=msg.ctx, span=msg.span)
 
-    @request_handler(required=("pfx",))
+    @request_handler(required={"pfx": str})
     def req_release(self, msg: Message) -> None:
         """Owner side of recall: stop mastering the namespace and hand
         the subtree state back.  The ownership entry stays until the
@@ -1232,15 +1235,15 @@ class KvsModule(CommsModule):
     def _recall_released(self, msg: Message, pfx: str, rank: int,
                          resp: Message) -> None:
         if resp.error is not None:
-            self.respond(msg, error=resp.error, code=resp.errnum,
-                         err_rank=resp.err_rank)
+            self._relay_response(msg, resp)
             return
         p = resp.payload
 
-        def grafted(version, _rootref):
+        def grafted(ack: Message) -> None:
             self.broker.publish("kvs.delegation",
                                 {"pfx": pfx, "rank": None})
-            self.respond(msg, {"pfx": pfx, "version": version})
+            self.respond(msg, {"pfx": pfx,
+                               "version": ack.payload["version"]})
 
         self._master_commit([[pfx, p["rootref"]]], p["objs"], grafted,
                             span=msg.span)
@@ -1262,45 +1265,27 @@ class KvsModule(CommsModule):
                              dm: KvsMaster) -> None:
         """Answer a get from the local delegate master (authoritative
         for the namespace, so no fault-in chain is needed)."""
-        key = msg.payload["key"]
         san = self._san()
         if san is not None:
             san.kvs_read(f"kvs/{pfx}", self.rank, dm.version)
         try:
-            sha = lookup_ref(dm.store, dm.root_sha, key)
+            sha, obj = resolve_stored(
+                dm.store, dm.root_sha, split_key(msg.payload["key"]),
+                msg.payload.get("ref", False))
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
-        if msg.payload.get("ref", False):
-            self.respond(msg, {"ref": sha, "pver": dm.version})
-            return
-        obj = dm.store.get(sha)
-        if obj is None:
-            self.respond(msg, error=f"unknown object {sha}",
-                         code=ENOENT)
-            return
-        if is_dir_obj(obj):
-            self.respond(msg, {"dir": sorted(dir_entries(obj)),
-                               "pver": dm.version})
-        else:
-            self.respond(msg, {"value": val_of(obj),
-                               "pver": dm.version})
+        self._answer_read(msg, sha, obj, pver=dm.version)
 
     def _remote_get(self, msg: Message, pfx: str, owner: int) -> None:
-        payload = dict(msg.payload)
-        payload["dst"] = owner
-        self._hop_rpc(owner, "kvs.get", payload,
+        self._hop_rpc(owner, "kvs.get", {**msg.payload, "dst": owner},
                       lambda resp: self._finish_remote_get(msg, pfx,
                                                            resp),
                       ctx=msg.ctx, span=msg.span)
 
     def _finish_remote_get(self, msg: Message, pfx: str,
                            resp: Message) -> None:
-        if resp.error is not None:
-            self.respond(msg, error=resp.error, code=resp.errnum,
-                         err_rank=resp.err_rank)
-            return
-        pver = resp.payload.get("pver")
+        pver = resp.payload.get("pver") if resp.error is None else None
         if pver is not None and pver >= self._pfx_seen.get(pfx, -1):
             # Only a version at or above everything this rank already
             # observed for the prefix counts as *the* read the client
@@ -1310,46 +1295,37 @@ class KvsModule(CommsModule):
             san = self._san()
             if san is not None:
                 san.kvs_read(f"kvs/{pfx}", self.rank, pver)
-        self.respond(msg, dict(resp.payload))
+        self._relay_response(msg, resp)
 
-    def _forward_link_get(self, msg: Message, obj: dict) -> None:
-        """A hash-tree walk landed on an ownership link object:
-        re-route the whole lookup to the owning rank."""
-        tgt = link_of(obj)
-        pfx, owner = tgt["prefix"], tgt["rank"]
-        if owner == self.rank:
-            dm = self.delegates.get(pfx)
-            if dm is not None:
-                self._serve_delegated_get(msg, pfx, dm)
-                return
+    def _delegated_get(self, msg: Message, pfx: str, owner: int) -> None:
+        """A read under the delegated ``pfx`` (named by the ownership
+        table, or by a link object a walk landed on): answered by its
+        delegate master when that is here, else sent to ``owner``."""
+        dm = self.delegates.get(pfx)
+        if dm is not None:
+            self._serve_delegated_get(msg, pfx, dm)
+        elif owner != self.rank:
+            self._remote_get(msg, pfx, owner)
+        else:
             self.respond(msg, error=f"delegation of {pfx!r} in flight",
                          code=EIO, err_rank=self.rank)
-            return
-        self._remote_get(msg, pfx, owner)
 
     # ------------------------------------------------------------------
     # local object plumbing
     # ------------------------------------------------------------------
-    def _obj_get(self, sha: str) -> Optional[dict]:
-        if self.master is not None:
-            return self.master.store.get(sha)
-        return self.cache.get(sha)
-
-    def _obj_put(self, sha: str, obj: dict, *, pin: bool = False,
-                 size: Optional[int] = None) -> None:
-        if self.master is not None:
-            self.master.store.put_with_sha(sha, obj, size=size)
-        else:
-            self.cache.insert(sha, obj, pin=pin, size=size)
+    def _set_master(self, master: Optional[KvsMaster]) -> None:
+        """Install (or drop) the root-namespace master at this rank.  Its
+        store then holds the rank's objects; a slave's cache does."""
+        self.master = master
+        self._objs = master.store if master is not None else self.cache
+        self._obj_get = self._objs.get
+        self._obj_put = self._objs.put_with_sha
 
     def _obj_size(self, sha: str, obj: dict) -> int:
         """Canonical byte size of ``obj``, via the local store's size
         cache when it holds ``sha`` (the common case — every sized
         payload references objects this rank just stored)."""
-        if self.master is not None:
-            size = self.master.store.size_of(sha)
-        else:
-            size = self.cache.size_of(sha)
+        size = self._objs.size_of(sha)
         if size is None:
             size = canonical_size(obj)
         return size
@@ -1386,7 +1362,7 @@ class KvsModule(CommsModule):
     # ------------------------------------------------------------------
     # put / unlink (write-back)
     # ------------------------------------------------------------------
-    @request_handler(required=("key", "value"))
+    @request_handler(required={"key": str, "value": None})
     def req_put(self, msg: Message) -> None:
         key = msg.payload["key"]
         try:
@@ -1394,13 +1370,17 @@ class KvsModule(CommsModule):
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
+        if not self.check_field(msg, "sender", int, str):
+            return
         sha = self.local_put(msg.payload.get("sender", 0), key,
                              msg.payload["value"])
         self.respond(msg, {"sha": sha})
 
-    @request_handler(required=("key",))
+    @request_handler(required={"key": str})
     def req_unlink(self, msg: Message) -> None:
         key = msg.payload["key"]
+        if not self.check_field(msg, "sender", int, str):
+            return
         sender = msg.payload.get("sender", 0)
         self._dirty_for(sender).ops.append([key, None])
         self.respond(msg, {})
@@ -1417,7 +1397,8 @@ class KvsModule(CommsModule):
         # string from every producer — one serialization covers all.
         sha, size = digest_and_size(
             obj, key=("v", value) if isinstance(value, str) else None)
-        self._obj_put(sha, obj, pin=True, size=size)
+        self._obj_put(sha, obj, size=size)
+        self.cache.pin(sha)     # dirty until a commit or fence acks it
         d = self._dirty_for(sender)
         d.ops.append([key, sha])
         d.objs[sha] = obj
@@ -1460,6 +1441,8 @@ class KvsModule(CommsModule):
     # commit (single-client flush)
     # ------------------------------------------------------------------
     def req_commit(self, msg: Message) -> None:
+        if not self.check_field(msg, "sender", int, str):
+            return
         sender = msg.payload.get("sender", 0)
         d = self._dirty.pop(sender, None)
         ops = d.ops if d else []
@@ -1491,24 +1474,22 @@ class KvsModule(CommsModule):
             # through the healed route instead of committing nothing.
             if resp.errnum in RETRYABLE_CODES and (ops or objs):
                 self._restash(sender, ops, objs)
-            self.respond(msg, error=resp.error, code=resp.errnum,
-                         err_rank=resp.err_rank)
-            return
-        self._unpin(objs)
-        san = self._san()
-        if san is not None:
-            san.kvs_commit_ack(self.name, self.rank,
-                               resp.payload["version"])
-            for pfx in sorted(resp.payload.get("subroots", {})):
-                # Parts committed on delegate masters upstream: raise
-                # this rank's write floor per delegated namespace too.
-                san.kvs_commit_ack(f"kvs/{pfx}", self.rank,
-                                   resp.payload["subroots"][pfx][0])
-        self.respond(msg, dict(resp.payload))
+        else:
+            self._unpin(objs)
+            san = self._san()
+            if san is not None:
+                san.kvs_commit_ack(self.name, self.rank,
+                                   resp.payload["version"])
+                for pfx in sorted(resp.payload.get("subroots", {})):
+                    # Parts committed on delegate masters upstream: raise
+                    # this rank's write floor per delegated namespace too.
+                    san.kvs_commit_ack(f"kvs/{pfx}", self.rank,
+                                       resp.payload["subroots"][pfx][0])
+        self._relay_response(msg, resp)
 
     def _uplink_peer(self) -> Optional[int]:
-        """The next-hop rank the master-ward path currently uses
-        (mirrors :meth:`_toward_master_cb`'s routing), or ``None``."""
+        """The next-hop rank of the master-ward path (what
+        :meth:`_toward_master_cb` sends to), or ``None`` without one."""
         if not self._failed_over:
             return self.broker.parent
         return self._live_hop_toward(self.master_rank)
@@ -1592,7 +1573,7 @@ class KvsModule(CommsModule):
         this rank (all kinds — see the counter's init comment)."""
         return sum(self._cv_interned.data.values())
 
-    @request_handler(required=("ops", "objs"))
+    @request_handler(required={"ops": list, "objs": dict})
     def req_flush(self, msg: Message) -> None:
         """A commit passing through from a downstream slave."""
         ops = msg.payload["ops"]
@@ -1637,8 +1618,9 @@ class KvsModule(CommsModule):
     # ------------------------------------------------------------------
     def _fence_for(self, msg: Message) -> Optional[_FenceAgg]:
         """The aggregate ``msg`` (``fence``/``fencedata``) contributes
-        to.  ``nprocs`` comes from the client: one contradicting the
-        pending aggregate's is answered ``EINVAL`` and leaves it alone."""
+        to, its tracing context moved under ``msg``'s.  ``nprocs`` comes
+        from the client: one contradicting the pending aggregate's is
+        answered ``EINVAL`` and leaves it alone."""
         name, nprocs = msg.payload["name"], msg.payload["nprocs"]
         agg = self._fences.get(name)
         if agg is None:
@@ -1648,11 +1630,15 @@ class KvsModule(CommsModule):
             self.respond(msg, error=f"fence {name!r}: inconsistent nprocs "
                          f"({agg.nprocs} vs {nprocs})", code=EINVAL)
             return None
+        if msg.span is not None:
+            agg.span = msg.span
         return agg
 
-    @request_handler(required=("name", "nprocs"))
+    @request_handler(required={"name": str, "nprocs": int})
     def req_fence(self, msg: Message) -> None:
         """A local client entering a fence (carries its dirty state)."""
+        if not self.check_field(msg, "sender", int, str):
+            return
         agg = self._fence_for(msg)
         if agg is None:
             return
@@ -1674,11 +1660,9 @@ class KvsModule(CommsModule):
         agg.local_count += 1
         self.broker._frec(self.broker.sim.now, "kvs_fence_enter",
                           agg.name, sender, agg.total_seen)
-        if msg.span is not None:
-            agg.span = msg.span
         self._maybe_flush_fence(agg)
 
-    @request_handler(required=("name", "nprocs"))
+    @request_handler(required={"name": str, "nprocs": int, "objs": dict})
     def req_fencedata(self, msg: Message) -> None:
         """A child subtree's aggregated fence contribution.
 
@@ -1688,6 +1672,10 @@ class KvsModule(CommsModule):
         used while a fault plan is installed — see ``_FenceAgg``).
         """
         p = msg.payload
+        if not (self.check_field(msg, "shares", dict)
+                and self.check_field(msg, "count", int)
+                and self.check_field(msg, "ops", list)):
+            return
         if "shares" in p:
             self._merge_fence_shares(msg, p)
             return
@@ -1707,11 +1695,10 @@ class KvsModule(CommsModule):
         agg = self._fence_for(msg)
         if agg is None:
             return
-        agg.count += p["count"]
-        agg.total_seen += p["count"]
-        if msg.span is not None:
-            agg.span = msg.span
-        child_ops = p["ops"]
+        count = p.get("count", 0)
+        agg.count += count
+        agg.total_seen += count
+        child_ops = p.get("ops", [])
         agg.ops.extend(child_ops)
         if child_ops:
             # One intern probe replaces the O(len) re-walk of the
@@ -1756,8 +1743,6 @@ class KvsModule(CommsModule):
         agg = self._fence_for(msg)
         if agg is None:
             return
-        if msg.span is not None:
-            agg.span = msg.span
         for sha, obj in resolved.items():
             agg.objs[sha] = obj
         changed = False
@@ -1855,10 +1840,12 @@ class KvsModule(CommsModule):
         # Held client fences answer when the fence's setroot arrives.
 
     def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
-        """The parent's answer to a contribution.  Transient failures
-        are repaired by the recovery re-emissions; a refusal (``EINVAL``:
-        our clients' ``nprocs`` contradicts the fence the parent is
-        collecting) is final and fails the requests held here."""
+        """The parent's answer to a contribution (or the master's to the
+        completed fence).  Transient failures are repaired by the
+        recovery re-emissions; a refusal (``EINVAL``: our clients'
+        ``nprocs`` contradicts the fence the parent is collecting, or
+        the master refused the commit) is final and fails the requests
+        held here."""
         if resp.errnum != EINVAL:
             return
         if self._fences.get(agg.name) is agg:
@@ -1918,9 +1905,11 @@ class KvsModule(CommsModule):
                 self._fence_deleg_pending[agg.name] = len(groups)
             for pfx in sorted(groups):
                 self._fence_part_flush(agg.name, pfx, *groups[pfx])
-        self._master_commit(ops, objs,
-                            lambda _ver, _ref: self._release_fence(agg),
-                            span=agg.span, fence=agg.name)
+        self._master_commit(
+            ops, objs,
+            lambda resp: (self._release_fence(agg) if resp.error is None
+                          else self._fencedata_sent(agg, resp)),
+            span=agg.span, fence=agg.name)
 
     def _release_fence(self, agg: _FenceAgg) -> None:
         """Answer the fence requests held at this rank (once: the
@@ -2155,7 +2144,7 @@ class KvsModule(CommsModule):
             san.kvs_read(self.name, self.rank, self.version)
         self.respond(msg, {"version": self.version})
 
-    @request_handler(required=("version",))
+    @request_handler(required={"version": int})
     def req_waitversion(self, msg: Message) -> None:
         wanted = msg.payload["version"]
         if self.version >= wanted:
@@ -2184,24 +2173,14 @@ class KvsModule(CommsModule):
     # ------------------------------------------------------------------
     # get (with fault-in through the slave-cache chain)
     # ------------------------------------------------------------------
-    @request_handler(required=("key",))
+    @request_handler(required={"key": str})
     def req_get(self, msg: Message) -> None:
         if self.owners:
             if self._forwarded(msg):
                 return
             pfx = self._owner_prefix(msg.payload["key"])
             if pfx is not None:
-                dm = self.delegates.get(pfx)
-                if dm is not None:
-                    self._serve_delegated_get(msg, pfx, dm)
-                    return
-                owner = self.owners[pfx]
-                if owner != self.rank:
-                    self._remote_get(msg, pfx, owner)
-                    return
-                self.respond(msg,
-                             error=f"delegation of {pfx!r} in flight",
-                             code=EIO, err_rank=self.rank)
+                self._delegated_get(msg, pfx, self.owners[pfx])
                 return
         self.broker.sim.spawn(self._get_proc(msg),
                               name=self._getproc_name)
@@ -2212,86 +2191,65 @@ class KvsModule(CommsModule):
         root = self.root_sha
         try:
             parts = split_key(key)
-        except KvsPathError as exc:
-            self.respond(msg, error=str(exc), code=exc.code)
-            return
-        sha = root
-        obj = None
-        try:
-            for i, part in enumerate(parts):
-                obj = self._obj_get(sha)
-                if obj is None:
-                    if self.dedup and allow_walk and self.master is None:
-                        # Dedup-mode cold read: ship the walk to the
-                        # data instead of faulting whole directories
-                        # down the tree (the Figure 4a effect).
-                        self._walk_remote(msg, key, want_ref, root)
-                        return
-                    obj = yield self._fault(sha, ctx=msg.ctx,
-                                            span=msg.span)
-                if obj is None:
-                    raise KvsPathError(f"object {sha} lost in transit",
-                                       code=EIO)
-                if is_link_obj(obj):
-                    # Ownership link: the rest of the walk belongs to
-                    # a delegated namespace (this rank's owner table
-                    # was stale, or the key was read through the root
-                    # tree) — re-route to the owner.
-                    self._forward_link_get(msg, obj)
-                    return
-                if not is_dir_obj(obj):
-                    raise KvsPathError(
-                        f"{'.'.join(parts[:i])!r} is not a directory")
-                entries = dir_entries(obj)
-                if part not in entries:
-                    raise KvsPathError(f"key {key!r} not found",
-                                       code=ENOENT)
-                sha = entries[part]
-            if want_ref:
-                self.respond(msg, {"ref": sha})
-                return
-            obj = self._obj_get(sha)
-            if obj is None:
+            kind, i, sha, obj = resolve(self._obj_get, root, parts, want_ref)
+            while kind == "miss":
                 if self.dedup and allow_walk and self.master is None:
+                    # Dedup-mode cold read: ship the walk to the data
+                    # instead of faulting whole directories down the
+                    # tree (the Figure 4a effect).
                     self._walk_remote(msg, key, want_ref, root)
                     return
                 obj = yield self._fault(sha, ctx=msg.ctx, span=msg.span)
-            if obj is None:
-                raise KvsPathError(f"object {sha} lost in transit",
-                                   code=EIO)
-            if is_link_obj(obj):
-                self._forward_link_get(msg, obj)
-                return
-            if is_dir_obj(obj):
-                self.respond(msg, {"dir": sorted(dir_entries(obj))})
-            else:
-                # {"value": X} is 10 framing bytes + size(X); the value
-                # object {"v": X} is 6 + size(X), so the response costs
-                # the stored object's cached size + 4 — no per-get
-                # re-serialization of the value.
-                self.respond(msg, {"value": val_of(obj)},
-                             payload_size=4 + self._obj_size(sha, obj))
+                if obj is None:
+                    raise KvsPathError(f"object {sha} lost in transit",
+                                       code=EIO)
+                kind, i, sha, obj = resolve(self._obj_get, sha, parts,
+                                            want_ref, i, obj)
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
+            return
+        if kind == "link":
+            # Ownership link: the rest of the walk belongs to a
+            # delegated namespace (this rank's owner table was stale, or
+            # the key was read through the root tree).
+            tgt = link_of(obj)
+            self._delegated_get(msg, tgt["prefix"], tgt["rank"])
+        else:
+            self._answer_read(msg, sha, obj)
 
-    def _fault(self, sha: str, ctx: Optional[RequestContext] = None,
-               span: Optional[tuple] = None):
-        """Fault ``sha`` in from the tree parent; in-flight loads for
-        the same object are coalesced.  Returns an event yielding the
-        object (or None on failure)."""
-        ev = self.broker.sim.event(name=("fault:%s", sha[:8]))
+    def _answer_read(self, msg: Message, sha: str, obj: Optional[dict],
+                     **extra: Any) -> None:
+        """Answer the read ``msg`` resolved to: the reference ``sha``
+        (``obj`` is ``None``), a directory listing or a value; ``extra``
+        rides along (a delegate master's ``pver``)."""
+        payload = _read_payload(sha, obj)
+        size = None
+        if "value" in payload and not extra:
+            # {"value": X} is 10 framing bytes + size(X); the value
+            # object {"v": X} is 6 + size(X), so the response costs the
+            # stored object's cached size + 4 — no per-get
+            # re-serialization of the value.
+            size = 4 + self._obj_size(sha, obj)
+        payload.update(extra)
+        self.respond(msg, payload, payload_size=size)
+
+    def _fetch(self, sha: str, fn: Callable[[Optional[dict]], None],
+               ctx: Optional[RequestContext],
+               span: Optional[tuple]) -> None:
+        """Bring ``sha`` here from the master-ward neighbour and run
+        ``fn(obj)`` (``None`` on failure); in-flight loads of the same
+        object are coalesced onto the first one's request."""
         waiters = self._loads.get(sha)
         if waiters is not None:
-            waiters.append(lambda obj: ev.succeed(obj))
-            return ev
-        self._loads[sha] = [lambda obj: ev.succeed(obj)]
+            waiters.append(fn)
+            return
+        self._loads[sha] = [fn]
         self.cache.stats.faults += 1
         self._toward_master_cb("kvs.load", {"sha": sha},
-                               lambda resp: self._fault_done(sha, resp),
+                               lambda resp: self._fetch_done(sha, resp),
                                ctx=ctx, span=span)
-        return ev
 
-    def _fault_done(self, sha: str, resp: Message) -> None:
+    def _fetch_done(self, sha: str, resp: Message) -> None:
         obj = None
         if resp.error is None:
             obj = resp.payload.get("obj")
@@ -2307,39 +2265,35 @@ class KvsModule(CommsModule):
         for fn in self._loads.pop(sha, []):
             fn(obj)
 
-    @request_handler(required=("sha",))
+    def _fault(self, sha: str, ctx: Optional[RequestContext] = None,
+               span: Optional[tuple] = None):
+        """:meth:`_fetch` as an event yielding the object (or None)."""
+        ev = self.broker.sim.event(name=("fault:%s", sha[:8]))
+        self._fetch(sha, ev.succeed, ctx, span)
+        return ev
+
+    @request_handler(required={"sha": str})
     def req_load(self, msg: Message) -> None:
         """A downstream slave faulting an object through us."""
         sha = msg.payload["sha"]
-        obj = self._obj_get(sha)
-        if obj is not None:
-            # {"obj": X} costs 8 framing bytes plus X's canonical size,
-            # which the store already knows — no re-serialization of a
-            # possibly huge directory object per fault-in hop.
-            self.respond(msg, {"obj": obj},
-                         payload_size=8 + self._obj_size(sha, obj))
-            return
-        if self.master is not None:
-            self.respond(msg, error=f"unknown object {sha}", code=ENOENT)
-            return
-        waiters = self._loads.get(sha)
 
-        def relay(obj):
+        def relay(obj: Optional[dict]) -> None:
             if obj is not None:
+                # {"obj": X} costs 8 framing bytes plus X's canonical
+                # size, which the store already knows — no
+                # re-serialization of a possibly huge directory object
+                # per fault-in hop.
                 self.respond(msg, {"obj": obj},
                              payload_size=8 + self._obj_size(sha, obj))
             else:
                 self.respond(msg, error=f"unknown object {sha}",
                              code=ENOENT)
 
-        if waiters is not None:
-            waiters.append(relay)
-            return
-        self._loads[sha] = [relay]
-        self.cache.stats.faults += 1
-        self._toward_master_cb("kvs.load", {"sha": sha},
-                               lambda resp: self._fault_done(sha, resp),
-                               ctx=msg.ctx, span=msg.span)
+        obj = self._obj_get(sha)
+        if obj is not None or self.master is not None:
+            relay(obj)
+        else:
+            self._fetch(sha, relay, msg.ctx, msg.span)
 
     # ------------------------------------------------------------------
     # combined remote walks (dedup mode)
@@ -2360,10 +2314,11 @@ class KvsModule(CommsModule):
                 self.broker.sim.spawn(self._get_proc(msg, False),
                                       name=self._getproc_name)
             elif "sha" in r:
-                # Cache the terminal value object (the legacy path
+                # Cache the terminal value object (the fault-in path
                 # would have), so repeat gets stay local.
-                self._obj_put(r["sha"], make_val_obj(r["value"]))
-                self.respond(msg, {"value": r["value"]})
+                obj = make_val_obj(r["value"])
+                self._obj_put(r["sha"], obj)
+                self._answer_read(msg, r["sha"], obj)
             else:
                 self.respond(msg, r)
 
@@ -2436,37 +2391,23 @@ class KvsModule(CommsModule):
 
     def _walk_local(self, key: str, root: str,
                     want_ref: bool) -> Optional[dict]:
-        """The pure hash-tree lookup of ``key`` under the requester's
-        root snapshot (what it would have computed itself, minus the
-        fault-ins); ``None`` when an object on the path is not here."""
+        """One ``kvs.walk`` item resolved from what this rank holds,
+        under the requester's root snapshot; ``None`` when an object on
+        the path is not here."""
         try:
-            sha, parts = root, split_key(key)
-            for i, part in enumerate(parts):
-                obj = self._obj_get(sha)
-                if obj is None:
-                    return None
-                if is_link_obj(obj):
-                    return {"link": True}
-                if not is_dir_obj(obj):
-                    raise KvsPathError(
-                        f"{'.'.join(parts[:i])!r} is not a directory")
-                sha = dir_entries(obj).get(part)
-                if sha is None:
-                    raise KvsPathError(f"key {key!r} not found",
-                                       code=ENOENT)
+            kind, _i, sha, obj = resolve(self._obj_get, root,
+                                         split_key(key), want_ref)
         except KvsPathError as exc:
-            return {"error": exc.args[0], "errnum": exc.code,
+            return {"error": str(exc), "errnum": exc.code,
                     "rank": self.rank}
-        if want_ref:
-            return {"ref": sha}
-        obj = self._obj_get(sha)
-        if obj is None:
+        if kind == "miss":
             return None
-        if is_link_obj(obj):
+        if kind == "link":
             return {"link": True}
-        if is_dir_obj(obj):
-            return {"dir": sorted(dir_entries(obj))}
-        return {"value": val_of(obj), "sha": sha}
+        out = _read_payload(sha, obj)
+        if "value" in out:
+            out["sha"] = sha
+        return out
 
     @request_handler(required=("items",))
     def req_walk(self, msg: Message) -> None:

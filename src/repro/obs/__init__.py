@@ -15,15 +15,12 @@ from repro.obs.metrics import (
     histogram_from_snapshot,
     log_ladder,
     merge_snapshots,
-    parse_prometheus_text,
-    snapshot_to_prometheus,
 )
 from repro.obs.span import Span, SpanTracer
 
 __all__ = [
     "Counter", "CounterVec", "Gauge", "Histogram", "MetricsRegistry",
-    "merge_snapshots", "snapshot_to_prometheus", "parse_prometheus_text",
-    "histogram_from_snapshot",
+    "merge_snapshots", "histogram_from_snapshot",
     "log_ladder", "DEFAULT_TIME_LADDER", "DEFAULT_SIZE_LADDER",
     "Span", "SpanTracer", "FlightRecorder",
 ]

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "CounterVec", "MetricsRegistry",
-    "merge_snapshots", "snapshot_to_prometheus", "parse_prometheus_text",
+    "merge_snapshots",
     "DEFAULT_TIME_LADDER", "DEFAULT_SIZE_LADDER", "log_ladder",
 ]
 
@@ -283,10 +282,6 @@ class MetricsRegistry:
         """The snapshot as a JSON document."""
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the current snapshot."""
-        return snapshot_to_prometheus(self.snapshot())
-
 
 def _metric_sort_key(m: dict) -> tuple:
     return (m["name"], tuple(sorted((k, str(v))
@@ -346,184 +341,3 @@ def histogram_from_snapshot(m: dict) -> Histogram:
     h.vmin = m.get("min", math.inf)
     h.vmax = m.get("max", -math.inf)
     return h
-
-
-def _prom_escape(value: Any) -> str:
-    """Escape a label value per the Prometheus text exposition format."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_labels(labels: dict) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_prom_escape(v)}"'
-                     for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def snapshot_to_prometheus(snap: dict,
-                           help_texts: Optional[dict] = None) -> str:
-    """Render a registry (or merged) snapshot as Prometheus text.
-
-    Emits the full exposition format promtool expects: one ``# HELP``
-    and one ``# TYPE`` line per metric family, *before* any of that
-    family's samples (all samples of a family contiguous), cumulative
-    ``le``-labelled histogram buckets ending in ``+Inf`` (whose value
-    equals ``_count``), and escaped label values.  ``help_texts`` maps
-    family name to its help string; families not covered get a
-    generic line (presence is what parsers require).
-    """
-    families: dict[str, list[dict]] = {}
-    types: dict[str, str] = {}
-    for m in snap.get("metrics", ()):
-        families.setdefault(m["name"], []).append(m)
-        types.setdefault(m["name"], m["type"])
-    lines: list[str] = []
-    for name in sorted(families):
-        mtype = types[name]
-        help_text = (help_texts or {}).get(
-            name, f"{name} ({mtype}) from the repro simulated session.")
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        for m in families[name]:
-            labels = m["labels"]
-            if m["type"] in ("counter", "gauge"):
-                lines.append(f"{name}{_prom_labels(labels)} {m['value']}")
-                continue
-            acc = 0
-            for bound, n in zip(m["bounds"], m["buckets"]):
-                acc += n
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_prom_labels({**labels, 'le': f'{bound:g}'})}"
-                    f" {acc}")
-            acc += m["buckets"][len(m["bounds"])]
-            lines.append(f"{name}_bucket"
-                         f"{_prom_labels({**labels, 'le': '+Inf'})} {acc}")
-            lines.append(f"{name}_sum{_prom_labels(labels)} {m['sum']}")
-            # _count is emitted from the bucket accumulation so it is
-            # equal to the +Inf sample by construction.
-            lines.append(f"{name}_count{_prom_labels(labels)} {acc}")
-    return "\n".join(lines) + "\n"
-
-
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>[^\s]+)\s*$")
-_LABEL_RE = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-_HIST_SUFFIXES = ("_bucket", "_sum", "_count")
-
-
-def parse_prometheus_text(text: str) -> list[str]:
-    """Promtool-style lint of a text exposition; returns problems.
-
-    Checks the invariants an exposition parser enforces: ``# TYPE``
-    (with a known type) and ``# HELP`` exactly once per family and
-    before its samples, every sample belonging to a declared family
-    (histogram samples only via ``_bucket``/``_sum``/``_count``),
-    parseable values, and per-histogram-series cumulative buckets —
-    non-decreasing counts over increasing ``le`` ending in a ``+Inf``
-    bucket equal to ``_count``.  Empty list = clean.
-    """
-    problems: list[str] = []
-    helped: set[str] = set()
-    typed: dict[str, str] = {}
-    sampled: set[str] = set()
-    # (family, labels-minus-le) -> list of (le, value); _count values.
-    buckets: dict[tuple, list[tuple[float, float]]] = {}
-    counts: dict[tuple, float] = {}
-
-    def family_of(name: str) -> str:
-        for fam, ftype in typed.items():
-            if name == fam:
-                return fam
-            if (ftype == "histogram" and name.startswith(fam)
-                    and name[len(fam):] in _HIST_SUFFIXES):
-                return fam
-        return name
-
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            parts = line.split(None, 3)
-            if len(parts) < 3:
-                problems.append(f"line {lineno}: malformed HELP")
-                continue
-            fam = parts[2]
-            if fam in helped:
-                problems.append(f"line {lineno}: duplicate HELP {fam}")
-            if fam in sampled:
-                problems.append(
-                    f"line {lineno}: HELP {fam} after its samples")
-            helped.add(fam)
-            continue
-        if line.startswith("# TYPE "):
-            parts = line.split()
-            if len(parts) != 4:
-                problems.append(f"line {lineno}: malformed TYPE")
-                continue
-            fam, ftype = parts[2], parts[3]
-            if ftype not in ("counter", "gauge", "histogram",
-                            "summary", "untyped"):
-                problems.append(
-                    f"line {lineno}: unknown type {ftype!r} for {fam}")
-            if fam in typed:
-                problems.append(f"line {lineno}: duplicate TYPE {fam}")
-            if fam in sampled:
-                problems.append(
-                    f"line {lineno}: TYPE {fam} after its samples")
-            typed[fam] = ftype
-            continue
-        if line.startswith("#"):
-            continue                         # free-form comment
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            problems.append(f"line {lineno}: unparseable sample {line!r}")
-            continue
-        name = m.group("name")
-        try:
-            value = float(m.group("value"))
-        except ValueError:
-            problems.append(f"line {lineno}: bad value {m.group('value')!r}")
-            continue
-        labels = dict(_LABEL_RE.findall(m.group("labels") or ""))
-        fam = family_of(name)
-        sampled.add(fam)
-        if fam not in typed:
-            problems.append(f"line {lineno}: sample {name} has no TYPE")
-            continue
-        if fam not in helped:
-            problems.append(f"line {lineno}: sample {name} has no HELP")
-        if typed[fam] == "histogram":
-            key = (fam, tuple(sorted((k, v) for k, v in labels.items()
-                                     if k != "le")))
-            if name.endswith("_bucket"):
-                le = labels.get("le")
-                if le is None:
-                    problems.append(
-                        f"line {lineno}: {name} missing le label")
-                    continue
-                lev = math.inf if le == "+Inf" else float(le)
-                buckets.setdefault(key, []).append((lev, value))
-            elif name.endswith("_count"):
-                counts[key] = value
-    for (fam, labels), series in sorted(buckets.items()):
-        prev_le, prev_v = -math.inf, 0.0
-        for le, v in series:                 # emission order
-            if le <= prev_le:
-                problems.append(f"{fam}{dict(labels)}: le {le} "
-                                f"not increasing")
-            if v < prev_v:
-                problems.append(f"{fam}{dict(labels)}: bucket counts "
-                                f"not cumulative at le={le}")
-            prev_le, prev_v = le, v
-        if prev_le != math.inf:
-            problems.append(f"{fam}{dict(labels)}: missing +Inf bucket")
-        elif (fam, labels) in counts and counts[fam, labels] != prev_v:
-            problems.append(f"{fam}{dict(labels)}: _count "
-                            f"{counts[fam, labels]} != +Inf {prev_v}")
-    return problems

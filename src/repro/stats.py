@@ -12,7 +12,6 @@ Two document kinds are produced by the KAP driver (``--stats-out`` /
 Subcommands::
 
     python -m repro.stats report  STATS.json          # human summary
-    python -m repro.stats report  --prometheus STATS.json
     python -m repro.stats validate --kind stats STATS.json
     python -m repro.stats validate --kind trace TRACE.json
 
@@ -29,7 +28,7 @@ import json
 import sys
 from typing import Any
 
-from .obs.metrics import histogram_from_snapshot, snapshot_to_prometheus
+from .obs.metrics import histogram_from_snapshot
 
 __all__ = ["validate_stats", "validate_trace", "render_report", "main"]
 
@@ -266,9 +265,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_report = sub.add_parser("report", help="summarize a stats document")
     p_report.add_argument("file")
-    p_report.add_argument("--prometheus", action="store_true",
-                          help="emit the aggregate in Prometheus text "
-                               "format instead of the summary table")
     p_val = sub.add_parser("validate", help="schema-check a document")
     p_val.add_argument("file")
     p_val.add_argument("--kind", choices=("stats", "trace"),
@@ -284,10 +280,7 @@ def main(argv=None) -> int:
             for p in problems:
                 print(f"invalid stats document: {p}", file=sys.stderr)
             return 1
-        if args.prometheus:
-            print(snapshot_to_prometheus(doc["aggregate"]), end="")
-        else:
-            print(render_report(doc))
+        print(render_report(doc))
         return 0
 
     problems = (validate_trace(doc) if args.kind == "trace"

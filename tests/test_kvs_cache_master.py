@@ -34,7 +34,7 @@ def obj_for(value):
 class TestSlaveCache:
     def test_insert_and_get(self, cache):
         sha, obj = obj_for(1)
-        cache.insert(sha, obj)
+        cache.put_with_sha(sha, obj)
         assert cache.get(sha) == obj
         assert cache.stats.hits == 1
 
@@ -44,7 +44,7 @@ class TestSlaveCache:
 
     def test_expiry_evicts_idle_entries(self, cache, clock):
         sha, obj = obj_for("old")
-        cache.insert(sha, obj)
+        cache.put_with_sha(sha, obj)
         clock.t = 100.0
         evicted = cache.expire(max_idle=50.0)
         assert evicted == 1
@@ -52,7 +52,7 @@ class TestSlaveCache:
 
     def test_recent_use_prevents_expiry(self, cache, clock):
         sha, obj = obj_for("warm")
-        cache.insert(sha, obj)
+        cache.put_with_sha(sha, obj)
         clock.t = 100.0
         cache.get(sha)  # touch
         clock.t = 140.0
@@ -61,7 +61,8 @@ class TestSlaveCache:
 
     def test_pinned_entries_survive_expiry(self, cache, clock):
         sha, obj = obj_for("dirty")
-        cache.insert(sha, obj, pin=True)
+        cache.put_with_sha(sha, obj)
+        cache.pin(sha)
         clock.t = 1000.0
         assert cache.expire(max_idle=1.0) == 0
         cache.unpin(sha)
@@ -75,7 +76,7 @@ class TestSlaveCache:
     def test_eviction_stat(self, cache, clock):
         for i in range(5):
             sha, obj = obj_for(i)
-            cache.insert(sha, obj)
+            cache.put_with_sha(sha, obj)
         clock.t = 10.0
         cache.expire(max_idle=5.0)
         assert cache.stats.evictions == 5

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.jsonutil import sha1_of
 from repro.kvs.hashtree import (KvsPathError, apply_update, apply_updates,
-                                list_dir, lookup, lookup_ref, split_key)
+                                list_dir, lookup, lookup_ref, resolve,
+                                split_key)
 from repro.kvs.store import (EMPTY_DIR, EMPTY_DIR_SHA, ObjectStore,
                              dir_entries, is_dir_obj, is_val_obj,
-                             make_dir_obj, make_val_obj, obj_size, val_of)
+                             make_dir_obj, make_link_obj, make_val_obj,
+                             obj_size, val_of)
 
 
 def vput(store, value):
@@ -128,21 +130,43 @@ class TestLookup:
         root = apply_update(store, EMPTY_DIR_SHA, "top", vput(store, 1))
         assert set(list_dir(store, root, "")) == {"top"}
 
-    def test_fetch_callback_fills_missing(self):
+    def test_resolve_resumes_at_each_miss(self):
         master = ObjectStore()
         root = apply_update(master, EMPTY_DIR_SHA, "a.b", vput(master, 7))
-        # A slave with an empty store faults through `fetch`.
+        # A slave with an empty store faults each object in and resumes
+        # the walk where it stopped, without probing for it again.
         slave = ObjectStore()
-        fetched = []
+        probes, faulted = [], []
 
-        def fetch(sha):
-            fetched.append(sha)
+        def get(sha):
+            probes.append(sha)
+            return slave.get(sha)
+
+        parts = split_key("a.b")
+        kind, i, sha, obj = resolve(get, root, parts, False)
+        while kind == "miss":
+            faulted.append((i, sha))
             obj = master.get(sha)
             slave.put_with_sha(sha, obj)
-            return obj
+            kind, i, sha, obj = resolve(get, sha, parts, False, i, obj)
+        assert (kind, i, val_of(obj)) == ("obj", 2, 7)
+        assert [d for d, _sha in faulted] == [0, 1, 2]
+        assert probes == [s for _d, s in faulted]   # one probe per object
+        # Warm: the same walk resolves at once, and a ref stops short of
+        # the terminal object.
+        assert resolve(slave.get, root, parts, False)[0] == "obj"
+        assert resolve(slave.get, root, parts, True) == ("ref", 2, sha, None)
 
-        assert lookup(slave, root, "a.b", fetch) == 7
-        assert len(fetched) >= 2  # root dir + a dir (+ value)
+    def test_resolve_stops_at_a_link(self):
+        store = ObjectStore()
+        link = store.put_obj(make_link_obj("job.1", 3))
+        root = apply_update(store, EMPTY_DIR_SHA, "job.1", link)
+        kind, i, sha, obj = resolve(store.get, root, ["job", "1", "x"], False)
+        assert (kind, i, sha, obj) == ("link", 2, link, store.get(link))
+        # want_ref on the link's own key names it without loading it.
+        assert resolve(store.get, root, ["job", "1"], True)[0] == "ref"
+        with pytest.raises(KvsPathError, match="link to another master"):
+            lookup(store, root, "job.1.x")
 
     def test_lookup_without_fetch_raises_on_missing(self):
         master = ObjectStore()

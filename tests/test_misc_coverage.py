@@ -154,7 +154,7 @@ class TestDelegatedDirsAndRefs:
             yield kvs.commit()
             yield kvs.unlink("dead.key")
             yield kvs.commit()
-            with pytest.raises(RpcError, match="missing"):
+            with pytest.raises(RpcError, match="key 'dead.key' not found"):
                 yield kvs.get("dead.key")
             return "ok"
 

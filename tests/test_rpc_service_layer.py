@@ -4,6 +4,7 @@ counters."""
 
 import pytest
 
+from repro import standard_session
 from repro.cmb.errors import (EINVAL, ENOENT, ENOSYS, EPROTO, ERROR_CODES,
                               ETIMEDOUT, RpcError)
 from repro.cmb.message import Message, MessageType, RequestContext
@@ -189,6 +190,91 @@ class TestHandlerRegistry:
             return (yield h.rpc("echo.add", {"a": 2, "b": 3}))
 
         assert run_client(cluster, session, 4, client) == {"sum": 5}
+
+
+#: Payloads whose *type* is wrong (or that name an object nobody sent).
+#: Each one used to raise out of ``sim.run()`` from the broker main loop
+#: (AttributeError / TypeError / ValueError / KeyError) instead of being
+#: answered.
+MALFORMED = [
+    ("kvs.get", {"key": 5}), ("kvs.get", {"key": None}),
+    ("kvs.get", {"key": ["a"]}),
+    ("kvs.put", {"key": 5, "value": 1}),
+    ("kvs.put", {"key": "a", "value": 1, "sender": [1]}),
+    ("kvs.unlink", {"key": 5}),
+    ("kvs.commit", {"sender": [1]}),
+    ("kvs.fence", {"name": "f", "nprocs": "2"}),
+    ("kvs.fence", {"name": "f", "nprocs": 2, "sender": {}}),
+    ("kvs.waitversion", {"version": "x"}),
+    ("kvs.waitversion", {"version": None}),
+    ("kvs.load", {"sha": [1]}),
+    ("kvs.flush", {"ops": "x", "objs": {}}),
+    ("kvs.flush", {"ops": [], "objs": []}),
+    ("kvs.flush", {"ops": [["k", "0" * 40]], "objs": {}}),
+    ("kvs.fencedata", {"name": "f", "nprocs": 2, "count": "x", "ops": [],
+                       "objs": {}}),
+    ("kvs.fencedata", {"name": "f", "nprocs": 2, "count": 1, "ops": 5,
+                       "objs": {}}),
+    ("kvs.fencedata", {"name": "f", "nprocs": 2, "shares": 5, "objs": {}}),
+    ("kvs.delegate", {"pfx": "job", "rank": "1"}),
+    ("kvs.recall", {"pfx": ["job"]}),
+    ("barrier.enter", {"name": "b", "nprocs": "x"}),
+    ("barrier.enter", {"name": "b", "nprocs": 2, "count": "x"}),
+    ("health.activate", {"thresholds": 5}),
+]
+
+
+@pytest.mark.parametrize("rank", [0, 5])
+@pytest.mark.parametrize("topic,payload", MALFORMED,
+                         ids=[f"{t}-{i}" for i, (t, _p) in enumerate(MALFORMED)])
+def test_malformed_payload_type_is_answered_einval(topic, payload, rank):
+    """The registry checks declared field types, handlers check their
+    optional fields, and the master refuses a commit naming an unknown
+    object: each is an ``EINVAL`` answer naming the problem, at the
+    master rank and through a slave alike, and the session lives on."""
+    cluster = make_cluster(7, seed=1)
+    session = standard_session(cluster).start()
+
+    def client(h):
+        try:
+            yield h.rpc(topic, payload, timeout=0.5)
+        except RpcError as exc:
+            err = exc
+        else:
+            return None
+        # Still serving afterwards.
+        yield h.rpc("kvs.put", {"key": "ok", "value": 1})
+        yield h.rpc("kvs.commit", {})
+        assert (yield h.rpc("kvs.get", {"key": "ok"})) == {"value": 1}
+        return err
+
+    exc = run_client(cluster, session, rank, client)
+    assert exc is not None and exc.code == EINVAL
+    assert (any(f"'{f}'" in exc.error for f in payload)    # names the field
+            or "unknown object" in exc.error), exc.error
+
+
+def test_fence_completed_with_an_unknown_object_fails_its_waiters():
+    """A contribution naming an object nobody sent is only found out when
+    the master commits the completed fence: the commit is refused and the
+    fence requests held at the master rank are told, instead of the
+    ``KeyError`` escaping ``sim.run()``."""
+    cluster = make_cluster(7, seed=1)
+    session = standard_session(cluster).start()
+
+    def client(h):
+        before = yield h.rpc("kvs.getversion", {})
+        held = h.rpc("kvs.fence", {"name": "f", "nprocs": 2}, timeout=0.5)
+        yield h.rpc("kvs.fencedata", {"name": "f", "nprocs": 2, "count": 1,
+                                      "ops": [["k", "0" * 40]], "objs": {}})
+        try:
+            yield held
+        except RpcError as exc:
+            return exc, before, (yield h.rpc("kvs.getversion", {}))
+
+    exc, before, after = run_client(cluster, session, 0, client)
+    assert exc.code == EINVAL and "unknown object" in exc.error
+    assert after == before
 
 
 class TestDeadlines:

@@ -8,8 +8,6 @@ import pytest
 from repro.sim.trace import StatSeries, Summary
 from repro.kap.config import KapConfig
 from repro.kap.results import KapResult
-from repro.obs.metrics import (MetricsRegistry, parse_prometheus_text,
-                               snapshot_to_prometheus)
 from repro.obs.span import SpanTracer
 from repro.stats import validate_trace
 
@@ -131,71 +129,6 @@ class TestSpanSampling:
             self._trace(tr, error=(i == 9))
         doc = tr.to_chrome_trace()
         assert validate_trace(doc) == []
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition (HELP/TYPE + validating parser)
-# ----------------------------------------------------------------------
-class TestPrometheusExport:
-    def _snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("reqs_total", plane="tree").inc(3)
-        reg.gauge("depth").set(2)
-        h = reg.histogram("lat_seconds", bounds=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-        return reg.snapshot()
-
-    def test_help_and_type_precede_samples(self):
-        text = snapshot_to_prometheus(self._snapshot())
-        lines = text.splitlines()
-        for family in ("reqs_total", "depth", "lat_seconds"):
-            help_i = lines.index(next(
-                ln for ln in lines
-                if ln.startswith(f"# HELP {family} ")))
-            type_i = lines.index(f"# TYPE {family} " + (
-                "counter" if family.endswith("_total") else
-                "gauge" if family == "depth" else "histogram"))
-            first_sample = min(i for i, ln in enumerate(lines)
-                               if ln.startswith(family))
-            assert help_i < first_sample and type_i < first_sample
-
-    def test_histogram_buckets_cumulative_with_inf(self):
-        text = snapshot_to_prometheus(self._snapshot())
-        buckets = [ln for ln in text.splitlines()
-                   if ln.startswith("lat_seconds_bucket")]
-        counts = [int(ln.rsplit(" ", 1)[1]) for ln in buckets]
-        assert counts == sorted(counts)      # cumulative
-        assert 'le="+Inf"' in buckets[-1]
-        count_line = next(ln for ln in text.splitlines()
-                          if ln.startswith("lat_seconds_count"))
-        assert int(count_line.rsplit(" ", 1)[1]) == counts[-1]
-
-    def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("odd_total", tag='a"b\\c\nd').inc()
-        text = snapshot_to_prometheus(reg.snapshot())
-        assert '\\"' in text and "\\\\" in text and "\\n" in text
-        assert parse_prometheus_text(text) == []
-
-    def test_exported_text_parses_clean(self):
-        assert parse_prometheus_text(
-            snapshot_to_prometheus(self._snapshot())) == []
-
-    def test_parser_flags_undeclared_family(self):
-        bad = "# HELP a a\n# TYPE a counter\na 1\nb 2\n"
-        assert any("b" in p for p in parse_prometheus_text(bad))
-
-    def test_parser_flags_noncumulative_buckets(self):
-        bad = ("# HELP h h\n# TYPE h histogram\n"
-               'h_bucket{le="0.1"} 5\nh_bucket{le="1"} 3\n'
-               'h_bucket{le="+Inf"} 5\nh_count 5\nh_sum 1\n')
-        assert parse_prometheus_text(bad)
-
-    def test_parser_flags_missing_inf_bucket(self):
-        bad = ("# HELP h h\n# TYPE h histogram\n"
-               'h_bucket{le="0.1"} 1\nh_count 1\nh_sum 0.05\n')
-        assert parse_prometheus_text(bad)
 
 
 # ----------------------------------------------------------------------
