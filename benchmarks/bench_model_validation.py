@@ -13,12 +13,12 @@ import pytest
 from conftest import write_table
 from repro.kap import (KapConfig, predict_consumer_latency,
                        predict_fence_latency, predict_producer_latency,
-                       run_kap)
+                       predict_setup_latency, run_kap)
 from repro.sim.cluster import zin_like_params
 
 
 @pytest.fixture(scope="module")
-def model_rows(scale):
+def model_tables(scale):
     params = zin_like_params()
     rows = []
     for nn in scale["nodes"]:
@@ -63,8 +63,31 @@ def model_rows(scale):
         lines.append(f"{row['consumers']:>10} "
                      f"{row['walk_model']*1e3:>10.3f} "
                      f"{row['walk_measured']*1e3:>10.3f} {ratio:>6.2f}")
-    write_table("model_validation", "\n".join(lines), data=rows)
-    return rows
+    # The setup barrier moves no data, so it is swept at the paper's
+    # node counts whatever the scale: nobody puts, nobody reads.
+    setup = []
+    for nn in (64, 128, 256, 512):
+        cfg = KapConfig(nnodes=nn, procs_per_node=16, nproducers=0,
+                        nconsumers=0)
+        setup.append({"nodes": nn,
+                      "setup_model": predict_setup_latency(cfg, params),
+                      "setup_measured": run_kap(cfg).setup_time})
+    lines += ["", "Setup model (one tally up, the exit event down) vs "
+              "simulation, 16 procs/node",
+              f"{'nodes':>10} {'model(us)':>10} {'meas(us)':>10} "
+              f"{'ratio':>6}"]
+    for row in setup:
+        ratio = row["setup_measured"] / row["setup_model"]
+        lines.append(f"{row['nodes']:>10} {row['setup_model']*1e6:>10.1f} "
+                     f"{row['setup_measured']*1e6:>10.1f} {ratio:>6.2f}")
+    write_table("model_validation", "\n".join(lines),
+                data={"rows": rows, "setup": setup})
+    return {"rows": rows, "setup": setup}
+
+
+@pytest.fixture(scope="module")
+def model_rows(model_tables):
+    return model_tables["rows"]
 
 
 def test_model_table_regenerated(model_rows):
@@ -107,6 +130,14 @@ def test_fence_model_tracks_measurement(model_rows):
               for row in model_rows]
     assert all(0.75 < ratio < 1.33 for ratio in ratios), ratios
     assert ratios[-1] == pytest.approx(ratios[0], rel=0.15)
+
+
+def test_setup_model_tracks_measurement(model_tables):
+    """One tally per rank: the setup barrier costs its hops and nothing
+    else, at every paper scale."""
+    for row in model_tables["setup"]:
+        ratio = row["setup_measured"] / row["setup_model"]
+        assert 0.8 < ratio < 1.25, f"setup model off by {ratio:.2f}x: {row}"
 
 
 def test_model_evaluation_is_fast(benchmark, scale, model_rows):

@@ -18,35 +18,15 @@ schedules nothing, and the run is event-identical to an unobserved one.
 """
 
 import argparse
-import contextlib
 import statistics
 
+from phase_budget import fabric_sends
 from repro.cmb.message import MessageType
 from repro.cmb.topology import TreeTopology
 from repro.kap import KapConfig, run_kap
 from repro.sim.cluster import zin_like_params
-from repro.sim.network import Network
 
 TOPIC = "kvs.walk"
-
-
-@contextlib.contextmanager
-def walk_sends(log):
-    """Append ``(t, src_node, dst_node, msg, size)`` to ``log`` for
-    every ``kvs.walk`` message handed to the fabric."""
-    real = Network.send
-
-    def send(self, src, dst, payload, size, port=Network.DEFAULT_PORT):
-        msg = payload[1]        # brokers send (plane, Message)
-        if msg.topic == TOPIC and src != dst:
-            log.append((self.sim.now, src, dst, msg, size))
-        real(self, src, dst, payload, size, port)
-
-    Network.send = send
-    try:
-        yield log
-    finally:
-        Network.send = real
 
 
 def _hist(sizes):
@@ -64,7 +44,7 @@ def timeline(config: KapConfig) -> dict:
     """Run ``config`` and reduce its ``kvs.walk`` traffic to the
     per-level rows and the master-NIC summary (times in seconds from
     the first request).  Brokers sit on node ``rank`` (KAP's layout)."""
-    with walk_sends([]) as log:
+    with fabric_sends([], TOPIC) as log:
         result = run_kap(config)
     params = zin_like_params()
     topo = TreeTopology(config.nnodes, arity=config.tree_arity)

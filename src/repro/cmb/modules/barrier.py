@@ -4,11 +4,14 @@
 
 Protocol: a client enters with ``barrier.enter {name, nprocs}``.  Each
 broker tallies entries for the name — local clients plus count-carrying
-relays from children — and forwards the increments upstream.  The root
-publishes ``barrier.exit {name}`` once ``nprocs`` entries arrived;
-every broker then releases its held local requests.  A short
-aggregation window lets a broker coalesce near-simultaneous entries
-into one upstream message (the tree-reduction the paper describes).
+relays from children — and forwards the tally upstream the moment its
+subtree is complete (every collective client below it has entered), so
+a whole-session barrier is one message per tree edge and runs at tree
+speed.  The root publishes ``barrier.exit {name}`` once ``nprocs``
+entries arrived; every broker then releases its held local requests.
+A barrier joined by only some of a subtree's clients never completes
+that subtree: its entries leave after a short aggregation window
+instead, coalesced into one upstream message per window.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from ..module import CommsModule, request_handler
 
 __all__ = ["BarrierModule"]
 
+# Fallback aggregation window for barriers a subtree's clients only
+# partly join; a complete subtree does not wait for it.
+_BARRIER_WINDOW = 5e-5
+
 
 class _BarrierState:
     __slots__ = ("nprocs", "pending_count", "held", "flush_scheduled",
@@ -27,28 +34,19 @@ class _BarrierState:
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
         self.pending_count = 0   # entries not yet forwarded upstream
-        self.total = 0           # root only: entries seen session-wide
+        self.total = 0           # entries seen from this rank's subtree
         self.held: list[Message] = []
         self.flush_scheduled = False
 
 
 class BarrierModule(CommsModule):
-    """Named counted barriers over the tree plane.
-
-    Config
-    ------
-    window:
-        Aggregation window in seconds before forwarding tallies
-        upstream (default 50 µs; 0 forwards immediately).
-    """
+    """Named counted barriers over the tree plane."""
 
     name = "barrier"
 
-    def __init__(self, broker, *, window: float = 5e-5):
-        super().__init__(broker, window=window)
-        self.window = window
+    def __init__(self, broker):
+        super().__init__(broker)
         self._states: dict[str, _BarrierState] = {}
-        self.completed: list[str] = []
 
     def start(self) -> None:
         self.broker.subscribe("barrier.exit", self._on_exit)
@@ -69,6 +67,12 @@ class BarrierModule(CommsModule):
         name = msg.payload["name"]
         nprocs = msg.payload["nprocs"]
         count = msg.payload.get("count", 1)
+        for field, value in (("nprocs", nprocs), ("count", count)):
+            if value < 1:
+                self.respond(msg, error=f"barrier.enter: payload field "
+                             f"{field!r} must be >= 1, not {value}",
+                             code=EINVAL)
+                return
         try:
             st = self._state_for(name, nprocs)
         except ValueError as exc:
@@ -77,43 +81,64 @@ class BarrierModule(CommsModule):
         if "count" not in msg.payload:
             # A real client entry: hold for release at exit time.
             st.held.append(msg)
+            self._add(name, st, count)
         else:
-            # A relayed tally from a child broker: acknowledge now.
+            # A relayed tally from a child broker.  Tally first, then
+            # acknowledge: when this tally completes the barrier at the
+            # root, the ack must queue on the NIC *behind* the
+            # ``barrier.exit`` copies, not ahead of them.
+            self._add(name, st, count)
             self.respond(msg, {})
-        self._add(name, st, count)
 
     def _add(self, name: str, st: _BarrierState, count: int) -> None:
+        st.total += count
         if self.is_root:
-            st.total += count
             if st.total >= st.nprocs:
                 self.broker.publish("barrier.exit",
                                     {"name": name, "nprocs": st.nprocs})
             return
         st.pending_count += count
-        if not st.flush_scheduled:
+        expected = self.broker.session.subtree_procs(self.rank)
+        if st.total >= min(expected, st.nprocs):
+            # Complete subtree: nothing below is still to come.
+            self._flush(name, st)
+        elif not st.flush_scheduled:
             st.flush_scheduled = True
-            if self.window > 0:
-                self.broker.after(self.window, lambda: self._flush(name))
-            else:
-                self._flush(name)
+            self.broker.after(_BARRIER_WINDOW,
+                              lambda: self._flush(name, st))
 
-    def _flush(self, name: str) -> None:
-        st = self._states.get(name)
-        if st is None or st.pending_count == 0:
-            if st is not None:
-                st.flush_scheduled = False
+    def _flush(self, name: str, st: _BarrierState) -> None:
+        # A timer belongs to the state that armed it: the name is
+        # reusable once its barrier completed.
+        if self._states.get(name) is not st:
+            return
+        st.flush_scheduled = False
+        if st.pending_count == 0:
             return
         count, st.pending_count = st.pending_count, 0
-        st.flush_scheduled = False
         self.broker.rpc_parent_cb(
             "barrier.enter",
             {"name": name, "nprocs": st.nprocs, "count": count},
-            lambda resp: None)
+            lambda resp: self._tally_sent(name, st, resp))
+
+    def _tally_sent(self, name: str, st: _BarrierState,
+                    resp: Message) -> None:
+        """The parent's answer to a relayed tally.  A refusal (our
+        clients' ``nprocs`` contradicts the barrier the parent is
+        collecting, or the parent is gone) fails the entries held here
+        with the same errnum."""
+        if resp.error is None:
+            return
+        if self._states.get(name) is st:
+            del self._states[name]
+        held, st.held = st.held, []
+        for msg in held:
+            self.respond(msg, error=resp.error, code=resp.errnum,
+                         err_rank=resp.err_rank)
 
     def _on_exit(self, msg: Message) -> None:
         name = msg.payload["name"]
         st = self._states.pop(name, None)
-        self.completed.append(name)
         if st is None:
             return
         for held in st.held:

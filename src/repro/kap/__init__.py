@@ -12,7 +12,7 @@ from .config import KapConfig, PAPER_NODE_COUNTS, PAPER_VALUE_SIZES
 from .driver import run_kap
 from .model import (dir_object_bytes, predict_consumer_latency,
                     predict_fence_latency, predict_producer_latency,
-                    replication_time)
+                    predict_setup_latency, replication_time)
 from .patterns import consumer_targets, make_value, object_key, proc_rank_node
 from .results import KapResult, format_series_table
 
@@ -22,6 +22,7 @@ __all__ = [
     "KapConfig", "PAPER_NODE_COUNTS", "PAPER_VALUE_SIZES", "run_kap",
     "dir_object_bytes", "predict_consumer_latency",
     "predict_fence_latency", "predict_producer_latency",
-    "replication_time", "consumer_targets", "make_value", "object_key",
-    "proc_rank_node", "KapResult", "format_series_table",
+    "predict_setup_latency", "replication_time", "consumer_targets",
+    "make_value", "object_key", "proc_rank_node", "KapResult",
+    "format_series_table",
 ]

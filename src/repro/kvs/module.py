@@ -1124,6 +1124,15 @@ class KvsModule(CommsModule):
                          + ("" if held == pfx else f" (under {held!r})"),
                          code=EEXIST)
             return
+        inner = min((p for p in self.owners if p.startswith(pfx + ".")),
+                    default=None)
+        if inner is not None:
+            # The mirror case: the snapshot of ``pfx`` would carry the
+            # inner link, and recalling the inner prefix would then
+            # overwrite the outer link in the root tree.
+            self.respond(msg, error=f"{inner!r} under {pfx!r} is already "
+                         "delegated", code=EEXIST)
+            return
         if not 0 <= rank < self.broker.session.size:
             self.respond(msg, error=f"rank {rank!r} is not in the session",
                          code=EINVAL)

@@ -11,6 +11,19 @@ from repro.sim.network import Network
 FenceData = namedtuple("FenceData", "time src count accounted encoded")
 
 
+def _spy_on_sends(monkeypatch, record):
+    """Call ``record(network, src, msg, size)`` for every message a
+    broker hands to ``Network.send``, then send it."""
+    send = Network.send
+
+    def spy(self, src, dst, payload, size, **kw):
+        _plane, msg = payload           # what Broker._send hands over
+        record(self, src, msg, size)
+        send(self, src, dst, payload, size, **kw)
+
+    monkeypatch.setattr(Network, "send", spy)
+
+
 @pytest.fixture
 def fencedata_log(monkeypatch):
     """Every legacy-format ``kvs.fencedata`` request put on the fabric
@@ -18,17 +31,31 @@ def fencedata_log(monkeypatch):
     contribution count, the bytes the NIC was charged and the bytes a
     real canonical encoding of the message would take."""
     log = []
-    send = Network.send
 
-    def spy(self, src, dst, payload, size, **kw):
-        _plane, msg = payload           # what Broker._send hands over
+    def record(network, src, msg, size):
         if (msg.topic == "kvs.fencedata"
                 and msg.mtype is MessageType.REQUEST
                 and "count" in msg.payload):
             log.append(FenceData(
-                self.sim.now, src, msg.payload["count"], size,
+                network.sim.now, src, msg.payload["count"], size,
                 HEADER_BYTES + len(canonical_dumps(msg.payload))))
-        send(self, src, dst, payload, size, **kw)
 
-    monkeypatch.setattr(Network, "send", spy)
+    _spy_on_sends(monkeypatch, record)
+    return log
+
+
+@pytest.fixture
+def barrier_relays(monkeypatch):
+    """``(time, src rank, count)`` of every ``barrier.enter`` tally a
+    broker relays to its parent while the test runs (brokers sit on
+    node ``rank``; client entries carry no count)."""
+    log = []
+
+    def record(network, src, msg, _size):
+        if (msg.topic == "barrier.enter"
+                and msg.mtype is MessageType.REQUEST
+                and "count" in msg.payload):
+            log.append((network.sim.now, src, msg.payload["count"]))
+
+    _spy_on_sends(monkeypatch, record)
     return log

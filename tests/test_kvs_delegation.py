@@ -205,14 +205,43 @@ def test_nested_delegation_is_refused_and_writes_stay_readable():
             yield kvs.delegate("a.b", 5)
         assert ei.value.code == EEXIST
         assert (yield kvs.get("a.b.c")) == "acked"
-        # The reverse order nests a link inside the outer owner's
-        # snapshot and composes.
-        yield kvs.put("x.y.z", 1)
+        assert (yield kvs.owners())["owners"] == {"a": 3}
+        return "ok"
+
+    assert _run(sim, scenario()) == "ok"
+    session.stop()
+
+
+def test_delegation_above_a_delegated_prefix_is_refused():
+    """The reverse order used to be accepted: the outer owner's snapshot
+    carried the inner link, and recalling the inner prefix then
+    overwrote the outer link in the root tree — the inner keys answered
+    ``'a.b' is a link to another master`` from then on."""
+    cluster, session = _session(8, seed=8)
+    sim = cluster.sim
+
+    def scenario():
+        kvs = KvsClient(session.connect(1), timeout=5.0, retries=8)
+        yield kvs.put("a.b.c", "acked")
+        yield kvs.put("a.z", 2)
+        yield kvs.put("ab.c", 3)
         yield kvs.commit()
-        yield kvs.delegate("x.y", 5)
-        yield kvs.delegate("x", 3)
-        assert (yield kvs.get("x.y.z")) == 1
-        assert (yield kvs.owners())["owners"] == {"a": 3, "x": 3, "x.y": 5}
+        yield kvs.delegate("a.b", 5)
+        with pytest.raises(RpcError) as ei:
+            yield kvs.delegate("a", 3)
+        assert ei.value.code == EEXIST
+        assert "'a.b'" in ei.value.error        # names the inner prefix
+        assert (yield kvs.owners())["owners"] == {"a.b": 5}
+        # A sibling that merely shares the characters is not "above".
+        yield kvs.delegate("ab", 3)
+        yield kvs.recall("a.b")
+        assert (yield kvs.get("a.b.c")) == "acked"
+        assert (yield kvs.get("a.z")) == 2
+        assert (yield kvs.get("ab.c")) == 3
+        # With the inner one recalled the outer prefix is free again.
+        yield kvs.delegate("a", 3)
+        assert (yield kvs.get("a.b.c")) == "acked"
+        assert (yield kvs.owners())["owners"] == {"a": 3, "ab": 3}
         return "ok"
 
     assert _run(sim, scenario()) == "ok"

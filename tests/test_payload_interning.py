@@ -30,7 +30,9 @@ from repro.sim.cluster import make_cluster
 
 from .chaos import run_chaos_workload
 
-GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
+#: Re-pinned once (PR 24: barrier tallies leave when the subtree is
+#: complete); the same value as ``bench_simperf.GOLDEN_KAP_256``.
+GOLDEN_KAP_256 = "7203692736358cbaf3a649f3d54ec94f420002e2"
 
 
 @pytest.fixture(autouse=True)

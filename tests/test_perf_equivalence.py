@@ -12,6 +12,12 @@ The golden values below were captured on the pre-optimization tree
 optimization perturbs scheduling order, message sizes, or float
 arithmetic, these pins catch it; they are the regression gate the
 DESIGN.md "Performance engineering" section points at.
+
+The KAP pins were re-declared once since (PR 24, reason: "barrier
+tallies leave when the subtree is complete"): the setup barrier lost
+its per-level windows, so fingerprints, event counts, bytes and
+``total_time`` moved and the phase latencies moved in the last float
+ulp (the time origin moved).  The chaos golden did not.
 """
 
 import copy
@@ -30,32 +36,32 @@ GOLDEN_KAP = {
     "small": (
         dict(nnodes=8, procs_per_node=2, value_size=64, nputs=2,
              naccess=2, seed=3),
-        dict(fingerprint="4b28c8bd1454f43c667dacec7bc8acd7e2238c0f",
-             events=791, bytes_sent=36784,
-             producer=1.609399999999997e-05,
-             sync=3.56660833333333e-05,
-             consumer=7.34134999999998e-05,
-             total_time=0.0003038966874999998),
+        dict(fingerprint="020af117aa1bc44ae8a024e1cb89ae465898fbf6",
+             events=771, bytes_sent=36096,
+             producer=1.6094000000000005e-05,
+             sync=3.566608333333328e-05,
+             consumer=7.341350000000007e-05,
+             total_time=0.00015258418750000005),
     ),
     "medium": (
         dict(nnodes=16, procs_per_node=4, value_size=512, dir_width=16,
              seed=5),
-        dict(fingerprint="65e419734171c3860d9c717f49eaef4475f6da18",
-             events=1911, bytes_sent=173375,
-             producer=8.122166666666689e-06,
-             sync=5.455387499999964e-05,
+        dict(fingerprint="c21467c8d1b244db57c925f127248d087b4e246a",
+             events=1856, bytes_sent=171487,
+             producer=8.122166666666668e-06,
+             sync=5.455387499999994e-05,
              consumer=5.73521458333333e-05,
-             total_time=0.00035949131249999965),
+             total_time=0.0001602000624999999),
     ),
     "large": (
         dict(nnodes=32, procs_per_node=4, value_size=256,
              redundant_values=True, sync="commit_wait", seed=7),
-        dict(fingerprint="5a30713309bd78e3112c99bb725debbc1b7a1ae6",
-             events=13019, bytes_sent=979286,
-             producer=8.07933333333335e-06,
-             sync=0.0007939087708333497,
-             consumer=3.718991666666681e-05,
-             total_time=0.0011213096458333493),
+        dict(fingerprint="91954cfe37f1154659d3ae9a67a0229d92c2e368",
+             events=12889, bytes_sent=974794,
+             producer=8.079333333333336e-06,
+             sync=0.0007939087708333374,
+             consumer=3.718991666666735e-05,
+             total_time=0.0008740390208333382),
     ),
 }
 

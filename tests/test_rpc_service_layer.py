@@ -221,6 +221,10 @@ MALFORMED = [
     ("barrier.enter", {"name": "b", "nprocs": "x"}),
     ("barrier.enter", {"name": "b", "nprocs": 2, "count": "x"}),
     ("health.activate", {"thresholds": 5}),
+    # Right type, impossible value: a barrier of nobody used to complete
+    # at once, and a negative tally was acknowledged and subtracted.
+    ("barrier.enter", {"name": "b", "nprocs": 0}),
+    ("barrier.enter", {"name": "b", "nprocs": 2, "count": -5}),
 ]
 
 
