@@ -109,7 +109,7 @@ class BarrierModule(CommsModule):
 
     def _flush(self, name: str, st: _BarrierState) -> None:
         # A timer belongs to the state that armed it: the name is
-        # reusable once its barrier completed.
+        # reusable once its barrier is over.
         if self._states.get(name) is not st:
             return
         st.flush_scheduled = False
