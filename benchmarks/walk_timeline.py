@@ -2,9 +2,11 @@
 
 For a ``KapConfig`` (always ``dedup=True``) it prints, per tree level of
 the *sending* rank, how many ``kvs.walk`` requests left, their
-batch-size histogram and the first/last send time; then what the
+batch-size histogram and the first/last send time; the mean request
+and result payload bytes per item, over every level; then what the
 master's NIC did with the read phase: responses, bytes, and busy share
-(``msgs x per_message_overhead + bytes / bandwidth`` over the phase).
+(``msgs x per_message_overhead + bytes / bandwidth`` over the phase,
+with the two terms apart).
 The read phase runs from the first ``kvs.walk`` request on the wire to
 the moment the master's NIC finishes its last response.
 
@@ -21,7 +23,7 @@ import argparse
 import statistics
 
 from phase_budget import fabric_sends
-from repro.cmb.message import MessageType
+from repro.cmb.message import HEADER_BYTES, MessageType
 from repro.cmb.topology import TreeTopology
 from repro.kap import KapConfig, run_kap
 from repro.sim.cluster import zin_like_params
@@ -66,11 +68,22 @@ def timeline(config: KapConfig) -> dict:
                      "hist": _hist(sizes),
                      "first_s": min(t for t, _n, _src in sent),
                      "last_s": max(t for t, _n, _src in sent)})
+    # Payload bytes (the header is per message, not per item); a failed
+    # batch's error response carries no results and is left out.
+    results = [(len(r[3].payload["res"]), r[4] - HEADER_BYTES)
+               for r in log if r[3].mtype == MessageType.RESPONSE
+               and "res" in r[3].payload]
+    per_item = {
+        "request_bytes": (sum(r[4] - HEADER_BYTES for r in reqs)
+                          / sum(len(r[3].payload["items"]) for r in reqs)),
+        "result_bytes": (sum(b for _n, b in results)
+                         / sum(n for n, _b in results))}
     resp = [r for r in log if r[1] == 0
             and r[3].mtype == MessageType.RESPONSE]
     nbytes = sum(r[4] for r in resp)
-    busy = (len(resp) * params.per_message_overhead
-            + nbytes / params.bandwidth)
+    msgs_s = len(resp) * params.per_message_overhead
+    bytes_s = nbytes / params.bandwidth
+    busy = msgs_s + bytes_s
     # The NIC's FIFO, replayed: it is done one serialisation after the
     # last response was handed to it, or later if it was backed up.
     done = 0.0
@@ -82,8 +95,11 @@ def timeline(config: KapConfig) -> dict:
     return {"levels": rows,
             "get_max_ms": result.max_consumer_latency * 1e3,
             "phase_s": phase,
+            "per_item": per_item,
             "master": {"responses": len(resp),
                        "bytes": nbytes,
+                       "msgs_s": msgs_s,
+                       "bytes_s": bytes_s,
                        "busy_s": busy,
                        "busy_share": busy / phase},
             "rank1": {"requests": len(rank1),
@@ -105,12 +121,17 @@ def render(config: KapConfig, doc: dict) -> str:
             f"{r['hist']}")
     m = doc["master"]
     lines.append(
+        f"per item: request {doc['per_item']['request_bytes']:.1f} B, "
+        f"result {doc['per_item']['result_bytes']:.1f} B (payload bytes, "
+        f"all levels)")
+    lines.append(
         f"rank 1: {doc['rank1']['requests']} requests, mean batch "
         f"{doc['rank1']['mean_batch']:.1f} items")
     lines.append(
         f"master NIC: {m['responses']} responses, {m['bytes']} B, busy "
         f"{m['busy_s'] * 1e6:.1f} of {doc['phase_s'] * 1e6:.1f} us "
-        f"= {m['busy_share']:.0%} of the read phase")
+        f"= {m['busy_share']:.0%} of the read phase (messages "
+        f"{m['msgs_s'] * 1e6:.1f} + bytes {m['bytes_s'] * 1e6:.1f} us)")
     return "\n".join(lines)
 
 

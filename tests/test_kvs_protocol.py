@@ -5,7 +5,7 @@ watch, and the three Vogels consistency properties."""
 import pytest
 
 from repro.cmb.api import RpcError
-from repro.cmb.errors import EINVAL
+from repro.cmb.errors import EINVAL, ENOENT
 from repro.cmb.modules import BarrierModule, HeartbeatModule
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
@@ -431,6 +431,45 @@ class TestFence:
 
         assert run(cluster, member(1, 2, 0.0), odd_one_out(),
                    member(2, 2, 2e-3)) == [1, "refused", 1]
+        assert session.module_at(0, "kvs").master.version == 1
+
+    def test_refusal_reaches_the_subtree_below_the_refused_rank(self):
+        """Rank 3's contribution leaves rank 3 at once and is refused
+        one level up, where rank 1's flush meets the master's pending
+        fence: rank 1 tells rank 3, whose client fails too — instead of
+        being acknowledged later by a commit that never held its write."""
+        cluster, session = make_kvs_session(n=7)
+        sim = cluster.sim
+
+        def member(rank, nprocs, at):
+            kvs = KvsClient(session.connect(rank))
+            yield kvs.put(f"x.k{rank}", rank)
+            yield sim.timeout(at)
+            return (yield kvs.fence("x", nprocs))["version"]
+
+        def refused():
+            kvs = KvsClient(session.connect(3))
+            yield kvs.put("x.k3", 3)
+            yield sim.timeout(1e-3)
+            with pytest.raises(RpcError, match="inconsistent nprocs") as err:
+                yield kvs.fence("x", 3)
+            assert err.value.code == EINVAL
+            assert "x" not in session.module_at(3, "kvs").waiter_census()[
+                "fences"]
+            return "refused"
+
+        def reader():
+            kvs = KvsClient(session.connect(5))
+            yield kvs.wait_version(1)
+            got = [(yield kvs.get("x.k2")), (yield kvs.get("x.k4"))]
+            with pytest.raises(RpcError) as err:
+                yield kvs.get("x.k3")
+            assert err.value.code == ENOENT
+            return got
+
+        assert run(cluster, member(2, 2, 0.0), refused(),
+                   member(4, 2, 3e-3), reader()) == [
+            1, "refused", 1, [2, 4]]
         assert session.module_at(0, "kvs").master.version == 1
 
     def test_interleaved_fences_straddling_the_window(self):
