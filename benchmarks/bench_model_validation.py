@@ -38,6 +38,17 @@ def model_tables(scale):
             "walk_model": predict_consumer_latency(walk_cfg, params),
             "walk_measured": run_kap(walk_cfg).max_consumer_latency,
         })
+    # The flat star: 64 nodes under one root, whose NIC sends every
+    # completion copy, at the fence shape of the sweep and the setup
+    # shape below.
+    star_cfg = dataclasses.replace(cfg, nnodes=64, tree_arity=64)
+    star_setup_cfg = KapConfig(nnodes=64, procs_per_node=16, nproducers=0,
+                               nconsumers=0, tree_arity=64)
+    star = {"consumers": star_cfg.nprocs,
+            "fence_model": predict_fence_latency(star_cfg, params),
+            "fence_measured": run_kap(star_cfg).max_sync_latency,
+            "setup_model": predict_setup_latency(star_setup_cfg, params),
+            "setup_measured": run_kap(star_setup_cfg).setup_time}
     lines = ["Consumer model log2(C) x T(G) vs simulation",
              f"{'consumers':>10} {'model(ms)':>10} {'meas(ms)':>10} "
              f"{'ratio':>6}"]
@@ -49,9 +60,10 @@ def model_tables(scale):
               "vs simulation",
               f"{'producers':>10} {'model(ms)':>10} {'meas(ms)':>10} "
               f"{'ratio':>6}"]
-    for row in rows:
+    for row in rows + [star]:
         ratio = row["fence_measured"] / row["fence_model"]
-        lines.append(f"{row['consumers']:>10} "
+        label = f"{'star ' if row is star else ''}{row['consumers']}"
+        lines.append(f"{label:>10} "
                      f"{row['fence_model']*1e3:>10.3f} "
                      f"{row['fence_measured']*1e3:>10.3f} {ratio:>6.2f}")
     lines += ["", "Walk model (master NIC + stored-and-forwarded lists) "
@@ -76,13 +88,14 @@ def model_tables(scale):
               "simulation, 16 procs/node",
               f"{'nodes':>10} {'model(us)':>10} {'meas(us)':>10} "
               f"{'ratio':>6}"]
-    for row in setup:
+    for row in setup + [star]:
         ratio = row["setup_measured"] / row["setup_model"]
-        lines.append(f"{row['nodes']:>10} {row['setup_model']*1e6:>10.1f} "
+        label = "star 64" if row is star else row["nodes"]
+        lines.append(f"{label:>10} {row['setup_model']*1e6:>10.1f} "
                      f"{row['setup_measured']*1e6:>10.1f} {ratio:>6.2f}")
     write_table("model_validation", "\n".join(lines),
-                data={"rows": rows, "setup": setup})
-    return {"rows": rows, "setup": setup}
+                data={"rows": rows, "setup": setup, "star": star})
+    return {"rows": rows, "setup": setup, "star": star}
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +151,15 @@ def test_setup_model_tracks_measurement(model_tables):
     for row in model_tables["setup"]:
         ratio = row["setup_measured"] / row["setup_model"]
         assert 0.8 < ratio < 1.25, f"setup model off by {ratio:.2f}x: {row}"
+
+
+def test_flat_star_is_modelled(model_tables):
+    """The root of a 64-node star sends 63 completion copies and
+    nothing else: setup and fence read their models there too."""
+    star = model_tables["star"]
+    for phase in ("setup", "fence"):
+        ratio = star[f"{phase}_measured"] / star[f"{phase}_model"]
+        assert 0.8 < ratio < 1.25, f"star {phase} off by {ratio:.2f}x"
 
 
 def test_model_evaluation_is_fast(benchmark, scale, model_rows):

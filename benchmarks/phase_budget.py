@@ -21,12 +21,17 @@ shows that (within 1.25x).  So:
 
     PYTHONPATH=src python benchmarks/phase_budget.py --nodes 256 --dedup
 
+``--check`` makes it a gate: it exits 1 when the setup, put or fence
+phase is a FINDING or reads outside 0.8-1.25 of its model (the read
+phase has open findings, ROADMAP E).
+
 Pure observer: it wraps ``Network.send`` for the duration of the run,
 schedules nothing, and the run is event-identical to an unobserved one.
 """
 
 import argparse
 import contextlib
+import sys
 
 from repro.kap import (KapConfig, predict_consumer_latency,
                        predict_fence_latency, predict_producer_latency,
@@ -35,8 +40,10 @@ from repro.sim.cluster import zin_like_params
 from repro.sim.network import Network
 
 BUSY_FLOOR = 0.9
+MODEL_FLOOR = 0.8
 MODEL_CEILING = 1.25
 READ_TOPICS = ("kvs.get", "kvs.load", "kvs.walk")
+CHECKED_PHASES = ("setup", "put", "fence")
 
 
 @contextlib.contextmanager
@@ -126,7 +133,15 @@ def render(config: KapConfig, doc: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> None:
+def failed_phases(doc: dict) -> list:
+    """The checked phases that are a FINDING or off their model."""
+    return [r["phase"] for r in doc["phases"]
+            if r["phase"] in CHECKED_PHASES
+            and (r["verdict"] == "FINDING"
+                 or not MODEL_FLOOR <= r["model_ratio"] <= MODEL_CEILING)]
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--nodes", type=int, default=256)
     ap.add_argument("--procs-per-node", type=int, default=16)
@@ -138,14 +153,23 @@ def main(argv=None) -> None:
     ap.add_argument("--dir-width", type=int, default=None)
     ap.add_argument("--dedup", action="store_true")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--check", action="store_true",
+                    help="exit 1 when setup, put or fence is a FINDING "
+                         f"or outside {MODEL_FLOOR}-{MODEL_CEILING}x "
+                         "its model")
     args = ap.parse_args(argv)
     config = KapConfig(nnodes=args.nodes, procs_per_node=args.procs_per_node,
                        value_size=args.value_size, tree_arity=args.arity,
                        nputs=args.nputs, naccess=args.naccess,
                        nconsumers=args.consumers, dir_width=args.dir_width,
                        seed=args.seed, dedup=args.dedup)
-    print(render(config, budget(config)))
+    doc = budget(config)
+    print(render(config, doc))
+    failed = failed_phases(doc) if args.check else []
+    if failed:
+        print(f"check failed: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

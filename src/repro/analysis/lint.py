@@ -99,7 +99,8 @@ _RPC_TOPIC_ARG0 = frozenset({
     "_toward_master_cb", "_send_objs",
 })
 #: ... and whose *second* argument is (first is a rank).
-_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_hop_cb", "_hop_rpc"})
+_RPC_TOPIC_ARG1 = frozenset({"rpc_rank", "rpc_hop_cb", "_hop_rpc",
+                             "send_hop"})
 
 #: Event-plane call attributes; first argument is the event topic.
 _EVENT_EMIT = frozenset({"publish"})

@@ -87,6 +87,13 @@ class _Source:
         self.target = target
 
 
+#: The source of every one-way request (one that arrives without a
+#: request context, from :meth:`Broker.send_parent` /
+#: :meth:`Broker.send_hop`): it owes no reply, so a response a handler
+#: makes for it goes nowhere, and nothing is recorded for replay.
+_ONEWAY = _Source("oneway", None)
+
+
 class _Pending:
     """One forwarded request awaiting its response.
 
@@ -355,6 +362,8 @@ class Broker:
             self._dispatch_event(plane, msg)
         elif msg.mtype == MessageType.RESPONSE:
             self._dispatch_response(msg)
+        elif msg.ctx is None:
+            self._route_request(msg, _ONEWAY)
         else:
             self._route_request(msg, _Source("child", msg.src_rank))
 
@@ -403,6 +412,15 @@ class Broker:
             except NoHandlerError as exc:
                 self._finish_request(msg, msg.make_response(
                     error=str(exc), errnum=ENOSYS, err_rank=self.rank))
+            if source is _ONEWAY and msg._obs_span is not None:
+                # Nobody waits on a one-way request: its dispatch ends
+                # when the handler returns.
+                self.session.span_tracer.finish(msg._obs_span)
+            return
+        if source is _ONEWAY:
+            if self.parent is not None:
+                self._send(self.parent, PLANE_TREE,
+                           msg.copy(src_rank=self.rank))
             return
         if self.parent is None:
             self._send_response(
@@ -483,8 +501,11 @@ class Broker:
         Transient (retryable-coded) error responses are deliberately
         NOT recorded: a client retry after ETIMEDOUT/EHOSTUNREACH must
         re-execute the request on the healed overlay, not have the old
-        transient failure replayed back at it forever.
+        transient failure replayed back at it forever.  A one-way
+        request owes no reply: its response is dropped here.
         """
+        if request._source is _ONEWAY:
+            return
         t0 = request._obs_t0
         if t0 is not None:
             self._observe_service(request.topic, self.sim.now - t0)
@@ -799,12 +820,27 @@ class Broker:
         self._send(self.parent, PLANE_TREE, msg)
 
     def send_parent(self, topic: str, payload: dict) -> None:
-        """One-way message to the tree parent (no response expected),
-        e.g. the ``live`` module's heartbeat-synchronized hellos."""
-        if self.parent is None:
-            return
-        msg = Message(topic=topic, payload=payload, src_rank=self.rank)
-        self._send(self.parent, PLANE_TREE, msg)
+        """One-way request to the tree parent (see :meth:`send_hop`),
+        e.g. the ``live`` module's heartbeat-synchronized hellos or a
+        barrier tally."""
+        if self.parent is not None:
+            self.send_hop(self.parent, topic, payload)
+
+    def send_hop(self, peer_rank: int, topic: str, payload: dict, *,
+                 span: Optional[tuple] = None,
+                 payload_size: Optional[int] = None) -> int:
+        """One-way request to a tree neighbour: no pending entry here,
+        no response from there.  It carries no request context, so the
+        receiving broker owes it no reply (a reduction relays its state
+        this way, and a refusal travels back down the same way).
+        ``span`` and ``payload_size`` are as for :meth:`rpc_hop_cb`.
+        Returns the message id."""
+        msg = Message(topic=topic, payload=payload, src_rank=self.rank,
+                      span=span)
+        if payload_size is not None:
+            msg._size_cache = HEADER_BYTES + payload_size
+        self._send(peer_rank, PLANE_TREE, msg)
+        return msg.msgid
 
     def rpc_rank(self, dst_rank: int, topic: str, payload: dict,
                  deadline: Optional[float] = None,

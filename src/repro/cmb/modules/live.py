@@ -178,10 +178,9 @@ class LiveModule(CommsModule):
                                      "epoch": self.epoch})
         self._check_children()
 
-    # Hellos arrive via send_parent (one-way, no pending entry at the
-    # child), so by protocol contract no response is owed or awaited.
+    # Hellos are only ever sent one-way (send_parent): no reply is owed.
     @request_handler(required=("rank", "epoch"))
-    def req_hello(self, msg: Message) -> None:  # repro: noqa[REPLY001]
+    def req_hello(self, msg: Message) -> None:
         child = msg.payload["rank"]
         epoch = msg.payload["epoch"]
         prev = self.last_heard.get(child, 0)

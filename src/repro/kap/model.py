@@ -137,22 +137,33 @@ def _predict_walk_latency(config: KapConfig,
 
 def predict_setup_latency(config: KapConfig,
                           params: NetworkParams) -> float:
-    """Setup phase: one whole-session barrier at tree speed.
+    """Setup phase: one whole-session barrier at tree speed — every
+    rank sends one tally the moment its subtree is complete, so the
+    barrier costs :func:`_reduction_hops` and nothing else.  No byte
+    term (a tally is a header and three fields) and no window."""
+    return _reduction_hops(config, params)
 
-    Every rank forwards one tally, the moment its subtree is complete:
-    per level one hop up and, behind its siblings' copies, the
-    ``barrier.exit`` event back down; the client's request and answer
-    over IPC.  No byte term (a tally is a header and three fields) and
-    no window.  Left out: on an interior NIC the completing tally
-    queues behind the acks to its siblings' tallies (``arity - 1``
-    message overheads per level), so measured / model reads 1.03-1.10
-    on binary trees of 64-512 nodes and 1.2-1.4 at arity 4 and 8.
+
+def _reduction_hops(config: KapConfig, params: NetworkParams) -> float:
+    """The hops of one tree reduction with nothing to carry.
+
+    The contributions climb one-way, so the last reaches the root one
+    hop per level of the deepest branch after the clients entered.
+    The completion event then floods down, each rank sending its
+    copies child by child: a rank hears it one hop per level plus one
+    message time for every earlier sibling on its path, so the last to
+    hear it is the last child of last children, not the deepest rank.
+    Around that, the client's request and answer over IPC.
     """
-    hops = _depth(config) * (
-        (1 + config.tree_arity) * params.per_message_overhead
-        + 2 * params.latency)
-    ipc = 2 * (params.ipc_latency + params.per_message_overhead)
-    return hops + ipc
+    overhead, latency = params.per_message_overhead, params.latency
+    arity = config.tree_arity
+    heard = [0.0] * config.nnodes          # heap layout: parents first
+    for rank in range(1, config.nnodes):
+        heard[rank] = (heard[(rank - 1) // arity]
+                       + ((rank - 1) % arity + 1) * overhead + latency)
+    up = _depth(config) * (overhead + latency)
+    ipc = 2 * (params.ipc_latency + overhead)
+    return up + max(heard) + ipc
 
 
 def predict_producer_latency(config: KapConfig,
@@ -209,11 +220,9 @@ def predict_fence_latency(config: KapConfig,
         node = subtree_bytes(p / config.nnodes)
         head = min(head, _FENCE_WINDOW * max(
             0.0, math.log(_FENCE_CHUNK / node, arity)))
-    # Per chunk the bottleneck NIC pays its own send and the ack to the
-    # child; per level a hop up, and the setroot event back down behind
-    # its siblings' copies; the client's request and answer over IPC.
-    chunks = 2 * params.per_message_overhead * (top // _FENCE_CHUNK)
-    hops = _depth(config) * ((1 + arity) * params.per_message_overhead
-                             + 2 * params.latency)
-    ipc = 2 * (params.ipc_latency + params.per_message_overhead)
-    return top / params.bandwidth + head + chunks + hops + ipc
+    # Per chunk the bottleneck NIC pays its own send (a contribution is
+    # one-way: nobody acknowledges it); then the hops up and the
+    # setroot flood down.
+    chunks = params.per_message_overhead * (top // _FENCE_CHUNK)
+    return (top / params.bandwidth + head + chunks
+            + _reduction_hops(config, params))

@@ -210,6 +210,34 @@ def test_proxy_upstream_counts_as_reply():
     assert sends[0].waits
 
 
+#: A reduction relaying its count one-way and a handler that never
+#: answers it: fine while ``tally.add`` is only ever sent one-way.
+ONEWAY = ("class TallyModule:\n"
+          "    name = 'tally'\n"
+          "    def req_add(self, msg):\n"
+          "        self.count = self.count + msg.payload['n']\n"
+          "    def _relay(self):\n"
+          "        self.broker.send_parent('tally.add', {'n': 1})\n"
+          "        self.broker.send_hop(3, 'tally.add', {'n': 1})\n")
+
+
+def test_topic_sent_only_one_way_owes_no_reply():
+    summaries, findings = analyze_source(ONEWAY, FIXTURE)
+    assert findings == []
+    assert [(s.topic, s.reply) for s in summaries] == [
+        ("tally.add", "oneway")]
+
+
+def test_topic_also_sent_as_a_request_must_be_answered():
+    # One waiting sender anywhere (here a client's rpc) makes every
+    # copy a request the handler must answer.
+    src = ONEWAY + ("def client(h):\n"
+                    "    yield h.rpc('tally.add', {'n': 2}, timeout=1.0)\n")
+    summaries, findings = analyze_source(src, FIXTURE)
+    assert [f.rule for f in findings] == ["REPLY001"]
+    assert {s.method: s for s in summaries}["req_add"].reply == "never"
+
+
 # ---------------------------------------------------------------------------
 # effect-summary extraction details
 # ---------------------------------------------------------------------------

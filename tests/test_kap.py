@@ -1,13 +1,27 @@
 """Tests for the KAP driver: configuration, patterns, phase semantics,
 and the scaling shapes the paper's figures report."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
+from repro.cmb.message import MessageType
 from repro.kap import (KapConfig, consumer_targets, make_value, object_key,
                        predict_consumer_latency, predict_fence_latency,
-                       predict_producer_latency, proc_rank_node, run_kap)
+                       predict_producer_latency, predict_setup_latency,
+                       proc_rank_node, run_kap)
 from repro.kap.results import format_series_table
 from repro.sim.cluster import zin_like_params
+
+
+def _phase_budget():
+    path = (pathlib.Path(__file__).parent.parent / "benchmarks"
+            / "phase_budget.py")
+    spec = importlib.util.spec_from_file_location("phase_budget", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestConfig:
@@ -245,6 +259,37 @@ class TestModels:
         measured = run_kap(cfg).max_consumer_latency
         predicted = predict_consumer_latency(cfg, zin_like_params())
         assert 0.8 < measured / predicted < 1.25
+
+    @pytest.mark.parametrize("shape", [
+        dict(value_size=2048, nputs=4, nconsumers=1),            # fence_4k
+        dict(value_size=64, dedup=True),                         # scale_4k
+        dict(value_size=8, naccess=8, dir_width=128),            # get_1k
+    ], ids=["kap_fence_4k", "kap_scale_4k", "kap_get_1k"])
+    def test_reductions_put_no_responses_on_the_fabric(self, shape):
+        """The benchmark's KAP shapes at 16 nodes: every barrier tally
+        and fence contribution is one-way, so not one empty response
+        answers them between nodes (34 / 30 / 30 when they were
+        acknowledged)."""
+        cfg = KapConfig(nnodes=16, procs_per_node=16, **shape)
+        with _phase_budget().fabric_sends([]) as log:
+            run_kap(cfg)
+        assert {m.topic for *_, m, _size in log} >= {"barrier.enter",
+                                                     "kvs.fencedata"}
+        assert [m.topic for *_, m, _size in log
+                if m.mtype is MessageType.RESPONSE
+                and m.topic in ("barrier.enter", "kvs.fencedata")] == []
+
+    def test_flat_star_setup_and_fence_are_modelled(self):
+        """64 nodes under one root: the root sends 63 exit and setroot
+        copies and no acks, so both phases read their models (1.89 each
+        with acknowledged relays)."""
+        cfg = KapConfig(nnodes=64, procs_per_node=4, value_size=8,
+                        naccess=4, nputs=16, tree_arity=64)
+        res = run_kap(cfg)
+        p = zin_like_params()
+        assert 0.8 < res.setup_time / predict_setup_latency(cfg, p) < 1.25
+        assert 0.8 < (res.max_sync_latency
+                      / predict_fence_latency(cfg, p)) < 1.25
 
     def test_geometric_series_doubling(self):
         """The paper: if G doubles when C doubles, latency ~doubles."""

@@ -30,9 +30,10 @@ from repro.sim.cluster import make_cluster
 
 from .chaos import run_chaos_workload
 
-#: Re-pinned once (PR 24: barrier tallies leave when the subtree is
-#: complete); the same value as ``bench_simperf.GOLDEN_KAP_256``.
-GOLDEN_KAP_256 = "7203692736358cbaf3a649f3d54ec94f420002e2"
+#: Re-pinned twice (barrier tallies leave when the subtree is complete;
+#: reductions without acknowledgements on the fault-free path); the
+#: same value as ``bench_simperf.GOLDEN_KAP_256``.
+GOLDEN_KAP_256 = "3a78ad2b2f1ca5cb547e5ba9d3626b73681904a7"
 
 
 @pytest.fixture(autouse=True)
