@@ -70,10 +70,10 @@ FLAT_SCALING_MIN_RATIO = 0.7
 
 #: Golden SAN105 replay fingerprints for the default (dedup-off)
 #: mode.  Any change to these is an event-stream change and
-#: must be deliberate.  (KAP re-pinned twice: barrier tallies leave
-#: when the subtree is complete; reductions without acknowledgements
-#: on the fault-free path.)
-GOLDEN_KAP_256 = "3a78ad2b2f1ca5cb547e5ba9d3626b73681904a7"
+#: must be deliberate.  (KAP re-pinned three times: barrier tallies
+#: leave when the subtree is complete; reductions without
+#: acknowledgements on the fault-free path; self-clocked fence relay.)
+GOLDEN_KAP_256 = "0f017446c4a35433640bef3ed28f01053a6b5d81"
 GOLDEN_CHAOS_15 = "aab95fab6805f380726e1e083f4889f731cb2654"
 
 #: Pre-optimization reference on the development box (commit 82f684f,

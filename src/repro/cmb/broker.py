@@ -882,6 +882,11 @@ class Broker:
         self._subs.remove((prefix, fn))
         self._subs_snapshot = tuple(self._subs)
 
+    def nic_free_at(self) -> float:
+        """Simulated time at which this node's NIC has serialized every
+        send queued on it (at or before ``sim.now`` when idle)."""
+        return self.network.nic(self.node_id).busy_until
+
     def after(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn`` after ``delay`` simulated seconds (module timers)."""
         ev = self.sim.timeout(delay)

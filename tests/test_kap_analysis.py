@@ -43,11 +43,13 @@ class TestFit:
 
 class TestMeasuredExponents:
     """The paper's Section V-B asymptotics as numbers, measured from a
-    real (reduced-scale) sweep."""
+    real (reduced-scale) sweep of fully populated nodes, as in the
+    paper: with 4 procs/node the per-hop constant still dominates a
+    streamed unique fence (exponent 0.56)."""
 
     @pytest.fixture(scope="class")
     def sweep_rows(self):
-        spec = SweepSpec(nodes=(8, 16, 32, 64), procs_per_node=(4,),
+        spec = SweepSpec(nodes=(8, 16, 32, 64), procs_per_node=(16,),
                          value_sizes=(2048,), redundant=(False, True),
                          naccess=(0,))
         return run_sweep(spec)

@@ -586,9 +586,10 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch(
 
 
 def test_interior_death_mid_fence_after_a_flush_by_size(fencedata_log):
-    """The same failure with values of 600 KB: one is a chunk, so rank 5
-    forwards its early client's share at once although two of its
-    subtree's three participants are still out."""
+    """The same failure with values of 600 KB: one is more than a
+    message's worth, so rank 5 forwards its early client's share as soon
+    as its NIC is idle although two of its subtree's three participants
+    are still out."""
     test_interior_death_mid_fence_completes_once_under_new_epoch(
         fencedata_log, pad=600_000, rank_5_waits_its_window=False)
 

@@ -30,10 +30,11 @@ from repro.sim.cluster import make_cluster
 
 from .chaos import run_chaos_workload
 
-#: Re-pinned twice (barrier tallies leave when the subtree is complete;
-#: reductions without acknowledgements on the fault-free path); the
-#: same value as ``bench_simperf.GOLDEN_KAP_256``.
-GOLDEN_KAP_256 = "3a78ad2b2f1ca5cb547e5ba9d3626b73681904a7"
+#: Re-pinned three times (barrier tallies leave when the subtree is
+#: complete; reductions without acknowledgements on the fault-free path;
+#: self-clocked fence relay); the same value as
+#: ``bench_simperf.GOLDEN_KAP_256``.
+GOLDEN_KAP_256 = "0f017446c4a35433640bef3ed28f01053a6b5d81"
 
 
 @pytest.fixture(autouse=True)

@@ -156,7 +156,7 @@ class TestObjsPayloadFramingIdentity:
                                                       redundant):
         """A fence flush adds ``_FenceAgg.ops_size`` and ``objs_size``
         to its frame instead of walking the objects: every message must
-        still be charged its real encoding — chunked flushes of unique
+        still be charged its real encoding — streamed flushes of unique
         values, and redundant ones, where an object already pending
         must not be counted twice."""
         run_kap(KapConfig(nnodes=16, procs_per_node=16, value_size=2048,
