@@ -109,8 +109,8 @@ def run_failover_probe() -> dict:
     election's latency (``kvs_election_seconds``) and that the
     namespace keeps serving afterwards."""
     cluster = make_cluster(8, seed=10)
-    # A (zero-rate) fault plan arms the pulse-starvation watchdog that
-    # detects the root's death (the root is the heartbeat source).
+    # A zero-rate fault plan runs the failover on the hardened path
+    # (shares-format fences, retransmission timers).
     cluster.network.fault_plan = FaultPlan(seed=1)
     session = standard_session(cluster, kvs_replicas=(1, 2),
                                with_heartbeat=True, hb_period=0.05,

@@ -8,26 +8,23 @@ the perf trajectory in two modes:
 - ``legacy`` — the classic protocol (whole objects on every hop):
   the baseline whose tree-plane bytes explode super-linearly with
   producer count.
-- ``optimized`` — per-link payload dedup (``dedup=True``: object
-  bodies cross each tree edge once, sha references afterward; misses
-  walk to the master instead of faulting whole directories).
+- ``optimized`` — walk reads (``dedup=True``: a cold read walks to
+  the master instead of faulting whole directories down the tree).
 
 Each row records the *real* row dimensions (producers, nnodes,
 procs_per_node, value_size), the per-tree-level ``bytes_sent``
-breakdown, and ``interned_bytes_saved`` from the KVS dedup counters.
+breakdown, and ``interned_bytes_saved`` from the KVS interning counters.
 ``--paper-scale`` extends the optimized sweep to 16384 and 65536
 producers (1024/4096 nodes; the 65k row must finish inside
 ``PAPER_65K_BUDGET_S``).
 
 Timing numbers are machine-dependent, so — unlike the figure tables —
 ``out/simperf.txt``/``out/BENCH_simperf.json`` are gitignored and the
-assertions here are *determinism* gates, not speed gates: same-seed
-runs must reproduce the golden SAN105 replay fingerprints (the
-optimization contract: interning, dedup-off defaults and the inlined
-run loop must be invisible to the default event stream), plus a
-*flat-scaling* gate in smoke mode
-(optimized events/sec at 4096 producers >= 0.7x the 256-producer
-rate) and wall-clock ceilings.
+assertions here are a *flat-scaling* gate in smoke mode (optimized
+events/sec at 4096 producers >= 0.7x the 256-producer rate) and
+wall-clock ceilings.  The golden SAN105 replay fingerprints are pinned
+by ``tests/test_payload_interning.py`` and
+``tests/test_perf_equivalence.py``, not here.
 
 Standalone smoke mode for CI (from ``benchmarks/``)::
 
@@ -67,14 +64,6 @@ PAPER_65K_BUDGET_S = 600.0
 #: Smoke-mode flat-scaling gate: optimized events/sec at 4096
 #: producers must stay within this fraction of the 256-producer rate.
 FLAT_SCALING_MIN_RATIO = 0.7
-
-#: Golden SAN105 replay fingerprints for the default (dedup-off)
-#: mode.  Any change to these is an event-stream change and
-#: must be deliberate.  (KAP re-pinned three times: barrier tallies
-#: leave when the subtree is complete; reductions without
-#: acknowledgements on the fault-free path; self-clocked fence relay.)
-GOLDEN_KAP_256 = "0f017446c4a35433640bef3ed28f01053a6b5d81"
-GOLDEN_CHAOS_15 = "aab95fab6805f380726e1e083f4889f731cb2654"
 
 #: Pre-optimization reference on the development box (commit 82f684f,
 #: 1024-producer config below): 51.9k events/s.  Recorded in the JSON
@@ -131,45 +120,8 @@ def time_chaos() -> dict:
     }
 
 
-def fingerprint_gate() -> dict:
-    """Replay-fingerprint (SAN105) identity gates.
-
-    These license every optimization in this bench: the default mode
-    must reproduce the *golden* fingerprints exactly (interning and
-    the dedup machinery are invisible when off), and dedup mode must
-    be same-seed deterministic.
-    """
-    cfg = dict(nnodes=16, procs_per_node=16, value_size=64, seed=1)
-    a = run_kap(KapConfig(**cfg), sanitize=True)
-    b = run_kap(KapConfig(**cfg), sanitize=True)
-    assert a.event_fingerprint == b.event_fingerprint, \
-        "same-seed KAP replay fingerprint diverged"
-    assert a.event_fingerprint == GOLDEN_KAP_256, \
-        f"default-mode fingerprint {a.event_fingerprint} != golden"
-    assert a.max_producer_latency == b.max_producer_latency
-    assert a.events == b.events
-    # Dedup mode changes the wire protocol (different stream, by
-    # design) but must be same-seed deterministic.
-    da = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    db = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    assert da.event_fingerprint == db.event_fingerprint, \
-        "same-seed dedup replay fingerprint diverged"
-    assert not da.sanitizer_findings
-    ca = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
-                            n_iters=1, sanitize=True)
-    cb = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
-                            n_iters=1, sanitize=True)
-    assert ca.event_fingerprint == cb.event_fingerprint, \
-        "same-seed chaos replay fingerprint diverged"
-    assert ca.event_fingerprint == GOLDEN_CHAOS_15, \
-        f"default-mode chaos fingerprint {ca.event_fingerprint} != golden"
-    return {"kap_256": a.event_fingerprint,
-            "kap_256_dedup": da.event_fingerprint,
-            "chaos_15": ca.event_fingerprint}
-
-
 def collect(nodes=SWEEP_NODES, paper_scale=False) -> dict:
-    """Run the sweeps + chaos + fingerprint gate; return the document."""
+    """Run the sweeps + chaos; return the document."""
     # Warm the interpreter/allocator so the smallest row isn't timing
     # first-touch effects.
     run_kap(paper_config(4))
@@ -180,7 +132,6 @@ def collect(nodes=SWEEP_NODES, paper_scale=False) -> dict:
     return {
         "kap": rows,
         "chaos": time_chaos(),
-        "fingerprints": fingerprint_gate(),
         "reference_eps_1024": REFERENCE_EPS_1024,
     }
 
@@ -229,8 +180,6 @@ def render(doc: dict) -> str:
     lines.append(f"chaos (31 nodes, drop 1%, sanitizers on): "
                  f"wall={ch['wall_s']:.3f}s makespan={ch['makespan']:.3f} "
                  f"converged={ch['converged']}")
-    lines.append(f"replay fingerprints: kap={doc['fingerprints']['kap_256']} "
-                 f"chaos={doc['fingerprints']['chaos_15']}")
     return "\n".join(lines)
 
 
@@ -283,7 +232,7 @@ def test_simperf_paper_scale_within_budget(simperf_doc):
 
 
 def test_simperf_dedup_byte_reduction(simperf_doc):
-    """Dedup + combined walks cut measured wire bytes >= 8x at 8192
+    """Combined walk reads cut measured wire bytes >= 8x at 8192
     producers (223.5 MB -> 21.8 MB; the one-key walk reached 7.56x)."""
     legacy = max(_rows(simperf_doc, "legacy"),
                  key=lambda r: r["producers"])

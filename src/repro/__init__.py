@@ -66,9 +66,9 @@ def standard_session(cluster: Cluster,
 
     ``kvs_replicas`` names the ranks holding standby replicas of the
     KVS root master (multi-master failover); empty keeps the classic
-    single-master protocol.  ``kvs_dedup`` turns on the per-link
-    payload-dedup wire protocol (object references instead of repeat
-    object bodies).  ``wexec_config`` passes extra keyword
+    single-master protocol.  ``kvs_dedup`` turns on the walk read path
+    (a cold read ships a ``kvs.walk`` master-ward instead of faulting
+    directories in).  ``wexec_config`` passes extra keyword
     options (``max_restarts``, ``respawn_backoff``) to the bulk
     launcher's node-loss recovery.
     """

@@ -39,7 +39,7 @@ class LiveModule(CommsModule):
         self.epoch = 0
         self.announced: set[int] = set()
         self._last_pulse = 0.0
-        self._watchdog_armed = False
+        self._watchdog = None
 
     def start(self) -> None:
         self.broker.subscribe("hb.pulse", self._on_pulse)
@@ -67,25 +67,23 @@ class LiveModule(CommsModule):
         return hb.period * (self.missed_max + 2)
 
     def _arm_watchdog(self) -> None:
-        # Armed only while a fault plan is installed: on a loss-free
-        # fabric the live.down flood (plus mid-flood adoption) reaches
-        # every orphan reliably, and a perpetually re-arming timer
-        # would keep an otherwise drained simulation alive — changing
-        # end times of fault-free runs that must stay byte-identical.
-        if self.broker.network.fault_plan is None:
-            return
         interval = self._watchdog_interval()
-        if interval <= 0.0 or self._watchdog_armed:
+        if interval <= 0.0:
             return
-        hb = self.broker.modules.get("hb")
-        if (hb is not None and hb.max_epochs is not None
-                and self.epoch >= hb.max_epochs):
-            return                  # heartbeat has finished for good
-        self._watchdog_armed = True
-        self.broker.after(interval, self._watchdog_fire)
+        max_epochs = self.broker.modules["hb"].max_epochs
+        if max_epochs is not None and self.epoch >= max_epochs:
+            # The heartbeat has finished for good: nothing is left to
+            # starve, and a pending timer would hold a drained
+            # simulation open past the last pulse.
+            if self._watchdog is not None:
+                self._watchdog.abandon()
+                self._watchdog = None
+        elif self._watchdog is None:
+            self._watchdog = self.broker.after(interval,
+                                               self._watchdog_fire)
 
     def _watchdog_fire(self) -> None:
-        self._watchdog_armed = False
+        self._watchdog = None
         if not self.broker.alive:
             return
         interval = self._watchdog_interval()
@@ -163,7 +161,6 @@ class LiveModule(CommsModule):
     # ------------------------------------------------------------------
     def _on_pulse(self, msg: Message) -> None:
         self._last_pulse = self.broker.sim.now
-        self._arm_watchdog()
         epoch = msg.payload["epoch"]
         if epoch > self.epoch + 1:
             # We were partitioned from the root (e.g. our parent died and
@@ -172,6 +169,7 @@ class LiveModule(CommsModule):
             for child in self.last_heard:
                 self.last_heard[child] = epoch
         self.epoch = epoch
+        self._arm_watchdog()
         if self.broker.parent is not None:
             self.broker.send_parent("live.hello",
                                     {"rank": self.rank,

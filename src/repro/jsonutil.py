@@ -10,12 +10,7 @@ and a JSON frame" and KVS objects are "hashed by their SHA1 digests".
 
 Hot-path discipline (see DESIGN.md "Performance engineering"): the
 digest and the size of an object come from the *same* serialization
-(:func:`digest_and_size`), and call sites that hash the same logical
-value repeatedly (e.g. KAP's redundant-value producers) can memoize
-through the keyed digest cache.  The cache maps an explicit,
-caller-chosen key to ``(sha, size)`` — never ``id(obj)``, which could
-alias after garbage collection — and is LRU-bounded so long test
-sessions cannot grow it without limit.
+(:func:`digest_and_size`).
 """
 
 from __future__ import annotations
@@ -65,10 +60,10 @@ def _str_size(s: str) -> int:
 
 #: Fragment intern table: ``id(frozen container) -> (obj, size, sha)``.
 #: Holds a *strong* reference to each interned object, so an id can
-#: never be recycled while its entry is alive (the aliasing hazard the
-#: keyed digest cache's docstring warns about does not apply here); the
-#: ``ent[0] is obj`` identity check on probe is belt-and-braces.  Only
-#: *frozen* fragments may be interned — containers that no code path
+#: never be recycled while its entry is alive (no aliasing after garbage
+#: collection); the ``ent[0] is obj`` identity check on probe is
+#: belt-and-braces.  Only *frozen* fragments may be interned —
+#: containers that no code path
 #: mutates after registration (e.g. a fence aggregate's ops list after
 #: it has been swapped out for flushing).  LRU-bounded: evicting an
 #: entry drops the reference and the memoized size together.
@@ -204,46 +199,20 @@ def canonical_size(obj: Any) -> int:
     return len(canonical_dumps(obj))
 
 
-#: Keyed digest memo: explicit key -> (sha, size).  OrderedDict gives a
-#: cheap LRU; iteration order is insertion order, so the cache is
-#: deterministic (and it is never iterated on a hot path anyway).
-_digest_cache: "OrderedDict[Any, tuple[str, int]]" = OrderedDict()
-_DIGEST_CACHE_CAP = 4096
-
-
-def digest_and_size(obj: Any, *, key: Any = None) -> tuple[str, int]:
-    """``(sha1 hex digest, byte size)`` from one canonical serialization.
-
-    ``key`` optionally memoizes the result under a caller-supplied
-    hashable key.  The caller owns the key's meaning: two calls with
-    the same key MUST describe the same canonical encoding (the KVS
-    namespaces its keys, e.g. ``("v", value)`` for value objects).
-    """
-    if key is not None:
-        hit = _digest_cache.get(key)
-        if hit is not None:
-            _digest_cache.move_to_end(key)
-            return hit
-    elif _interned:
+def digest_and_size(obj: Any) -> tuple[str, int]:
+    """``(sha1 hex digest, byte size)`` from one canonical serialization
+    (one probe when ``obj`` was interned with its sha)."""
+    if _interned:
         ent = _interned.get(id(obj))
         if ent is not None and ent[0] is obj and ent[2] is not None:
             return (ent[2], ent[1])
     data = canonical_dumps(obj)
-    out = (hashlib.sha1(data).hexdigest(), len(data))
-    if key is not None:
-        _digest_cache[key] = out
-        if len(_digest_cache) > _DIGEST_CACHE_CAP:
-            _digest_cache.popitem(last=False)
-    return out
+    return (hashlib.sha1(data).hexdigest(), len(data))
 
 
-def sha1_of(obj: Any, *, key: Any = None) -> str:
-    """Hex SHA1 digest of the canonical encoding — the KVS object id.
-
-    ``key`` opts into the keyed digest cache (see
-    :func:`digest_and_size`).
-    """
-    return digest_and_size(obj, key=key)[0]
+def sha1_of(obj: Any) -> str:
+    """Hex SHA1 digest of the canonical encoding — the KVS object id."""
+    return digest_and_size(obj)[0]
 
 
 def json_loads(data: bytes | str) -> Any:

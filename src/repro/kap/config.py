@@ -59,10 +59,11 @@ class KapConfig:
     seed:
         Simulation seed (determinism).
     dedup:
-        Wire dedup mode: per-link sha filters on objs payloads and
-        remote walks for cold reads (see ``KvsModule``).  Off by
-        default — the classic protocol stays byte-identical, so the
-        golden SAN105 fingerprints keep reproducing.
+        The walk read path: cold reads ship a ``kvs.walk`` instead of
+        faulting directories in (see ``KvsModule``).  Writes are the
+        same either way.  Off by default — the paper's fault-in reads
+        stay byte-identical, so the golden SAN105 fingerprints keep
+        reproducing.
     """
 
     nnodes: int = 64

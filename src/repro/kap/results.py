@@ -41,7 +41,7 @@ class KapResult:
     #: sending broker) — the breakdown that shows where aggregation
     #: payloads concentrate.
     level_bytes: dict = field(default_factory=dict)
-    #: Bytes of work the KVS interning/dedup machinery avoided, summed
+    #: Bytes of work the KVS interning machinery avoided, summed
     #: over ranks (``kvs_interned_bytes_saved_total``; 0 off/idle).
     interned_bytes_saved: int = 0
     #: Runtime-sanitizer findings (``run_kap(sanitize=True)``); empty

@@ -28,7 +28,8 @@ Implements the full Section IV-B protocol:
   recursively up to the master, and the walk resumes there.  Whole
   objects transfer, so a small value inside a huge directory drags the
   whole directory through every cache on the path (the Figure 4a
-  effect).  Every read — fault-in, ``kvs.walk`` item, delegated, via a
+  effect).  With ``dedup=True`` the cold read ships a ``kvs.walk``
+  master-ward instead.  Every read — fault-in, walk item, delegated, via a
   link — is that one resolver, one fetch (:meth:`KvsModule._fetch`) and
   one rendering (:func:`_read_payload`).
 - **setroot events** — the master publishes each new root reference on
@@ -72,7 +73,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from ..cmb.errors import (EAGAIN, EEXIST, EHOSTUNREACH, EINVAL, EIO,
+from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO,
                           ENOENT, ETIMEDOUT, RETRYABLE_CODES)
 from ..cmb.message import (HEADER_BYTES, Message, MessageType,
                            RequestContext)
@@ -152,10 +153,8 @@ class _FenceAgg:
     ``senders`` are the children whose incremental contributions were
     folded in: they hold their own clients' requests, so a refusal
     reaches them (shares mode records none).  An incremental
-    contribution is a one-way send — the fence's ``setroot`` is its
-    only acknowledgement — and ``refd`` keeps, by message id, the full
-    form of each one that left with ``orefs``, in case the parent asks
-    for it again (``kvs.fenceresend``).
+    contribution is a one-way send: the fence's ``setroot`` is its
+    only acknowledgement.
 
     ``shares`` drives the *idempotent* wire mode used while a fault
     plan is installed (lossy fabric): ``shares[origin]`` is the
@@ -170,8 +169,7 @@ class _FenceAgg:
     __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
                  "total_seen", "timer_armed", "wake_armed", "local_count",
                  "local_ops", "local_objs", "created_version", "shares",
-                 "completing", "span", "ops_size", "objs_size", "senders",
-                 "refd")
+                 "completing", "span", "ops_size", "objs_size", "senders")
 
     def __init__(self, name: str, nprocs: int, created_version: int = 0):
         self.name = name
@@ -200,7 +198,6 @@ class _FenceAgg:
         self.shares: dict[int, list] = {}
         self.completing = False
         self.senders: set[int] = set()
-        self.refd: dict[int, tuple[dict, int]] = {}
         #: Tracing context of the latest contribution folded in: the
         #: upstream flush (and the completing setroot publish) parent
         #: under it, keeping the whole fence inside one span tree.
@@ -216,6 +213,11 @@ class KvsModule(CommsModule):
         Cache-disuse expiry in simulated seconds, applied on each
         ``hb.pulse`` event when the heartbeat module is loaded
         (``None`` disables expiry — the default).
+    dedup:
+        The walk read path: a cold read ships one ``kvs.walk`` item
+        master-ward instead of faulting directories down the tree.
+        Writes are unaffected — every objs-carrying payload carries
+        its objects in full either way.
     """
 
     name = "kvs"
@@ -314,31 +316,20 @@ class KvsModule(CommsModule):
         # is off).
         self._cv_owner_commits = broker.registry.counter_vec(
             "kvs_owner_commits_total", ("ns", "owner"))
-        #: Wire dedup mode (off by default — the classic protocol stays
-        #: byte-identical).  When on, objs-carrying payloads replace
-        #: objects the uplink peer already holds with sha references
-        #: ("orefs"), and cold reads walk remotely instead of faulting
-        #: whole directories down the tree (see ``req_walk``).
+        #: Walk read path (off by default — the paper's fault-in reads
+        #: stay byte-identical): cold reads walk remotely instead of
+        #: faulting whole directories down the tree (see ``req_walk``).
         self.dedup = bool(dedup)
-        #: Per-uplink-peer "already sent" sha filter.  Purely an
-        #: optimization: a receiver missing a referenced object answers
-        #: with a retryable ``{"missing": [...]}`` error and the sender
-        #: re-sends in full, so stale filter state (reroute, failover,
-        #: retransmit races) costs one extra round-trip, never
-        #: correctness.  Cleared wholesale on every topology-visible
-        #: event (live.down, promotion, newmaster).
-        self._link_sent: dict[int, set] = {}
         #: Walk combiner: the ``kvs.walk`` batches in flight (at most
         #: two) and the queue behind them, each ``(key, root, want_ref) ->
         #: [(msg, fn, tag)]``; and per child, its walks parked here.
         self._walk_out: list = []
         self._walk_q: dict = {}
         self._walk_parked: dict[int, int] = {}
-        # Bytes of work the interning/dedup machinery avoided, by kind:
+        # Bytes of work the interning machinery avoided, by kind:
         # "sizing" (canonical re-serialization skipped via the intern
-        # table) and "link" (wire bytes replaced by sha references).
-        # Cells materialize on first inc, so snapshots are unchanged
-        # when the machinery is idle.
+        # table).  Cells materialize on first inc, so snapshots are
+        # unchanged when the machinery is idle.
         self._cv_interned = broker.registry.counter_vec(
             "kvs_interned_bytes_saved_total", ("ns", "kind"))
         self._cv_walks = broker.registry.counter_vec(
@@ -859,7 +850,6 @@ class KvsModule(CommsModule):
         self.master_rank = self.rank
         self._failed_over = True
         self._master_down = False
-        self._link_sent.clear()   # the uplink peer just changed
         self.broker._frec(self.broker.sim.now, "kvs_promote",
                           self.master.version, self.rank, None)
         tr = self.broker.session.span_tracer
@@ -891,7 +881,6 @@ class KvsModule(CommsModule):
             return
         self.master_rank = p["rank"]
         self._failed_over = True
-        self._link_sent.clear()   # master-ward routing just changed
         tr = self.broker.session.span_tracer
         if tr is not None and self._elect_span is not None:
             # We lost (or never finished) the election this span
@@ -1422,10 +1411,7 @@ class KvsModule(CommsModule):
         """Write-back a value into ``sender``'s dirty buffer (clients come
         through ``req_put``); returns the value object's SHA1."""
         obj = make_val_obj(value)
-        # Keyed digest memo: KAP's redundant-value mode stores the same
-        # string from every producer — one serialization covers all.
-        sha, size = digest_and_size(
-            obj, key=("v", value) if isinstance(value, str) else None)
+        sha, size = digest_and_size(obj)
         self._obj_put(sha, obj, size=size)
         self.cache.pin(sha)     # dirty until a commit or fence acks it
         d = self._dirty_for(sender)
@@ -1525,101 +1511,17 @@ class KvsModule(CommsModule):
 
     def _send_objs(self, topic: str, payload: dict, objs: dict, callback,
                    *, ctx: Optional[RequestContext] = None,
-                   span: Optional[tuple] = None,
-                   size: Optional[int] = None) -> None:
-        """Send an objs-carrying payload toward the master.  ``size`` is
-        the canonical size of ``{**payload, "objs": objs}`` when the
-        caller already knows it.
-
-        In dedup mode each distinct object crosses a given uplink once:
-        objects the per-link filter says the peer has already been sent
-        travel as sha references (``"orefs"``) instead of bodies.  The
-        filter is purely an optimization — a receiver missing any
-        referenced object (filter gone stale across reroute, failover
-        or an epoch bump) rejects with a retryable ``{"missing": [...]}``
-        error and the payload is re-sent in full — so no chaos path can
-        ever lose an object to it.
-        """
-        full, full_size, body, body_size = self._link_refs(payload, objs,
-                                                           size)
-        if body is full:
-            self._toward_master_cb(topic, full, callback, ctx=ctx,
-                                   span=span, payload_size=full_size)
-            return
-
-        def cb(resp: Message) -> None:
-            if resp.error is not None and "missing" in (resp.payload
-                                                        or {}):
-                # The receiver lacks a referenced object: re-send the
-                # whole thing.  (No savings are recorded on this path.)
-                self._toward_master_cb(topic, full, callback, ctx=ctx,
-                                       span=span, payload_size=full_size)
-                return
-            if resp.error is None and full_size > body_size:
-                self._cv_interned.inc((self.name, "link"),
-                                      full_size - body_size)
-            callback(resp)
-
-        self._toward_master_cb(topic, body, cb, ctx=ctx, span=span,
-                               payload_size=body_size)
-
-    def _link_refs(self, payload: dict, objs: dict, size: Optional[int]
-                   ) -> tuple[dict, int, dict, int]:
-        """``(full, full_size, body, body_size)``: ``payload`` carrying
-        ``objs``, and what goes on the wire — in dedup mode the objects
-        the uplink peer was sent before travel as ``orefs`` (``body is
-        full`` when none do).  ``size`` is ``full_size`` when the
-        caller already knows it."""
+                   span: Optional[tuple] = None) -> None:
+        """Send ``payload`` carrying ``objs`` in full toward the master,
+        sized compositionally from the cached object sizes."""
         full = {**payload, "objs": objs}
-        full_size = (size if size is not None
-                     else self._payload_size_with_objs(full, objs))
-        known = ()
-        if self.dedup and objs:
-            peer = self._uplink_peer()
-            sent = self._link_sent.setdefault(peer, set()) \
-                if peer is not None else set()
-            known = objs.keys() & sent
-            sent.update(objs)
-        if not known:
-            return full, full_size, full, full_size
-        new = {s: o for s, o in objs.items() if s not in known}
-        body = {**payload, "objs": new, "orefs": sorted(known)}
-        return full, full_size, body, self._payload_size_with_objs(body,
-                                                                   new)
-
-    def _resolve_orefs(self, msg: Message) -> Optional[dict]:
-        """Resolve an inbound payload's ``"orefs"`` from the local
-        store.  Returns ``{sha: obj}`` (empty when there were none); on
-        any miss, returns ``None`` (the caller must not have touched any
-        state yet) and the sender re-sends in full: a request is
-        rejected with a retryable error naming the missing shas, and a
-        one-way fence contribution is asked for again by a one-way
-        ``kvs.fenceresend`` back down."""
-        refs = msg.payload.get("orefs")
-        if not refs:
-            return {}
-        out: dict = {}
-        missing: list = []
-        for sha in refs:
-            obj = self._obj_get(sha)
-            if obj is None:
-                missing.append(sha)
-            else:
-                out[sha] = obj
-        if missing:
-            if msg.ctx is None:
-                self.broker.send_hop(msg.src_rank, "kvs.fenceresend",
-                                     {"name": msg.payload["name"],
-                                      "msgid": msg.msgid})
-            else:
-                self.respond(msg, {"missing": missing},
-                             error="unknown object references", code=EAGAIN)
-            return None
-        return out
+        self._toward_master_cb(
+            topic, full, callback, ctx=ctx, span=span,
+            payload_size=self._payload_size_with_objs(full, objs))
 
     def interned_bytes_saved(self) -> int:
-        """Total bytes of work the interning/dedup machinery avoided at
-        this rank (all kinds — see the counter's init comment)."""
+        """Total bytes of work the interning machinery avoided at this
+        rank (all kinds — see the counter's init comment)."""
         return sum(self._cv_interned.data.values())
 
     @request_handler(required={"ops": list, "objs": dict})
@@ -1627,14 +1529,6 @@ class KvsModule(CommsModule):
         """A commit passing through from a downstream slave."""
         ops = msg.payload["ops"]
         objs = msg.payload["objs"]
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
-        if resolved:
-            # Referenced objects rejoin the payload before any further
-            # relay/commit: downstream of this link they are plain
-            # objects again (the next hop runs its own filter).
-            objs = {**objs, **resolved}
         pfx = msg.payload.get("pfx")
         if pfx is not None:
             # Delegated-namespace commit part en route to its owner
@@ -1742,13 +1636,6 @@ class KvsModule(CommsModule):
             # epoch, so folding this one in would double-count.
             self.respond(msg, {})
             return
-        # Resolve sha references *before* folding anything in: a
-        # missing reference rejects the whole message (the sender
-        # re-sends in full), so a rejected contribution must leave the
-        # aggregate untouched or the retry would double-count.
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
         agg = self._fence_for(msg)
         if agg is None:
             return
@@ -1779,10 +1666,6 @@ class KvsModule(CommsModule):
                 agg.objs_size += 44 + size
             agg.objs[sha] = obj      # union by SHA1: redundancy reduces
             self._obj_put(sha, obj, size=size)
-        for sha, obj in resolved.items():
-            if slave and sha not in agg.objs:
-                agg.objs_size += 44 + self._obj_size(sha, obj)
-            agg.objs[sha] = obj
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
 
@@ -1795,14 +1678,9 @@ class KvsModule(CommsModule):
             # back in could re-create (and re-commit) the fence.
             self.respond(msg, {})
             return
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
         agg = self._fence_for(msg)
         if agg is None:
             return
-        for sha, obj in resolved.items():
-            agg.objs[sha] = obj
         changed = False
         for origin_s, share in p["shares"].items():
             origin = int(origin_s)
@@ -1911,32 +1789,12 @@ class KvsModule(CommsModule):
         # counter, less the comma the last entry does not have.
         size = (canonical_size({**payload, "objs": {}})
                 + max(objs_size - 1, 0))
-        full, full_size, body, body_size = self._link_refs(payload, objs,
-                                                           size)
         hop = self._uplink_peer()
         if hop is None:
             return      # the live.down behind it re-emits local state
         # One-way: the fence's setroot is the only acknowledgement.
-        msgid = self.broker.send_hop(hop, "kvs.fencedata", body,
-                                     span=agg.span, payload_size=body_size)
-        if body is not full:
-            agg.refd[msgid] = (full, full_size)
-            if full_size > body_size:
-                self._cv_interned.inc((self.name, "link"),
-                                      full_size - body_size)
-
-    @request_handler(required={"name": str, "msgid": int})
-    def req_fenceresend(self, msg: Message) -> None:
-        """The parent could not resolve a contribution's ``orefs`` (it
-        no longer holds an object this link carried before) and folded
-        none of it in: send it again with every object in full."""
-        agg = self._fences.get(msg.payload["name"])
-        sent = agg.refd.pop(msg.payload["msgid"], None) if agg else None
-        hop = self._uplink_peer()
-        if sent is not None and hop is not None:
-            full, size = sent
-            self.broker.send_hop(hop, "kvs.fencedata", full, span=agg.span,
-                                 payload_size=size)
+        self.broker.send_hop(hop, "kvs.fencedata", {**payload, "objs": objs},
+                             span=agg.span, payload_size=size)
 
     def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
         """The parent's answer to a shares-mode contribution, or the
@@ -2117,10 +1975,6 @@ class KvsModule(CommsModule):
             # A standby may have died: recompute the ack watermark so
             # commits waiting on it are not stranded.
             self.broker.after(0.0, self._drain_repl_waiters)
-        # Topology just changed: every per-link "already sent" filter
-        # is suspect (the uplink may heal to a different peer).  Clear
-        # them all — worst case the next send re-ships some objects.
-        self._link_sent.clear()
         # A corpse's parked walks can neither open nor close the gate.
         self._walk_parked.pop(dead, None)
         if not self._shared_mode():
@@ -2319,7 +2173,7 @@ class KvsModule(CommsModule):
             kind, i, sha, obj = resolve(self._obj_get, root, parts, want_ref)
             while kind == "miss":
                 if self.dedup and allow_walk and self.master is None:
-                    # Dedup-mode cold read: ship the walk to the data
+                    # Walk-path cold read: ship the walk to the data
                     # instead of faulting whole directories down the
                     # tree (the Figure 4a effect).
                     self._walk_remote(msg, key, want_ref, root)
@@ -2421,7 +2275,7 @@ class KvsModule(CommsModule):
             self._fetch(sha, relay, msg.ctx, msg.span)
 
     # ------------------------------------------------------------------
-    # combined remote walks (dedup mode)
+    # combined remote walks (``dedup=True``)
     # ------------------------------------------------------------------
     def _walk_remote(self, msg: Message, key: str, want_ref: bool,
                      root: str) -> None:

@@ -332,10 +332,10 @@ class TestJobManagerFailover:
                             hb_max_epochs=400, kvs_replicas=(1, 2))
         inst = FluxInstance(cluster.sim, ResourcePool(graph),
                             comms=comms)
-        # A (zero-loss) fault plan arms the pulse-starvation watchdog:
-        # the static root is both tree root and heartbeat generator, so
+        # The static root is both tree root and heartbeat generator, so
         # its death stops all pulses and only the orphan-side watchdog
-        # can notice (fault-free runs keep it off by design).
+        # can notice; a zero-loss fault plan puts the failover on the
+        # hardened path (shares-format fences, retransmission timers).
         cluster.network.fault_plan = FaultPlan(seed=1, drop_rate=0.0)
         return cluster, inst
 

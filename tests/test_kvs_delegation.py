@@ -326,9 +326,8 @@ def test_root_death_promotes_replica_and_serves():
     cluster, session = _session(
         8, seed=10, kvs_replicas=(1, 2), with_heartbeat=True,
         hb_period=0.05, hb_max_epochs=100000)
-    # A (zero-rate) fault plan arms the pulse-starvation watchdog —
-    # the only detector that can notice the *root* dying, since the
-    # root is the heartbeat source and its death silences everything.
+    # A zero-rate fault plan runs the hardened path (shares-format
+    # fences, retransmission timers) through the failover.
     cluster.network.fault_plan = FaultPlan(seed=1)
     sim = cluster.sim
 
@@ -373,9 +372,37 @@ def test_root_death_promotes_replica_and_serves():
     session.stop()
 
 
+@pytest.mark.parametrize("plan", ["none", "installed_after_start"])
+def test_root_killed_before_its_first_pulse_is_detected(plan):
+    """The orphan watchdog is armed with or without a fault plan: a root
+    killed before its first ``hb.pulse`` is still declared down, a
+    standby is promoted, and a later commit succeeds."""
+    cluster, session = _session(
+        15, seed=1, kvs_replicas=(1, 2), with_heartbeat=True,
+        hb_period=0.05, hb_max_epochs=2000)
+    if plan == "installed_after_start":
+        cluster.network.fault_plan = FaultPlan(seed=1)
+    sim = cluster.sim
+    sim.run(until=1.6e-4)
+    session.fail_rank(0)
+
+    def writer():
+        yield sim.timeout(0.3 - sim.now)
+        kvs = KvsClient(session.connect(5), timeout=0.5, retries=8)
+        yield kvs.put("late.k", "kept")
+        yield kvs.commit()
+        return (yield kvs.get("late.k"))
+
+    assert _run(sim, writer(), budget=20.0) == "kept"
+    assert 0 in session.module_at(5, "live").announced
+    assert [r for r in (1, 2)
+            if session.module_at(r, "kvs").master is not None] != []
+    session.stop()
+
+
 def _failover_session(seed):
     """15 nodes, standbys at ranks 1 and 2, and a zero-rate fault plan
-    so the pulse-starvation watchdog can notice the root dying."""
+    (the hardened path: shares-format fences, retransmission timers)."""
     cluster, session = _session(
         15, seed=seed, kvs_replicas=(1, 2), with_heartbeat=True,
         hb_period=0.05, hb_max_epochs=100000)
@@ -509,8 +536,8 @@ def test_legacy_fence_record_is_self_contained_and_survives_failover():
     assert _run(sim, scenario(), budget=5.0) == "ok"
     standbys_hold_everything()
 
-    # Only the pulse-starvation watchdog can notice the *root* dying,
-    # and it is armed by a (zero-rate) fault plan.
+    # Only the pulse-starvation watchdog can notice the *root* dying;
+    # the zero-rate plan puts the failover on the hardened path.
     cluster.network.fault_plan = FaultPlan(seed=1)
     sim.run(until=sim.now + 0.2)
     session.fail_rank(0)

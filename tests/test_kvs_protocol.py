@@ -473,36 +473,6 @@ class TestFence:
             1, "refused", 1, [2, 4]]
         assert session.module_at(0, "kvs").master.version == 1
 
-    def test_evicted_oref_is_asked_for_again_in_full(self, fencedata_log):
-        """Dedup mode: rank 3's second fence carries its value as an
-        ``orefs`` sha, since the link to rank 1 carried it before — but
-        rank 1 has evicted it since.  Rank 1 folds none of it in and asks
-        rank 3, one-way, for that contribution again in full; no error
-        response crosses the fabric, and the fence commits every value."""
-        cluster = make_cluster(4, seed=5)
-        session = CommsSession(
-            cluster, topology=TreeTopology(4, arity=2),
-            modules=[ModuleSpec(KvsModule, dedup=True)]).start()
-
-        def client():
-            kvs = KvsClient(session.connect(3))
-            yield kvs.put("k0", "same" * 64)
-            yield kvs.fence("f0", 1)
-            evicted = session.module_at(1, "kvs").cache.expire(-1.0)
-            yield kvs.put("k1", "same" * 64)
-            yield kvs.fence("f1", 1)
-            return evicted, (yield kvs.get("k0")), (yield kvs.get("k1"))
-
-        evicted, *values = run(cluster, client())[0]
-        assert evicted > 0 and values == ["same" * 64] * 2
-        assert [(m.src, m.count) for m in fencedata_log] == [
-            (3, 1), (1, 1), (3, 1), (3, 1), (1, 1)]
-        _first, _up, ref, again, _up_again = (m.accounted
-                                              for m in fencedata_log)
-        assert ref < again
-        assert [m for m in fencedata_log if m.accounted != m.encoded] == []
-        assert ("kvs", "tree", "error") not in session.message_counts()
-
     def test_interleaved_fences_straddling_the_window(self):
         """Two named fences whose contributions reach the master rank
         on both sides of its aggregation window: the window timer must

@@ -1,18 +1,16 @@
-"""Payload interning and per-link dedup correctness.
-
-Two independent mechanisms, two contracts:
+"""Payload interning, and what ``dedup=True`` does and does not change.
 
 - **Interning** (:mod:`repro.jsonutil` fragment table, on by default)
   memoizes canonical sizes/digests of shared payload fragments.  It is
   host-side only, so it must be *event-invisible*: the same-seed
   SAN105 fingerprint must be identical with interning on and off, and
   every memoized size must equal the exact canonical encoding length.
-- **Per-link dedup** (``KvsModule(dedup=True)``, off by default) sends
-  each distinct object across a tree edge once and sha references
-  (``orefs``) afterward.  The per-link filter is a pure optimization:
-  a receiver missing a referenced object rejects retryably and the
-  sender re-sends in full, so no reroute/retransmit/failover can lose
-  an object to a stale filter.
+- **``KvsModule(dedup=True)``** (off by default) is the walk read
+  path: a cold read ships a ``kvs.walk`` instead of faulting
+  directories in.  Writes are untouched — every objs-carrying payload
+  carries its objects in full, so a redundant-value fence commits the
+  same root with or without it — and walk reads must converge under
+  loss, duplication and a root failover.
 """
 
 import pytest
@@ -21,19 +19,14 @@ from repro.jsonutil import (canonical_dumps, canonical_size,
                             clear_intern_table, digest_and_size,
                             intern_fragment, intern_stats, interned_size,
                             set_interning)
-from repro.cmb.modules import BarrierModule
-from repro.cmb.session import CommsSession, ModuleSpec
-from repro.cmb.topology import TreeTopology
 from repro.kap import KapConfig, run_kap
-from repro.kvs import KvsClient, KvsModule
-from repro.sim.cluster import make_cluster
 
 from .chaos import run_chaos_workload
+from .conftest import _spy_on_sends
 
 #: Re-pinned three times (barrier tallies leave when the subtree is
 #: complete; reductions without acknowledgements on the fault-free path;
-#: self-clocked fence relay); the same value as
-#: ``bench_simperf.GOLDEN_KAP_256``.
+#: self-clocked fence relay).
 GOLDEN_KAP_256 = "0f017446c4a35433640bef3ed28f01053a6b5d81"
 
 
@@ -163,67 +156,39 @@ def test_dedup_deterministic_and_byte_reducing():
     assert a.bytes_sent * 2 < legacy.bytes_sent
 
 
-def _dedup_session(n=8, seed=5):
-    cluster = make_cluster(n, seed=seed)
-    session = CommsSession(
-        cluster, topology=TreeTopology(n, arity=2),
-        modules=[ModuleSpec(KvsModule, dedup=True),
-                 ModuleSpec(BarrierModule)]).start()
-    return cluster, session
+def test_dedup_writes_carry_every_object_in_full(monkeypatch,
+                                                 fencedata_log):
+    """Redundant values are the one shape where an object crosses a
+    link twice.  With ``dedup=True`` each such payload still carries
+    the object itself (no sha references), is charged its real
+    encoding, and the fence commits the same root as without it."""
+    cfg = dict(nnodes=16, procs_per_node=16, value_size=64, nputs=4,
+               redundant_values=True, seed=1)
+    by_ref, roots = [], []
 
+    def record(_network, _src, msg, _size):
+        if isinstance(msg.payload, dict):
+            if "orefs" in msg.payload:
+                by_ref.append(msg.topic)
+            if msg.topic == "kvs.setroot":
+                roots.append((msg.payload["version"],
+                              msg.payload["rootref"]))
 
-def test_oref_miss_rejects_and_resends_full():
-    """A stale per-link filter (receiver lacks a referenced object)
-    must trigger the reject/re-send-full recovery, and the commit must
-    still land the right value."""
-    cluster, session = _dedup_session()
-    mod = session.module_at(7, "kvs")
-    rejected = {"n": 0}
-
-    def counting_resolve_at(m, msg):
-        out = KvsModule._resolve_orefs(m, msg)
-        if out is None:
-            rejected["n"] += 1
-        return out
-    # Count rejections at the receiving hops on rank 7's uplink path.
-    for rank in (3, 1, 0):
-        m = session.module_at(rank, "kvs")
-        m._resolve_orefs = (lambda msg, _m=m: counting_resolve_at(_m, msg))
-
-    def writer():
-        kvs = KvsClient(session.connect(7))
-        yield kvs.put("a", "first")
-        yield kvs.commit()
-        yield kvs.put("b", "second")
-        # Poison rank 7's uplink filter with the not-yet-sent dirty
-        # objects: the flush will carry orefs the parent has never
-        # seen, forcing the recovery path.
-        peer = mod._uplink_peer()
-        for dirty in mod._dirty.values():
-            mod._link_sent.setdefault(peer, set()).update(dirty.objs)
-        yield kvs.commit()
-        return (yield kvs.get("b"))
-
-    proc = cluster.sim.spawn(writer())
-    cluster.sim.run()
-    assert proc.ok, f"writer failed: {proc._exc!r}"
-    assert proc.value == "second"
-    assert rejected["n"] >= 1, "stale filter never tripped the reject"
-
-    def reader():
-        kvs = KvsClient(session.connect(2))
-        return (yield kvs.get("b"))
-
-    rproc = cluster.sim.spawn(reader())
-    cluster.sim.run()
-    assert rproc.ok and rproc.value == "second"
+    _spy_on_sends(monkeypatch, record)
+    run_kap(KapConfig(**cfg, dedup=True))
+    assert by_ref == []
+    assert len(fencedata_log) >= 15     # every slave rank flushed
+    assert [m for m in fencedata_log if m.accounted != m.encoded] == []
+    with_walk = max(roots)
+    del roots[:]
+    run_kap(KapConfig(**cfg))
+    assert with_walk == max(roots)
 
 
 def test_dedup_chaos_drop_dup_converges():
-    """Lossy + duplicating fabric with dedup on: retransmits and
-    reroutes must never let the per-link filter suppress an object the
-    receiver lacks — every acked write stays readable, sanitizers
-    clean."""
+    """Lossy + duplicating fabric with walk reads on: retransmits and
+    reroutes must never cost an acked write — every one stays
+    readable, sanitizers clean."""
     rep = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                              dup_rate=0.02, n_iters=2, run_until=30.0,
                              sanitize=True, kvs_dedup=True)
@@ -234,9 +199,9 @@ def test_dedup_chaos_drop_dup_converges():
 
 
 def test_dedup_root_failover_mid_fence_converges():
-    """Root master killed mid-fence with dedup on: the promotion
-    clears the master-ward filters, the replayed fence re-sends its
-    objects, and no acked write is lost."""
+    """Root master killed mid-fence with walk reads on: the replayed
+    fence re-sends its objects toward the promoted master, reads walk
+    to it, and no acked write is lost."""
     rep = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                              seed=5, fault_seed=13,
                              kill_ranks=(0,), kill_at=0.12,

@@ -71,8 +71,10 @@ GOLDEN_KAP = {
     ),
 }
 
+#: Re-pinned once (live watchdog armed with or without a fault plan);
+#: ``converged``, the verified reads and the makespan did not move.
 GOLDEN_CHAOS = dict(
-    fingerprint="aab95fab6805f380726e1e083f4889f731cb2654",
+    fingerprint="809240fe556bffe97d519681f3e7612e9f5576de",
     converged=True, reads_verified=16,
     makespan=0.00015684556249999991)
 
