@@ -33,7 +33,11 @@ _US = 1e6
 
 
 class Span:
-    """One timed operation inside a trace."""
+    """One timed operation inside a trace.
+
+    ``args`` stays ``None`` until the span records one (most never
+    do), so a bare hop allocates no dict.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "cat",
                  "rank", "t0", "t1", "args")
@@ -49,7 +53,7 @@ class Span:
         self.rank = rank
         self.t0 = t0
         self.t1: Optional[float] = None     # None while still open
-        self.args: dict[str, Any] = {}
+        self.args: Optional[dict[str, Any]] = None
 
     @property
     def duration(self) -> float:
@@ -59,7 +63,7 @@ class Span:
         return {"trace_id": self.trace_id, "span_id": self.span_id,
                 "parent_id": self.parent_id, "name": self.name,
                 "cat": self.cat, "rank": self.rank,
-                "t0": self.t0, "t1": self.t1, "args": self.args}
+                "t0": self.t0, "t1": self.t1, "args": self.args or {}}
 
 
 class SpanTracer:
@@ -77,7 +81,6 @@ class SpanTracer:
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self.spans: list[Span] = []
-        self._open: dict[int, Span] = {}
         #: Head-sampling stride: trace ``i`` is kept iff
         #: ``(i - 1) % sample_every == 0``.  1 = keep everything
         #: (the default, byte-identical to the pre-sampling tracer).
@@ -99,7 +102,12 @@ class SpanTracer:
 
     # -- recording ------------------------------------------------------
     def _note_args(self, span: Span, args: dict) -> None:
-        span.args.update(args)
+        """Merge a call's non-empty ``**args`` (a fresh dict each call,
+        so the first one is adopted as is) into the span."""
+        if span.args is None:
+            span.args = args
+        else:
+            span.args.update(args)
         if "error" in args:
             self._error.add(span.trace_id)
             # Tail rescue: an error arriving after the root closed
@@ -111,11 +119,11 @@ class SpanTracer:
         tid = next(self._trace_ids)
         span = Span(tid, next(self._span_ids), None,
                     name, "client", rank, self._now())
-        self._note_args(span, args)
+        if args:
+            self._note_args(span, args)
         if self.sample_every > 1 and (tid - 1) % self.sample_every:
             self._unsampled.add(tid)
         self.spans.append(span)
-        self._open[span.span_id] = span
         return span
 
     def start_span(self, parent: Optional[tuple], name: str, cat: str,
@@ -129,9 +137,9 @@ class SpanTracer:
             return None
         span = Span(parent[0], next(self._span_ids), parent[1],
                     name, cat, rank, self._now())
-        self._note_args(span, args)
+        if args:
+            self._note_args(span, args)
         self.spans.append(span)
-        self._open[span.span_id] = span
         return span
 
     def finish(self, span: Optional[Span], **args: Any) -> None:
@@ -139,8 +147,8 @@ class SpanTracer:
         if span is None or span.t1 is not None:
             return
         span.t1 = self._now()
-        self._note_args(span, args)
-        self._open.pop(span.span_id, None)
+        if args:
+            self._note_args(span, args)
         if span.parent_id is None and span.trace_id in self._unsampled:
             # Root closed: the head-sampling verdict becomes final
             # unless an error span tail-rescued (or later rescues) it.
@@ -178,15 +186,20 @@ class SpanTracer:
         span = self.start_span(parent, name, cat, rank, **args)
         if span is not None:
             span.t1 = span.t0
-            self._open.pop(span.span_id, None)
 
     def close_open(self) -> int:
-        """Close any still-open spans (end of run); returns how many."""
-        leftover = list(self._open.values())
-        for span in leftover:
-            span.t1 = self._now()
-        self._open.clear()
-        return len(leftover)
+        """Close any still-open spans (end of run); returns how many.
+
+        A span is open while its ``t1`` is ``None``; the end-of-run
+        scan replaces a per-span open table the hot path would pay for.
+        """
+        now = self._now()
+        closed = 0
+        for span in self.spans:
+            if span.t1 is None:
+                span.t1 = now
+                closed += 1
+        return closed
 
     # -- analysis -------------------------------------------------------
     def traces(self) -> dict[int, list[Span]]:
@@ -267,6 +280,13 @@ class SpanTracer:
                          f" ({s.duration * 1e3:.3f} ms)")
         return "\n".join(lines)
 
+    def slowest_trace(self) -> Optional[int]:
+        """Trace id of the longest root span (lowest id on a tie)."""
+        roots = [s for s in self._purged_spans() if s.parent_id is None]
+        if not roots:
+            return None
+        return max(roots, key=lambda s: (s.duration, -s.trace_id)).trace_id
+
     # -- export ---------------------------------------------------------
     def to_chrome_trace(self) -> dict:
         """Chrome trace-event JSON (object form), Perfetto-loadable.
@@ -286,7 +306,7 @@ class SpanTracer:
                 "dur": max(0.0, (s.t1 if s.t1 is not None else s.t0)
                            - s.t0) * _US,
                 "pid": s.rank, "tid": s.trace_id,
-                "args": {**s.args, "span_id": s.span_id,
+                "args": {**(s.args or {}), "span_id": s.span_id,
                          "parent_id": s.parent_id,
                          "trace_id": s.trace_id},
             })
@@ -302,3 +322,24 @@ class SpanTracer:
     def write_chrome_trace(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json(indent=1))
+
+    @classmethod
+    def from_chrome_trace(cls, doc: dict) -> "SpanTracer":
+        """Rebuild the span forest of a :meth:`to_chrome_trace` export
+        (a ``--trace-out`` file) for analysis.  Each complete event's
+        ``args`` carry its ``trace_id``, ``span_id`` and ``parent_id``;
+        the remaining args are the span's own.  Times come back in
+        simulated seconds."""
+        tracer = cls(lambda: 0.0)
+        for ev in doc.get("traceEvents", ()):
+            if ev.get("ph") != "X":
+                continue
+            args = dict(ev.get("args") or {})
+            span = Span(args.pop("trace_id"), args.pop("span_id"),
+                        args.pop("parent_id"), ev["name"],
+                        ev.get("cat", ""), ev.get("pid", -1),
+                        ev["ts"] / _US)
+            span.t1 = (ev["ts"] + ev.get("dur", 0.0)) / _US
+            span.args = args or None
+            tracer.spans.append(span)
+        return tracer

@@ -30,6 +30,10 @@ rendered string is byte-identical to the old eager f-string, so
 SAN105 fingerprints are unchanged.  Events also keep their first
 callback in a dedicated slot (``_cb1``), deferring the waiter-list
 allocation to the rare multi-waiter case.
+
+Observation is batched: an attached :attr:`Simulation.recorder` is
+handed processed heap entries a chunk at a time, never called once
+per event, so an unobserved drain pays one ``is None`` test per event.
 """
 
 from __future__ import annotations
@@ -531,12 +535,17 @@ class Simulation:
         self._ndead = 0
         self._active_process: Optional[Process] = None
         self._nevents = 0
-        #: Optional observer called as ``event_hook(t, priority, ev)``
-        #: for every event processed, *before* its callbacks run.  Used
-        #: by the replay-divergence sanitizer to fingerprint the event
-        #: stream; observers must not schedule events or draw from
-        #: :attr:`rng`, so installing one cannot perturb the run.
-        self.event_hook: Optional[Callable[[float, int, Event], None]] = None
+        #: Optional batched observer of the processed-event stream.
+        #: Every drain path appends each processed heap entry
+        #: ``(t, priority, seq, event)`` to ``recorder.entries``
+        #: *before* the event's callbacks run, and calls
+        #: ``recorder.flush()`` — which must empty that list in place —
+        #: once it holds ``recorder.chunk`` entries.  The replay-
+        #: divergence sanitizer fingerprints the stream this way
+        #: (:class:`~repro.analysis.sanitizers.EventFingerprint`).
+        #: Observers must not schedule events or draw from :attr:`rng`,
+        #: so attaching one cannot perturb the run.
+        self.recorder: Optional[Any] = None
 
     # -- event creation helpers ----------------------------------------
     def event(self, name: Any = "") -> Event:
@@ -593,10 +602,11 @@ class Simulation:
     def _step(self, max_events: Optional[int] = None) -> bool:
         """Pop and process the next live event.
 
-        The single loop body shared by :meth:`run` and
-        :meth:`run_until_complete`: dead-entry skipping, the event
-        budget, and the observer hook live here so the two drivers
-        cannot drift apart.  Returns False when the heap is drained.
+        The single loop body shared by :meth:`run` (with an ``until``
+        or a ``max_events`` budget) and :meth:`run_until_complete`:
+        dead-entry skipping, the event budget, and the recorder feed
+        live here so those drivers cannot drift apart.  Returns False
+        when the heap is drained.
         """
         heap = self._heap
         while heap:
@@ -606,14 +616,17 @@ class Simulation:
                 if self._ndead > 0:
                     self._ndead -= 1
                 continue
-            t = entry[0]
-            self.now = t
+            self.now = entry[0]
             self._nevents += 1
             if max_events is not None and self._nevents > max_events:
                 raise SimulationError(
                     f"event budget {max_events} exhausted at t={self.now:g}")
-            if self.event_hook is not None:
-                self.event_hook(t, entry[1], ev)
+            rec = self.recorder
+            if rec is not None:
+                log = rec.entries
+                log.append(entry)
+                if len(log) >= rec.chunk:
+                    rec.flush()
             ev._run_callbacks()
             return True
         return False
@@ -624,13 +637,16 @@ class Simulation:
         budget ``max_events`` is exhausted.  Returns the final clock.
         """
         if until is None:
-            if max_events is None and self.event_hook is None:
+            if max_events is None:
                 # Tight loop for the common full-drain run: no budget
-                # or hook checks per event, callback dispatch inlined
+                # check per event, callback dispatch inlined
                 # (byte-for-byte the logic of _run_callbacks, so the
-                # processing order — and hence any fingerprint taken
-                # with the hook installed — is unchanged).
+                # processing order is that of _step) and the recorder
+                # feed reduced to one ``is None`` test when detached.
                 heap = self._heap
+                rec = self.recorder
+                if rec is not None:
+                    log, chunk, flush = rec.entries, rec.chunk, rec.flush
                 while heap:
                     entry = heappop(heap)
                     ev = entry[3]
@@ -640,6 +656,10 @@ class Simulation:
                         continue
                     self.now = entry[0]
                     self._nevents += 1
+                    if rec is not None:
+                        log.append(entry)
+                        if len(log) >= chunk:
+                            flush()
                     ev._state = 2  # Event.PROCESSED
                     cb1 = ev._cb1
                     callbacks = ev.callbacks

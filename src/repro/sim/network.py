@@ -146,7 +146,9 @@ class Network:
         #: leaves the delivery path bit-identical to a plan-free build.
         self.fault_plan: Optional["FaultPlan"] = None
         #: Optional :class:`~repro.analysis.sanitizers.SanitizerSet`
-        #: observing every send/deliver/drop (FIFO-order checking).
+        #: observing every send/deliver/drop (FIFO-order checking).  A
+        #: send is reported once the fabric knows how many copies it
+        #: will deliver or drop (none for a send dropped at the source).
         #: Pure observer: it schedules no events and mutates nothing,
         #: so installing one leaves the run event-identical.
         self.sanitizers: Optional[Any] = None
@@ -212,8 +214,6 @@ class Network:
         fabric never reorders messages between the same pair.
         """
         san = self.sanitizers
-        if san is not None:
-            san.on_send(src, dst, port, payload)
         if src == dst:
             # Loopback between co-located endpoints: FIFO IPC cost.
             delay = self._loopbacks[src].send_delay(size)
@@ -230,6 +230,8 @@ class Network:
                 if dropped:
                     self._drop(src, dst, payload)
                     return
+                if san is not None:
+                    san.on_send(src, dst, port, payload, 1 + dups)
                 deliver_at = plan.fifo_clamp(src, dst,
                                              self.sim.now + delay + extra)
                 for _ in range(1 + dups):
@@ -238,6 +240,8 @@ class Network:
                     ev._cb1 = (
                         lambda _ev: self._deliver(src, dst, port, payload))
                 return
+        if san is not None:
+            san.on_send(src, dst, port, payload)
         # Freshly created timeouts have no waiters, so the first-callback
         # slot is assigned directly (equivalent to add_callback, minus
         # its state checks on this hottest of paths).

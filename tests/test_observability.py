@@ -12,14 +12,22 @@ The acceptance bar for the tracing layer:
   fingerprint as a run on a build where tracing never existed.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import make_cluster, standard_session
 from repro.cmb import TreeTopology
+from repro.kap import KapConfig, run_kap
 from repro.kvs import KvsClient
 from repro.obs import (DEFAULT_TIME_LADDER, Histogram, MetricsRegistry,
                        SpanTracer, histogram_from_snapshot, log_ladder,
                        merge_snapshots)
+from repro.obs.__main__ import why
 from repro.stats import validate_stats, validate_trace
 
 
@@ -145,6 +153,69 @@ class TestFenceSpanTree:
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in x_events)
         # pid == rank so Perfetto groups spans per broker.
         assert {e["pid"] for e in x_events} <= set(range(21))
+
+
+# ----------------------------------------------------------------------
+# python -m repro.obs why: critical path from a --trace-out export
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def kap_trace(tmp_path_factory):
+    """An 8-node traced KAP run's Chrome export."""
+    path = tmp_path_factory.mktemp("why") / "t.json"
+    run_kap(KapConfig(nnodes=8, procs_per_node=4), trace_out=str(path))
+    return path
+
+
+class TestWhy:
+    def test_slowest_client_call_explained(self, kap_trace):
+        out = why(str(kap_trace))
+        assert out["ok"] and out["error"] is None
+        hops = out["data"]["hops"]
+        assert hops[0]["name"].startswith("rpc:") and len(hops) >= 2
+        for parent, child in zip(hops, hops[1:]):
+            assert parent["t0_ms"] <= child["t0_ms"]
+        # The explained call is the slowest root, and its path ends
+        # when that call ends.
+        roots = [e for e in json.loads(kap_trace.read_text())["traceEvents"]
+                 if e["ph"] == "X" and e["args"]["parent_id"] is None]
+        slowest = max(roots, key=lambda e: e["dur"])
+        assert out["data"]["trace_id"] == slowest["args"]["trace_id"]
+        end_ms = (slowest["ts"] + slowest["dur"]) / 1e3
+        assert max(h["t1_ms"] for h in hops) == pytest.approx(end_ms)
+        assert hops[0]["t1_ms"] == pytest.approx(end_ms)
+
+    def test_rebuilt_forest_has_the_same_critical_paths(self, fence_run,
+                                                        tmp_path):
+        tracer = fence_run.span_tracer
+        path = tmp_path / "fence.json"
+        tracer.write_chrome_trace(str(path))
+        rebuilt = SpanTracer.from_chrome_trace(json.loads(path.read_text()))
+        assert rebuilt.validate() == []
+        for tid in tracer.traces():
+            assert ([s.span_id for s in rebuilt.critical_path(tid)]
+                    == [s.span_id for s in tracer.critical_path(tid)])
+
+    def test_cli(self, kap_trace, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(__file__).resolve().parents[1] / "src")}
+
+        def cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.obs", "why", *args],
+                capture_output=True, text=True, env=env, timeout=60)
+
+        text = cli(str(kap_trace))
+        assert text.returncode == 0 and "hops on critical path" in text.stdout
+        doc = json.loads(cli(str(kap_trace), "--trace", "2",
+                             "--json").stdout)
+        assert doc["ok"] and doc["data"]["trace_id"] == 2
+        missing = cli(str(tmp_path / "none.json"), "--json")
+        assert missing.returncode == 1
+        doc = json.loads(missing.stdout)
+        assert doc["ok"] is False and doc["data"] is None and doc["error"]
+        unknown = json.loads(cli(str(kap_trace), "--trace", "99999",
+                                 "--json").stdout)
+        assert unknown["ok"] is False and "no trace" in unknown["error"]
 
 
 # ----------------------------------------------------------------------
