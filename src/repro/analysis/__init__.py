@@ -17,21 +17,31 @@ model:
   divergence) hooked into the sim kernel and network.
 """
 
-from .effects import (FLOW_RULES, HandlerSummary, SendSite,
-                      analyze_paths, analyze_source)
-from .findings import Finding, render_json, render_text, worst_severity
-from .flowgraph import FlowGraph, build_graph, to_dot, to_json
-from .lint import RULES, lint_paths, lint_source
-from .sanitizers import (FifoLinkSanitizer, KvsConsistencySanitizer,
-                         SanitizerSet, SpanForestSanitizer,
-                         replay_fingerprint_hook)
+import importlib
 
-__all__ = [
-    "Finding", "render_json", "render_text", "worst_severity",
-    "RULES", "lint_paths", "lint_source",
-    "FLOW_RULES", "HandlerSummary", "SendSite",
-    "analyze_paths", "analyze_source",
-    "FlowGraph", "build_graph", "to_dot", "to_json",
-    "SanitizerSet", "FifoLinkSanitizer", "KvsConsistencySanitizer",
-    "SpanForestSanitizer", "replay_fingerprint_hook",
-]
+#: Public name -> the submodule defining it.  Resolved on first use
+#: (PEP 562), so importing one submodule — the sanitizers a sanitized
+#: run loads — does not pay for parsing the linter and flow analyzer.
+_EXPORTS = {
+    "Finding": "findings", "render_json": "findings",
+    "render_text": "findings", "worst_severity": "findings",
+    "RULES": "lint", "lint_paths": "lint", "lint_source": "lint",
+    "FLOW_RULES": "effects", "HandlerSummary": "effects",
+    "SendSite": "effects", "analyze_paths": "effects",
+    "analyze_source": "effects",
+    "FlowGraph": "flowgraph", "build_graph": "flowgraph",
+    "to_dot": "flowgraph", "to_json": "flowgraph",
+    "SanitizerSet": "sanitizers", "FifoLinkSanitizer": "sanitizers",
+    "KvsConsistencySanitizer": "sanitizers",
+    "SpanForestSanitizer": "sanitizers",
+    "replay_fingerprint_hook": "sanitizers",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
