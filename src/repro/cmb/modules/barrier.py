@@ -2,39 +2,30 @@
 
 "Collective barriers provide synchronization across Flux groups."
 
-Protocol: a client enters with ``barrier.enter {name, nprocs}``.  Each
-broker tallies entries for the name — its local clients plus, per
-child, that child's subtree total — and relays its own subtree total
-upstream the moment the subtree is complete (every collective client
-below it has entered), so a whole-session barrier is one message per
-tree edge and runs at tree speed.  The root publishes
-``barrier.exit {name}`` once ``nprocs`` entries arrived; every broker
-then releases its held local requests.  A barrier joined by only some
-of a subtree's clients never completes that subtree: its entries leave
-after a short aggregation window instead, one upstream message per
-window.
+A client enters with ``barrier.enter {name, nprocs}``.  The barrier is
+a counting tree reduction (:mod:`.reduce`): a broker's local share is
+the entries its clients made, a child's contribution the cumulative
+tally of its subtree, and the largest one a child sent stands.  A
+broker relays its subtree's total as a one-way ``barrier.enter {name,
+nprocs, count}`` the moment the subtree is complete — every collective
+client below it entered — so a whole-session barrier is one message
+per tree edge; a subtree only some of whose clients join sends after a
+short aggregation window instead.  The root publishes ``barrier.exit
+{name}`` once ``nprocs`` entries arrived, and that is the relays' only
+acknowledgement: until it comes, a rank re-sends its tally on every
+``hb.pulse``.  A tally whose ``nprocs`` contradicts the barrier its
+parent collects is refused with a one-way ``barrier.abort``, which
+fails the entries held at that rank and is passed on to every child
+whose tally it recorded.
 
-A relayed tally is a one-way ``barrier.enter {name, nprocs, count}``
-(``Broker.send_parent``): ``count`` is the subtree's cumulative total
-and the parent keeps the largest it saw per child, so a duplicate or a
-re-emission changes nothing.  Only tallies from current children count:
-a child declared dead, or an orphan handed back to its revived parent,
-is counted through another rank from then on.  Silence is success —
-``barrier.exit`` is the only acknowledgement — and until it arrives a
-rank re-sends its tally on every ``hb.pulse`` (a session without a
-heartbeat sends nothing extra).  Refusals travel down: a tally whose
-``nprocs`` contradicts the barrier its parent collects is answered with
-a one-way ``barrier.abort``, which fails the entries held at that rank
-and is passed on to every child whose tally it recorded.
-
-``gen`` (omitted while 0) counts the exits a rank has seen for a name,
-so a name can be reused.  A tally of an older generation comes from a
-child that missed that barrier's exit, and the parent, which remembers
-whose tallies each exited barrier counted, answers it one-way: with
-``barrier.release`` when that barrier counted the child's tally (the
-entries are done), with ``barrier.renew`` when it did not (the entries
-were made after the exit the child missed, and belong to the barrier
-the parent collects now).
+What is barrier-specific is the generation ``gen`` (omitted while 0):
+the exits a rank has seen for a name, so that a name can be reused.  A
+tally of an older generation comes from a child that missed that exit.
+The parent remembers whose tallies each exited barrier counted and
+answers one-way: ``barrier.release`` when that barrier counted the
+child's tally (the entries are done), ``barrier.renew`` when it did not
+(they belong to the barrier the parent collects now).  DESIGN.md "Tree
+reductions" and "Barrier reduction" have the details.
 """
 
 from __future__ import annotations
@@ -44,6 +35,7 @@ from collections import OrderedDict
 from ..errors import EHOSTUNREACH, EINVAL
 from ..message import Message
 from ..module import CommsModule, request_handler
+from .reduce import Slot, TreeReduce
 
 __all__ = ["BarrierModule"]
 
@@ -55,19 +47,17 @@ _BARRIER_WINDOW = 5e-5
 _GENS_CAP = 1024
 
 
-class _BarrierState:
-    __slots__ = ("nprocs", "gen", "held", "children", "total", "sent",
-                 "parents", "flush_scheduled")
+class _BarrierState(Slot):
+    """A barrier's reduction: the local share is ``held``, a child's
+    contribution its cumulative tally."""
+
+    __slots__ = ("nprocs", "gen", "held", "parents", "flush_scheduled")
 
     def __init__(self, nprocs: int, gen: int):
+        super().__init__()
         self.nprocs = nprocs
         self.gen = gen
         self.held: list[Message] = []        # local client entries
-        # child rank -> its tally; 0 once the child was dropped (its
-        # earlier tally may still sit in the maximum upstream)
-        self.children: dict[int, int] = {}
-        self.total = 0           # held + children: this subtree's entries
-        self.sent = 0            # the tally last relayed upstream
         self.parents: set[int] = set()       # where the tallies went
         self.flush_scheduled = False
 
@@ -79,7 +69,7 @@ class BarrierModule(CommsModule):
 
     def __init__(self, broker):
         super().__init__(broker)
-        self._states: dict[str, _BarrierState] = {}
+        self._states = TreeReduce()          # name -> _BarrierState
         self._gens: "OrderedDict[str, int]" = OrderedDict()
         # name -> child rank -> the generation whose exit counted its
         # tally here (kept for the names in ``_gens``)
@@ -132,15 +122,12 @@ class BarrierModule(CommsModule):
         if "count" not in p:
             # A real client entry: hold for release at exit time.
             st.held.append(msg)
-            st.total += 1
+            st.add()
         else:
             # A child's relayed tally: cumulative, so merged by max.
-            prev = st.children.get(msg.src_rank, 0)
             self.respond(msg, {})
-            if count <= prev:
+            if not st.put(msg.src_rank, count):
                 return
-            st.children[msg.src_rank] = count
-            st.total += count - prev
         self._progress(name, st)
 
     def _current(self, child: int, name: str, gen: int) -> bool:
@@ -216,15 +203,14 @@ class BarrierModule(CommsModule):
         within a pulse."""
         if self.is_root:
             return
-        for name, st in list(self._states.items()):
-            if st.total:
-                self._send_tally(name, st)
+        for name in self._states.unfinished():
+            self._send_tally(name, self._states[name])
 
     # -- the children a tally is summed over ------------------------------
     def _on_live_down(self, msg: Message) -> None:
         """A dead child's tally goes with it: its orphans, adopted here,
         re-send theirs on the next pulse."""
-        self._drop_child(msg.payload.get("rank"))
+        self._states.drop_child(msg.payload.get("rank"))
 
     def _on_reattach(self, msg: Message) -> None:
         """A revived rank takes back the orphans this rank adopted on
@@ -233,14 +219,7 @@ class BarrierModule(CommsModule):
         if rank == self.rank:
             return
         for orphan in self.broker.session.children_of(rank):
-            self._drop_child(orphan)
-
-    def _drop_child(self, child: int) -> None:
-        for st in self._states.values():
-            n = st.children.get(child)
-            if n:
-                st.children[child] = 0
-                st.total -= n
+            self._states.drop_child(orphan)
 
     # -- completion and refusal ------------------------------------------
     def _on_exit(self, msg: Message) -> None:
@@ -264,7 +243,7 @@ class BarrierModule(CommsModule):
         st = self._states.pop(name, None)
         if st is not None:
             self._counted.setdefault(name, {}).update(
-                dict.fromkeys(st.children, gen))
+                dict.fromkeys(st.parts, gen))
             for held in st.held:
                 self.respond(held, {"name": name})
 
@@ -288,17 +267,15 @@ class BarrierModule(CommsModule):
                        f"{sorted(gone)}, outcome unknown", EHOSTUNREACH,
                        self.rank)
             return
-        for child, n in sorted(st.children.items()):
-            if n:
-                self.broker.send_hop(child, "barrier.renew",
-                                     {"name": name, "gen": st.gen,
-                                      "next": nxt})
+        for child in st.contributors():
+            self.broker.send_hop(child, "barrier.renew",
+                                 {"name": name, "gen": st.gen, "next": nxt})
         self._set_gen(name, nxt)
         del self._states[name]
         if st.held:
             renewed = self._states[name] = _BarrierState(st.nprocs, nxt)
             renewed.held = st.held
-            renewed.total = len(st.held)
+            renewed.add(len(st.held))
             self._send_tally(name, renewed)
 
     @request_handler(required={"name": str, "gen": int, "error": str,
@@ -316,9 +293,8 @@ class BarrierModule(CommsModule):
         del self._states[name]
         for held in st.held:
             self.respond(held, error=error, code=code, err_rank=err_rank)
-        for child, n in sorted(st.children.items()):
-            if n:
-                self._abort(child, name, st.gen, error, code, err_rank)
+        for child in st.contributors():
+            self._abort(child, name, st.gen, error, code, err_rank)
 
     def _abort(self, rank: int, name: str, gen: int, error: str, code: str,
                err_rank: int) -> None:

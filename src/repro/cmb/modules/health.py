@@ -24,10 +24,12 @@ fingerprints) are untouched.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from ..message import Message
 from ..module import CommsModule, request_handler
+from .reduce import HISTORY, TreeReduce
 
 __all__ = ["HealthModule", "HEALTH_STATES"]
 
@@ -35,18 +37,22 @@ __all__ = ["HealthModule", "HEALTH_STATES"]
 HEALTH_STATES = ("ok", "degraded", "overloaded")
 
 
+#: Aggregate field -> (the sample field it starts from, its fold); an
+#: aggregate also has ``counts`` (brokers per state) and ``worst``.
+_FIELDS = {"inbox_sum": ("inbox_depth", operator.add),
+           "inbox_max": ("inbox_peak", max),
+           "pending_max": ("pending_rpcs", max),
+           "retry_amp_max": ("retry_amp", max),
+           "dirty_sum": ("dirty_ops", operator.add),
+           "respawn_sum": ("respawn_delta", operator.add)}
+
+
 def _merge(a: dict, b: dict) -> dict:
     """Fold two partial health aggregates (associative/commutative)."""
-    return {
-        "counts": [x + y for x, y in zip(a["counts"], b["counts"])],
-        "inbox_sum": a["inbox_sum"] + b["inbox_sum"],
-        "inbox_max": max(a["inbox_max"], b["inbox_max"]),
-        "pending_max": max(a["pending_max"], b["pending_max"]),
-        "retry_amp_max": max(a["retry_amp_max"], b["retry_amp_max"]),
-        "dirty_sum": a["dirty_sum"] + b["dirty_sum"],
-        "respawn_sum": a["respawn_sum"] + b["respawn_sum"],
-        "worst": max(a["worst"], b["worst"]),
-    }
+    acc = {k: fold(a[k], b[k]) for k, (_f, fold) in _FIELDS.items()}
+    acc["counts"] = [x + y for x, y in zip(a["counts"], b["counts"])]
+    acc["worst"] = max(a["worst"], b["worst"])
+    return acc
 
 
 class HealthModule(CommsModule):
@@ -57,15 +63,9 @@ class HealthModule(CommsModule):
     thresholds:
         Overrides for the classification thresholds (see
         ``DEFAULT_THRESHOLDS``); partial dicts merge over defaults.
-    view_cap:
-        Completed cluster views retained at the root (default 64).
     """
 
     name = "health"
-
-    #: Pending epochs older than this many pulses are dropped (same
-    #: rationale as ``MonModule.STALE_EPOCHS``).
-    STALE_EPOCHS = 8
 
     DEFAULT_THRESHOLDS = {
         "inbox_degraded": 16, "inbox_overloaded": 64,
@@ -73,18 +73,14 @@ class HealthModule(CommsModule):
         "retry_amp_degraded": 0.5, "retry_amp_overloaded": 2.0,
     }
 
-    def __init__(self, broker, *, thresholds: Optional[dict] = None,
-                 view_cap: int = 64):
-        super().__init__(broker, thresholds=thresholds,
-                         view_cap=view_cap)
+    def __init__(self, broker, *, thresholds: Optional[dict] = None):
+        super().__init__(broker, thresholds=thresholds)
         self.thresholds = dict(self.DEFAULT_THRESHOLDS)
         if thresholds:
             self.thresholds.update(thresholds)
-        self.view_cap = view_cap
         self.active = False
-        # epoch -> {"acc": acc, "contrib": count}
-        self._pending: dict[int, dict] = {}
-        # Root only: completed cluster views, newest last.
+        self._epochs = TreeReduce(_merge)           # epoch -> Slot
+        # Root only: the newest HISTORY completed cluster views.
         self.views: list[dict] = []
         self.cluster_state = "unknown"
         # Baselines for per-epoch deltas (retry amplification).
@@ -128,7 +124,7 @@ class HealthModule(CommsModule):
 
     def _on_deactivate(self, msg: Message) -> None:
         self.active = False
-        self._pending.clear()
+        self._epochs.clear()
 
     def _rebase(self) -> None:
         """Reset delta baselines so the first epoch after activation
@@ -193,24 +189,14 @@ class HealthModule(CommsModule):
         return 0
 
     def _acc_of(self, sample: dict, state: int) -> dict:
-        counts = [0, 0, 0]
-        counts[state] = 1
-        return {"counts": counts,
-                "inbox_sum": sample["inbox_depth"],
-                "inbox_max": sample["inbox_peak"],
-                "pending_max": sample["pending_rpcs"],
-                "retry_amp_max": sample["retry_amp"],
-                "dirty_sum": sample["dirty_ops"],
-                "respawn_sum": sample["respawn_delta"],
-                "worst": state}
+        acc = {k: sample[field] for k, (field, _fold) in _FIELDS.items()}
+        acc["counts"] = [int(i == state) for i in range(len(HEALTH_STATES))]
+        acc["worst"] = state
+        return acc
 
     # ------------------------------------------------------------------
-    # reduction (mon-style epoch aggregation)
+    # reduction (the same epoch reduction as ``mon``)
     # ------------------------------------------------------------------
-    def _expected(self) -> int:
-        return 1 + sum(1 for c in self.broker.children
-                       if self.broker.session.brokers[c].alive)
-
     def _on_pulse(self, msg: Message) -> None:
         if not self.active:
             return
@@ -218,68 +204,51 @@ class HealthModule(CommsModule):
         sample = self.local_sample()
         state = HEALTH_STATES.index(sample["state"])
         self._g_state.set(state)
-        self._contribute(epoch, self._acc_of(sample, state))
-        for old in [e for e in self._pending
-                    if e <= epoch - self.STALE_EPOCHS]:
-            del self._pending[old]
+        self._epochs.slot(epoch).put(self.rank, 1,
+                                     self._acc_of(sample, state))
+        self._maybe_complete(epoch)
+        self._epochs.gc(epoch)
+        if self.is_root and self._epochs.stalled():
+            # As in ``mon``: announce again what a rank may have lost.
+            self.broker.publish("health.activate",
+                                {"thresholds": self.thresholds})
 
     def _on_down(self, msg: Message) -> None:
-        if not self.active:
-            return
-
+        """As ``MonModule._on_down``: only pending epochs are
+        re-checked."""
         def recheck() -> None:
-            for epoch in list(self._pending):
+            for epoch in list(self._epochs):
                 self._maybe_complete(epoch)
-        self.broker.after(0.0, recheck)
+        if self._epochs:
+            self.broker.after(0.0, recheck)
 
-    @request_handler(required=("epoch", "acc", "contrib"))
+    @request_handler(required=("epoch", "acc"))
     def req_sample(self, msg: Message) -> None:
         """A child subtree's partial health aggregate."""
         p = msg.payload
         self.respond(msg, {})
-        if not self.active:
-            return
-        self._contribute(p["epoch"], p["acc"], count=p["contrib"])
-
-    def _contribute(self, epoch: int, acc: dict, count: int = 1) -> None:
-        slot = self._pending.get(epoch)
-        if slot is None:
-            self._pending[epoch] = {"acc": acc, "contrib": count}
-        else:
-            slot["acc"] = _merge(slot["acc"], acc)
-            slot["contrib"] += count
-        self._maybe_complete(epoch)
+        if self.active and self._epochs.slot(p["epoch"]).put(
+                msg.src_rank, 1, p["acc"]):
+            self._maybe_complete(p["epoch"])
 
     def _maybe_complete(self, epoch: int) -> None:
-        slot = self._pending.get(epoch)
-        if slot is None or slot["contrib"] < self._expected():
+        acc = self._epochs.take(epoch, [self.rank, *self.broker.children])
+        if acc is None:
             return
-        del self._pending[epoch]
         if not self.is_root:
-            # One message (= one contribution toward the parent's
-            # ``_expected``) per completed subtree; broker totals ride
-            # inside the acc's state census.
+            # Broker totals ride inside the acc's state census.
             self.broker.rpc_parent_cb(
-                "health.sample",
-                {"epoch": epoch, "acc": slot["acc"], "contrib": 1},
+                "health.sample", {"epoch": epoch, "acc": acc},
                 lambda resp: None)
             return
-        self._complete_root(epoch, slot["acc"])
-
-    def _complete_root(self, epoch: int, acc: dict) -> None:
         state = HEALTH_STATES[acc["worst"]]
         view = {"epoch": epoch, "t": self.broker.sim.now,
                 "state": state, "brokers": sum(acc["counts"]),
                 "counts": dict(zip(HEALTH_STATES, acc["counts"])),
-                "inbox_sum": acc["inbox_sum"],
-                "inbox_max": acc["inbox_max"],
-                "pending_max": acc["pending_max"],
-                "retry_amp_max": acc["retry_amp_max"],
-                "dirty_sum": acc["dirty_sum"],
-                "respawn_sum": acc["respawn_sum"]}
+                **{k: acc[k] for k in _FIELDS}}
         self.views.append(view)
-        if len(self.views) > self.view_cap:
-            del self.views[:len(self.views) - self.view_cap]
+        if len(self.views) > HISTORY:
+            del self.views[0]
         if state != self.cluster_state:
             self.cluster_state = state
             self._c_transitions.inc()

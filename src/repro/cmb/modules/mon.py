@@ -7,37 +7,39 @@ Our simulated stand-in for "Linux scripts" is a registry of named
 Python sampler callables (e.g. per-node power draw, core utilization).
 ``mon.activate {name, op}`` at the root announces the metric; from then
 on every broker samples locally at each ``hb.pulse`` and the values are
-reduced up the tree (sum/min/max/avg) — each broker combines its own
-sample with one aggregate per child before forwarding a single message.
-Completed per-epoch results are stored at the root: into the KVS under
-``mon.<name>.<epoch>`` when the ``kvs`` module is loaded, and always in
-the in-memory ``results`` table.
+reduced up the tree (sum/min/max/avg, :mod:`.reduce`) — each broker
+combines its own sample with one per child in ``broker.children``
+before forwarding a single message.  Completed per-epoch results are
+stored at the root: into the KVS under ``mon.<name>.<epoch>`` when the
+``kvs`` module is loaded, and always in the in-memory ``results``
+table, which keeps the newest ones.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional
 
 from ..errors import EINVAL, ENOENT
 from ..message import Message
 from ..module import CommsModule, request_handler
+from .reduce import HISTORY, TreeReduce
 
 __all__ = ["MonModule", "REDUCE_OPS"]
 
 
-def _avg_merge(a: dict, b: dict) -> dict:
-    return {"sum": a["sum"] + b["sum"], "n": a["n"] + b["n"]}
+def _fold(f: Callable) -> Callable:
+    """A merge of ``{"sum", "n"}`` accumulators folding ``sum`` by ``f``."""
+    return lambda a, b: {"sum": f(a["sum"], b["sum"]), "n": a["n"] + b["n"]}
 
 
+_SUM = operator.itemgetter("sum")
 #: Supported reduction operators: (merge(acc, x), finalize(acc)).
 REDUCE_OPS: dict[str, tuple] = {
-    "sum": (lambda a, b: {"sum": a["sum"] + b["sum"], "n": a["n"] + b["n"]},
-            lambda a: a["sum"]),
-    "max": (lambda a, b: {"sum": max(a["sum"], b["sum"]), "n": a["n"] + b["n"]},
-            lambda a: a["sum"]),
-    "min": (lambda a, b: {"sum": min(a["sum"], b["sum"]), "n": a["n"] + b["n"]},
-            lambda a: a["sum"]),
-    "avg": (_avg_merge, lambda a: a["sum"] / max(a["n"], 1)),
+    "sum": (_fold(operator.add), _SUM),
+    "max": (_fold(max), _SUM),
+    "min": (_fold(min), _SUM),
+    "avg": (_fold(operator.add), lambda a: a["sum"] / max(a["n"], 1)),
 }
 
 
@@ -47,8 +49,7 @@ class _Metric:
     def __init__(self, name: str, op: str):
         self.name = name
         self.op = op
-        # epoch -> {"acc": acc-dict, "contrib": count}
-        self.pending: dict[int, dict] = {}
+        self.pending = TreeReduce(REDUCE_OPS[op][0])     # epoch -> Slot
 
 
 class MonModule(CommsModule):
@@ -62,11 +63,6 @@ class MonModule(CommsModule):
     """
 
     name = "mon"
-
-    #: Pending epochs older than this many pulses are dropped: their
-    #: missing contributions are never coming (lost to a crash that
-    #: predates ``live.down``, or to a deactivate racing the pulse).
-    STALE_EPOCHS = 8
 
     def __init__(self, broker, *,
                  samplers: Optional[dict[str, Callable]] = None):
@@ -120,73 +116,59 @@ class MonModule(CommsModule):
     # ------------------------------------------------------------------
     # sampling + reduction
     # ------------------------------------------------------------------
-    def _expected(self) -> int:
-        """Contributions to wait for: our sample + one per live child."""
-        return 1 + sum(1 for c in self.broker.children
-                       if self.broker.session.brokers[c].alive)
-
     def _on_pulse(self, msg: Message) -> None:
         epoch = msg.payload["epoch"]
         for metric in self.active.values():
             fn = self.samplers.get(metric.name)
             if fn is not None:
                 value = float(fn(self.broker))
-                self._contribute(metric, epoch, {"sum": value, "n": 1})
-            # GC epochs whose stragglers can no longer arrive; without
-            # this, one crashed-before-detection child leaks a pending
-            # slot per metric per pulse forever.
-            for old in [e for e in metric.pending
-                        if e <= epoch - self.STALE_EPOCHS]:
-                del metric.pending[old]
-                self._c_stale.inc()
+                metric.pending.slot(epoch).put(self.rank, 1,
+                                                {"sum": value, "n": 1})
+                self._maybe_complete(metric, epoch)
+            self._c_stale.inc(metric.pending.gc(epoch))
+            if self.is_root and metric.pending.stalled():
+                # A rank below may have lost the activation (events are
+                # not repaired): announce it again.
+                self.broker.publish("mon.activate",
+                                    {"name": metric.name, "op": metric.op})
 
     def _on_down(self, msg: Message) -> None:
-        # A child died: every pending epoch that was only waiting for
-        # its contribution is now complete.  Deferred one tick so the
-        # liveness fanout (and any in-flight samples already queued
-        # locally) settle before we re-evaluate.
+        """A child died: every epoch that was waiting only for it
+        completes — one tick later, once ``live`` has taken it out of
+        ``broker.children``.  Nothing pending, nothing to do."""
         def recheck() -> None:
             for metric in list(self.active.values()):
                 for epoch in list(metric.pending):
                     self._maybe_complete(metric, epoch)
-        self.broker.after(0.0, recheck)
+        if any(metric.pending for metric in self.active.values()):
+            self.broker.after(0.0, recheck)
 
-    @request_handler(required=("name", "epoch", "acc", "contrib"))
+    @request_handler(required=("name", "epoch", "acc"))
     def req_sample(self, msg: Message) -> None:
         """A child's partial aggregate for (name, epoch)."""
         p = msg.payload
         metric = self.active.get(p["name"])
         self.respond(msg, {})
-        if metric is None:
-            return
-        self._contribute(metric, p["epoch"], p["acc"], count=p["contrib"])
-
-    def _contribute(self, metric: _Metric, epoch: int, acc: dict,
-                    count: int = 1) -> None:
-        merge, _ = REDUCE_OPS[metric.op]
-        slot = metric.pending.get(epoch)
-        if slot is None:
-            metric.pending[epoch] = {"acc": acc, "contrib": count}
-        else:
-            slot["acc"] = merge(slot["acc"], acc)
-            slot["contrib"] += count
-        self._maybe_complete(metric, epoch)
+        if metric is not None and metric.pending.slot(p["epoch"]).put(
+                msg.src_rank, 1, p["acc"]):
+            self._maybe_complete(metric, p["epoch"])
 
     def _maybe_complete(self, metric: _Metric, epoch: int) -> None:
-        slot = metric.pending.get(epoch)
-        if slot is None or slot["contrib"] < self._expected():
+        acc = metric.pending.take(epoch,
+                                  [self.rank, *self.broker.children])
+        if acc is None:
             return
-        del metric.pending[epoch]
         if self.is_root:
             _, finalize = REDUCE_OPS[metric.op]
-            value = finalize(slot["acc"])
+            value = finalize(acc)
             self.results[(metric.name, epoch)] = value
+            if len(self.results) > HISTORY:
+                del self.results[next(iter(self.results))]
             self._store_kvs(metric.name, epoch, value)
         else:
             self.broker.rpc_parent_cb(
                 "mon.sample",
-                {"name": metric.name, "epoch": epoch,
-                 "acc": slot["acc"], "contrib": 1},
+                {"name": metric.name, "epoch": epoch, "acc": acc},
                 lambda resp: None)
 
     def _store_kvs(self, name: str, epoch: int, value: float) -> None:
@@ -203,7 +185,8 @@ class MonModule(CommsModule):
     # ------------------------------------------------------------------
     @request_handler(required=("name",))
     def req_results(self, msg: Message) -> None:
-        """Root RPC: completed reductions for a metric."""
+        """Root RPC: completed reductions for a metric (the newest
+        ``HISTORY``; older ones stay in the KVS)."""
         name = msg.payload["name"]
         vals = {str(epoch): v for (n, epoch), v in self.results.items()
                 if n == name}

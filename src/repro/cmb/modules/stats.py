@@ -9,10 +9,10 @@ aggregate without ever shipping raw samples:
 - ``stats.get`` — the local broker's registry snapshot (route with
   ``Handle.rpc_rank`` to reach a specific rank, or plain ``rpc`` for
   the first broker on the upstream path).
-- ``stats.aggregate`` — recursive: each instance fans out to its live
-  tree children, merges their subtree aggregates with its own
-  snapshot, and answers one merged snapshot upward.  Asking rank 0
-  yields the whole session; asking an interior rank yields its
+- ``stats.aggregate`` — recursive: each instance fans out to its tree
+  children (``broker.children``), merges their subtree aggregates with
+  its own snapshot, and answers one merged snapshot upward.  Asking
+  rank 0 yields the whole session; asking an interior rank yields its
   subtree.
 
 :func:`registry_samplers` additionally exposes headline registry
@@ -68,38 +68,33 @@ class StatsModule(CommsModule):
                            "stats": self.broker.metrics_snapshot()})
 
     def req_aggregate(self, msg: Message) -> None:
-        """Tree-reduced registry aggregate over this broker's subtree."""
+        """Tree-reduced registry aggregate over this broker's subtree:
+        its own snapshot merged with one answer per child in its own
+        ``broker.children``.  A child killed but not yet declared down
+        answers ``EHOSTUNREACH`` once ``live.down`` fails the pending
+        hop, and is left out."""
         broker = self.broker
-        children = [c for c in broker.children
-                    if broker.session.brokers[c].alive]
-        local = broker.metrics_snapshot()
-        if not children:
-            self.respond(msg, {"ranks": 1,
-                               "agg": merge_snapshots([local])})
-            return
-
-        parts = [local]
-        state = {"remaining": len(children), "ranks": 1,
-                 "answered": False}
+        waiting = list(broker.children)
+        parts = [broker.metrics_snapshot()]
+        ranks = [1]
 
         def finish() -> None:
-            if state["answered"]:
-                return
-            state["answered"] = True
-            self.respond(msg, {"ranks": state["ranks"],
+            self.respond(msg, {"ranks": sum(ranks),
                                "agg": merge_snapshots(parts)})
 
         def child_done(resp: Message) -> None:
-            state["remaining"] -= 1
+            waiting.pop()
             if resp.error is None:
                 # Child aggregates carry no rank labels; merging an
                 # aggregate with raw snapshots is well-defined because
                 # merge keys ignore the dropped labels either way.
                 parts.append(resp.payload["agg"])
-                state["ranks"] += resp.payload["ranks"]
-            if state["remaining"] == 0:
+                ranks.append(resp.payload["ranks"])
+            if not waiting:
                 finish()
 
-        for child in children:
+        if not waiting:
+            finish()
+        for child in list(waiting):
             broker.rpc_hop_cb(child, "stats.aggregate", {},
                               child_done, ctx=msg.ctx, span=msg.span)

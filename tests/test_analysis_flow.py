@@ -421,6 +421,57 @@ def test_repo_source_is_flow_clean():
     assert graph.cycles == []
 
 
+#: Every (src, dst, kind) edge touching ``barrier.*`` / ``mon.*`` /
+#: ``health.*`` before the three moved onto one tree-reduction state
+#: (``cmb/modules/reduce.py``), which never sends: each module keeps
+#: its sends and their literal topics, so none of these may go.
+REDUCTION_EDGES = {
+    ("barrier.abort", "barrier.abort", "request"),
+    ("barrier.enter", "barrier.abort", "request"),
+    ("barrier.enter", "barrier.enter", "request"),
+    ("barrier.enter", "barrier.release", "request"),
+    ("barrier.enter", "barrier.renew", "request"),
+    ("barrier.enter", "event:barrier.exit", "event"),
+    ("barrier.renew", "barrier.abort", "request"),
+    ("barrier.renew", "barrier.enter", "request"),
+    ("barrier.renew", "barrier.renew", "request"),
+    ("barrier:_on_pulse", "barrier.enter", "request"),
+    ("event:barrier.exit", "barrier:_on_exit", "deliver"),
+    ("event:hb.pulse", "barrier:_on_pulse", "deliver"),
+    ("event:hb.pulse", "health:_on_pulse", "deliver"),
+    ("event:hb.pulse", "mon:_on_pulse", "deliver"),
+    ("event:health.activate", "health:_on_activate", "deliver"),
+    ("event:health.deactivate", "health:_on_deactivate", "deliver"),
+    ("event:live.down", "barrier:_on_live_down", "deliver"),
+    ("event:live.down", "health:_on_down", "deliver"),
+    ("event:live.down", "mon:_on_down", "deliver"),
+    ("event:live.reattach", "barrier:_on_reattach", "deliver"),
+    ("event:mon.activate", "mon:_on_activate", "deliver"),
+    ("event:mon.deactivate", "mon:_on_deactivate", "deliver"),
+    ("health.activate", "event:health.activate", "event"),
+    ("health.deactivate", "event:health.deactivate", "event"),
+    ("health.sample", "event:health.update", "event"),
+    ("health.sample", "health.sample", "request"),
+    ("health:_on_down", "event:health.update", "event"),
+    ("health:_on_down", "health.sample", "request"),
+    ("health:_on_pulse", "event:health.update", "event"),
+    ("health:_on_pulse", "health.sample", "request"),
+    ("mon.activate", "event:mon.activate", "event"),
+    ("mon.deactivate", "event:mon.deactivate", "event"),
+    ("mon.sample", "mon.sample", "request"),
+    ("mon:_on_down", "mon.sample", "request"),
+    ("mon:_on_pulse", "mon.sample", "request"),
+}
+
+
+def test_tree_reduction_edges_survive():
+    graph, findings = build_graph([_pkg_path()])
+    assert findings == []
+    assert graph.unresolved <= 6
+    edges = {(e["src"], e["dst"], e["kind"]) for e in graph.edges}
+    assert REDUCTION_EDGES <= edges
+
+
 def test_summaries_match_runtime_registry():
     # Single source of truth: the analyzer's handler set is exactly
     # what request_registry() derives for the dispatcher — a handler

@@ -172,8 +172,8 @@ def test_local_sample_rpc():
 
 
 def test_reduction_survives_broker_death():
-    """A dead subtree must not wedge the reduction: live.down shrinks
-    ``_expected`` and pending epochs re-complete."""
+    """A dead subtree must not wedge the reduction: live.down takes the
+    child out of ``broker.children`` and pending epochs re-complete."""
     n = 8
     cluster = make_cluster(n, seed=3)
     session = standard_session(cluster, with_heartbeat=True,

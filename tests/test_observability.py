@@ -22,6 +22,7 @@ import pytest
 
 from repro import make_cluster, standard_session
 from repro.cmb import TreeTopology
+from repro.cmb.modules.reduce import STALE_EPOCHS
 from repro.kap import KapConfig, run_kap
 from repro.kvs import KvsClient
 from repro.obs import (DEFAULT_TIME_LADDER, Histogram, MetricsRegistry,
@@ -376,7 +377,7 @@ class TestMonPendingHygiene:
                 continue
             mon = session.module_at(rank, "mon")
             for metric in mon.active.values():
-                assert len(metric.pending) <= mon.STALE_EPOCHS
+                assert len(metric.pending) <= STALE_EPOCHS
         session.stop()
 
     def test_stale_epochs_are_counted(self):
@@ -406,6 +407,6 @@ class TestMonPendingHygiene:
                 continue
             mon = session.module_at(rank, "mon")
             for metric in mon.active.values():
-                assert len(metric.pending) <= mon.STALE_EPOCHS
+                assert len(metric.pending) <= STALE_EPOCHS
         assert dropped is not None
         session.stop()
