@@ -37,8 +37,7 @@ class CacheStats:
 
 class SlaveCache:
     """An :class:`ObjectStore` augmented with last-use tracking (same
-    ``get`` / ``put_with_sha`` / ``size_of``, so either can hold a
-    rank's objects).
+    ``get`` / ``put_with_sha``, so either can hold a rank's objects).
 
     ``now_fn`` supplies the simulated clock so expiry is measured in
     simulated seconds.
@@ -67,20 +66,14 @@ class SlaveCache:
         self._last_used[sha] = self._now()
         return obj
 
-    def put_with_sha(self, sha: str, obj: dict, *,
-                     size: Optional[int] = None) -> None:
-        """Cache ``obj`` under ``sha``; ``size`` records the canonical
-        byte size when the caller already knows it."""
-        self._store.put_with_sha(sha, obj, size=size)
+    def put_with_sha(self, sha: str, obj: dict) -> None:
+        """Cache ``obj`` under ``sha``."""
+        self._store.put_with_sha(sha, obj)
         self._last_used[sha] = self._now()
 
     def pin(self, sha: str) -> None:
         """Protect ``sha`` from expiry (a dirty object awaiting commit)."""
         self._pinned.add(sha)
-
-    def size_of(self, sha: str) -> Optional[int]:
-        """Canonical byte size of a cached object (no touch), or None."""
-        return self._store.size_of(sha)
 
     def unpin(self, sha: str) -> None:
         """Allow a previously pinned object to expire again."""

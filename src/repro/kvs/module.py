@@ -75,12 +75,11 @@ from typing import Any, Callable, Optional
 
 from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO,
                           ENOENT, ETIMEDOUT, RETRYABLE_CODES)
-from ..cmb.message import (HEADER_BYTES, Message, MessageType,
-                           RequestContext)
+from ..cmb.message import Message, MessageType, RequestContext
 from ..cmb.module import CommsModule, request_handler
 from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
-                        interned_size)
+                        interned_size, size_by_sha)
 from ..sim.network import NetworkParams
 from .cache import SlaveCache
 from .hashtree import KvsPathError, resolve, resolve_stored, split_key
@@ -1339,28 +1338,19 @@ class KvsModule(CommsModule):
         self._obj_get = self._objs.get
         self._obj_put = self._objs.put_with_sha
 
-    def _obj_size(self, sha: str, obj: dict) -> int:
-        """Canonical byte size of ``obj``, via the local store's size
-        cache when it holds ``sha`` (the common case — every sized
-        payload references objects this rank just stored)."""
-        size = self._objs.size_of(sha)
-        if size is None:
-            size = canonical_size(obj)
-        return size
-
     def _payload_size_with_objs(self, payload: dict, objs: dict) -> int:
         """Canonical size of ``payload`` (which maps ``"objs"`` to
         ``objs``) computed *compositionally*: serialize the frame once
-        with the objs dict emptied, then add each object's cached size
-        plus its fixed per-entry framing (a quoted 40-hex sha, a colon,
-        and an inter-entry comma).  Canonical-JSON sizes are additive,
+        with the objs dict emptied, then add each object's
+        content-addressed size plus its fixed per-entry framing (a
+        quoted 40-hex sha, a colon, and an inter-entry comma).  Canonical-JSON sizes are additive,
         so this equals ``canonical_size(payload)`` exactly — asserted
         by the equivalence tests — while touching each stored object's
         bytes zero times.
         """
         total = canonical_size({**payload, "objs": {}})
         for sha, obj in objs.items():
-            total += 43 + self._obj_size(sha, obj)
+            total += 43 + size_by_sha(sha, obj)
         if objs:
             total += len(objs) - 1
         return total
@@ -1411,8 +1401,8 @@ class KvsModule(CommsModule):
         """Write-back a value into ``sender``'s dirty buffer (clients come
         through ``req_put``); returns the value object's SHA1."""
         obj = make_val_obj(value)
-        sha, size = digest_and_size(obj)
-        self._obj_put(sha, obj, size=size)
+        sha = digest_and_size(obj)[0]
+        self._obj_put(sha, obj)
         self.cache.pin(sha)     # dirty until a commit or fence acks it
         d = self._dirty_for(sender)
         d.ops.append([key, sha])
@@ -1601,7 +1591,7 @@ class KvsModule(CommsModule):
                 agg.ops_size += canonical_size(op)
             for sha, obj in d.objs.items():
                 if self.master is None and sha not in agg.objs:
-                    agg.objs_size += 44 + self._obj_size(sha, obj)
+                    agg.objs_size += 44 + size_by_sha(sha, obj)
                 agg.objs[sha] = obj
                 agg.local_objs[sha] = obj
         agg.count += 1
@@ -1658,14 +1648,12 @@ class KvsModule(CommsModule):
             agg.ops_size += csize - 1 - len(child_ops)
         slave = self.master is None
         for sha, obj in p["objs"].items():
-            size = None
             if slave and sha not in agg.objs:
-                # Sized once, here: the store keeps the size and the
-                # flush adds counters instead of re-walking objects.
-                size = canonical_size(obj)
-                agg.objs_size += 44 + size
+                # The flush adds this counter instead of re-walking
+                # the objects.
+                agg.objs_size += 44 + size_by_sha(sha, obj)
             agg.objs[sha] = obj      # union by SHA1: redundancy reduces
-            self._obj_put(sha, obj, size=size)
+            self._obj_put(sha, obj)
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
 
@@ -2007,7 +1995,7 @@ class KvsModule(CommsModule):
                 agg.total_seen = agg.local_count
                 agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
                                 if agg.ops else 0)
-                agg.objs_size = sum(44 + self._obj_size(sha, obj)
+                agg.objs_size = sum(44 + size_by_sha(sha, obj)
                                     for sha, obj in agg.objs.items())
             self._flush_fence(name)
         if self.master is None:
@@ -2206,9 +2194,9 @@ class KvsModule(CommsModule):
         if "value" in payload and not extra:
             # {"value": X} is 10 framing bytes + size(X); the value
             # object {"v": X} is 6 + size(X), so the response costs the
-            # stored object's cached size + 4 — no per-get
+            # object's content-addressed size + 4 — no per-get
             # re-serialization of the value.
-            size = 4 + self._obj_size(sha, obj)
+            size = 4 + size_by_sha(sha, obj)
         payload.update(extra)
         self.respond(msg, payload, payload_size=size)
 
@@ -2233,14 +2221,7 @@ class KvsModule(CommsModule):
         if resp.error is None:
             obj = resp.payload.get("obj")
             if obj is not None:
-                # The load response was sized for the wire as
-                # header + 8 + size(obj); recover the object's size
-                # from the message's size cache so every caching rank
-                # along the fault-in chain skips re-serializing it.
-                wire = resp._size_cache
-                self._obj_put(sha, obj,
-                              size=(wire - HEADER_BYTES - 8
-                                    if wire is not None else None))
+                self._obj_put(sha, obj)
         for fn in self._loads.pop(sha, []):
             fn(obj)
 
@@ -2259,11 +2240,11 @@ class KvsModule(CommsModule):
         def relay(obj: Optional[dict]) -> None:
             if obj is not None:
                 # {"obj": X} costs 8 framing bytes plus X's canonical
-                # size, which the store already knows — no
+                # size, which its sha already keys — no
                 # re-serialization of a possibly huge directory object
                 # per fault-in hop.
                 self.respond(msg, {"obj": obj},
-                             payload_size=8 + self._obj_size(sha, obj))
+                             payload_size=8 + size_by_sha(sha, obj))
             else:
                 self.respond(msg, error=f"unknown object {sha}",
                              code=ENOENT)
