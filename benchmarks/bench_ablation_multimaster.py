@@ -38,7 +38,6 @@ from repro import make_cluster, standard_session
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
 from repro.kvs import KvsClient, KvsModule
-from repro.sim import FaultPlan
 
 #: Delegated-owner counts (0 = classic single master, the
 #: delegation-disabled baseline).
@@ -109,9 +108,6 @@ def run_failover_probe() -> dict:
     election's latency (``kvs_election_seconds``) and that the
     namespace keeps serving afterwards."""
     cluster = make_cluster(8, seed=10)
-    # A zero-rate fault plan runs the failover on the hardened path
-    # (shares-format fences, retransmission timers).
-    cluster.network.fault_plan = FaultPlan(seed=1)
     session = standard_session(cluster, kvs_replicas=(1, 2),
                                with_heartbeat=True, hb_period=0.05,
                                hb_max_epochs=100000).start()

@@ -566,10 +566,10 @@ class Broker:
     # -- pending-request bookkeeping (retransmission / fail-over) --------
     def _register_pending(self, source: _Source, msg: Message, plane: str,
                           hop: int, hop_kind: str) -> _Pending:
-        """Track a forwarded request; under an active fault plan, arm
-        the per-hop retransmission timer that repairs lost messages.
-        The timer only exists when chaos is enabled, so fault-free runs
-        schedule exactly the same events as before."""
+        """Track a forwarded request; in a hardened session (heartbeat
+        loaded), arm the per-hop retransmission timer that repairs lost
+        messages.  Without the heartbeat no timer exists, so the paper's
+        loss-free protocol schedules exactly the events it always did."""
         entry = _Pending(source, msg, plane, hop, hop_kind)
         self._pending[msg.msgid] = entry
         if (msg.span is not None
@@ -582,8 +582,7 @@ class Broker:
                                  self.rank, hop=hop, plane=plane)
             entry.span = span
             msg.span = (span.trace_id, span.span_id)
-        if (msg.ctx is not None
-                and self.network.fault_plan is not None
+        if (msg.ctx is not None and self.session.hardened
                 and self.session.retransmit_max > 0):
             self._arm_retransmit(entry)
         return entry
@@ -980,8 +979,7 @@ class Broker:
                                f"reroute:{entry.msg.topic}", "retry",
                                self.rank, dead=dead_rank, hop=self.parent)
                 self._send(self.parent, entry.plane, entry.msg)
-                if (self.network.fault_plan is not None
-                        and self.session.retransmit_max > 0):
+                if self.session.retransmit_max > 0:
                     self._arm_retransmit(entry)
                 continue
             self._fail_pending(

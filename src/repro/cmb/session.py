@@ -87,11 +87,17 @@ class CommsSession:
         self.port_key = f"cmb{next(_session_counter)}"
         self.parent_map = self.topology.parent_map()
         self.local_procs: dict[int, int] = {r: 0 for r in range(self.size)}
-        #: Per-hop retransmission policy for pending requests, active
-        #: only while a :class:`~repro.sim.faults.FaultPlan` is
-        #: installed on the network (lossy-fabric recovery); base
-        #: timeout doubles per attempt.  ``retransmit_max = 0``
-        #: disables broker-level retransmission entirely.
+        #: True once the heartbeat (``hb``) is loaded: the session then
+        #: runs the hardened protocol — retransmission timers,
+        #: shares-format fences, anti-entropy gossip — because only
+        #: there can ``live`` declare a rank dead.  Without it the
+        #: paper's loss-free protocol runs.  Derived by
+        #: :meth:`load_module`, never configured.
+        self.hardened = False
+        #: Per-hop retransmission policy for pending requests of a
+        #: :attr:`hardened` session (lost-message repair); base timeout
+        #: doubles per attempt.  ``retransmit_max = 0`` disables
+        #: broker-level retransmission entirely.
         self.retransmit_timeout = 5e-3
         self.retransmit_max = 4
         #: Flight-recorder ring capacity per broker (rounded up to a
@@ -164,6 +170,7 @@ class CommsSession:
                 continue
             mod = spec.factory(broker, **spec.config)
             broker.load_module(mod)
+            self.hardened = self.hardened or mod.name == "hb"
             if self._started:
                 mod.start()
 

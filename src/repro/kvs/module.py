@@ -144,25 +144,23 @@ class _FenceAgg:
 
     ``local_count``/``local_ops``/``local_objs`` additionally keep the
     *cumulative* contributions of this rank's own clients (never
-    cleared by upstream flushes): after an overlay failure resets the
-    fence epoch, every rank re-emits exactly its local share, and the
-    re-aggregation sums to the true total because local shares are
-    disjoint.  ``created_version`` guards against a stale completion
-    notice for a previous fence of the same name releasing this one.
-    ``senders`` are the children whose incremental contributions were
-    folded in: they hold their own clients' requests, so a refusal
-    reaches them (shares mode records none).  An incremental
-    contribution is a one-way send: the fence's ``setroot`` is its
-    only acknowledgement.
+    cleared by upstream flushes): the shares format sends them as this
+    rank's share.  ``created_version`` guards against a stale
+    completion notice for a previous fence of the same name releasing
+    this one.  ``senders`` are the children whose incremental
+    contributions were folded in: they hold their own clients'
+    requests, so a refusal reaches them (shares mode records none).
+    An incremental contribution is a one-way send: the fence's
+    ``setroot`` is its only acknowledgement.
 
-    ``shares`` drives the *idempotent* wire mode used while a fault
-    plan is installed (lossy fabric): ``shares[origin]`` is the
+    ``shares`` drives the *idempotent* wire format every hardened
+    session (heartbeat loaded) uses: ``shares[origin]`` is the
     ``[count, ops]`` cumulative contribution of rank ``origin``'s own
     clients, merged monotonically (larger count wins) like a G-counter.
     Re-emitting the full merged map is always safe — duplicates and
-    arbitrary re-orderings cannot double-count — so lost messages are
-    repaired by simply re-sending on every heartbeat pulse, with no
-    epoch bookkeeping that could itself be lost.
+    arbitrary re-orderings cannot double-count — so lost messages and
+    shares that died with an interior rank are repaired by simply
+    re-sending, on every heartbeat pulse and after each ``live.down``.
     """
 
     __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
@@ -250,14 +248,6 @@ class KvsModule(CommsModule):
         self._fences: dict[str, _FenceAgg] = {}
         self._loads: dict[str, list[Callable[[Optional[dict]], None]]] = {}
         self._version_waiters: list[tuple[int, Message]] = []
-        #: Fence epoch: bumped on every ``live.down`` event.  The event
-        #: plane's total order makes the count identical at every live
-        #: rank, so tagging re-emitted fence contributions with the
-        #: epoch lets receivers drop stale in-flight duplicates from
-        #: before the failure (double-count prevention).  Stays 0 in a
-        #: failure-free run, in which case it is omitted from payloads
-        #: entirely (wire sizes unchanged).
-        self.fence_epoch = 0
         #: Recently completed fences (name -> (version, root sha)),
         #: a bounded LRU gossiped to children so a fence-completion
         #: setroot event lost in transit cannot strand held waiters.
@@ -503,16 +493,13 @@ class KvsModule(CommsModule):
     def _on_pulse(self, _msg: Message) -> None:
         if self.expiry is not None:
             self.cache.expire(self.expiry)
-        # Anti-entropy gossip, active only under a chaos fault plan: a
-        # lossy fabric can lose setroot events outright (the event
+        # Anti-entropy gossip (pulses exist only in a hardened session):
+        # a lossy fabric can lose setroot events outright (the event
         # plane is fire-and-forget), so each heartbeat a slave pulls
         # its parent's root version and completed-fence digest.  Stale
         # roots and stranded fence waiters heal one tree level per
-        # pulse.  Without a fault plan the fabric only drops traffic
-        # addressed to dead nodes, and the live.down resync covers
-        # that — no gossip traffic is generated.
-        fault = self.broker.network.fault_plan is not None
-        if (self.master is None and fault
+        # pulse.
+        if (self.master is None
                 and (self.broker.parent is not None or self._failed_over)):
             self._resync_root()
             # Anti-entropy for in-progress fences too: re-emitting the
@@ -522,11 +509,10 @@ class KvsModule(CommsModule):
                 self._flush_fence(name)
         if self.replicas:
             # Replication re-drives (idempotent: streaming re-sends the
-            # unacked log suffix, elections re-circulate tokens).  All
-            # conditions are False in an unreplicated session.
-            if self.master is not None and fault and self._repl_log:
+            # unacked log suffix, elections re-circulate tokens).
+            if self.master is not None and self._repl_log:
                 self._stream_replicas()
-            if self._standby is not None and self._standby_buffer and fault:
+            if self._standby is not None and self._standby_buffer:
                 self._standby_sync()
             if self._master_down and self._standby is not None:
                 self._start_election()
@@ -664,7 +650,7 @@ class KvsModule(CommsModule):
     def _stream_replicas(self) -> None:
         """Send each live standby the log suffix it has not acked.
         Idempotent (standbys drop duplicates by version), so the pulse
-        re-drive under a fault plan simply calls this again."""
+        re-drive simply calls this again."""
         if self.master is None or not self._repl_log:
             return
         live = self._live_replicas()
@@ -721,8 +707,8 @@ class KvsModule(CommsModule):
         self.respond(msg, {"acked": sb.version})
 
     def _standby_sync(self) -> None:
-        """Close a persistent replication gap (lost records under a
-        fault plan) by pulling a full snapshot from the master."""
+        """Close a persistent replication gap (records lost on a lossy
+        fabric) by pulling a full snapshot from the master."""
         now = self.broker.sim.now
         if self._repl_sync_busy and now - self._repl_sync_at < 0.25:
             return
@@ -781,8 +767,8 @@ class KvsModule(CommsModule):
         candidate receiving its own token back is the unique winner —
         the most-caught-up replica, which with semi-synchronous
         replication holds every acknowledged write.  Restarted on every
-        heartbeat pulse while the master is down, so lost tokens under
-        a fault plan only delay the election."""
+        heartbeat pulse while the master is down, so tokens lost on a
+        lossy fabric only delay the election."""
         if not self._master_down or self._standby is None:
             return
         ring = self._election_ring()
@@ -863,8 +849,8 @@ class KvsModule(CommsModule):
             self._record_completed(fname, ver, root)
         self._apply_root(self.master.version, self.master.root_sha)
         self._publish_newmaster()
-        # In-flight fences replay (idempotently: shares re-emission or
-        # the epoch-tagged reset) toward the promoted master.
+        # In-flight fences replay (idempotently: the shares are
+        # re-sent) toward the promoted master.
         self.broker.after(0.0, self._recover_after_down)
 
     def _publish_newmaster(self) -> None:
@@ -1605,12 +1591,12 @@ class KvsModule(CommsModule):
     def req_fencedata(self, msg: Message) -> None:
         """A child subtree's aggregated fence contribution.
 
-        Two wire formats share this topic: the legacy *incremental*
-        one (``count``/``ops`` deltas, used on a loss-free fabric and
-        sent one-way: the response made here goes nowhere, and a
-        refusal travels down as ``kvs.fenceabort``) and the idempotent
-        *shares* one (full per-origin cumulative map, used while a
-        fault plan is installed — see ``_FenceAgg``).
+        Two wire formats share this topic: the paper's *incremental*
+        one (``count``/``ops`` deltas, sent one-way without the
+        heartbeat: the response made here goes nowhere, and a refusal
+        travels down as ``kvs.fenceabort``) and the idempotent *shares*
+        one (full per-origin cumulative map, used by every hardened
+        session — see ``_FenceAgg``).
         """
         p = msg.payload
         if not (self.check_field(msg, "shares", dict)
@@ -1619,12 +1605,6 @@ class KvsModule(CommsModule):
             return
         if "shares" in p:
             self._merge_fence_shares(msg, p)
-            return
-        if p.get("fepoch", 0) < self.fence_epoch:
-            # Contribution from before the last failure: the sender
-            # will re-emit its cumulative local state under the new
-            # epoch, so folding this one in would double-count.
-            self.respond(msg, {})
             return
         agg = self._fence_for(msg)
         if agg is None:
@@ -1685,27 +1665,19 @@ class KvsModule(CommsModule):
         if changed:
             self._flush_fence(agg.name)
 
-    def _shared_mode(self) -> bool:
-        """True while a fault plan is installed: fence traffic then
-        uses the idempotent shares protocol (safe under loss and
-        duplication) instead of the legacy incremental one, whose wire
-        payloads stay byte-identical for fault-free runs."""
-        return self.broker.network.fault_plan is not None
-
     def _maybe_flush_fence(self, agg: _FenceAgg) -> None:
         """Flush the aggregate upstream when complete, when a message's
         worth is pending and the uplink is idle — or after the
         aggregation window, so fences joined by only a subset of the
         subtree's clients (e.g. two jobs sharing a session) still make
-        progress."""
-        if self._shared_mode():
+        progress.  A hardened session's shares flush every time."""
+        if self.broker.session.hardened:
             self._flush_fence(agg.name)
             return
         expected = self.broker.session.subtree_procs(self.rank)
-        # Fast path (master at the root, whole session fencing): the
-        # root-ward aggregation matches the subtree counts.
-        complete = (not self._failed_over
-                    and agg.total_seen >= min(expected, agg.nprocs))
+        # Fast path (whole session fencing): the root-ward aggregation
+        # matches the subtree counts.
+        complete = agg.total_seen >= min(expected, agg.nprocs)
         # Self-clocked relay: a message's worth leaves as soon as the
         # NIC has nothing queued, else the rule is looked at again when
         # it frees.
@@ -1744,7 +1716,7 @@ class KvsModule(CommsModule):
         agg = self._fences.get(name)
         if agg is None:
             return
-        if self._shared_mode():
+        if self.broker.session.hardened:
             self._flush_fence_shared(agg)
             return
         if self.master is not None:
@@ -1760,10 +1732,6 @@ class KvsModule(CommsModule):
         objs_size, agg.objs_size = agg.objs_size, 0
         payload = {"name": agg.name, "nprocs": agg.nprocs, "count": count,
                    "ops": ops}
-        if self.fence_epoch > 0:
-            # Tag only after a failure: fault-free payloads (and hence
-            # wire sizes/latencies) stay byte-identical.
-            payload["fepoch"] = self.fence_epoch
         if ops:
             # The flushed list is frozen from here on: intern it with
             # its incrementally maintained exact size, so this hop's
@@ -1777,11 +1745,9 @@ class KvsModule(CommsModule):
         # counter, less the comma the last entry does not have.
         size = (canonical_size({**payload, "objs": {}})
                 + max(objs_size - 1, 0))
-        hop = self._uplink_peer()
-        if hop is None:
-            return      # the live.down behind it re-emits local state
         # One-way: the fence's setroot is the only acknowledgement.
-        self.broker.send_hop(hop, "kvs.fencedata", {**payload, "objs": objs},
+        self.broker.send_hop(self.broker.parent, "kvs.fencedata",
+                             {**payload, "objs": objs},
                              span=agg.span, payload_size=size)
 
     def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
@@ -1942,13 +1908,11 @@ class KvsModule(CommsModule):
     # failure recovery (chaos tentpole)
     # ------------------------------------------------------------------
     def _on_live_down(self, msg: Message) -> None:
-        """A broker died.  Bump the fence epoch *now* (event total
-        order ⇒ every live rank lands on the same epoch, and ancestors
-        bump before their descendants' re-emissions can arrive), but
-        defer the state recovery one tick: this module subscribed to
-        ``live.down`` before the live module did, so the broker has not
-        re-wired around the corpse yet when we run.  (Shares mode,
-        used while a fault plan is installed, needs no epoch.)
+        """A broker died (only a hardened session sees this: ``live``
+        needs the heartbeat).  Mark a dead master, drop the corpse's
+        parked walks and defer the state recovery one tick: this module
+        subscribed to ``live.down`` before the live module did, so the
+        broker has not re-wired around the corpse yet when we run.
         """
         dead = msg.payload.get("rank")
         if dead == self.master_rank and self.master is None:
@@ -1965,38 +1929,23 @@ class KvsModule(CommsModule):
             self.broker.after(0.0, self._drain_repl_waiters)
         # A corpse's parked walks can neither open nor close the gate.
         self._walk_parked.pop(dead, None)
-        if not self._shared_mode():
-            self.fence_epoch += 1
         self.broker.after(0.0, self._recover_after_down)
 
     def _recover_after_down(self) -> None:
         """Re-establish KVS invariants on the healed overlay.
 
-        - Every rank (the master included) resets its incomplete fence
-          aggregates to its own clients' *cumulative local* state and
-          re-contributes that under the new epoch.  Local shares are
-          disjoint, so the re-reduction sums exactly; in-flight
-          pre-failure aggregates are discarded by the receivers' epoch
-          check.  In shares mode there is nothing to reset: the merged
-          per-origin map is idempotent, so recovery is simply "re-send
-          everything over the healed route".
+        - Every rank (the master included) re-sends its incomplete
+          fences' merged per-origin shares over the healed route.  The
+          shares map is idempotent, so a share that died with the
+          corpse is restored and one that got through is not counted
+          twice: there is nothing to reset.
         - Slaves pull their (possibly new) parent's root version and
           completed-fence digest: setroot events flooding through the
           corpse at the moment of death are lost for its whole former
           subtree, and a lost fence-completion notice would strand held
           waiters forever.
         """
-        shared = self._shared_mode()
-        for name, agg in list(self._fences.items()):
-            if not shared:
-                agg.count = agg.local_count
-                agg.ops = list(agg.local_ops)
-                agg.objs = dict(agg.local_objs)
-                agg.total_seen = agg.local_count
-                agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
-                                if agg.ops else 0)
-                agg.objs_size = sum(44 + size_by_sha(sha, obj)
-                                    for sha, obj in agg.objs.items())
+        for name in list(self._fences):
             self._flush_fence(name)
         if self.master is None:
             self._resync_root()
@@ -2026,7 +1975,6 @@ class KvsModule(CommsModule):
                                done)
 
     def _ingest_sync(self, p: dict) -> None:
-        self.fence_epoch = max(self.fence_epoch, p.get("fepoch", 0))
         if p.get("version", 0) > self.version:
             self._local_setroot_event(p["version"], p["rootref"])
         for name in sorted(p.get("completed", {})):
@@ -2130,11 +2078,9 @@ class KvsModule(CommsModule):
                                "rootref": self.root_sha}
         if msg.payload.get("fences"):
             # Anti-entropy digest for a resyncing child: which fences
-            # completed recently (and at what version), plus our fence
-            # epoch so a revived rank can catch its epoch counter up.
+            # completed recently (and at what version).
             out["completed"] = {n: [v, r]
                                 for n, (v, r) in self._completed.items()}
-            out["fepoch"] = self.fence_epoch
         self.respond(msg, out)
 
     # ------------------------------------------------------------------

@@ -26,19 +26,22 @@ def _spy_on_sends(monkeypatch, record):
 
 @pytest.fixture
 def fencedata_log(monkeypatch):
-    """Every legacy-format ``kvs.fencedata`` request put on the fabric
-    while the test runs, in send order: simulated time, sending node,
-    contribution count, the bytes the NIC was charged and the bytes a
-    real canonical encoding of the message would take."""
+    """Every ``kvs.fencedata`` request put on the fabric while the test
+    runs, in send order: simulated time, sending node, contribution
+    count (of a shares-format message: the sum of its shares), the
+    bytes the NIC was charged and the bytes a real canonical encoding
+    of the message would take."""
     log = []
 
     def record(network, src, msg, size):
         if (msg.topic == "kvs.fencedata"
-                and msg.mtype is MessageType.REQUEST
-                and "count" in msg.payload):
+                and msg.mtype is MessageType.REQUEST):
+            p = msg.payload
+            count = (p["count"] if "count" in p
+                     else sum(s[0] for s in p["shares"].values()))
             log.append(FenceData(
-                network.sim.now, src, msg.payload["count"], size,
-                HEADER_BYTES + len(canonical_dumps(msg.payload))))
+                network.sim.now, src, count, size,
+                HEADER_BYTES + len(canonical_dumps(p))))
 
     _spy_on_sends(monkeypatch, record)
     return log

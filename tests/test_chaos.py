@@ -10,6 +10,7 @@ KAP-style workload under loss plus an interior broker kill.
 import pytest
 
 from repro import make_cluster, standard_session
+from repro.analysis.sanitizers import replay_fingerprint_hook
 from repro.cmb.errors import EHOSTUNREACH, EINVAL, ENOENT, ETIMEDOUT, RpcError
 from repro.kvs import KvsClient
 from repro.sim import FaultPlan
@@ -83,6 +84,47 @@ def test_injected_drops_hit_drop_hook_and_counters():
     assert plan.stats()["drops"] > 0
     assert cluster.network.dropped >= plan.stats()["drops"]
     session.stop()
+
+
+def _fence_run(plan, with_heartbeat):
+    """Eight clients of a 15-node session put, fence and read a peer's
+    value; with the heartbeat, interior rank 2 is killed mid-fence.
+    Returns the event fingerprint, event count, wire bytes and reads."""
+    cluster = make_cluster(15, seed=21)
+    cluster.network.fault_plan = plan
+    sim = cluster.sim
+    fp = replay_fingerprint_hook(sim, keep_records=False)
+    hb = (dict(with_heartbeat=True, hb_period=0.05, hb_max_epochs=40)
+          if with_heartbeat else {})
+    session = standard_session(cluster, **hb).start()
+    if with_heartbeat:
+        sim.timeout(0.12).add_callback(lambda _e: session.fail_rank(2))
+    ranks = [1, 3, 5, 6, 7, 9, 11, 13]
+
+    def member(i):
+        k = KvsClient(session.connect(ranks[i]), timeout=5.0, retries=8)
+        yield k.put(f"z.k{i}", i)
+        yield sim.timeout(0.0 if i < 4 else 0.3)
+        yield k.fence("z", len(ranks))
+        return (yield k.get(f"z.k{(i + 1) % len(ranks)}"))
+
+    procs = [sim.spawn(member(i)) for i in range(len(ranks))]
+    sim.run(until=5.0)
+    reads = [p.value for p in procs]
+    assert reads == [(i + 1) % len(ranks) for i in range(len(ranks))]
+    session.stop()
+    return (fp.digest(), sim.event_count,
+            cluster.network.total_bytes_sent(), reads)
+
+
+@pytest.mark.parametrize("with_heartbeat", [False, True],
+                         ids=["no_hb", "hb_and_kill"])
+def test_zero_rate_plan_is_event_identical_to_no_plan(with_heartbeat):
+    """The protocol is chosen by the heartbeat, not the fault plan: a
+    plan whose rates are all zero changes no event, no byte and no
+    read — without the heartbeat and with it plus an interior kill."""
+    assert (_fence_run(FaultPlan(seed=1), with_heartbeat)
+            == _fence_run(None, with_heartbeat))
 
 
 # ----------------------------------------------------------------------

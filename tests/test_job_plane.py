@@ -334,9 +334,7 @@ class TestJobManagerFailover:
                             comms=comms)
         # The static root is both tree root and heartbeat generator, so
         # its death stops all pulses and only the orphan-side watchdog
-        # can notice; a zero-loss fault plan puts the failover on the
-        # hardened path (shares-format fences, retransmission timers).
-        cluster.network.fault_plan = FaultPlan(seed=1, drop_rate=0.0)
+        # can notice.
         return cluster, inst
 
     def test_spec_journalled_once(self):

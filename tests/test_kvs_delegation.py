@@ -326,9 +326,6 @@ def test_root_death_promotes_replica_and_serves():
     cluster, session = _session(
         8, seed=10, kvs_replicas=(1, 2), with_heartbeat=True,
         hb_period=0.05, hb_max_epochs=100000)
-    # A zero-rate fault plan runs the hardened path (shares-format
-    # fences, retransmission timers) through the failover.
-    cluster.network.fault_plan = FaultPlan(seed=1)
     sim = cluster.sim
 
     def before():
@@ -401,13 +398,10 @@ def test_root_killed_before_its_first_pulse_is_detected(plan):
 
 
 def _failover_session(seed):
-    """15 nodes, standbys at ranks 1 and 2, and a zero-rate fault plan
-    (the hardened path: shares-format fences, retransmission timers)."""
-    cluster, session = _session(
-        15, seed=seed, kvs_replicas=(1, 2), with_heartbeat=True,
-        hb_period=0.05, hb_max_epochs=100000)
-    cluster.network.fault_plan = FaultPlan(seed=1)
-    return cluster, session
+    """15 nodes, standbys at ranks 1 and 2, and the heartbeat."""
+    return _session(15, seed=seed, kvs_replicas=(1, 2),
+                    with_heartbeat=True, hb_period=0.05,
+                    hb_max_epochs=100000)
 
 
 def _kill_root_and_wait(sim, session):
@@ -496,10 +490,11 @@ def test_delegation_survives_root_failover():
 
 
 def test_legacy_fence_record_is_self_contained_and_survives_failover():
-    """A fence on a loss-free fabric (legacy wire format) carrying a
-    value the master rank had already stored: the commit journal sees
-    that object as not-new, yet every standby must end up holding every
-    object reachable from its root — and serve them all once promoted."""
+    """A fence on a loss-free fabric carrying a value the master rank
+    had already stored (the heartbeat is loaded, so the fence travels in
+    the shares format): the commit journal sees that object as not-new,
+    yet every standby must end up holding every object reachable from
+    its root — and serve them all once promoted."""
     cluster, session = _session(
         8, seed=12, kvs_replicas=(1, 2), with_heartbeat=True,
         hb_period=0.05, hb_max_epochs=100000)
@@ -536,9 +531,7 @@ def test_legacy_fence_record_is_self_contained_and_survives_failover():
     assert _run(sim, scenario(), budget=5.0) == "ok"
     standbys_hold_everything()
 
-    # Only the pulse-starvation watchdog can notice the *root* dying;
-    # the zero-rate plan puts the failover on the hardened path.
-    cluster.network.fault_plan = FaultPlan(seed=1)
+    # Only the pulse-starvation watchdog can notice the *root* dying.
     sim.run(until=sim.now + 0.2)
     session.fail_rank(0)
     sim.run(until=sim.now + 3.0)
@@ -556,21 +549,21 @@ def test_legacy_fence_record_is_self_contained_and_survives_failover():
     session.stop()
 
 
-def test_interior_death_mid_fence_completes_once_under_new_epoch(
-        fencedata_log, pad=0, rank_5_waits_its_window=True):
+def test_interior_death_mid_fence_completes_once(fencedata_log, pad=0):
     """An interior broker dies after forwarding its subtree's share of
-    a fence (heartbeat + ``live``, loss-free fabric, so the legacy
-    format's epoch-tagged recovery runs): every rank — the master's own
-    aggregate included — restarts from its clients' cumulative local
-    state, and the fence still commits exactly once.  The restart
-    covers the flush-size counters too: ranks that had already
-    flushed re-emit their local share at its exact encoded size."""
+    a fence (heartbeat + ``live``, loss-free fabric): after
+    ``live.down`` every surviving contributor re-sends its shares over
+    the healed route, the per-origin merge counts each client once, and
+    the fence commits exactly once at the exact encoded sizes."""
     cluster, session = _session(15, seed=21, with_heartbeat=True,
                                 hb_period=0.05, hb_max_epochs=200)
     sim = cluster.sim
     root = session.module_at(0, "kvs")
     before = root.master.version
     ranks = [5, 6, 0, 1, 3, 4, 7, 8, 9, 10, 11, 12]     # 5, 6: under 2
+    down_at = []
+    session.brokers[0].subscribe(
+        "live.down", lambda msg: down_at.append(sim.now))
 
     def value(i):
         return f"{i}-".ljust(pad, "x") if pad else i
@@ -582,19 +575,18 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch(
         version = (yield k.fence("ik", len(ranks)))["version"]
         return version, (yield k.get(f"ik.k{(i + 1) % len(ranks)}"))
 
+    def counted():
+        return sum(s[0] for s in root._fences["ik"].shares.values())
+
     procs = [sim.spawn(member(i)) for i in range(len(ranks))]
     sim.run(until=0.12)
-    assert root.waiter_census()["fences"]["ik"]["total_seen"] == 4
-    # Ranks 5 and 6 hear from their clients at the same instant; 6's
-    # subtree is complete, 5's is not.
-    first = {m.src: m.time for m in reversed(fencedata_log)}
-    assert (first[5] - first[6] > 5e-5) is rank_5_waits_its_window
+    assert counted() == 4
     session.fail_rank(2)
     sim.run(until=0.5)
     # Ten of twelve are in, the two early ones under the corpse counted
-    # once: their pre-failure share went with the reset, their
-    # re-emission under epoch 1 replaced it.
-    assert root.waiter_census()["fences"]["ik"]["total_seen"] == 10
+    # once although their shares arrived again over the healed route.
+    assert down_at and down_at[0] < 0.4
+    assert counted() == 10
     assert root.master.version == before
     sim.run(until=20.0)
     assert [p.value for p in procs] == [
@@ -603,22 +595,22 @@ def test_interior_death_mid_fence_completes_once_under_new_epoch(
     assert root.master.version == before + 1
     for r in range(15):
         if r != 2:
-            mod = session.module_at(r, "kvs")
-            assert mod.fence_epoch == 1
-            assert mod.waiter_census()["fences"] == {}
-    # Ranks 1, 5 and 6 had flushed before the failure and flush again.
-    assert {m.src for m in fencedata_log if m.time > 0.12} >= {1, 5, 6}
+            assert session.module_at(r, "kvs").waiter_census()[
+                "fences"] == {}
+    # Ranks 1, 5 and 6 contributed before the failure and again after.
+    assert {m.src for m in fencedata_log if m.time < 0.12} >= {1, 5, 6}
+    assert {m.src for m in fencedata_log
+            if m.time >= down_at[0]} >= {1, 5, 6}
     assert [m for m in fencedata_log if m.accounted != m.encoded] == []
     session.stop()
 
 
-def test_interior_death_mid_fence_after_a_flush_by_size(fencedata_log):
-    """The same failure with values of 600 KB: one is more than a
-    message's worth, so rank 5 forwards its early client's share as soon
-    as its NIC is idle although two of its subtree's three participants
-    are still out."""
-    test_interior_death_mid_fence_completes_once_under_new_epoch(
-        fencedata_log, pad=600_000, rank_5_waits_its_window=False)
+def test_interior_death_mid_fence_with_600_kb_values(fencedata_log):
+    """The same failure with values of 600 KB, each more than a
+    message's worth: the re-sent shares carry every object in full and
+    are still charged at their exact encoded size."""
+    test_interior_death_mid_fence_completes_once(fencedata_log,
+                                                 pad=600_000)
 
 
 def test_single_master_state_untouched_by_feature_plumbing():

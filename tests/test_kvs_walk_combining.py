@@ -260,6 +260,11 @@ def test_failed_batch_is_retryable_and_queue_is_pumped(code):
     assert _idle(session)
 
 
+#: Retransmission is part of the hardened protocol the heartbeat turns
+#: on; a 1 s period keeps ``live`` from declaring the cut leaf dead.
+_SLOW_HB = dict(with_heartbeat=True, hb_period=1.0, hb_max_epochs=40)
+
+
 def _cut(cluster, session, plan, src, dst, rate):
     plan.set_link(session.node_of_rank(src), session.node_of_rank(dst),
                   drop_rate=rate)
@@ -270,7 +275,7 @@ def test_lost_batch_does_not_wedge_later_reads():
     block the rank's reads for good: the hop that stops retransmitting
     it fails it out loud, so the combiner is idle again."""
     plan = FaultPlan(seed=1)
-    cluster, session = _seeded(fault_plan=plan)
+    cluster, session = _seeded(fault_plan=plan, **_SLOW_HB)
     sim = cluster.sim
     leaf = session.module_at(LEAF, "kvs")
     _cut(cluster, session, plan, LEAF, 3, 1.0)
@@ -292,7 +297,7 @@ def test_reads_queued_behind_a_lost_batch_are_released():
     retries succeed once the link heals — with no fresh read needed to
     revive anything."""
     plan = FaultPlan(seed=1)
-    cluster, session = _seeded(fault_plan=plan)
+    cluster, session = _seeded(fault_plan=plan, **_SLOW_HB)
     sim = cluster.sim
     _cut(cluster, session, plan, LEAF, 3, 1.0)
     doomed, = _gets(session, sim, LEAF, ["w.k0"], timeout=0.01, retries=0)
