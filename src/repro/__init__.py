@@ -54,7 +54,6 @@ def standard_session(cluster: Cluster,
                      hb_period: float = 0.1,
                      hb_max_epochs: Optional[int] = None,
                      task_registry: Optional[dict] = None,
-                     kvs_expiry: Optional[float] = None,
                      kvs_replicas: tuple = (),
                      kvs_dedup: bool = False,
                      wexec_config: Optional[dict] = None) -> CommsSession:
@@ -73,8 +72,8 @@ def standard_session(cluster: Cluster,
     launcher's node-loss recovery.
     """
     modules = [
-        ModuleSpec(KvsModule, expiry=kvs_expiry,
-                   replicas=tuple(kvs_replicas), dedup=kvs_dedup),
+        ModuleSpec(KvsModule, replicas=tuple(kvs_replicas),
+                   dedup=kvs_dedup),
         ModuleSpec(BarrierModule),
         ModuleSpec(LogModule),
         ModuleSpec(GroupModule),

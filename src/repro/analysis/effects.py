@@ -185,8 +185,7 @@ class _MethodInfo:
     sends: list = field(default_factory=list)       # SendSite
     subscribes: list = field(default_factory=list)  # (prefix, cb, line)
     responds: list = field(default_factory=list)    # (line, code, defer)
-    proxies: list = field(default_factory=list)     # (line, topic, param,
-                                                    #  defer)
+    proxies: list = field(default_factory=list)     # (line, defer)
     self_calls: list = field(default_factory=list)  # (name, call, defer)
     einval: bool = False     # @request_handler(required=...) decorated
 
@@ -373,11 +372,7 @@ class _ClassAnalyzer:
                     code = _const_str(kw.value)
             info.responds.append((call.lineno, code, deferred))
         elif attr == "proxy_upstream":
-            topic = param = None
-            if len(call.args) > 1:
-                topic, param = self.resolve_topic(call.args[1],
-                                                  info.params)
-            info.proxies.append((call.lineno, topic, param, deferred))
+            info.proxies.append((call.lineno, deferred))
 
     # -- helper closure ------------------------------------------------
     def _bind(self, callee: _MethodInfo, call: ast.Call) -> dict:
@@ -418,12 +413,8 @@ class _ClassAnalyzer:
                     via=(callee,) + s.via))
             for line, code, c_def in c_responds:
                 responds.append((line, code, deferred or c_def))
-            for line, topic, param, c_def in c_proxies:
-                if param is not None:
-                    arg = binding.get(param)
-                    topic, param = (self.resolve_topic(arg, info.params)
-                                    if arg is not None else (None, None))
-                proxies.append((line, topic, param, deferred or c_def))
+            for line, c_def in c_proxies:
+                proxies.append((line, deferred or c_def))
         out = (sends, responds, proxies)
         if _stack == frozenset():
             self._eff_cache[name] = out
@@ -470,12 +461,9 @@ class _ClassAnalyzer:
                  topic: str) -> HandlerSummary:
         sends, responds, proxies = self.effective(info.name)
         eff = [s for s in sends if s.param is None]
-        for line, ptopic, param, deferred in proxies:
-            if param is not None:
-                continue
+        for line, deferred in proxies:
             eff.append(SendSite(
-                topic=ptopic if ptopic is not None else topic,
-                primitive="proxy_upstream", line=line, col=0,
+                topic=topic, primitive="proxy_upstream", line=line, col=0,
                 waits=True, blocking=False, deferred=deferred,
                 bounded=None))
         raises = {code for _line, code, _d in responds

@@ -20,6 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Handle", "RpcError"]
 
+#: Base client retry backoff (simulated seconds), doubled per attempt
+#: and jittered.
+RETRY_BACKOFF = 1e-3
+
 
 class Handle:
     """A client connection to the local CMB broker.
@@ -53,7 +57,7 @@ class Handle:
     def rpc(self, topic: str, payload: Optional[dict] = None,
             timeout: Optional[float] = None,
             deadline: Optional[float] = None,
-            retries: int = 0, retry_backoff: float = 1e-3) -> Event:
+            retries: int = 0) -> Event:
         """Issue an RPC; the returned event fires with the response
         payload, or fails with :class:`RpcError` on an error response.
 
@@ -69,13 +73,13 @@ class Handle:
         ``retries`` re-issues the request after a *retryable* failure
         (:attr:`RpcError.retryable`: timeout, unreachable hop, data
         lost in transit), sleeping an exponentially growing, jittered
-        backoff between attempts.  Every attempt reuses the original
-        ``msgid``/``reqid``, so broker-side idempotent replay absorbs
-        the duplicate if the first attempt actually got through: at
-        most one execution is observed.  Definitive service errors
-        (``ENOENT``, ``EINVAL``, ...) are never retried.  An explicit
-        absolute ``deadline`` bounds the whole retry loop; a relative
-        ``timeout`` bounds each attempt.
+        backoff (from ``RETRY_BACKOFF``) between attempts.  Every
+        attempt reuses the original ``msgid``/``reqid``, so broker-side
+        idempotent replay absorbs the duplicate if the first attempt
+        actually got through: at most one execution is observed.
+        Definitive service errors (``ENOENT``, ``EINVAL``, ...) are
+        never retried.  An explicit absolute ``deadline`` bounds the
+        whole retry loop; a relative ``timeout`` bounds each attempt.
         """
         if retries <= 0:
             ev = self.sim.event(name=("client-rpc:%s", topic))
@@ -94,7 +98,7 @@ class Handle:
                 self._arm_timeout(msg.msgid, ev, topic, timeout)
             return ev
         return self._rpc_with_retries(topic, payload or {}, timeout,
-                                      deadline, retries, retry_backoff)
+                                      deadline, retries)
 
     def _trace_root(self, name: str, msg: Message, ev: Event):
         """Open the root span of a new trace for one client call,
@@ -120,8 +124,8 @@ class Handle:
 
     def _rpc_with_retries(self, topic: str, payload: dict,
                           timeout: Optional[float],
-                          deadline: Optional[float], retries: int,
-                          retry_backoff: float) -> Event:
+                          deadline: Optional[float], retries: int
+                          ) -> Event:
         ev = self.sim.event(name=("client-rpc:%s", topic))
         msg0 = Message(topic=topic, payload=payload, src_rank=self.rank)
         tr = self.session.span_tracer
@@ -181,7 +185,7 @@ class Handle:
                 return
             # Exponential backoff with jitter: decorrelates the retry
             # storms of many clients hammering the same healed route.
-            backoff = (retry_backoff * (2 ** attempt_no)
+            backoff = (RETRY_BACKOFF * (2 ** attempt_no)
                        * (0.5 + self.sim.rng.random()))
             attempt_no += 1
             self.retries += 1

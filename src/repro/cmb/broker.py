@@ -52,6 +52,18 @@ PLANE_LOCAL = "local"
 #: DynamicClassAttribute lookup, too slow for the per-message tally.
 _MTYPE_KIND = {t: t.value for t in MessageType}
 
+#: Per-hop retransmission of a pending request in a hardened session
+#: (lost-message repair): the first timeout, doubled per attempt, and
+#: the attempts before the hop gives up.
+RETRANSMIT_TIMEOUT = 5e-3
+RETRANSMIT_MAX = 4
+#: Answered requests each module's idempotent-replay cache keeps.
+REPLAY_CAP = 256
+#: Flight-recorder ring capacity per broker.  The recorder is always
+#: on — it is a pure observer, so it cannot perturb a run (see
+#: :mod:`repro.obs.flight`).
+FLIGHT_CAPACITY = 1024
+
 #: Flight-recorder salient-key extractors for event deliveries: which
 #: payload field(s) the post-mortem doctor needs to reconstruct the
 #: entity timeline that topic belongs to.  Topics without an entry are
@@ -148,7 +160,6 @@ class Broker:
         # kvs.load fan-out of a single get).
         self._replay: dict[str, OrderedDict] = {}
         self._inflight: dict[tuple, list[Message]] = {}
-        self.replay_cap = 256
         self._subs: list[tuple[str, Callable[[Message], None]]] = []
         # Frozen snapshot iterated by _deliver_event (the hot event
         # path); rebuilt on (un)subscribe so delivery needn't copy the
@@ -191,7 +202,7 @@ class Broker:
         #: compact structured records of what this broker recently did.
         #: Pure observer — appends never schedule events or draw
         #: randomness, so it cannot perturb the event stream.
-        self.flight = FlightRecorder(session.flight_capacity)
+        self.flight = FlightRecorder(FLIGHT_CAPACITY)
         self._frec = self.flight.rec
         #: Per-plane payload-byte attribution (tree vs event vs ring),
         #: feeding the ROADMAP fence-payload investigation via
@@ -532,7 +543,7 @@ class Broker:
                 cache[key] = (resp.payload, resp.error, resp.errnum,
                               resp.err_rank)
                 cache.move_to_end(key)
-                while len(cache) > self.replay_cap:
+                while len(cache) > REPLAY_CAP:
                     cache.popitem(last=False)
             for dup in self._inflight.pop(key, ()):
                 self._emit_response(dup, dup.make_response(
@@ -582,14 +593,12 @@ class Broker:
                                  self.rank, hop=hop, plane=plane)
             entry.span = span
             msg.span = (span.trace_id, span.span_id)
-        if (msg.ctx is not None and self.session.hardened
-                and self.session.retransmit_max > 0):
+        if msg.ctx is not None and self.session.hardened:
             self._arm_retransmit(entry)
         return entry
 
     def _arm_retransmit(self, entry: _Pending) -> None:
-        rto = self.session.retransmit_timeout * (
-            2 ** min(entry.attempts, 6))
+        rto = RETRANSMIT_TIMEOUT * 2 ** min(entry.attempts, 6)
         timer = self.sim.timeout(rto)
         entry.timer = timer
         timer.add_callback(
@@ -606,7 +615,7 @@ class Broker:
         entry.timer = None
         if self._pending.get(entry.msg.msgid) is not entry:
             return  # answered/failed while the timer was in flight
-        if (entry.attempts >= self.session.retransmit_max
+        if (entry.attempts >= RETRANSMIT_MAX
                 or self._expired(entry.msg)):
             # Give up quietly: the request may be legitimately held
             # upstream (barrier/fence); deadlines and client-level
@@ -979,8 +988,7 @@ class Broker:
                                f"reroute:{entry.msg.topic}", "retry",
                                self.rank, dead=dead_rank, hop=self.parent)
                 self._send(self.parent, entry.plane, entry.msg)
-                if self.session.retransmit_max > 0:
-                    self._arm_retransmit(entry)
+                self._arm_retransmit(entry)
                 continue
             self._fail_pending(
                 entry, "fail_via", EHOSTUNREACH, dead_rank,

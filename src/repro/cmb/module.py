@@ -227,20 +227,15 @@ class CommsModule:
         self.broker.respond(msg, payload, error=error, code=code,
                             err_rank=err_rank, payload_size=payload_size)
 
-    def proxy_upstream(self, msg: Message, topic: Optional[str] = None,
-                       transform: Optional[Callable[[dict], dict]] = None
-                       ) -> None:
+    def proxy_upstream(self, msg: Message) -> None:
         """Forward ``msg`` to the tree parent and relay the response.
 
         The canonical "this instance is not authoritative — ask the
-        next one up" idiom: the request payload is re-sent under
-        ``topic`` (default: the original topic) with the original
-        request context (so deadlines and origin survive the hop), and
-        the eventual response — payload or structured error, including
-        the failing rank — is relayed back to ``msg``'s source.
-
-        ``transform`` optionally rewrites a *successful* response
-        payload before relaying (aggregating proxies).
+        next one up" idiom: the request payload is re-sent under the
+        original topic with the original request context (so deadlines
+        and origin survive the hop), and the eventual response —
+        payload or structured error, including the failing rank — is
+        relayed back to ``msg``'s source.
         """
 
         def relay(resp: Message) -> None:
@@ -248,14 +243,10 @@ class CommsModule:
                 self.respond(msg, None, error=resp.error,
                              code=resp.errnum, err_rank=resp.err_rank)
                 return
-            payload = dict(resp.payload)
-            if transform is not None:
-                payload = transform(payload)
-            self.respond(msg, payload)
+            self.respond(msg, dict(resp.payload))
 
-        self.broker.rpc_parent_cb(topic if topic is not None else msg.topic,
-                                  dict(msg.payload), relay, ctx=msg.ctx,
-                                  span=msg.span)
+        self.broker.rpc_parent_cb(msg.topic, dict(msg.payload), relay,
+                                  ctx=msg.ctx, span=msg.span)
 
     def log(self, level: str, text: str) -> None:
         """Emit a log record through the session ``log`` module if

@@ -7,8 +7,9 @@ this module applies that to *self*-monitoring.  Once activated
 ``hb.pulse`` — inbox depth/peak, in-flight forwarded RPCs, retry
 amplification over the last epoch, KVS dirty ops / held fences /
 version waiters, wexec respawn burn, flight-ring pressure — classifies
-itself ``ok`` / ``degraded`` / ``overloaded`` against configurable
-thresholds, and reduces the classification census up the tree exactly
+itself ``ok`` / ``degraded`` / ``overloaded`` against
+``DEFAULT_THRESHOLDS`` merged with the activation's overrides, and
+reduces the classification census up the tree exactly
 like :mod:`~repro.cmb.modules.mon` (one message per broker per epoch).
 
 The root folds the census into a cluster state (worst state with at
@@ -25,7 +26,6 @@ fingerprints) are untouched.
 from __future__ import annotations
 
 import operator
-from typing import Optional
 
 from ..message import Message
 from ..module import CommsModule, request_handler
@@ -58,11 +58,8 @@ def _merge(a: dict, b: dict) -> dict:
 class HealthModule(CommsModule):
     """Periodic self-health snapshots, tree-reduced to a cluster view.
 
-    Config
-    ------
-    thresholds:
-        Overrides for the classification thresholds (see
-        ``DEFAULT_THRESHOLDS``); partial dicts merge over defaults.
+    Classification thresholds are ``DEFAULT_THRESHOLDS`` until an
+    activation installs its own overrides merged over them.
     """
 
     name = "health"
@@ -73,11 +70,9 @@ class HealthModule(CommsModule):
         "retry_amp_degraded": 0.5, "retry_amp_overloaded": 2.0,
     }
 
-    def __init__(self, broker, *, thresholds: Optional[dict] = None):
-        super().__init__(broker, thresholds=thresholds)
+    def __init__(self, broker):
+        super().__init__(broker)
         self.thresholds = dict(self.DEFAULT_THRESHOLDS)
-        if thresholds:
-            self.thresholds.update(thresholds)
         self.active = False
         self._epochs = TreeReduce(_merge)           # epoch -> Slot
         # Root only: the newest HISTORY completed cluster views.
@@ -101,12 +96,12 @@ class HealthModule(CommsModule):
     # ------------------------------------------------------------------
     def req_activate(self, msg: Message) -> None:
         """Root RPC: start health sampling session-wide.  A
-        ``thresholds`` dict in the payload overrides the module
-        defaults on every broker (partial dicts merge)."""
+        ``thresholds`` dict in the payload overrides
+        ``DEFAULT_THRESHOLDS`` on every broker (partial dicts merge);
+        overrides of an earlier activation do not carry over."""
         if not self.check_field(msg, "thresholds", dict, type(None)):
             return
-        th = dict(self.thresholds)
-        th.update(msg.payload.get("thresholds") or {})
+        th = self._merged_thresholds(msg)
         self.broker.publish("health.activate", {"thresholds": th})
         self.respond(msg, {"active": True, "thresholds": th})
 
@@ -115,12 +110,15 @@ class HealthModule(CommsModule):
         self.respond(msg, {"active": False})
 
     def _on_activate(self, msg: Message) -> None:
-        th = msg.payload.get("thresholds")
-        if th:
-            self.thresholds.update(th)
+        self.thresholds = self._merged_thresholds(msg)
         if not self.active:
             self.active = True
             self._rebase()
+
+    def _merged_thresholds(self, msg: Message) -> dict:
+        """``DEFAULT_THRESHOLDS`` with ``msg``'s overrides merged in."""
+        return {**self.DEFAULT_THRESHOLDS,
+                **(msg.payload.get("thresholds") or {})}
 
     def _on_deactivate(self, msg: Message) -> None:
         self.active = False

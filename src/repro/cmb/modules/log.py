@@ -5,7 +5,7 @@ file at the session root.  A circular debug buffer provides log
 context in response to a fault event."
 
 Every broker's instance keeps a circular buffer of *all* local records;
-records at or above ``forward_level`` are batched and forwarded
+records at or above ``info`` are batched and forwarded
 upstream (the reduction: one message per batch rather than per record),
 landing in the root instance's ``sink`` list — the session "log file".
 A ``fault`` event makes every instance dump its circular buffer
@@ -24,33 +24,26 @@ __all__ = ["LogModule", "LEVELS"]
 #: Severity order (syslog-flavoured subset).
 LEVELS = {"debug": 0, "info": 1, "warn": 2, "err": 3, "crit": 4}
 
+#: Minimum severity forwarded toward the root; lower records stay in
+#: the local circular buffer only.
+FORWARD_LEVEL = LEVELS["info"]
+#: Circular debug-buffer capacity per broker.
+BUFFER_SIZE = 128
+#: Seconds to accumulate records before forwarding one combined
+#: message upstream — the "reduce" in Table I.
+BATCH_WINDOW = 1e-3
+
 
 class LogModule(CommsModule):
-    """Hierarchical log reduction.
-
-    Config
-    ------
-    forward_level:
-        Minimum severity forwarded toward the root (default ``"info"``;
-        lower records stay in the local circular buffer only).
-    buffer_size:
-        Circular debug-buffer capacity per broker (default 128).
-    batch_window:
-        Seconds to accumulate records before forwarding one combined
-        message upstream (default 1 ms) — the "reduce" in Table I.
-    """
+    """Hierarchical log reduction: filter at ``FORWARD_LEVEL``, keep
+    the newest ``BUFFER_SIZE`` local records, forward one batch per
+    ``BATCH_WINDOW``."""
 
     name = "log"
 
-    def __init__(self, broker, *, forward_level: str = "info",
-                 buffer_size: int = 128, batch_window: float = 1e-3):
-        super().__init__(broker, forward_level=forward_level,
-                         buffer_size=buffer_size, batch_window=batch_window)
-        if forward_level not in LEVELS:
-            raise ValueError(f"unknown log level {forward_level!r}")
-        self.forward_level = LEVELS[forward_level]
-        self.circular: deque = deque(maxlen=buffer_size)
-        self.batch_window = batch_window
+    def __init__(self, broker):
+        super().__init__(broker)
+        self.circular: deque = deque(maxlen=BUFFER_SIZE)
         self._batch: list[dict] = []
         self._flush_scheduled = False
         # Root only: the session log "file".
@@ -67,7 +60,7 @@ class LogModule(CommsModule):
         rec = {"t": self.broker.sim.now, "rank": self.rank,
                "level": level, "text": text}
         self.circular.append(rec)
-        if LEVELS.get(level, 0) >= self.forward_level:
+        if LEVELS.get(level, 0) >= FORWARD_LEVEL:
             self._enqueue([rec])
 
     # ------------------------------------------------------------------
@@ -80,7 +73,7 @@ class LogModule(CommsModule):
         self._batch.extend(records)
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self.broker.after(self.batch_window, self._flush)
+            self.broker.after(BATCH_WINDOW, self._flush)
 
     def _flush(self) -> None:
         self._flush_scheduled = False

@@ -4,16 +4,16 @@
 runs an application."
 
 The root instance owns the authoritative free/allocated state for the
-session's node-local resources (cores per session rank).  At start it
-enumerates them into the KVS (``resource.rank.<r> = {...}``) when the
-``kvs`` module is loaded.  ``resvc.alloc``/``resvc.free`` RPCs reserve
-and release cores; the Flux-instance scheduler (:mod:`repro.sched`)
-sits above this service.
+session's node-local resources: each session rank starts with its own
+node's cores free.  At start it enumerates them into the KVS
+(``resource.rank.<r> = {...}``) when the ``kvs`` module is loaded.
+``resvc.alloc``/``resvc.free`` RPCs reserve and release cores; the
+Flux-instance scheduler (:mod:`repro.sched`) sits above this service.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import EEXIST, ENOENT, EOVERFLOW
 from ..message import Message
@@ -33,16 +33,14 @@ class ResvcModule(CommsModule):
 
     name = "resvc"
 
-    def __init__(self, broker, *, cores_per_rank: Optional[int] = None):
-        super().__init__(broker, cores_per_rank=cores_per_rank)
+    def __init__(self, broker):
+        super().__init__(broker)
         session = broker.session
-        if cores_per_rank is None:
-            cores_per_rank = session.cluster.node(
-                session.node_of_rank(0)).spec.cores
-        self.cores_per_rank = cores_per_rank
+        nodes = session.cluster.nodes
         # rank -> free cores (root instance only is authoritative).
         self.free: dict[int, int] = {
-            r: cores_per_rank for r in range(session.size)}
+            r: nodes[nid].spec.cores
+            for r, nid in enumerate(session.node_ids)}
         # jobid -> {rank: cores}
         self.allocations: dict[Any, dict[int, int]] = {}
 

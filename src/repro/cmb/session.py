@@ -94,17 +94,6 @@ class CommsSession:
         #: paper's loss-free protocol runs.  Derived by
         #: :meth:`load_module`, never configured.
         self.hardened = False
-        #: Per-hop retransmission policy for pending requests of a
-        #: :attr:`hardened` session (lost-message repair); base timeout
-        #: doubles per attempt.  ``retransmit_max = 0`` disables
-        #: broker-level retransmission entirely.
-        self.retransmit_timeout = 5e-3
-        self.retransmit_max = 4
-        #: Flight-recorder ring capacity per broker (rounded up to a
-        #: power of two).  The recorder is always on — it is a pure
-        #: observer, so it cannot perturb a run (see
-        #: :mod:`repro.obs.flight`).
-        self.flight_capacity = 1024
         #: Terminal client RpcErrors noted by Handle retry loops —
         #: bounded bookkeeping the post-mortem dump triggers consult.
         self.terminal_errors: list = []
@@ -204,35 +193,27 @@ class CommsSession:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def enable_tracing(self, *, sample_every: int = 1,
-                       span_budget: int | None = None) -> SpanTracer:
+    def enable_tracing(self) -> SpanTracer:
         """Turn on distributed tracing; returns the session tracer.
 
         Every client API call then becomes one trace whose spans cover
         each forwarding hop, module dispatch, retry, and KVS protocol
         step.  Export with
         ``session.span_tracer.to_chrome_trace()`` (Perfetto-loadable).
-
-        ``sample_every`` head-samples: only every N-th trace is
-        retained — except traces recording an error, which are always
-        kept (tail sampling).  ``span_budget`` makes the stride
-        adaptive: when retained spans exceed the budget, the stride
-        doubles.  Defaults record everything (pre-sampling behavior).
+        Every trace is kept.
         """
         if self.span_tracer is None:
-            self.span_tracer = SpanTracer(lambda: self.sim.now,
-                                          sample_every=sample_every,
-                                          span_budget=span_budget)
+            self.span_tracer = SpanTracer(lambda: self.sim.now)
         return self.span_tracer
 
-    def enable_sanitizers(self, *, span_check: bool = True):
+    def enable_sanitizers(self):
         """Turn on the runtime sanitizer suite; returns the
         :class:`~repro.analysis.sanitizers.SanitizerSet`.
 
         Installs the hub on this session (KVS consistency hooks) and
-        on the shared network fabric (FIFO link checking).  With
-        ``span_check=True`` tracing is enabled too and the span-forest
-        checker validates the causal forest at ``finish()`` time.
+        on the shared network fabric (FIFO link checking), and enables
+        tracing so the span-forest checker validates the causal forest
+        at ``finish()`` time.
         Sanitizers are pure observers — they schedule no events and
         draw no randomness — so the run stays event-identical.
         """
@@ -240,8 +221,7 @@ class CommsSession:
             from ..analysis.sanitizers import SanitizerSet
             self.sanitizers = SanitizerSet(lambda: self.sim.now)
             self.network.sanitizers = self.sanitizers
-            if span_check:
-                self.sanitizers.attach_tracer(self.enable_tracing())
+            self.sanitizers.attach_tracer(self.enable_tracing())
         return self.sanitizers
 
     def metrics_snapshot(self, rank: int) -> dict:

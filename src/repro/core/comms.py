@@ -30,6 +30,18 @@ from ..sim.cluster import Cluster
 
 __all__ = ["CommsConfig"]
 
+#: Bring-up cost of a *root-level* session (seconds, base + per node):
+#: daemons start without an assisting parent (think: ssh fan-out), so
+#: the cost scales with node count.
+COLD_BOOT_BASE = 5e-3
+COLD_BOOT_PER_NODE = 2e-4
+#: Bring-up cost when a parent session assists (seconds, base + per
+#: tree level): the parent's overlay broadcasts the wire-up in one tree
+#: sweep, so the cost scales with tree depth — the paper's "rapid
+#: creation".
+ASSISTED_BOOT_BASE = 5e-4
+ASSISTED_BOOT_PER_LEVEL = 1e-4
+
 
 @dataclass
 class CommsConfig:
@@ -44,14 +56,6 @@ class CommsConfig:
         program jobs (:attr:`JobSpec.task`).
     tree_arity:
         Fan-out of each session's tree plane.
-    cold_boot_base / cold_boot_per_node:
-        Bring-up cost of a *root-level* session: daemons start without
-        an assisting parent (think: ssh fan-out), so the cost scales
-        with node count.
-    assisted_boot_base / assisted_boot_per_level:
-        Bring-up cost when a parent session assists: the parent's
-        overlay broadcasts the wire-up in one tree sweep, so the cost
-        scales with tree depth — the paper's "rapid creation".
     with_heartbeat / hb_period / hb_max_epochs:
         Load the ``hb`` + ``live`` modules (liveness detection, tree
         self-healing, acting-root takeover).  Off by default so
@@ -59,32 +63,23 @@ class CommsConfig:
     kvs_replicas:
         Ranks holding standby replicas of the KVS root master
         (multi-master failover); empty keeps single-master.
-    wexec_max_restarts / wexec_respawn_backoff:
-        Node-loss recovery knobs for the bulk launcher (per-task
-        respawn budget and backoff base).
     """
 
     cluster: Cluster
     task_registry: dict = field(default_factory=dict)
     tree_arity: int = 2
-    cold_boot_base: float = 5e-3
-    cold_boot_per_node: float = 2e-4
-    assisted_boot_base: float = 5e-4
-    assisted_boot_per_level: float = 1e-4
     extra_modules: Optional[Callable[[int], list[ModuleSpec]]] = None
     with_heartbeat: bool = False
     hb_period: float = 0.1
     hb_max_epochs: Optional[int] = None
     kvs_replicas: tuple = ()
-    wexec_max_restarts: int = 2
-    wexec_respawn_backoff: float = 0.05
 
     def bootstrap_delay(self, n_nodes: int, *, assisted: bool) -> float:
         """Simulated seconds to bring a session up over ``n_nodes``."""
         if assisted:
             depth = max(1.0, math.log2(max(n_nodes, 2)))
-            return self.assisted_boot_base + self.assisted_boot_per_level * depth
-        return self.cold_boot_base + self.cold_boot_per_node * n_nodes
+            return ASSISTED_BOOT_BASE + ASSISTED_BOOT_PER_LEVEL * depth
+        return COLD_BOOT_BASE + COLD_BOOT_PER_NODE * n_nodes
 
     def build_session(self, node_ids: list[int]) -> CommsSession:
         """Construct (but not start) a session over ``node_ids`` with
@@ -97,9 +92,7 @@ class CommsConfig:
             ModuleSpec(LogModule),
             ModuleSpec(GroupModule, max_depth=0),
             ModuleSpec(ResvcModule, max_depth=0),
-            ModuleSpec(WexecModule, registry=self.task_registry,
-                       max_restarts=self.wexec_max_restarts,
-                       respawn_backoff=self.wexec_respawn_backoff),
+            ModuleSpec(WexecModule, registry=self.task_registry),
             ModuleSpec(JobManagerModule),
         ]
         if self.with_heartbeat:

@@ -183,11 +183,6 @@ class FluxInstance:
         self._kick()
         return job
 
-    def submit_many(self, specs: list[JobSpec]) -> list[Job]:
-        """Enqueue a batch (single scheduler kick)."""
-        jobs = [self.submit(s) for s in specs]
-        return jobs
-
     def cancel(self, job: Job) -> None:
         """Cancel a pending job (running jobs run to completion)."""
         if job.state is JobState.PENDING:

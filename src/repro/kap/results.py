@@ -51,12 +51,6 @@ class KapResult:
     #: of the same config must match (replay determinism).
     event_fingerprint: str = ""
 
-    def msg_total(self, kind: Optional[str] = None) -> int:
-        """Total messages counted, optionally filtered by kind
-        (``request`` / ``response`` / ``error`` / ``event`` / ``ring``)."""
-        return sum(n for (_, _, k), n in self.msg_counts.items()
-                   if kind is None or k == kind)
-
     # -- headline metrics ------------------------------------------------
     @property
     def max_producer_latency(self) -> float:

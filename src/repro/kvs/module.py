@@ -96,6 +96,9 @@ _FENCE_WINDOW = 1e-4
 #: Standby acks required before a commit is acknowledged to the client
 #: (clamped to the number of live replicas).
 _REPL_ACK_MIN = 1
+#: Entries kept in the completed-fence LRUs (``_completed`` and the
+#: standby's ``_standby_completed``).
+_COMPLETED_CAP = 64
 
 
 def _read_payload(sha: str, obj: Optional[dict]) -> dict:
@@ -252,7 +255,6 @@ class KvsModule(CommsModule):
         #: a bounded LRU gossiped to children so a fence-completion
         #: setroot event lost in transit cannot strand held waiters.
         self._completed: "OrderedDict[str, tuple[int, str]]" = OrderedDict()
-        self.completed_cap = 64
         self._sync_busy = False
         self._sync_at = -1.0
         # ---- multi-master extension (all inert when unconfigured) ----
@@ -699,7 +701,7 @@ class KvsModule(CommsModule):
             if rec.fence is not None:
                 self._standby_completed[rec.fence] = (rec.version,
                                                       rec.root_sha)
-                while len(self._standby_completed) > self.completed_cap:
+                while len(self._standby_completed) > _COMPLETED_CAP:
                     self._standby_completed.popitem(last=False)
         for v in sorted(self._standby_buffer):
             if v <= sb.version:
@@ -1872,7 +1874,7 @@ class KvsModule(CommsModule):
                           name, version, None)
         self._completed[name] = (version, root_sha)
         self._completed.move_to_end(name)
-        while len(self._completed) > self.completed_cap:
+        while len(self._completed) > _COMPLETED_CAP:
             self._completed.popitem(last=False)
 
     def waiter_census(self) -> dict:

@@ -13,8 +13,8 @@ one JSON-able document:
   fences, version waiters, replication waiters);
 - per-broker metrics snapshots plus session-wide retry totals;
 - the session's terminal client-error log;
-- error-trace span fragments when tracing is on (always tail-kept by
-  the sampler, see :class:`~repro.obs.span.SpanTracer`).
+- error-trace span fragments when tracing is on
+  (:meth:`~repro.obs.span.SpanTracer.error_spans`).
 
 ``python -m repro.obs.doctor bundle.json`` (:mod:`repro.obs.doctor`)
 merges one or more bundles into causal timelines and pattern-matches
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Optional
+
+from ..cmb.broker import RETRANSMIT_MAX, RETRANSMIT_TIMEOUT
 
 __all__ = ["capture_bundle", "write_bundle", "load_bundle"]
 
@@ -50,8 +52,8 @@ def capture_bundle(session, reason: str, kind: str = "",
         "kind": kind,
         "t": sim.now,
         "size": session.size,
-        "retransmit_max": session.retransmit_max,
-        "retransmit_timeout": session.retransmit_timeout,
+        "retransmit_max": RETRANSMIT_MAX,
+        "retransmit_timeout": RETRANSMIT_TIMEOUT,
     }
     if extra:
         meta.update(extra)

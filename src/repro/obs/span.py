@@ -75,30 +75,14 @@ class SpanTracer:
     instrumentation sites skip all work (the byte-identical path).
     """
 
-    def __init__(self, now_fn, sample_every: int = 1,
-                 span_budget: Optional[int] = None):
+    def __init__(self, now_fn):
         self._now = now_fn
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         self.spans: list[Span] = []
-        #: Head-sampling stride: trace ``i`` is kept iff
-        #: ``(i - 1) % sample_every == 0``.  1 = keep everything
-        #: (the default, byte-identical to the pre-sampling tracer).
-        self.sample_every = max(1, int(sample_every))
-        #: Soft cap on retained spans; when exceeded after a
-        #: compaction, ``sample_every`` doubles (adaptive back-off).
-        self.span_budget = span_budget
-        self.dropped_traces = 0
-        self.dropped_spans = 0
-        # Unsampled traces are *recorded anyway* until their root span
-        # closes: if any span in them records an ``error`` arg they are
-        # kept (tail sampling — errors are always worth the bytes);
-        # otherwise the trace id moves to ``_discard`` and its spans
-        # are swept out by the next amortized compaction.
-        self._unsampled: set[int] = set()
+        #: Trace ids of traces in which some span recorded an
+        #: ``error`` arg (what :meth:`error_spans` ships).
         self._error: set[int] = set()
-        self._discard: set[int] = set()
-        self._compact_at = 4096
 
     # -- recording ------------------------------------------------------
     def _note_args(self, span: Span, args: dict) -> None:
@@ -110,19 +94,13 @@ class SpanTracer:
             span.args.update(args)
         if "error" in args:
             self._error.add(span.trace_id)
-            # Tail rescue: an error arriving after the root closed
-            # un-discards whatever spans of the trace still remain.
-            self._discard.discard(span.trace_id)
 
     def start_trace(self, name: str, rank: int, **args: Any) -> Span:
         """Open the root span of a new trace (one per client call)."""
-        tid = next(self._trace_ids)
-        span = Span(tid, next(self._span_ids), None,
+        span = Span(next(self._trace_ids), next(self._span_ids), None,
                     name, "client", rank, self._now())
         if args:
             self._note_args(span, args)
-        if self.sample_every > 1 and (tid - 1) % self.sample_every:
-            self._unsampled.add(tid)
         self.spans.append(span)
         return span
 
@@ -149,36 +127,6 @@ class SpanTracer:
         span.t1 = self._now()
         if args:
             self._note_args(span, args)
-        if span.parent_id is None and span.trace_id in self._unsampled:
-            # Root closed: the head-sampling verdict becomes final
-            # unless an error span tail-rescued (or later rescues) it.
-            self._unsampled.discard(span.trace_id)
-            if span.trace_id not in self._error:
-                self._discard.add(span.trace_id)
-                self.dropped_traces += 1
-                if len(self.spans) >= self._compact_at:
-                    self._compact()
-
-    def _compact(self) -> None:
-        """Sweep spans of discarded traces (amortized O(1)/span)."""
-        drop = self._discard
-        before = len(self.spans)
-        self.spans = [s for s in self.spans if s.trace_id not in drop]
-        self.dropped_spans += before - len(self.spans)
-        self._compact_at = max(4096, 2 * len(self.spans))
-        if (self.span_budget is not None
-                and len(self.spans) > self.span_budget):
-            # Still over budget after sweeping: halve the head-sample
-            # rate for traces not yet started.
-            self.sample_every *= 2
-
-    def _purged_spans(self) -> list[Span]:
-        """Retained spans with discarded-trace leftovers filtered out
-        (late children can arrive after their trace was discarded)."""
-        if not self._discard:
-            return self.spans
-        drop = self._discard
-        return [s for s in self.spans if s.trace_id not in drop]
 
     def instant(self, parent: Optional[tuple], name: str, cat: str,
                 rank: int, **args: Any) -> None:
@@ -205,7 +153,7 @@ class SpanTracer:
     def traces(self) -> dict[int, list[Span]]:
         """Spans grouped by trace id (insertion-ordered)."""
         out: dict[int, list[Span]] = {}
-        for span in self._purged_spans():
+        for span in self.spans:
             out.setdefault(span.trace_id, []).append(span)
         return out
 
@@ -231,8 +179,7 @@ class SpanTracer:
 
     def error_spans(self) -> list[Span]:
         """Spans belonging to traces that recorded an ``error`` arg —
-        the fragments a post-mortem bundle ships regardless of
-        sampling (tail-kept, see ``__init__``)."""
+        the fragments a post-mortem bundle ships."""
         if not self._error:
             return []
         keep = self._error
@@ -282,7 +229,7 @@ class SpanTracer:
 
     def slowest_trace(self) -> Optional[int]:
         """Trace id of the longest root span (lowest id on a tie)."""
-        roots = [s for s in self._purged_spans() if s.parent_id is None]
+        roots = [s for s in self.spans if s.parent_id is None]
         if not roots:
             return None
         return max(roots, key=lambda s: (s.duration, -s.trace_id)).trace_id
@@ -298,7 +245,7 @@ class SpanTracer:
         """
         events: list[dict] = []
         ranks: set[int] = set()
-        for s in self._purged_spans():
+        for s in self.spans:
             ranks.add(s.rank)
             events.append({
                 "name": s.name, "cat": s.cat, "ph": "X",

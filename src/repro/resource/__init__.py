@@ -9,8 +9,6 @@ from . import types
 from .constraints import (MaxCoresPerJob, MaxNodesPerJob,
                           NodeSpreadConstraint, PowerBudget,
                           PredicateConstraint)
-from .matcher import (BestFit, FirstFit, Pack, PlacementPolicy, Spread,
-                      WorstFit)
 from .projection import graft_allocation, project_allocation
 from .model import Resource, ResourceGraph, build_cluster_graph
 from .pool import (Allocation, AllocationError, AllocationRequest,
@@ -21,6 +19,5 @@ __all__ = [
     "PowerBudget", "PredicateConstraint", "Resource", "ResourceGraph",
     "build_cluster_graph", "Allocation", "AllocationError",
     "AllocationRequest", "Constraint", "ResourcePool",
-    "BestFit", "FirstFit", "Pack", "PlacementPolicy", "Spread",
-    "WorstFit", "graft_allocation", "project_allocation",
+    "graft_allocation", "project_allocation",
 ]

@@ -129,14 +129,10 @@ class ResourcePool:
     """
 
     def __init__(self, graph: ResourceGraph, within: Optional[int] = None,
-                 constraints: Optional[list[Constraint]] = None,
-                 placement=None):
+                 constraints: Optional[list[Constraint]] = None):
         self.graph = graph
         self.within = within if within is not None else graph.root_id
         self.constraints: list[Constraint] = list(constraints or [])
-        #: Node visit order for allocations (default: graph order).
-        #: See :mod:`repro.resource.matcher` for pack/spread/best-fit.
-        self.placement = placement
         self.allocations: dict[Any, Allocation] = {}
         # node rid -> POWER resources on its ancestry (memoized).
         self._power_path: dict[int, list[int]] = {}
@@ -182,14 +178,6 @@ class ResourcePool:
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
-    def try_allocate(self, jobid: Any,
-                     request: AllocationRequest) -> Optional[Allocation]:
-        """Like :meth:`allocate` but returns None instead of raising."""
-        try:
-            return self.allocate(jobid, request)
-        except AllocationError:
-            return None
-
     def allocate(self, jobid: Any,
                  request: AllocationRequest) -> Allocation:
         """Satisfy ``request`` or raise :class:`AllocationError`.
@@ -203,10 +191,7 @@ class ResourcePool:
         charges: dict[int, float] = {}
         remaining = request.ncores
 
-        candidates = self.nodes()
-        if self.placement is not None:
-            candidates = self.placement.order(candidates, self)
-        for node in candidates:
+        for node in self.nodes():
             if remaining <= 0:
                 break
             if request.node_filter is not None and not request.node_filter(node):

@@ -67,8 +67,7 @@ class Cluster:
 
 def make_cluster(n_nodes: int, *, seed: int = 0,
                  node_spec: Optional[NodeSpec] = None,
-                 net_params: Optional[NetworkParams] = None,
-                 strict: bool = True) -> Cluster:
+                 net_params: Optional[NetworkParams] = None) -> Cluster:
     """Build an ``n_nodes`` cluster with Zin/Cab-like defaults.
 
     Parameters
@@ -80,12 +79,10 @@ def make_cluster(n_nodes: int, *, seed: int = 0,
     node_spec / net_params:
         Hardware overrides; defaults are 16-core/32 GB nodes on a
         QDR-like fabric.
-    strict:
-        Propagate process exceptions out of ``run`` (on for tests).
     """
     if n_nodes <= 0:
         raise ValueError("cluster needs at least one node")
-    sim = Simulation(seed=seed, strict=strict)
+    sim = Simulation(seed=seed)
     network = Network(sim, net_params or zin_like_params())
     spec = node_spec or NodeSpec()
     nodes = [Node(i, spec) for i in range(n_nodes)]

@@ -58,7 +58,6 @@ __all__ = [
     "paused_gc",
     "PRIORITY_URGENT",
     "PRIORITY_NORMAL",
-    "PRIORITY_LOW",
 ]
 
 
@@ -94,7 +93,6 @@ def paused_gc():
 #: Scheduling priorities for events that fire at the same instant.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
 
 
 class SimulationError(Exception):
@@ -191,9 +189,9 @@ class Event:
         return self._value
 
     # -- triggering ---------------------------------------------------
-    def succeed(self, value: Any = None, *, delay: float = 0.0,
-                priority: int = PRIORITY_NORMAL) -> "Event":
-        """Fire the event successfully with ``value`` after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Fire the event successfully with ``value`` at the current
+        time."""
         if self._state != Event.PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self._value = value
@@ -201,11 +199,10 @@ class Event:
         # Inlined Simulation._schedule (hottest trigger path).
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, priority, seq, self))
+        heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
         return self
 
-    def fail(self, exc: BaseException, *, delay: float = 0.0,
-             priority: int = PRIORITY_NORMAL) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Fire the event as a failure: ``exc`` is thrown into waiters."""
         if self._state != Event.PENDING:
             raise SimulationError(f"event {self!r} already triggered")
@@ -215,7 +212,7 @@ class Event:
         self._state = Event.TRIGGERED
         sim = self.sim
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, priority, seq, self))
+        heappush(sim._heap, (sim.now, PRIORITY_NORMAL, seq, self))
         return self
 
     def abandon(self) -> None:
@@ -368,7 +365,7 @@ class Process(Event):
             return
         except Exception as exc:
             self.sim._active_process = None
-            if self.sim.strict and not self.contain:
+            if not self.contain:
                 raise
             self.fail(exc)
             return
@@ -520,16 +517,14 @@ class Simulation:
     seed:
         Seed for :attr:`rng`, the single RNG all stochastic decisions in
         a run must draw from (this is what makes runs reproducible).
-    strict:
-        When True (the default), an exception escaping a process
-        propagates out of :meth:`run` immediately instead of being
-        recorded as a process failure — the right behaviour for tests.
+
+    An exception escaping a process propagates out of :meth:`run`
+    immediately, unless the process was spawned with ``contain=True``.
     """
 
-    def __init__(self, seed: int = 0, *, strict: bool = True):
+    def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self.strict = strict
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._ndead = 0
@@ -565,8 +560,9 @@ class Simulation:
         """Start a new process running ``gen``; returns its Process event.
 
         ``contain=True`` confines an exception escaping the generator to
-        a failed Process event (thrown into joiners) even under
-        ``strict`` — used for sandboxing launched task bodies.
+        a failed Process event (thrown into joiners) instead of
+        propagating it out of :meth:`run` — used for sandboxing
+        launched task bodies.
         """
         return Process(self, gen, name=name, contain=contain)
 

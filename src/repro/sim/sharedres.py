@@ -114,10 +114,6 @@ class SharedResource:
         """Number of concurrent transfers right now."""
         return len(self._flows)
 
-    def current_demand(self) -> float:
-        """Sum of active flows' demands (may exceed capacity)."""
-        return sum(f.demand for f in self._flows)
-
     def _recompute(self) -> None:
         fn = (max_min_rates if self.policy == "maxmin"
               else proportional_rates)

@@ -29,6 +29,7 @@ import sys
 from typing import Any
 
 from .obs.metrics import histogram_from_snapshot
+from .obs.span import SpanTracer
 
 __all__ = ["validate_stats", "validate_trace", "render_report", "main"]
 
@@ -174,9 +175,12 @@ def validate_stats(doc: Any) -> list:
 def validate_trace(doc: Any) -> list:
     """Structural + causal check of a Chrome trace-event document.
 
-    Beyond field shapes, verifies the span forest: within each
-    ``trace_id``, exactly one root (``parent_id`` null) and every
-    non-null ``parent_id`` resolving to a span of the same trace.
+    Checks each event's field shapes, then rebuilds the span forest
+    of the well-formed complete events
+    (:meth:`SpanTracer.from_chrome_trace`) and adds what
+    :meth:`SpanTracer.validate` finds: within each ``trace_id``,
+    exactly one root and every ``parent_id`` resolving to a span of
+    the same trace.
     """
     problems: list = []
     if not isinstance(doc, dict):
@@ -184,7 +188,7 @@ def validate_trace(doc: Any) -> list:
     events = doc.get("traceEvents")
     if not isinstance(events, list):
         return ["traceEvents: missing list"]
-    by_trace: dict = {}
+    complete: list = []
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
         if not isinstance(ev, dict):
@@ -198,28 +202,28 @@ def validate_trace(doc: Any) -> list:
         if ph != "X":
             problems.append(f"{where}: unexpected phase {ph!r}")
             continue
+        shaped = isinstance(ev.get("name"), str)
         for fld in ("ts", "dur"):
             if not _is_num(ev.get(fld)):
                 problems.append(f"{where}: non-numeric {fld}")
-        if ev.get("dur", 0) < 0:
+                shaped = False
+        if _is_num(ev.get("dur")) and ev["dur"] < 0:
             problems.append(f"{where}: negative dur")
         args = ev.get("args")
-        if not isinstance(args, dict) or "span_id" not in args:
-            problems.append(f"{where}: missing args.span_id")
+        if not isinstance(args, dict):
+            problems.append(f"{where}: missing args")
             continue
-        tid = args.get("trace_id")
-        by_trace.setdefault(tid, []).append(args)
-    for tid, spans in sorted(by_trace.items(), key=lambda kv: str(kv[0])):
-        ids = {s["span_id"] for s in spans}
-        roots = [s for s in spans if s.get("parent_id") is None]
-        if len(roots) != 1:
-            problems.append(f"trace {tid}: {len(roots)} roots (expect 1)")
-        for s in spans:
-            parent = s.get("parent_id")
-            if parent is not None and parent not in ids:
-                problems.append(f"trace {tid}: span {s['span_id']} parent "
-                                f"{parent} unresolved")
-    return problems
+        for key in ("trace_id", "span_id", "parent_id"):
+            val = args.get(key, "missing")
+            if val is None and key == "parent_id":
+                continue  # a root span
+            if not isinstance(val, int) or isinstance(val, bool):
+                problems.append(f"{where}: missing/invalid args.{key}")
+                shaped = False
+        if shaped:
+            complete.append(ev)
+    forest = SpanTracer.from_chrome_trace({"traceEvents": complete})
+    return problems + forest.validate()
 
 
 def render_report(doc: dict) -> str:

@@ -124,7 +124,7 @@ def test_seeded_root_regression_run_is_flagged():
     cluster = make_cluster(4, seed=3)
     session = CommsSession(cluster,
                            modules=[ModuleSpec(RegressingKvs)]).start()
-    san = session.enable_sanitizers(span_check=False)
+    san = session.enable_sanitizers()
     sim = cluster.sim
     kvs = KvsClient(session.connect(2))
 
@@ -155,7 +155,7 @@ def test_clean_commit_run_is_silent():
     cluster = make_cluster(4, seed=3)
     session = CommsSession(cluster,
                            modules=[ModuleSpec(KvsModule)]).start()
-    san = session.enable_sanitizers(span_check=False)
+    san = session.enable_sanitizers()
     sim = cluster.sim
     kvs = KvsClient(session.connect(2))
 
@@ -341,7 +341,7 @@ def test_enable_sanitizers_idempotent_and_wired():
     san = session.enable_sanitizers()
     assert session.enable_sanitizers() is san
     assert cluster.network.sanitizers is san
-    assert session.span_tracer is not None   # span_check pulled tracing in
+    assert session.span_tracer is not None   # sanitizers pull tracing in
     stats = san.stats()
     assert set(stats) == {"fifo_checked", "kvs_reads", "kvs_acks",
                           "findings"}

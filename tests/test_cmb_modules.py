@@ -109,9 +109,8 @@ class TestLog:
         assert ranks == {5, 3}
 
     def test_below_threshold_stays_local(self):
-        cluster, session = make_session(modules=[
-            ModuleSpec(LogModule, forward_level="err")])
-        session.brokers[5].log("info", "chatty")
+        cluster, session = make_session(modules=[ModuleSpec(LogModule)])
+        session.brokers[5].log("debug", "chatty")
         cluster.sim.run()
         assert session.module_at(0, "log").sink == []
         # ... but it is in the local circular buffer.
@@ -119,8 +118,7 @@ class TestLog:
         assert any(r["text"] == "chatty" for r in circ)
 
     def test_batching_reduces_messages(self):
-        cluster, session = make_session(modules=[
-            ModuleSpec(LogModule, batch_window=1e-3)])
+        cluster, session = make_session(modules=[ModuleSpec(LogModule)])
         before = cluster.network.delivered
         for i in range(50):
             session.brokers[7].log("info", f"msg {i}")
@@ -132,18 +130,16 @@ class TestLog:
         assert cluster.network.delivered - before < 20
 
     def test_circular_buffer_bounded(self):
-        cluster, session = make_session(modules=[
-            ModuleSpec(LogModule, buffer_size=10, forward_level="crit")])
-        for i in range(25):
-            session.brokers[2].log("info", f"m{i}")
+        cluster, session = make_session(modules=[ModuleSpec(LogModule)])
+        for i in range(140):
+            session.brokers[2].log("debug", f"m{i}")
         cluster.sim.run()
         circ = session.module_at(2, "log").circular
-        assert len(circ) == 10
-        assert circ[0]["text"] == "m15"
+        assert len(circ) == 128
+        assert circ[0]["text"] == "m12"
 
     def test_fault_event_dumps_context(self):
-        cluster, session = make_session(modules=[
-            ModuleSpec(LogModule, forward_level="err")])
+        cluster, session = make_session(modules=[ModuleSpec(LogModule)])
         session.brokers[6].log("debug", "pre-crash context")
         session.brokers[0].publish("fault", {"rank": 6})
         cluster.sim.run()

@@ -22,10 +22,10 @@ from repro.stats import validate_stats
 from .chaos import run_chaos_workload
 
 
-def make_health_session(n=8, max_epochs=20, thresholds=None):
+def make_health_session(n=8, max_epochs=20):
     cluster = make_cluster(n, seed=3)
     session = CommsSession(cluster, modules=[
-        ModuleSpec(HealthModule, thresholds=thresholds),
+        ModuleSpec(HealthModule),
         ModuleSpec(HeartbeatModule, period=0.05, max_epochs=max_epochs),
     ]).start()
     return cluster, session
@@ -123,11 +123,11 @@ def test_threshold_override_degrades_cluster():
 
 
 def test_overloaded_outranks_degraded():
-    cluster, session = make_health_session(
-        thresholds={"inbox_degraded": 0, "inbox_overloaded": 0})
+    cluster, session = make_health_session()
 
     def client(h):
-        yield h.rpc("health.activate", {})
+        yield h.rpc("health.activate", {"thresholds": {
+            "inbox_degraded": 0, "inbox_overloaded": 0}})
         yield cluster.sim.timeout(0.5)
         root_h = session.connect(0, collective=False)
         return (yield root_h.rpc("health.view", {}))
@@ -135,6 +135,27 @@ def test_overloaded_outranks_degraded():
     resp = run_proc(cluster, client(session.connect(1, collective=False)))
     assert resp["view"]["state"] == "overloaded"
     assert resp["view"]["counts"]["overloaded"] == 8
+
+
+def test_reactivation_starts_from_default_thresholds():
+    """Each activation installs the defaults merged with its own
+    overrides: a bare re-activation drops an earlier override."""
+    cluster, session = make_health_session()
+
+    def client(h):
+        yield h.rpc("health.activate",
+                    {"thresholds": {"inbox_degraded": 0}})
+        yield cluster.sim.timeout(0.2)
+        yield h.rpc("health.deactivate", {})
+        resp = yield h.rpc("health.activate", {})
+        yield cluster.sim.timeout(0.2)
+        return resp
+
+    resp = run_proc(cluster, client(session.connect(0, collective=False)))
+    default = HealthModule.DEFAULT_THRESHOLDS
+    assert resp["thresholds"] == default
+    assert all(b.modules["health"].thresholds == default
+               for b in session.brokers)
 
 
 def test_deactivate_stops_reduction():

@@ -253,7 +253,7 @@ def test_migration_under_load_is_sanitizer_clean():
     every acknowledged write survives the moves and the runtime
     sanitizers (SAN102 stale reads / SAN103 lost acks) stay silent."""
     cluster, session = _session(8, seed=8)
-    san = session.enable_sanitizers(span_check=False)
+    san = session.enable_sanitizers()
     sim = cluster.sim
     acked = []
 

@@ -7,19 +7,17 @@ fault-triggered circular-buffer dump that lands full debug context in
 the root sink.
 """
 
-import pytest
-
 from repro import make_cluster
 from repro.cmb import CommsSession, ModuleSpec, TreeTopology
 from repro.cmb.modules import LogModule
 from repro.cmb.modules.log import LEVELS
 
 
-def make_session(n=7, **log_cfg):
+def make_session(n=7):
     cluster = make_cluster(n)
     session = CommsSession(
         cluster, topology=TreeTopology(n),
-        modules=[ModuleSpec(LogModule, **log_cfg)]).start()
+        modules=[ModuleSpec(LogModule)]).start()
     return cluster, session
 
 
@@ -29,10 +27,10 @@ def log_mod(session, rank):
 
 class TestForwardLevelFiltering:
     def test_below_threshold_stays_local(self):
-        cluster, session = make_session(forward_level="warn")
+        cluster, session = make_session()
         leaf = log_mod(session, 5)
         leaf.append("debug", "noisy detail")
-        leaf.append("info", "routine")
+        leaf.append("debug", "routine")
         cluster.sim.run()
         root = log_mod(session, 0)
         assert root.sink == []
@@ -41,9 +39,9 @@ class TestForwardLevelFiltering:
             ["noisy detail", "routine"]
 
     def test_at_and_above_threshold_reach_root(self):
-        cluster, session = make_session(forward_level="warn")
+        cluster, session = make_session()
         leaf = log_mod(session, 5)
-        leaf.append("warn", "at threshold")
+        leaf.append("info", "at threshold")
         leaf.append("crit", "above threshold")
         cluster.sim.run()
         texts = [r["text"] for r in log_mod(session, 0).sink]
@@ -57,10 +55,6 @@ class TestForwardLevelFiltering:
         assert [r["text"] for r in log_mod(session, 0).sink] == \
             ["root-local"]
         assert cluster.sim.event_count == 0  # no forwarding happened
-
-    def test_unknown_forward_level_rejected(self):
-        with pytest.raises(ValueError):
-            make_session(forward_level="loud")
 
     def test_levels_total_order(self):
         assert (LEVELS["debug"] < LEVELS["info"] < LEVELS["warn"]
@@ -77,7 +71,7 @@ class TestBatchWindowing:
                    and plane == "tree")
 
     def test_burst_coalesces_into_one_message_per_hop(self):
-        cluster, session = make_session(n=3, batch_window=1e-3)
+        cluster, session = make_session(n=3)
         leaf = log_mod(session, 1)  # child of root on the binary tree
         for i in range(10):
             leaf.append("err", f"burst {i}")
@@ -89,7 +83,7 @@ class TestBatchWindowing:
         assert self.count_log_requests(session) == 1
 
     def test_records_after_window_start_ride_same_flush(self):
-        cluster, session = make_session(n=3, batch_window=1e-3)
+        cluster, session = make_session(n=3)
         sim = cluster.sim
         leaf = log_mod(session, 1)
 
@@ -105,7 +99,7 @@ class TestBatchWindowing:
         assert self.count_log_requests(session) == 1
 
     def test_separate_windows_flush_separately(self):
-        cluster, session = make_session(n=3, batch_window=1e-3)
+        cluster, session = make_session(n=3)
         sim = cluster.sim
         leaf = log_mod(session, 1)
 
@@ -123,7 +117,7 @@ class TestBatchWindowing:
     def test_multi_hop_rebatching(self):
         # Records from a grandchild are re-batched at the middle hop:
         # the root still sees every record exactly once, in order.
-        cluster, session = make_session(n=7, batch_window=1e-3)
+        cluster, session = make_session(n=7)
         grandchild = log_mod(session, 3)  # 3 -> 1 -> 0 on the binary tree
         for i in range(4):
             grandchild.append("err", f"deep {i}")
@@ -134,12 +128,12 @@ class TestBatchWindowing:
 
 class TestFaultDump:
     def test_fault_dumps_circular_buffers_to_root(self):
-        cluster, session = make_session(forward_level="crit")
+        cluster, session = make_session()
         sim = cluster.sim
         leaf = log_mod(session, 6)
         # Debug context that would normally never leave the leaf.
         leaf.append("debug", "ctx 1")
-        leaf.append("info", "ctx 2")
+        leaf.append("debug", "ctx 2")
         sim.run()
         assert log_mod(session, 0).sink == []
 
@@ -153,17 +147,16 @@ class TestFaultDump:
         assert all(r.get("dumped") for r in sink if r["rank"] == 6)
 
     def test_dump_preserves_capacity_bound(self):
-        cluster, session = make_session(n=3, forward_level="crit",
-                                        buffer_size=8)
+        cluster, session = make_session(n=3)
         leaf = log_mod(session, 2)
-        for i in range(20):
+        for i in range(140):
             leaf.append("debug", f"d{i}")
-        assert len(leaf.circular) == 8
+        assert len(leaf.circular) == 128
         session.brokers[0].publish("fault", {})
         cluster.sim.run()
         texts = [r["text"] for r in log_mod(session, 0).sink
                  if r["rank"] == 2]
-        assert texts == [f"d{i}" for i in range(12, 20)]
+        assert texts == [f"d{i}" for i in range(12, 140)]
 
     def test_dump_rpc_returns_local_buffer(self):
         cluster, session = make_session()

@@ -306,69 +306,3 @@ class TestProjection:
         graft_allocation(graph, child, new_cores)
         assert child.count(rt.NODE) == 2
         assert child.count(rt.CORE) == 16
-
-
-class TestPlacementPolicies:
-    """Node-ordering policies from repro.resource.matcher."""
-
-    def _pool(self, placement):
-        from repro.resource.matcher import (BestFit, FirstFit, Pack,
-                                            Spread, WorstFit)  # noqa: F401
-        graph = build_cluster_graph("p", n_racks=1, nodes_per_rack=4,
-                                    sockets=1, cores_per_socket=8)
-        return graph, ResourcePool(graph, placement=placement)
-
-    def test_first_fit_packs_graph_order(self):
-        from repro.resource.matcher import FirstFit
-        graph, pool = self._pool(FirstFit())
-        a = pool.allocate("a", AllocationRequest(ncores=4))
-        b = pool.allocate("b", AllocationRequest(ncores=4))
-        # Both land on node 0 (8 cores).
-        assert a.node_indices(graph) == b.node_indices(graph) == [0]
-
-    def test_worst_fit_balances(self):
-        from repro.resource.matcher import WorstFit
-        graph, pool = self._pool(WorstFit())
-        a = pool.allocate("a", AllocationRequest(ncores=4))
-        b = pool.allocate("b", AllocationRequest(ncores=4))
-        assert a.node_indices(graph) != b.node_indices(graph)
-
-    def test_spread_prefers_idle_nodes(self):
-        from repro.resource.matcher import Spread
-        graph, pool = self._pool(Spread())
-        used = set()
-        for i in range(4):
-            alloc = pool.allocate(f"j{i}", AllocationRequest(ncores=2))
-            used.update(alloc.node_indices(graph))
-        assert used == {0, 1, 2, 3}  # one job per node
-
-    def test_pack_fills_partial_nodes_first(self):
-        from repro.resource.matcher import Pack
-        graph, pool = self._pool(Pack())
-        pool.allocate("seed", AllocationRequest(ncores=2))  # node 0 partial
-        nxt = pool.allocate("next", AllocationRequest(ncores=2))
-        assert nxt.node_indices(graph) == [0]
-
-    def test_best_fit_prefers_tightest_hole(self):
-        from repro.resource.matcher import BestFit
-        graph, pool = self._pool(BestFit())
-        pool.allocate("big", AllocationRequest(ncores=6))   # node0: 2 free
-        # Best-fit fills node0's hole first, then nodes 1 and 2.
-        pool.allocate("mid", AllocationRequest(ncores=12))
-        # Free now: node0 0, node1 0, node2 6, node3 8.
-        tight = pool.allocate("fit", AllocationRequest(ncores=2))
-        assert tight.node_indices(graph) == [2]
-
-    def test_best_fit_leaves_whole_nodes_for_exclusive(self):
-        from repro.resource.matcher import BestFit, FirstFit
-        for placement, expect_ok in ((BestFit(), True), (None, True)):
-            graph, pool = self._pool(placement)
-            pool.allocate("s1", AllocationRequest(ncores=2))
-            pool.allocate("s2", AllocationRequest(ncores=2))
-            # With best-fit both small jobs share node 0, keeping three
-            # whole nodes; 3 exclusive node-jobs must fit.
-            for i in range(3):
-                if placement is None:
-                    break
-                pool.allocate(f"x{i}", AllocationRequest(ncores=8,
-                                                         exclusive=True))

@@ -54,14 +54,6 @@ class TestEvent:
         ev.add_callback(lambda e: seen.append(e.value))
         assert seen == [7]
 
-    def test_succeed_with_delay(self, sim):
-        ev = sim.event()
-        ev.succeed("late", delay=5.0)
-        t = []
-        ev.add_callback(lambda e: t.append(sim.now))
-        sim.run()
-        assert t == [5.0]
-
 
 class TestTimeout:
     def test_fires_at_delay(self, sim):
@@ -128,17 +120,6 @@ class TestProcess:
         with pytest.raises(RuntimeError):
             sim.run()
 
-    def test_exception_contained_when_not_strict(self):
-        sim = Simulation(strict=False)
-
-        def bad():
-            yield sim.timeout(1.0)
-            raise RuntimeError("kaput")
-
-        p = sim.spawn(bad())
-        sim.run()
-        assert p.triggered and not p.ok
-
     def test_contained_process_fails_event_in_strict_mode(self, sim):
         def bad():
             yield sim.timeout(1.0)
@@ -184,7 +165,7 @@ class TestProcess:
                 return "caught"
 
         p = sim.spawn(waiter())
-        ev.fail(ValueError("x"), delay=1.0)
+        sim.timeout(1.0).add_callback(lambda e: ev.fail(ValueError("x")))
         assert sim.run_until_complete(p) == "caught"
 
     def test_is_alive_transitions(self, sim):
@@ -268,7 +249,7 @@ class TestCombinators:
     def test_all_of_fails_on_first_failure(self, sim):
         good = sim.timeout(1.0)
         bad = sim.event()
-        bad.fail(ValueError("x"), delay=0.5)
+        sim.timeout(0.5).add_callback(lambda e: bad.fail(ValueError("x")))
         combo = sim.all_of([good, bad])
 
         def waiter():

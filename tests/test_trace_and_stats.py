@@ -80,7 +80,7 @@ class TestKapResult:
 
 
 # ----------------------------------------------------------------------
-# adaptive span sampling (SpanTracer head/tail sampling)
+# span retention: every trace is kept; error traces are also indexed
 # ----------------------------------------------------------------------
 class TestSpanSampling:
     def _trace(self, tr, error=False):
@@ -96,39 +96,40 @@ class TestSpanSampling:
         for _ in range(10):
             self._trace(tr)
         assert len(tr.traces()) == 10
-        assert tr.dropped_traces == 0
-
-    def test_head_sampling_keeps_every_nth(self):
-        tr = SpanTracer(lambda: 0.0, sample_every=3)
-        tids = [self._trace(tr) for _ in range(9)]
-        kept = set(tr.traces())
-        assert kept == {tids[0], tids[3], tids[6]}
-        assert tr.dropped_traces == 6
 
     def test_error_traces_always_kept(self):
-        tr = SpanTracer(lambda: 0.0, sample_every=1000)
+        tr = SpanTracer(lambda: 0.0)
         tids = [self._trace(tr, error=(i == 5)) for i in range(10)]
-        kept = set(tr.traces())
-        assert tids[0] in kept          # head-sampled
-        assert tids[5] in kept          # tail-kept on error
-        assert len(kept) == 2
+        assert set(tr.traces()) == set(tids)
         errs = tr.error_spans()
         assert errs and all(s.trace_id == tids[5] for s in errs)
 
-    def test_budget_doubles_sample_rate(self):
-        tr = SpanTracer(lambda: 0.0, sample_every=2, span_budget=4)
-        tr._compact_at = 16             # compact early for the test
-        for _ in range(64):
-            self._trace(tr)
-        assert tr.sample_every > 2
-        assert tr.dropped_spans > 0
-
-    def test_sampled_chrome_trace_still_validates(self):
-        tr = SpanTracer(lambda: 0.0, sample_every=4)
+    def test_error_trace_exports_and_validates(self):
+        tr = SpanTracer(lambda: 0.0)
         for i in range(16):
             self._trace(tr, error=(i == 9))
         doc = tr.to_chrome_trace()
         assert validate_trace(doc) == []
+        assert any(e.get("args", {}).get("error") == "boom"
+                   for e in doc["traceEvents"])
+
+    def test_validate_trace_reports_broken_forest(self):
+        tr = SpanTracer(lambda: 0.0)
+        self._trace(tr)
+        doc = tr.to_chrome_trace()
+        x_events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        x_events[1]["args"]["parent_id"] = 999      # dangling parent
+        orphan = json.loads(json.dumps(x_events[0]))
+        orphan["args"]["span_id"] = 50              # a second root
+        bad = {"ph": "X", "name": "x", "ts": "0", "dur": -1.0,
+               "args": {"span_id": 7}}
+        doc["traceEvents"] += [orphan, bad]
+        problems = validate_trace(doc)
+        assert any("2 roots" in p for p in problems)
+        assert any("parent 999" in p for p in problems)
+        assert any("non-numeric ts" in p for p in problems)
+        assert any("negative dur" in p for p in problems)
+        assert any("args.trace_id" in p for p in problems)
 
 
 # ----------------------------------------------------------------------
