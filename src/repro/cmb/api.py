@@ -46,6 +46,8 @@ class Handle:
         self.client_id = session._next_client_id
         session._next_client_id += 1
         self._waiters: dict[int, Event] = {}
+        #: The broker's response route to this handle.
+        self._source = _Source("client", self)
         self._subs: list[tuple[str, Callable[[Message], None]]] = []
         #: RPC attempts re-issued after a retryable failure (chaos
         #: observability: client-side retry amplification).
@@ -85,9 +87,8 @@ class Handle:
             ev = self.sim.event(name=("client-rpc:%s", topic))
             if deadline is None and timeout is not None:
                 deadline = self.sim.now + timeout
-            msg = Message(topic=topic, payload=payload or {},
-                          src_rank=self.rank)
-            msg.ensure_context(origin_rank=self.rank, deadline=deadline)
+            msg = Message.request(topic, payload or {}, self.rank,
+                                  deadline=deadline)
             if self.session.span_tracer is not None:
                 # Guarded here, not in _trace_root, so the tracing-off
                 # fast path never even formats the span name.
@@ -313,15 +314,14 @@ class Handle:
     def _ipc_deliver(self, msg: Message) -> None:
         t = self.sim.timeout(self._ipc_delay(msg.size()))
         # Fresh timeout: assign the first-callback slot directly.
-        t._cb1 = (lambda _e: self.broker._route_request(
-            msg, _Source("client", self)))
+        t._cb1 = (lambda _e: self.broker._route_request(msg, self._source))
 
     def _inject_ring(self, msg: Message) -> None:
         if msg.dst_rank == self.rank:
-            self.broker._route_request(msg, _Source("client", self))
+            self.broker._route_request(msg, self._source)
         else:
             nxt = self.session.ring.next_rank(self.rank)
-            self.broker._register_pending(_Source("client", self), msg,
+            self.broker._register_pending(self._source, msg,
                                           "ring", nxt, "ring")
             self.broker._send(nxt, "ring", msg)
 

@@ -21,16 +21,14 @@ socket client transport.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..obs import DEFAULT_SIZE_LADDER, FlightRecorder, MetricsRegistry
 from ..sim.kernel import Event, Simulation, Timeout
 from .errors import (EHOSTUNREACH, ENOSYS, ETIMEDOUT, RETRYABLE_CODES,
                      RpcError)
-from .message import (HEADER_BYTES, Message, MessageType, RequestContext,
-                      _split_cache, split_topic)
+from .message import (_RESPONSE, HEADER_BYTES, Message, MessageType,
+                      RequestContext, _split_cache, split_topic)
 from .module import CommsModule, NoHandlerError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,10 +45,6 @@ PLANE_RING = "ring"
 # clients and in-broker deliveries (module/callback/event sources).
 PLANE_IPC = "ipc"
 PLANE_LOCAL = "local"
-
-#: Enum -> wire-kind string, precomputed: ``Enum.value`` is a
-#: DynamicClassAttribute lookup, too slow for the per-message tally.
-_MTYPE_KIND = {t: t.value for t in MessageType}
 
 #: Per-hop retransmission of a pending request in a hardened session
 #: (lost-message repair): the first timeout, doubled per attempt, and
@@ -150,7 +144,8 @@ class Broker:
         self.modules: dict[str, CommsModule] = {}
         self._pending: dict[int, _Pending] = {}
         # Idempotent-replay state (tentpole of the chaos work): per
-        # module, a bounded LRU of recently answered requests keyed by
+        # module, a bounded LRU (a dict in recency order) of recently
+        # answered requests keyed by
         # (ctx.reqid, msgid, topic) -> the response fields; duplicates
         # of an answered request replay the cached response instead of
         # re-executing the handler.  Duplicates of a *still unanswered*
@@ -158,16 +153,15 @@ class Broker:
         # original.  Keys include the msgid because a module chain may
         # issue several sub-requests under one logical reqid (e.g. the
         # kvs.load fan-out of a single get).
-        self._replay: dict[str, OrderedDict] = {}
+        self._replay: dict[str, dict] = {}
         self._inflight: dict[tuple, list[Message]] = {}
         self._subs: list[tuple[str, Callable[[Message], None]]] = []
-        # Frozen snapshot iterated by _deliver_event (the hot event
-        # path); rebuilt on (un)subscribe so delivery needn't copy the
-        # list per event just to guard against mutation mid-iteration.
-        self._subs_snapshot: tuple = ()
+        # topic -> subscribers' handlers in registration order (a tuple
+        # mid-delivery changes cannot touch); reset by (un)subscribe.
+        self._topic_subs: dict[str, tuple] = {}
+        self._child_sources: dict[int, _Source] = {}  # rank -> route
         self._inbox = session.network.open_port(
             self.node_id, session.port_key)
-        self._proc = None
         self.alive = True
         # Observability: every broker-level stat lives in a per-broker
         # MetricsRegistry so the `stats` comms module can snapshot and
@@ -238,6 +232,12 @@ class Broker:
         return self._c_dups_parked.value
 
     @property
+    def inbox_depth(self) -> int:
+        """Messages waiting in this broker's inbox behind the one
+        being (or about to be) dispatched."""
+        return len(self._inbox)
+
+    @property
     def span_tracer(self):
         """The session's span tracer (``None`` = tracing off)."""
         return self.session.span_tracer
@@ -297,8 +297,7 @@ class Broker:
 
     def start(self) -> None:
         """Begin consuming the node inbox and start loaded modules."""
-        self._proc = self.sim.spawn(self._main_loop(),
-                                    name=f"broker[{self.rank}]")
+        self._inbox.serve(self._on_inbox)
         for mod in list(self.modules.values()):
             mod.start()
 
@@ -307,44 +306,53 @@ class Broker:
         self.alive = False
         for mod in list(self.modules.values()):
             mod.shutdown()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("broker stop")
         self.network.close_port(self.node_id, self.session.port_key)
 
-    def _main_loop(self):
-        while True:
-            item = yield self._inbox.get()
-            plane, msg = item
-            depth = len(self._inbox._items)
-            self._h_inbox.observe(float(depth))
-            if depth > self.inbox_peak:
-                self.inbox_peak = depth
-            if not self.alive:
-                # A failed broker silently eats traffic (the network
-                # already drops fabric messages to it; this covers the
-                # loopback/IPC path) but keeps its loop parked so a
-                # later revive_rank() can bring it back.
-                continue
-            self._dispatch(plane, msg)
+    def _on_inbox(self, item: tuple) -> None:
+        """Dispatch one ``(plane, msg)`` fabric delivery."""
+        depth = self.inbox_depth
+        self._h_inbox.observe(float(depth))
+        if depth > self.inbox_peak:
+            self.inbox_peak = depth
+        if not self.alive:
+            # A failed or stopped broker silently eats traffic (the
+            # network already drops fabric messages to it; this covers
+            # the loopback/IPC path) but stays served, so a later
+            # revive_rank() brings it back.
+            return
+        plane, msg = item
+        if plane == PLANE_TREE:
+            if msg.mtype is _RESPONSE:
+                self._dispatch_response(msg)
+            elif msg.ctx is None:
+                self._route_request(msg, _ONEWAY)
+            else:
+                src = self._child_sources.get(msg.src_rank)
+                if src is None:
+                    src = self._child_sources[msg.src_rank] = _Source(
+                        "child", msg.src_rank)
+                self._route_request(msg, src)
+        elif plane == PLANE_RING:
+            self._dispatch_ring(msg)
+        else:
+            self._dispatch_event(plane, msg)
 
     # ------------------------------------------------------------------
     # plane-level sends
     # ------------------------------------------------------------------
     def _count(self, plane: str, msg: Message) -> None:
-        """Tally one message for the per-module/per-plane breakdown."""
-        if msg.mtype is MessageType.RESPONSE:
-            kind = "error" if msg.error is not None else "response"
-        else:
-            kind = _MTYPE_KIND[msg.mtype]
-        counts = self.msg_counts
+        """Tally one message for the per-module/per-plane breakdown
+        (``_value_``: ``Enum.value`` is a slow descriptor lookup)."""
+        kind = "error" if msg.error is not None else msg.mtype._value_
         st = _split_cache.get(msg.topic) or split_topic(msg.topic)
         key = (st[0], plane, kind)
+        counts = self.msg_counts
         counts[key] = counts.get(key, 0) + 1
 
     def _send(self, peer_rank: int, plane: str, msg: Message) -> None:
         msg.hops += 1
         self._count(plane, msg)
-        size = msg.size()
+        size = msg._size_cache or msg.size()
         pb = self.plane_bytes
         pb[plane] = pb.get(plane, 0) + size
         self._frec(self.sim.now, "send", plane, msg.topic, peer_rank)
@@ -364,49 +372,36 @@ class Broker:
             errnum=ETIMEDOUT, err_rank=self.rank)
 
     # ------------------------------------------------------------------
-    # inbound dispatch
+    # request path
     # ------------------------------------------------------------------
-    def _dispatch(self, plane: str, msg: Message) -> None:
-        if plane == PLANE_RING:
-            self._dispatch_ring(msg)
-        elif plane in (PLANE_EVENT_UP, PLANE_EVENT_DOWN):
-            self._dispatch_event(plane, msg)
-        elif msg.mtype == MessageType.RESPONSE:
-            self._dispatch_response(msg)
-        elif msg.ctx is None:
-            self._route_request(msg, _ONEWAY)
-        else:
-            self._route_request(msg, _Source("child", msg.src_rank))
-
-    # -- request path ---------------------------------------------------
-    def _dedup_key(self, msg: Message) -> Optional[tuple]:
-        """Idempotency key of a context-carrying request: the logical
-        request id plus the msgid (stable across every retransmission,
-        re-route and client retry of the same message, distinct across
-        the sub-requests a module chain issues under one reqid)."""
-        if msg.ctx is None:
-            return None
-        return (msg.ctx.reqid, msg.msgid, msg.topic)
-
     def _route_request(self, msg: Message, source: _Source) -> None:
         """Deliver to a local module or forward upstream (paper: requests
-        are routed upstream to the first matching comms module)."""
-        st = _split_cache.get(msg.topic) or split_topic(msg.topic)
+        are routed upstream to the first matching comms module).  The
+        replay key of a request with a context is its reqid, msgid and
+        topic: stable across every retransmission, re-route and client
+        retry of it, distinct across a module chain's sub-requests."""
+        topic = msg.topic
+        st = _split_cache.get(topic) or split_topic(topic)
         mod = self.modules.get(st[0])
         if mod is not None:
-            key = self._dedup_key(msg)
-            if key is not None and self._absorb_duplicate(mod.name, key,
-                                                          msg, source):
-                return
+            ctx = msg.ctx
+            if ctx is not None:
+                key = (ctx.reqid, msg.msgid, topic)
+                cache = self._replay.get(st[0])
+                if ((cache is not None and key in cache)
+                        or key in self._inflight):
+                    self._absorb_duplicate(st[0], key, msg, source)
+                    return
+                reqid = ctx.reqid
+            else:
+                key = reqid = None
             self._c_requests.value += 1
             self._count(PLANE_LOCAL, msg)
-            ctx = msg.ctx
             now = self.sim.now
-            self._frec(now, "dispatch", msg.topic,
-                       ctx.reqid if ctx is not None else None, source.kind)
-            msg._source = source  # type: ignore[attr-defined]
-            msg._broker = self    # type: ignore[attr-defined]
-            msg._obs_t0 = now     # type: ignore[attr-defined]
+            self._frec(now, "dispatch", topic, reqid, source.kind)
+            msg._source = source
+            msg._broker = self
+            msg._obs_t0 = now
             if (msg.span is not None
                     and (tr := self.session.span_tracer) is not None):
                 # Open the dispatch span and re-point the message's
@@ -449,17 +444,17 @@ class Broker:
         self._send(self.parent, PLANE_TREE, fwd)
 
     def _absorb_duplicate(self, mod_name: str, key: tuple, msg: Message,
-                          source: _Source) -> bool:
+                          source: _Source) -> None:
         """Serve a duplicate request from the replay cache, or park it
-        behind its still-in-flight original.  Returns True when ``msg``
-        was absorbed (the handler must not run again)."""
-        msg._source = source  # type: ignore[attr-defined]
-        msg._broker = self    # type: ignore[attr-defined]
+        behind its still-in-flight original (the handler must not run
+        again)."""
+        msg._source = source
+        msg._broker = self
         cache = self._replay.get(mod_name)
         if cache is not None:
-            hit = cache.get(key)
+            hit = cache.pop(key, None)
             if hit is not None:
-                cache.move_to_end(key)
+                cache[key] = hit  # most recently used
                 self._c_replay_hits.inc()
                 self._frec(self.sim.now, "replay", msg.topic, key[0], None)
                 tr = self.session.span_tracer
@@ -469,20 +464,15 @@ class Broker:
                 payload, error, errnum, err_rank = hit
                 self._emit_response(msg, msg.make_response(
                     payload, error=error, errnum=errnum, err_rank=err_rank))
-                return True
-        parked = self._inflight.get(key)
-        if parked is not None:
-            self._c_dups_parked.inc()
-            self._frec(self.sim.now, "dup_parked", msg.topic, key[0], None)
-            tr = self.session.span_tracer
-            if tr is not None:
-                tr.instant(msg.span, f"dup_parked:{msg.topic}", "retry",
-                           self.rank)
-            parked.append(msg)
-            if msg.ctx is not None:
-                self._kick_pending(msg.ctx)
-            return True
-        return False
+                return
+        self._c_dups_parked.inc()
+        self._frec(self.sim.now, "dup_parked", msg.topic, key[0], None)
+        tr = self.session.span_tracer
+        if tr is not None:
+            tr.instant(msg.span, f"dup_parked:{msg.topic}", "retry",
+                       self.rank)
+        self._inflight[key].append(msg)
+        self._kick_pending(msg.ctx)
 
     def _kick_pending(self, ctx: RequestContext) -> None:
         """Revive stalled upstream legs of a logical request.
@@ -501,7 +491,7 @@ class Broker:
                 continue
             if ctx.deadline is not None and (
                     ectx.deadline is None or ctx.deadline > ectx.deadline):
-                entry.msg.ctx = replace(ectx, deadline=ctx.deadline)
+                entry.msg.ctx = ectx._replace(deadline=ctx.deadline)
             entry.attempts = 0
             self._arm_retransmit(entry)
 
@@ -517,37 +507,40 @@ class Broker:
         """
         if request._source is _ONEWAY:
             return
+        topic = request.topic
         t0 = request._obs_t0
         if t0 is not None:
-            self._observe_service(request.topic, self.sim.now - t0)
-        if resp.error is not None:
-            self._frec(self.sim.now, "resp_error", request.topic,
+            self._observe_service(topic, self.sim.now - t0)
+        error = resp.error
+        if error is not None:
+            self._frec(self.sim.now, "resp_error", topic,
                        resp.errnum, resp.err_rank)
         tr = self.session.span_tracer
         if tr is not None:
             span = request._obs_span
             if span is not None:
-                if resp.error is not None:
+                if error is not None:
                     tr.finish(span, error=resp.errnum)
                 else:
                     tr.finish(span)
-        key = self._dedup_key(request)
-        if key is not None:
-            transient = (resp.error is not None
-                         and resp.errnum in RETRYABLE_CODES)
-            if not transient:
-                mod_name = request.module_name()
+        ctx = request.ctx
+        if ctx is not None:
+            key = (ctx.reqid, request.msgid, topic)
+            if error is None or resp.errnum not in RETRYABLE_CODES:
+                mod_name = (_split_cache.get(topic)
+                            or split_topic(topic))[0]
                 cache = self._replay.get(mod_name)
                 if cache is None:
-                    cache = self._replay[mod_name] = OrderedDict()
-                cache[key] = (resp.payload, resp.error, resp.errnum,
+                    cache = self._replay[mod_name] = {}
+                elif key in cache:
+                    del cache[key]
+                cache[key] = (resp.payload, error, resp.errnum,
                               resp.err_rank)
-                cache.move_to_end(key)
-                while len(cache) > REPLAY_CAP:
-                    cache.popitem(last=False)
+                if len(cache) > REPLAY_CAP:
+                    del cache[next(iter(cache))]
             for dup in self._inflight.pop(key, ()):
                 self._emit_response(dup, dup.make_response(
-                    resp.payload, error=resp.error, errnum=resp.errnum,
+                    resp.payload, error=error, errnum=resp.errnum,
                     err_rank=resp.err_rank))
         self._emit_response(request, resp)
 
@@ -564,7 +557,8 @@ class Broker:
         entry = self._pending.pop(msg.msgid, None)
         if entry is None:
             return  # response for a forgotten/failed request: drop
-        self._cancel_retransmit(entry)
+        if entry.timer is not None:
+            self._cancel_retransmit(entry)
         if entry.span is not None:
             tr = self.session.span_tracer
             if tr is not None:
@@ -653,12 +647,16 @@ class Broker:
         return entry.hop  # fixed neighbour
 
     def _send_response(self, source: _Source, resp: Message) -> None:
-        if source.kind == "child":
+        kind = source.kind
+        if kind == "child":
             self._send(source.target, PLANE_TREE, resp)
-        elif source.kind == "client":
+        elif kind == "callback":
+            self._count(PLANE_LOCAL, resp)
+            source.target(resp)
+        elif kind == "client":
             self._count(PLANE_IPC, resp)
             source.target._deliver_response(resp)
-        elif source.kind == "local":
+        elif kind == "local":
             self._count(PLANE_LOCAL, resp)
             ev: Event = source.target
             if not ev.triggered:
@@ -667,27 +665,19 @@ class Broker:
                                      code=resp.errnum, rank=resp.err_rank))
                 else:
                     ev.succeed(resp.payload)
-        elif source.kind == "callback":
-            self._count(PLANE_LOCAL, resp)
-            source.target(resp)
         else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown source kind {source.kind}")
+            raise AssertionError(f"unknown source kind {kind}")
 
     # -- event path -------------------------------------------------------
     def _dispatch_event(self, plane: str, msg: Message) -> None:
-        if plane == PLANE_EVENT_UP:
-            if self.parent is None:
-                self._flood_event(msg)
-            else:
-                self._send(self.parent, PLANE_EVENT_UP, msg)
-            return
-        # EVENT_DOWN: deliver locally, then keep flooding to children.
-        self._deliver_event(msg)
-        for child in self.children:
-            self._send(child, PLANE_EVENT_DOWN, msg)
+        if plane == PLANE_EVENT_UP and self.parent is not None:
+            self._send(self.parent, PLANE_EVENT_UP, msg)
+        else:  # the root injects an event, or it floods on down
+            self._flood_event(msg)
 
     def _flood_event(self, msg: Message) -> None:
-        """Root only: inject the event into the downward flood."""
+        """Deliver the event here and flood it on to the children (the
+        root injects every event into the downward flood this way)."""
         self._deliver_event(msg)
         for child in self.children:
             self._send(child, PLANE_EVENT_DOWN, msg)
@@ -703,9 +693,12 @@ class Broker:
                 tr.instant(msg.span, f"event:{msg.topic}", "event",
                            self.rank)
         topic = msg.topic
-        for prefix, fn in self._subs_snapshot:
-            if topic.startswith(prefix):
-                fn(msg)
+        fns = self._topic_subs.get(topic)
+        if fns is None:
+            fns = self._topic_subs[topic] = tuple(
+                fn for prefix, fn in self._subs if topic.startswith(prefix))
+        for fn in fns:
+            fn(msg)
 
     # -- neighbour-addressed module hops ----------------------------------
     def rpc_hop_cb(self, peer_rank: int, topic: str, payload: dict,
@@ -722,11 +715,8 @@ class Broker:
         tracing context, so the hop appears in the caller's trace;
         ``payload_size`` pre-seeds the wire-size cache when the caller
         already knows the payload's canonical byte size."""
-        msg = Message(topic=topic, payload=payload, src_rank=self.rank,
-                      ctx=ctx, span=span)
-        if payload_size is not None:
-            msg._size_cache = HEADER_BYTES + payload_size
-        msg.ensure_context(origin_rank=self.rank)
+        msg = Message.request(topic, payload, self.rank, ctx=ctx,
+                              span=span, payload_size=payload_size)
         self._register_pending(_Source("callback", callback), msg,
                                PLANE_TREE, peer_rank, "fixed")
         self._send(peer_rank, PLANE_TREE, msg)
@@ -784,9 +774,8 @@ class Broker:
                span: Optional[tuple] = None) -> Event:
         """Module/local RPC routed upstream; returns a result event."""
         ev = self.sim.event(name=("rpc:%s", topic))
-        msg = Message(topic=topic, payload=payload, src_rank=self.rank,
-                      span=span)
-        msg.ensure_context(origin_rank=self.rank, deadline=deadline)
+        msg = Message.request(topic, payload, self.rank, span=span,
+                              deadline=deadline)
         self._route_request(msg, _Source("local", ev))
         return ev
 
@@ -796,9 +785,7 @@ class Broker:
                   span: Optional[tuple] = None) -> None:
         """Like :meth:`rpc_up` but delivers the raw response to a
         callback — used by modules aggregating many child requests."""
-        msg = Message(topic=topic, payload=payload, src_rank=self.rank,
-                      ctx=ctx, span=span)
-        msg.ensure_context(origin_rank=self.rank)
+        msg = Message.request(topic, payload, self.rank, ctx=ctx, span=span)
         self._route_request(msg, _Source("callback", callback))
 
     def rpc_parent_cb(self, topic: str, payload: dict,
@@ -818,11 +805,8 @@ class Broker:
         if self.parent is None:
             raise RpcError(topic, "root has no parent",
                            code=EHOSTUNREACH, rank=self.rank)
-        msg = Message(topic=topic, payload=payload, src_rank=self.rank,
-                      ctx=ctx, span=span)
-        if payload_size is not None:
-            msg._size_cache = HEADER_BYTES + payload_size
-        msg.ensure_context(origin_rank=self.rank)
+        msg = Message.request(topic, payload, self.rank, ctx=ctx,
+                              span=span, payload_size=payload_size)
         self._register_pending(_Source("callback", callback), msg,
                                PLANE_TREE, self.parent, "parent")
         self._send(self.parent, PLANE_TREE, msg)
@@ -883,12 +867,12 @@ class Broker:
     def subscribe(self, prefix: str, fn: Callable[[Message], None]) -> None:
         """Register ``fn`` for events whose topic starts with ``prefix``."""
         self._subs.append((prefix, fn))
-        self._subs_snapshot = tuple(self._subs)
+        self._topic_subs.clear()
 
     def unsubscribe(self, prefix: str, fn: Callable[[Message], None]) -> None:
         """Remove a previously registered subscription."""
         self._subs.remove((prefix, fn))
-        self._subs_snapshot = tuple(self._subs)
+        self._topic_subs.clear()
 
     def nic_free_at(self) -> float:
         """Simulated time at which this node's NIC has serialized every

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..jsonutil import canonical_size
 from .errors import EPROTO
@@ -33,8 +33,7 @@ HEADER_BYTES = 64
 _msg_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class RequestContext:
+class RequestContext(NamedTuple):
     """Request-scoped metadata carried in the header frame.
 
     A context is attached where a request *originates* (a client
@@ -57,7 +56,7 @@ class RequestContext:
 
     The per-message hop count lives in :attr:`Message.hops` (it is a
     property of the message's path, not of the logical request) but is
-    part of the same fixed-size header frame.
+    part of the same fixed-size header frame (immutable: see ``_replace``).
     """
 
     reqid: int
@@ -78,6 +77,8 @@ class MessageType(Enum):
     EVENT = "event"        # published session-wide on the event plane
     RING = "ring"          # rank-addressed request on the ring overlay
 
+
+_REQUEST, _RESPONSE = MessageType.REQUEST, MessageType.RESPONSE
 
 #: Memoized topic splits.  Sessions use a small fixed topic vocabulary
 #: (module registries plus a handful of per-namespace heads), but
@@ -172,6 +173,29 @@ class Message:
                                      compare=False)
     _obs_span: Any = field(default=None, repr=False, compare=False)
 
+    @staticmethod
+    def request(topic: str, payload: dict, src_rank: int,
+                ctx: Optional[RequestContext] = None,
+                span: Optional[tuple] = None,
+                deadline: Optional[float] = None,
+                payload_size: Optional[int] = None) -> "Message":
+        """A REQUEST from ``src_rank`` carrying ``ctx`` (else a fresh
+        context with ``deadline``), built by slot assignment, which is
+        cheaper than the generated ``__init__``; ``payload_size``
+        pre-seeds the wire size."""
+        new = Message.__new__(Message)
+        new.topic, new.payload, new.hops = topic, payload, 0
+        new.mtype, new.span = _REQUEST, span
+        new.msgid = msgid = next(_msg_ids)
+        new.src_rank, new.dst_rank, new.err_rank = src_rank, -1, -1
+        new.error = new.errnum = new._source = new._broker = None
+        new._obs_t0 = new._obs_span = None
+        new.ctx = (ctx if ctx is not None
+                   else RequestContext(msgid, src_rank, deadline))
+        new._size_cache = (None if payload_size is None
+                           else HEADER_BYTES + payload_size)
+        return new
+
     def size(self) -> int:
         """Wire size in bytes: fixed header + canonical JSON payload."""
         if self._size_cache is None:
@@ -217,7 +241,7 @@ class Message:
             err_rank = -1
         new = Message.__new__(Message)
         new.topic = self.topic
-        new.mtype = MessageType.RESPONSE
+        new.mtype = _RESPONSE
         new.payload = payload if payload is not None else {}
         new.msgid = self.msgid
         new.src_rank = self.src_rank

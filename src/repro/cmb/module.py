@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import EINVAL, ENOSYS
-from .message import Message
+from .message import Message, _split_cache, split_topic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .broker import Broker
@@ -152,7 +152,8 @@ class CommsModule:
         are answered with a structured ``EINVAL`` error instead of
         reaching the handler body.
         """
-        method = msg.method_name() or "default"
+        st = _split_cache.get(msg.topic) or split_topic(msg.topic)
+        method = st[1] or "default"
         # Existence check against the declarative handler registry —
         # the same per-class table repro.cmb.modules.request_registry()
         # exports to the static analysis layer, so a topic the linter

@@ -143,7 +143,7 @@ class HealthModule(CommsModule):
     def local_sample(self) -> dict:
         """This broker's vitals right now (deltas since last epoch)."""
         b = self.broker
-        depth = len(b._inbox._items)
+        depth = b.inbox_depth
         peak, b.inbox_peak = max(b.inbox_peak, depth), 0
         d_rt = b.retransmits - self._base["retransmits"]
         d_rr = b.reroutes - self._base["reroutes"]

@@ -148,7 +148,7 @@ class KvsClient:
         """``kvs_get``: fires with the value (faulting objects in as
         needed), or fails with RpcError for a missing key."""
         ev = self._rpc("kvs.get", {"key": key}, timeout=timeout)
-        out = self.handle.sim.event(name=f"kvs-get:{key}")
+        out = self.handle.sim.event(name=("kvs-get:%s", key))
 
         def done(e: Event) -> None:
             if not e.ok:

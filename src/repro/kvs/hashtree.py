@@ -53,7 +53,7 @@ class KvsPathError(KeyError):
 def split_key(key: str) -> list[str]:
     """Split ``"a.b.c"`` into components, validating non-emptiness."""
     parts = key.split(".")
-    if not key or any(not p for p in parts):
+    if not key or "" in parts:
         raise KvsPathError(f"malformed key {key!r}")
     return parts
 

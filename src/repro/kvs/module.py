@@ -345,10 +345,6 @@ class KvsModule(CommsModule):
                                       ns=self.name)
         self._h_fence_wait = reg.histogram("kvs_fence_wait_seconds",
                                            ns=self.name)
-        # Pre-rendered process name for the per-get proc spawned on
-        # every read (req_get is the hottest handler in KAP's consume
-        # phase; the f-string per call showed up in profiles).
-        self._getproc_name = "kvs-get[%d]" % self.rank
 
     def _san(self):
         """The session's sanitizer hub, or ``None`` when disabled.
@@ -401,7 +397,7 @@ class KvsModule(CommsModule):
         if hop is None:
             # E.g. the acting overlay root during a root-death window:
             # synthesize a retryable failure instead of raising into the
-            # broker main loop; the client retries once a new master is
+            # broker's dispatch; the client retries once a new master is
             # elected.
             self._unreachable(callback)
         elif self._failed_over:
@@ -2097,33 +2093,38 @@ class KvsModule(CommsModule):
             if pfx is not None:
                 self._delegated_get(msg, pfx, self.owners[pfx])
                 return
-        self.broker.sim.spawn(self._get_proc(msg),
-                              name=self._getproc_name)
+        self._get_proc(msg)
 
-    def _get_proc(self, msg: Message, allow_walk: bool = True):
+    def _get_proc(self, msg: Message, allow_walk: bool = True) -> None:
+        """Resolve the read ``msg`` from the current root."""
+        self._get_step(msg, allow_walk, self.root_sha, None, 0, None)
+
+    def _get_step(self, msg: Message, allow_walk: bool, root: str,
+                  sha: Optional[str], i: int, obj: Optional[dict]) -> None:
+        """Resolve ``msg`` from ``root``, or resume at depth ``i`` with
+        ``obj``, which a fault brought in as ``sha`` (``None``: lost).  A
+        miss walks remotely or resumes here from the fault's event."""
         key = msg.payload["key"]
         want_ref = msg.payload.get("ref", False)
-        root = self.root_sha
         try:
-            parts = split_key(key)
-            kind, i, sha, obj = resolve(self._obj_get, root, parts, want_ref)
-            while kind == "miss":
-                if self.dedup and allow_walk and self.master is None:
-                    # Walk-path cold read: ship the walk to the data
-                    # instead of faulting whole directories down the
-                    # tree (the Figure 4a effect).
-                    self._walk_remote(msg, key, want_ref, root)
-                    return
-                obj = yield self._fault(sha, ctx=msg.ctx, span=msg.span)
-                if obj is None:
-                    raise KvsPathError(f"object {sha} lost in transit",
-                                       code=EIO)
-                kind, i, sha, obj = resolve(self._obj_get, sha, parts,
-                                            want_ref, i, obj)
+            if sha is not None and obj is None:
+                raise KvsPathError(f"object {sha} lost in transit", code=EIO)
+            kind, i, sha, obj = resolve(self._obj_get, sha or root,
+                                        split_key(key), want_ref, i, obj)
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
-        if kind == "link":
+        if kind == "miss":
+            if self.dedup and allow_walk and self.master is None:
+                # Walk-path cold read: ship the walk to the data instead
+                # of faulting whole directories down the tree (the
+                # Figure 4a effect).
+                self._walk_remote(msg, key, want_ref, root)
+            else:
+                self._fault(sha, ctx=msg.ctx, span=msg.span).add_callback(
+                    lambda ev: self._get_step(msg, allow_walk, root, sha,
+                                              i, ev._value))
+        elif kind == "link":
             # Ownership link: the rest of the walk belongs to a
             # delegated namespace (this rank's owner table was stale, or
             # the key was read through the root tree).
@@ -2160,9 +2161,11 @@ class KvsModule(CommsModule):
             return
         self._loads[sha] = [fn]
         self.cache.stats.faults += 1
+        # {"sha": "<id>"}: 10 framing bytes and an id with no escapes.
+        size = 10 + len(sha) if sha.isascii() and sha.isalnum() else None
         self._toward_master_cb("kvs.load", {"sha": sha},
                                lambda resp: self._fetch_done(sha, resp),
-                               ctx=ctx, span=span)
+                               ctx=ctx, span=span, payload_size=size)
 
     def _fetch_done(self, sha: str, resp: Message) -> None:
         obj = None
@@ -2219,8 +2222,7 @@ class KvsModule(CommsModule):
             elif "link" in r:
                 # The walk crossed into a delegated namespace; the
                 # legacy fault-in path re-routes through link objects.
-                self.broker.sim.spawn(self._get_proc(msg, False),
-                                      name=self._getproc_name)
+                self._get_proc(msg, False)
             else:
                 self.respond(msg, r)
 

@@ -64,7 +64,7 @@ def capture_bundle(session, reason: str, kind: str = "",
             "alive": broker.alive,
             "parent": broker.parent,
             "children": list(broker.children),
-            "inbox_depth": len(broker._inbox._items),
+            "inbox_depth": broker.inbox_depth,
             "inbox_peak": broker.inbox_peak,
             "flight": broker.flight.snapshot(),
             "pending": broker.pending_census(),

@@ -50,6 +50,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Channel",
+    "Port",
     "AllOf",
     "AnyOf",
     "Interrupt",
@@ -430,6 +431,48 @@ class Channel:
     def peek_all(self) -> list[Any]:
         """Snapshot of queued items (for inspection/testing)."""
         return list(self._items)
+
+
+class Port(Channel):
+    """A channel that, once :meth:`serve` names a consumer, hands it
+    each item through one kernel event, ``get:<name>``, scheduled where
+    a process looping on :meth:`Channel.get` schedules its get: when a
+    put finds the port idle, and when the consumer returns with items
+    still queued.  The item rides that event, so ``len()`` counts what
+    such a loop would find queued."""
+
+    __slots__ = ("_consumer", "_busy")
+
+    def __init__(self, sim: "Simulation", name: str = ""):
+        super().__init__(sim, name)
+        self._consumer: Optional[Callable[[Any], None]] = None
+        self._busy = False
+
+    def serve(self, consumer: Callable[[Any], None]) -> None:
+        """Hand every item, queued ones first, to ``consumer``."""
+        self._consumer = consumer
+        if self._items and not self._busy:
+            self._arm(self._items.popleft())
+
+    def put(self, item: Any) -> None:
+        if self._consumer is None:
+            Channel.put(self, item)
+        elif self._busy:
+            self._items.append(item)
+        else:
+            self._arm(item)
+
+    def _arm(self, item: Any) -> None:
+        self._busy = True
+        ev = Event(self.sim, ("get:%s", self.name))
+        ev._cb1 = self._hand_over
+        ev.succeed(item)
+
+    def _hand_over(self, ev: Event) -> None:
+        self._consumer(ev._value)
+        self._busy = False
+        if self._items:
+            self._arm(self._items.popleft())
 
 
 class AllOf(Event):

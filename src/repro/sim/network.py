@@ -7,7 +7,7 @@ message sizes, and overlay-tree depth, so we use a LogGP-flavoured model:
 - sending a message serializes on the sender's NIC
   (``size / bandwidth`` seconds, FIFO), then takes ``latency`` seconds
   of wire time to arrive;
-- delivery enqueues the message into the destination's inbox channel.
+- delivery puts the message into the destination's inbox port.
 
 Intra-node hops (an external program talking to its local broker over
 the "UNIX domain socket") use a cheap FIFO :class:`IpcLink` with its
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .kernel import Channel, Simulation, Timeout
+from .kernel import Port, Simulation, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .faults import FaultPlan
@@ -119,7 +119,7 @@ class IpcLink:
 class Network:
     """Registry of nodes and the delivery fabric between them.
 
-    Endpoints register an inbox :class:`Channel` under an integer node
+    Endpoints register an inbox :class:`Port` under an integer node
     id.  :meth:`send` charges the cost model and schedules delivery; a
     message addressed to a failed (deregistered) node is counted as
     dropped and optionally reported to ``drop_hook``.
@@ -136,7 +136,7 @@ class Network:
         # (node_id, port_key) -> inbox.  Multiple comms sessions coexist
         # on one node (the paper's per-job overlay networks); they share
         # the node's NIC but each owns a distinct port.
-        self._inboxes: dict[tuple[int, Any], Channel] = {}
+        self._inboxes: dict[tuple[int, Any], Port] = {}
         self._alive: dict[int, bool] = {}
         self.dropped: int = 0
         self.delivered: int = 0
@@ -154,9 +154,9 @@ class Network:
         self.sanitizers: Optional[Any] = None
 
     # -- membership -----------------------------------------------------
-    def register(self, node_id: int) -> Channel:
+    def register(self, node_id: int) -> Port:
         """Attach ``node_id`` to the fabric (NIC + default port);
-        returns the default inbox channel."""
+        returns the default inbox port."""
         if node_id in self._nics:
             raise ValueError(f"node {node_id} already registered")
         self._nics[node_id] = Nic(self.sim, self.params)
@@ -164,7 +164,7 @@ class Network:
         self._alive[node_id] = True
         return self.open_port(node_id, self.DEFAULT_PORT)
 
-    def open_port(self, node_id: int, port_key: Any) -> Channel:
+    def open_port(self, node_id: int, port_key: Any) -> Port:
         """Open an additional named inbox on a registered node — one
         per comms session, so nested Flux jobs each get their own
         overlay endpoints over the shared NIC."""
@@ -174,7 +174,7 @@ class Network:
         if slot in self._inboxes:
             raise ValueError(f"port {port_key!r} already open on "
                              f"node {node_id}")
-        inbox = self.sim.channel(name=f"inbox:{node_id}:{port_key}")
+        inbox = Port(self.sim, name=f"inbox:{node_id}:{port_key}")
         self._inboxes[slot] = inbox
         return inbox
 
@@ -182,8 +182,8 @@ class Network:
         """Close a session port (future traffic to it is dropped)."""
         self._inboxes.pop((node_id, port_key), None)
 
-    def inbox(self, node_id: int, port_key: Any = DEFAULT_PORT) -> Channel:
-        """The inbox channel of ``node_id`` on ``port_key``."""
+    def inbox(self, node_id: int, port_key: Any = DEFAULT_PORT) -> Port:
+        """The inbox port of ``node_id`` on ``port_key``."""
         return self._inboxes[(node_id, port_key)]
 
     def nic(self, node_id: int) -> Nic:

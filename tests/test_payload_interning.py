@@ -24,10 +24,11 @@ from repro.kap import KapConfig, run_kap
 from .chaos import run_chaos_workload
 from .conftest import _spy_on_sends
 
-#: Re-pinned three times (barrier tallies leave when the subtree is
+#: Re-pinned four times (barrier tallies leave when the subtree is
 #: complete; reductions without acknowledgements on the fault-free path;
-#: self-clocked fence relay).
-GOLDEN_KAP_256 = "0f017446c4a35433640bef3ed28f01053a6b5d81"
+#: self-clocked fence relay; the callback request hop, which deletes
+#: each broker's and each ``kvs.get``'s process bookkeeping events).
+GOLDEN_KAP_256 = "e87c23375b7a98a8dd30dfec6bd273656b1bb4b9"
 
 
 @pytest.fixture(autouse=True)
