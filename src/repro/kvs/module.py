@@ -251,10 +251,16 @@ class KvsModule(CommsModule):
         self._fences: dict[str, _FenceAgg] = {}
         self._loads: dict[str, list[Callable[[Optional[dict]], None]]] = {}
         self._version_waiters: list[tuple[int, Message]] = []
-        #: Recently completed fences (name -> (version, root sha)),
-        #: a bounded LRU gossiped to children so a fence-completion
+        #: Recently completed fences (name -> (version, root sha, tag)),
+        #: a bounded LRU pulled by children so a fence-completion
         #: setroot event lost in transit cannot strand held waiters.
-        self._completed: "OrderedDict[str, tuple[int, str]]" = OrderedDict()
+        #: The tag is ``_completed_seq`` when the entry last changed, so
+        #: the LRU is in tag order and a pull gets only newer entries.
+        self._completed: "OrderedDict[str, tuple[int, str, int]]" = (
+            OrderedDict())
+        self._completed_seq = 0
+        #: ``[rank, seq]`` of the last pull reply that carried entries.
+        self._sync_tag: list = []
         self._sync_busy = False
         self._sync_at = -1.0
         # ---- multi-master extension (all inert when unconfigured) ----
@@ -726,7 +732,7 @@ class KvsModule(CommsModule):
             "rootref": self.master.root_sha,
             "objs": self.master.reachable_objects(),
             "completed": {n: [v, r]
-                          for n, (v, r) in self._completed.items()}})
+                          for n, (v, r, _t) in self._completed.items()}})
 
     def _on_replsync(self, resp: Message) -> None:
         self._repl_sync_busy = False
@@ -1866,9 +1872,16 @@ class KvsModule(CommsModule):
 
     def _record_completed(self, name: str, version: int,
                           root_sha: str) -> None:
+        """Record a completed fence.  Only a new or changed entry takes
+        the next tag and writes a flight record: re-learning a known
+        completion is a no-op."""
+        cur = self._completed.get(name)
+        if cur is not None and cur[0] == version and cur[1] == root_sha:
+            return
         self.broker._frec(self.broker.sim.now, "kvs_commit",
                           name, version, None)
-        self._completed[name] = (version, root_sha)
+        self._completed_seq += 1
+        self._completed[name] = (version, root_sha, self._completed_seq)
         self._completed.move_to_end(name)
         while len(self._completed) > _COMPLETED_CAP:
             self._completed.popitem(last=False)
@@ -1949,8 +1962,9 @@ class KvsModule(CommsModule):
             self._resync_root()
 
     def _resync_root(self) -> None:
-        """Pull the parent's root + completed-fence digest (one level
-        of anti-entropy; chained pulses converge the whole tree)."""
+        """Pull what the parent has and this rank lacks: a newer root
+        and the fences completed since ``_sync_tag`` (one level of
+        anti-entropy; chained pulses converge the whole tree)."""
         now = self.broker.sim.now
         if self.master is not None or (self.broker.parent is None
                                        and not self._failed_over):
@@ -1969,12 +1983,18 @@ class KvsModule(CommsModule):
             if resp.error is None:
                 self._ingest_sync(resp.payload)
 
-        self._toward_master_cb("kvs.getroot", {"fences": True},
+        self._toward_master_cb("kvs.getroot",
+                               {"since": [self.version, *self._sync_tag]},
                                done)
 
     def _ingest_sync(self, p: dict) -> None:
         if p.get("version", 0) > self.version:
             self._local_setroot_event(p["version"], p["rootref"])
+        if "ctag" in p:
+            self._sync_tag = p["ctag"]
+        # Entries are never re-sent once the tag covers them: this
+        # rank's version is already at least their ``ver``, so an
+        # aggregate created since could not be released by them.
         for name in sorted(p.get("completed", {})):
             ver, root = p["completed"][name]
             self._record_completed(name, ver, root)
@@ -2072,13 +2092,31 @@ class KvsModule(CommsModule):
         san = self._san()
         if san is not None:
             san.kvs_read(self.name, self.rank, self.version)
-        out: dict[str, Any] = {"version": self.version,
-                               "rootref": self.root_sha}
-        if msg.payload.get("fences"):
-            # Anti-entropy digest for a resyncing child: which fences
-            # completed recently (and at what version).
-            out["completed"] = {n: [v, r]
-                                for n, (v, r) in self._completed.items()}
+        since = msg.payload.get("since")
+        if since is None:
+            self.respond(msg, {"version": self.version,
+                               "rootref": self.root_sha})
+            return
+        if (type(since) is not list or len(since) not in (1, 3)
+                or set(map(type, since)) != {int}):
+            self.respond(msg, error="since is not [version] or "
+                         "[version, rank, seq]", code=EINVAL)
+            return
+        # Anti-entropy pull from a child holding ``[version, rank,
+        # seq]`` (``[version]`` before its first digest): answer only
+        # what it lacks — ``{}`` when nothing changed.  A tag naming
+        # another rank (re-parented, failed over) gets the whole map.
+        out: dict[str, Any] = {}
+        if self.version > since[0]:
+            out["version"] = self.version
+            out["rootref"] = self.root_sha
+        rank = self.broker.rank
+        tag = [rank, self._completed_seq]
+        if since[1:] != tag:
+            after = since[2] if since[1:2] == [rank] else 0
+            out["ctag"] = tag
+            out["completed"] = {n: [v, r] for n, (v, r, t)
+                                in self._completed.items() if t > after}
         self.respond(msg, out)
 
     # ------------------------------------------------------------------

@@ -31,8 +31,22 @@ from repro.kvs import KvsClient
 from repro.obs.postmortem import capture_bundle, write_bundle
 from repro.sim import FaultPlan
 
-__all__ = ["ChaosReport", "JobChaosReport", "run_chaos_workload",
-           "run_job_chaos_workload"]
+__all__ = ["ChaosReport", "JobChaosReport", "anti_entropy_misses",
+           "run_chaos_workload", "run_job_chaos_workload"]
+
+
+def anti_entropy_misses(session) -> list[tuple[int, str]]:
+    """``(rank, fence)`` for every aggregate a live non-master rank
+    still holds although the live master records that fence completed
+    at a version above the aggregate's ``created_version`` — a
+    completion the per-pulse ``kvs.getroot`` pull failed to carry
+    down.  Reads every rank: a harness check, not a protocol step."""
+    live = [b.modules["kvs"] for b in session.brokers if b.alive]
+    done = {name: entry[0] for kvs in live if kvs.master is not None
+            for name, entry in kvs._completed.items()}
+    return [(kvs.rank, name) for kvs in live if kvs.master is None
+            for name, agg in sorted(kvs._fences.items())
+            if done.get(name, -1) > agg.created_version]
 
 
 def _maybe_postmortem(session, *, kind: str, out: Optional[str],
@@ -78,6 +92,8 @@ class ChaosReport:
     event_fingerprint: str = ""
     #: Post-mortem bundle written for this run ("" = none).
     postmortem_path: str = ""
+    #: :func:`anti_entropy_misses` after the workload settled.
+    anti_entropy_misses: list = field(default_factory=list)
 
     @property
     def retry_amplification(self) -> float:
@@ -232,6 +248,7 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
             hung += len(kvs_mod._fence_deferred)
     for handle in handles:
         hung += len(handle._waiters)
+    misses = anti_entropy_misses(session)
 
     client_retries = sum(h.retries for h in handles)
     client_rpcs = n_clients * (n_iters * 3 + 2)
@@ -324,7 +341,7 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
         sanitizer_findings=(list(session.sanitizers.finish())
                             if sanitize else []),
         event_fingerprint=fingerprint.digest() if sanitize else "",
-        postmortem_path=postmortem_path)
+        postmortem_path=postmortem_path, anti_entropy_misses=misses)
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +374,8 @@ class JobChaosReport:
     event_fingerprint: str = ""
     #: Post-mortem bundle written for this run ("" = none).
     postmortem_path: str = ""
+    #: :func:`anti_entropy_misses` after the workload settled.
+    anti_entropy_misses: list = field(default_factory=list)
 
     @property
     def retry_amplification(self) -> float:
@@ -514,6 +533,7 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
             hung += len(kvs_mod._fence_deferred)
     for handle in handles:
         hung += len(handle._waiters)
+    misses = anti_entropy_misses(session)
 
     triggers = []
     if errors:
@@ -585,4 +605,4 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
         sanitizer_findings=(list(session.sanitizers.finish())
                             if sanitize else []),
         event_fingerprint=fingerprint.digest() if sanitize else "",
-        postmortem_path=postmortem_path)
+        postmortem_path=postmortem_path, anti_entropy_misses=misses)

@@ -338,6 +338,7 @@ def test_chaos_loss_and_interior_kill_converges():
     assert report.hung_waiters == 0
     assert report.reads_failed == 0
     assert report.reads_verified == 16 * 3   # 2 fences + 1 commit each
+    assert report.anti_entropy_misses == []
 
 
 def test_chaos_dup_and_delay_converges():
@@ -349,6 +350,7 @@ def test_chaos_dup_and_delay_converges():
     assert report.converged, report.errors
     assert report.fault_stats["dups"] > 0
     assert report.fault_stats["delays"] > 0
+    assert report.anti_entropy_misses == []
 
 
 def test_chaos_kill_root_mid_fence_converges():
@@ -369,6 +371,7 @@ def test_chaos_kill_root_mid_fence_converges():
     assert report.hung_waiters == 0
     assert report.sanitizer_findings == []
     assert report.reads_verified == 8 * 3   # 2 fences + 1 commit each
+    assert report.anti_entropy_misses == []
 
 
 def test_chaos_harness_fault_free_baseline():

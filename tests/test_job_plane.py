@@ -44,6 +44,7 @@ class TestJobChaosAcceptance:
         assert rep.respawns >= 1          # the victim hosted tasks
         assert rep.hung_waiters == 0
         assert rep.sanitizer_findings == []
+        assert rep.anti_entropy_misses == []
 
     def test_root_kill_converges(self):
         """Kill rank 0 mid-job: the acting root takes over the
@@ -57,6 +58,7 @@ class TestJobChaosAcceptance:
         assert rep.completed and rep.exactly_once
         assert rep.stdout_failed == 0 and rep.stdout_verified == 24
         assert rep.sanitizer_findings == []
+        assert rep.anti_entropy_misses == []
 
     def test_retry_budget_exhaustion_fails_not_hangs(self):
         """A task whose respawn budget runs out drives the job to a

@@ -80,15 +80,17 @@ GOLDEN_KAP = {
     ),
 }
 
-#: Re-pinned three times: the live watchdog armed with or without a
+#: Re-pinned four times: the live watchdog armed with or without a
 #: fault plan, then the heartbeat (not the plan) selecting the hardened
 #: protocol — ``kvs.getroot`` replies lost their fence-epoch field, and
 #: gossip and retransmission timers keep running through the clean-
-#: fabric verify pass — then the callback request hop (see above).
-#: Each time ``converged``, the verified reads and the makespan did not
-#: move.
+#: fabric verify pass — then the callback request hop (see above), then
+#: the tagged, delta anti-entropy pull: a pulse's ``kvs.getroot`` sends
+#: ``since`` and gets only what the child lacks (``{}`` when idle), so
+#: message sizes, and with them the fault schedule, changed.  Each time
+#: ``converged``, the verified reads and the makespan did not move.
 GOLDEN_CHAOS = dict(
-    fingerprint="71f4b1094c04896ba79fa1d0328c254c18b25347",
+    fingerprint="529df97411c9ac92bb651e6a9a5c7244dc910ba2",
     converged=True, reads_verified=16,
     makespan=0.00015684556249999991)
 
