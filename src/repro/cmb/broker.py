@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..obs import DEFAULT_SIZE_LADDER, FlightRecorder, MetricsRegistry
+from ..obs import (DEFAULT_SIZE_LADDER, FlightRecorder, Histogram,
+                   MetricsRegistry)
 from ..sim.kernel import Event, Simulation, Timeout
 from .errors import (EHOSTUNREACH, ENOSYS, ETIMEDOUT, RETRYABLE_CODES,
                      RpcError)
@@ -187,8 +188,12 @@ class Broker:
         self.msg_counts: dict[tuple[str, str, str], int] = reg.counter_vec(
             "cmb_messages_total", ("module", "plane", "kind")).data
         #: Inbox backlog observed at each dispatch (per-hop queue depth).
+        #: Most deliveries find the inbox empty; those only bump
+        #: ``_inbox_idle``, which :meth:`inbox_histogram` folds in
+        #: before anything reads the histogram.
         self._h_inbox = reg.histogram("broker_inbox_depth",
                                       bounds=DEFAULT_SIZE_LADDER)
+        self._inbox_idle = 0
         #: Service-time histograms keyed by topic (lazy; labels are
         #: (module, method) in the registry).
         self._svc_hist: dict[str, Any] = {}
@@ -242,11 +247,20 @@ class Broker:
         """The session's span tracer (``None`` = tracing off)."""
         return self.session.span_tracer
 
+    def inbox_histogram(self) -> Histogram:
+        """The ``broker_inbox_depth`` histogram, complete: the
+        deliveries that found the inbox empty are folded in first."""
+        if self._inbox_idle:
+            self._h_inbox.observe_zeros(self._inbox_idle)
+            self._inbox_idle = 0
+        return self._h_inbox
+
     def metrics_snapshot(self) -> dict:
         """Snapshot this broker's metrics registry, after giving every
         loaded module the chance to sync its internal counters in."""
         for mod in list(self.modules.values()):
             mod.sync_metrics()
+        self.inbox_histogram()
         return self.registry.snapshot()
 
     def pending_census(self) -> list:
@@ -310,10 +324,13 @@ class Broker:
 
     def _on_inbox(self, item: tuple) -> None:
         """Dispatch one ``(plane, msg)`` fabric delivery."""
-        depth = self.inbox_depth
-        self._h_inbox.observe(float(depth))
-        if depth > self.inbox_peak:
-            self.inbox_peak = depth
+        depth = len(self._inbox)
+        if depth:
+            self._h_inbox.observe(float(depth))
+            if depth > self.inbox_peak:
+                self.inbox_peak = depth
+        else:
+            self._inbox_idle += 1
         if not self.alive:
             # A failed or stopped broker silently eats traffic (the
             # network already drops fabric messages to it; this covers

@@ -47,7 +47,7 @@ def registry_samplers() -> dict[str, Callable]:
         "stats.retransmits":
             lambda broker: float(broker.retransmits),
         "stats.inbox_p95":
-            lambda broker: broker._h_inbox.quantile(0.95),
+            lambda broker: broker.inbox_histogram().quantile(0.95),
     }
 
 

@@ -6,10 +6,10 @@ past* of every broker is exactly what the post-mortem needs.  The
 :class:`FlightRecorder` squares that: a fixed-capacity ring buffer of
 compact structured records that stays on **always** — tracing off,
 sanitizers off, benchmarks included — because an append is O(1) and
-allocates a single small tuple, comparable to the per-message counter
-update the broker already pays.
+allocates no object per record: it is five stores into columns,
+comparable to the per-message counter update the broker already pays.
 
-Records are 6-tuples ``(t, seq, kind, a, b, c)``:
+Records read back as 6-tuples ``(t, seq, kind, a, b, c)``:
 
 - ``t`` — simulated time of the record;
 - ``seq`` — per-recorder monotonically increasing sequence number
@@ -18,6 +18,16 @@ Records are 6-tuples ``(t, seq, kind, a, b, c)``:
   ``retransmit``, ``kvs_promote``, ...);
 - ``a``/``b``/``c`` — kind-specific payload slots (topic, rank,
   version, ...), kept to cheap scalars/small tuples.
+
+Storage is column-wise, one slot per record in each column: ``t`` in
+an ``array('d')`` (8 B, no float object; a time reads back as a
+``float``), ``kind``/``a``/``b``/``c`` in four lists (8 B each, a
+reference to an object the caller already holds), and no ``seq`` at
+all — record ``i`` lives in slot ``i & mask``, so its position *is*
+its sequence number.  That is 40 B per retained record, ≈ 45 B with
+list over-allocation, where a stored tuple with its own ``seq`` int
+and time float cost 144 B.  The columns grow with occupancy and stop
+at capacity, so a quiet broker's ring stays small.
 
 The recorder is a **pure observer** in the simulation's sense: it
 schedules no events, draws no randomness, and never affects message
@@ -31,13 +41,16 @@ count is reported as ``dropped`` in :meth:`snapshot`.
 
 from __future__ import annotations
 
+from array import array
+
 __all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
     """Fixed-capacity ring of structured flight records."""
 
-    __slots__ = ("capacity", "_mask", "_buf", "_n")
+    __slots__ = ("capacity", "_mask", "_n", "_t", "_kind", "_a", "_b",
+                 "_c")
 
     def __init__(self, capacity: int = 1024):
         if capacity < 1:
@@ -47,15 +60,26 @@ class FlightRecorder:
             cap <<= 1
         self.capacity = cap
         self._mask = cap - 1
-        self._buf: list = [None] * cap
-        self._n = 0
+        self.clear()
 
     # -- hot path -------------------------------------------------------
     def rec(self, t: float, kind: str, a=None, b=None, c=None) -> None:
-        """Append one record (O(1): one tuple, one store, one add)."""
+        """Append one record (O(1): five column stores, one add)."""
         i = self._n
-        self._buf[i & self._mask] = (t, i, kind, a, b, c)
         self._n = i + 1
+        if i < self.capacity:
+            self._t.append(t)
+            self._kind.append(kind)
+            self._a.append(a)
+            self._b.append(b)
+            self._c.append(c)
+        else:
+            i &= self._mask
+            self._t[i] = t
+            self._kind[i] = kind
+            self._a[i] = a
+            self._b[i] = b
+            self._c[i] = c
 
     # -- introspection --------------------------------------------------
     @property
@@ -80,11 +104,13 @@ class FlightRecorder:
     def records(self) -> list:
         """Retained records, oldest first (each a 6-tuple)."""
         n = self._n
-        if n <= self.capacity:
-            return self._buf[:n]
-        mask = self._mask
-        buf = self._buf
-        return [buf[i & mask] for i in range(n - self.capacity, n)]
+        cols = (self._t, self._kind, self._a, self._b, self._c)
+        if n > self.capacity:
+            # Full ring: the oldest record sits where the next one goes.
+            o = n & self._mask
+            cols = [col[o:] + col[:o] for col in cols]
+        t, kind, a, b, c = cols
+        return list(zip(t, range(n - len(t), n), kind, a, b, c))
 
     def snapshot(self) -> dict:
         """JSON-able dump: retained records plus occupancy telemetry."""
@@ -98,7 +124,11 @@ class FlightRecorder:
 
     def clear(self) -> None:
         """Reset the ring (tests / reuse between workload phases)."""
-        self._buf = [None] * self.capacity
+        self._t = array("d")
+        self._kind: list = []
+        self._a: list = []
+        self._b: list = []
+        self._c: list = []
         self._n = 0
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -129,6 +129,17 @@ class Histogram:
         if v > self.vmax:
             self.vmax = v
 
+    def observe_zeros(self, n: int) -> None:
+        """Record ``n`` samples of ``0.0`` at once: the same state as
+        ``n`` calls of ``observe(0.0)`` in any order (adding ``0.0`` to
+        the total is exact, and min/max do not depend on order)."""
+        self.buckets[bisect_left(self.bounds, 0.0)] += n
+        self.count += n
+        if 0.0 < self.vmin:
+            self.vmin = 0.0
+        if 0.0 > self.vmax:
+            self.vmax = 0.0
+
     @property
     def mean(self) -> float:
         """Exact mean of all observed samples (0.0 when empty)."""

@@ -39,6 +39,7 @@ per event, so an unobserved drain pays one ``is None`` test per event.
 from __future__ import annotations
 
 import gc
+import math
 import random
 from collections import deque
 from contextlib import contextmanager
@@ -641,11 +642,12 @@ class Simulation:
     def _step(self, max_events: Optional[int] = None) -> bool:
         """Pop and process the next live event.
 
-        The single loop body shared by :meth:`run` (with an ``until``
-        or a ``max_events`` budget) and :meth:`run_until_complete`:
-        dead-entry skipping, the event budget, and the recorder feed
-        live here so those drivers cannot drift apart.  Returns False
-        when the heap is drained.
+        The single loop body shared by :meth:`run` under a
+        ``max_events`` budget and :meth:`run_until_complete`: dead-entry
+        skipping, the event budget, and the recorder feed live here so
+        those drivers cannot drift apart (:meth:`run` without a budget
+        inlines the same body).  Returns False when the heap is
+        drained.
         """
         heap = self._heap
         while heap:
@@ -675,44 +677,55 @@ class Simulation:
         """Run until the heap drains, ``until`` is reached, or the event
         budget ``max_events`` is exhausted.  Returns the final clock.
         """
-        if until is None:
-            if max_events is None:
-                # Tight loop for the common full-drain run: no budget
-                # check per event, callback dispatch inlined
-                # (byte-for-byte the logic of _run_callbacks, so the
-                # processing order is that of _step) and the recorder
-                # feed reduced to one ``is None`` test when detached.
-                heap = self._heap
-                rec = self.recorder
-                if rec is not None:
-                    log, chunk, flush = rec.entries, rec.chunk, rec.flush
-                while heap:
-                    entry = heappop(heap)
-                    ev = entry[3]
-                    if ev._dead:
-                        if self._ndead > 0:
-                            self._ndead -= 1
-                        continue
-                    self.now = entry[0]
-                    self._nevents += 1
-                    if rec is not None:
-                        log.append(entry)
-                        if len(log) >= chunk:
-                            flush()
-                    ev._state = 2  # Event.PROCESSED
-                    cb1 = ev._cb1
-                    callbacks = ev.callbacks
-                    ev._cb1 = None
-                    ev.callbacks = None
-                    if cb1 is not None:
-                        cb1(ev)
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(ev)
-                return self.now
-            while self._step(max_events):
-                pass
-            return self.now
+        if max_events is not None:
+            return self._run_budgeted(until, max_events)
+        # One tight loop for the full drain and the ``until`` slice: no
+        # budget check per event, callback dispatch inlined
+        # (byte-for-byte the logic of _run_callbacks, so the processing
+        # order is that of _step) and the recorder feed reduced to one
+        # ``is None`` test when detached.  The head is peeked before it
+        # is popped, so an event past ``until`` stays queued.
+        stop = math.inf if until is None else until
+        heap = self._heap
+        rec = self.recorder
+        if rec is not None:
+            log, chunk, flush = rec.entries, rec.chunk, rec.flush
+        while heap:
+            entry = heap[0]
+            ev = entry[3]
+            if ev._dead:
+                heappop(heap)
+                if self._ndead > 0:
+                    self._ndead -= 1
+                continue
+            if entry[0] > stop:
+                self.now = until
+                return until
+            heappop(heap)
+            self.now = entry[0]
+            self._nevents += 1
+            if rec is not None:
+                log.append(entry)
+                if len(log) >= chunk:
+                    flush()
+            ev._state = 2  # Event.PROCESSED
+            cb1 = ev._cb1
+            callbacks = ev.callbacks
+            ev._cb1 = None
+            ev.callbacks = None
+            if cb1 is not None:
+                cb1(ev)
+            if callbacks:
+                for fn in callbacks:
+                    fn(ev)
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+    def _run_budgeted(self, until: Optional[float],
+                      max_events: int) -> float:
+        """:meth:`run` under an event budget, one :meth:`_step` at a
+        time."""
         heap = self._heap
         while heap:
             head = heap[0]
@@ -721,11 +734,11 @@ class Simulation:
                 if self._ndead > 0:
                     self._ndead -= 1
                 continue
-            if head[0] > until:
+            if until is not None and head[0] > until:
                 self.now = until
                 return self.now
             self._step(max_events)
-        if until > self.now:
+        if until is not None and until > self.now:
             self.now = until
         return self.now
 

@@ -232,8 +232,9 @@ class Network:
                     return
                 if san is not None:
                     san.on_send(src, dst, port, payload, 1 + dups)
-                deliver_at = plan.fifo_clamp(src, dst,
-                                             self.sim.now + delay + extra)
+                # One clamp per copy: a duplicate's clamp finds the
+                # original's time on the link and lands right behind it.
+                deliver_at = self.sim.now + delay + extra
                 for _ in range(1 + dups):
                     at = plan.fifo_clamp(src, dst, deliver_at)
                     ev = Timeout(self.sim, at - self.sim.now)
