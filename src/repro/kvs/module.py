@@ -71,6 +71,8 @@ explicitly configured:
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
 from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO,
@@ -129,6 +131,74 @@ class _Dirty:
     def __init__(self):
         self.ops: list[list] = []           # [key, sha|None] pairs
         self.objs: dict[str, dict] = {}     # sha -> object
+
+
+class _Batch(dict):
+    """Item -> waiters of one combined request; ``ctx`` is the
+    ``(RequestContext, span)`` a ``kvs.load`` batch rides."""
+
+    __slots__ = ("ctx",)
+
+
+class _Combiner:
+    """One rank's self-clocked read combiner (DESIGN.md "Read path"):
+    the batches in flight master-ward (at most two), the queue behind
+    them, and per child how many of its requests are parked here.
+    ``kvs.walk`` items and ``kvs.load`` SHAs each run on one."""
+
+    __slots__ = ("out", "q", "parked")
+
+    def __init__(self):
+        self.out: list[_Batch] = []
+        self.q = _Batch()
+        self.parked: dict[int, int] = {}
+
+    def waiters(self, item) -> list:
+        """The waiter list ``item`` joins: its batch's while it is in
+        flight (it is not sent again), else its queue entry."""
+        for batch in self.out:
+            if item in batch:
+                return batch[item]
+        return self.q.setdefault(item, [])
+
+    def may_send(self, children) -> bool:
+        """The gate: the queue leaves when nothing is in flight, or as a
+        second batch when every live child already has a request parked
+        here — a blocked child asks again only under this same rule, so
+        holding the queue merges next to nothing and idles the uplink."""
+        if not self.q or len(self.out) > 1:
+            return False
+        return not self.out or bool(children) and all(
+            self.parked.get(c) for c in children)
+
+    def take(self) -> _Batch:
+        """Hand over the queue (the caller puts what it sends in
+        ``out``)."""
+        queued, self.q = self.q, _Batch()
+        return queued
+
+    def settle(self, batch: _Batch) -> bool:
+        """Take ``batch`` out of flight; False when it was not in it."""
+        n = len(self.out)
+        self.out = [b for b in self.out if b is not batch]
+        return len(self.out) < n
+
+    def park(self, child: int) -> None:
+        self.parked[child] = self.parked.get(child, 0) + 1
+
+    def unpark(self, child: int) -> None:
+        if self.parked.get(child):      # dropped if it died
+            self.parked[child] -= 1
+
+    def census(self, field: str, show) -> dict:
+        """Items in flight over all batches, batches, parked children,
+        queued items and ``show`` of the first four (in flight first)."""
+        return {"outstanding": sum(map(len, self.out)),
+                "batches": len(self.out),
+                "parked": sum(map(bool, self.parked.values())),
+                "queued": len(self.q),
+                field: [show(i) for b in (*self.out, self.q)
+                        for i in b][:4]}
 
 
 class _FenceAgg:
@@ -249,7 +319,8 @@ class KvsModule(CommsModule):
         self.version: int = 0
         self._dirty: dict[Any, _Dirty] = {}
         self._fences: dict[str, _FenceAgg] = {}
-        self._loads: dict[str, list[Callable[[Optional[dict]], None]]] = {}
+        #: Fault-in combiner: SHA -> ``fn(obj)`` waiters.
+        self._loads = _Combiner()
         self._version_waiters: list[tuple[int, Message]] = []
         #: Recently completed fences (name -> (version, root sha, tag)),
         #: a bounded LRU pulled by children so a fence-completion
@@ -317,12 +388,8 @@ class KvsModule(CommsModule):
         #: stay byte-identical): cold reads walk remotely instead of
         #: faulting whole directories down the tree (see ``req_walk``).
         self.dedup = bool(dedup)
-        #: Walk combiner: the ``kvs.walk`` batches in flight (at most
-        #: two) and the queue behind them, each ``(key, root, want_ref) ->
-        #: [(msg, fn, tag)]``; and per child, its walks parked here.
-        self._walk_out: list = []
-        self._walk_q: dict = {}
-        self._walk_parked: dict[int, int] = {}
+        #: Walk combiner: ``(key, root, want_ref) -> [(msg, fn, tag)]``.
+        self._walks = _Combiner()
         # Bytes of work the interning machinery avoided, by kind:
         # "sizing" (canonical re-serialization skipped via the intern
         # table).  Cells materialize on first inc, so snapshots are
@@ -1906,13 +1973,8 @@ class KvsModule(CommsModule):
             "fence_deferred": sorted(self._fence_deferred),
             "dirty_clients": len(self._dirty),
             "dirty_ops": sum(len(d.ops) for d in self._dirty.values()),
-            "loads": sorted(self._loads),
-            "walks": {"outstanding": sum(map(len, self._walk_out)),
-                      "batches": len(self._walk_out),
-                      "parked": sum(map(bool, self._walk_parked.values())),
-                      "queued": len(self._walk_q), "keys": [
-                          i[0] for b in (*self._walk_out, self._walk_q)
-                          for i in b][:4]},
+            "loads": self._loads.census("shas", str),
+            "walks": self._walks.census("keys", itemgetter(0)),
         }
 
     # ------------------------------------------------------------------
@@ -1938,8 +2000,9 @@ class KvsModule(CommsModule):
             # A standby may have died: recompute the ack watermark so
             # commits waiting on it are not stranded.
             self.broker.after(0.0, self._drain_repl_waiters)
-        # A corpse's parked walks can neither open nor close the gate.
-        self._walk_parked.pop(dead, None)
+        # A corpse's parked reads can neither open nor close a gate.
+        self._walks.parked.pop(dead, None)
+        self._loads.parked.pop(dead, None)
         self.broker.after(0.0, self._recover_after_down)
 
     def _recover_after_down(self) -> None:
@@ -2191,28 +2254,71 @@ class KvsModule(CommsModule):
                ctx: Optional[RequestContext],
                span: Optional[tuple]) -> None:
         """Bring ``sha`` here from the master-ward neighbour and run
-        ``fn(obj)`` (``None`` on failure); in-flight loads of the same
-        object are coalesced onto the first one's request."""
-        waiters = self._loads.get(sha)
-        if waiters is not None:
-            waiters.append(fn)
+        ``fn(obj)`` (``None`` on failure), through this rank's load
+        combiner."""
+        self._load_expire()
+        self._load_enqueue(sha, fn, ctx, span)
+        self._load_pump()
+
+    def _load_enqueue(self, sha: str, fn: Callable[[Optional[dict]], None],
+                      ctx: Optional[RequestContext],
+                      span: Optional[tuple]) -> None:
+        """Add ``fn`` to the waiters of ``sha``: a SHA in flight is
+        joined, not sent again; a queue started here rides ``ctx`` and
+        ``span``, its first waiter's."""
+        loads = self._loads
+        if not loads.q:
+            loads.q.ctx = (ctx, span)
+        waiters = loads.waiters(sha)
+        if not waiters:
+            self.cache.stats.faults += 1
+        waiters.append(fn)
+
+    def _load_pump(self) -> None:
+        """Send the queued SHAs as one ``kvs.load`` when the combiner's
+        gate allows — the walk's gate.  Unlike a walk batch the request
+        keeps its first waiter's context as it is: no ``failfast``, no
+        deadline of its own (DESIGN.md "Read path")."""
+        loads = self._loads
+        if not loads.may_send(self.broker.children):
             return
-        self._loads[sha] = [fn]
-        self.cache.stats.faults += 1
-        # {"sha": "<id>"}: 10 framing bytes and an id with no escapes.
-        size = 10 + len(sha) if sha.isascii() and sha.isalnum() else None
-        self._toward_master_cb("kvs.load", {"sha": sha},
-                               lambda resp: self._fetch_done(sha, resp),
+        batch = loads.take()
+        loads.out.append(batch)
+        shas = list(batch)
+        # {"shas":["<id>",...]}: 10 framing bytes, and per id its
+        # length, two quotes and a comma — exact for ids with no escapes.
+        size = (10 + sum(map(len, shas)) + 3 * len(shas)
+                if all(s.isascii() and s.isalnum() for s in shas) else None)
+        ctx, span = batch.ctx
+        self._toward_master_cb("kvs.load", {"shas": shas},
+                               lambda resp: self._load_done(batch, resp),
                                ctx=ctx, span=span, payload_size=size)
 
-    def _fetch_done(self, sha: str, resp: Message) -> None:
-        obj = None
-        if resp.error is None:
-            obj = resp.payload.get("obj")
+    def _load_done(self, batch: _Batch, resp: Message) -> None:
+        if not self._loads.settle(batch):
+            return          # dropped past its deadline, waiters answered
+        self._load_pump()
+        objs = (resp.payload["objs"] if resp.error is None
+                else [None] * len(batch))
+        for (sha, waiters), obj in zip(batch.items(), objs):
             if obj is not None:
                 self._obj_put(sha, obj)
-        for fn in self._loads.pop(sha, []):
-            fn(obj)
+            for fn in waiters:
+                fn(obj)
+
+    def _load_expire(self) -> None:
+        """Drop every load batch whose deadline has passed.  Loads are
+        not failfast, so a hop may have given up on one quietly; left
+        in flight it would be joined by every later read of its SHAs
+        and hold a combiner slot for good.  Its waiters get ``None``,
+        the retryable EIO of an object lost in transit."""
+        now = self.broker.sim.now
+        for batch in [b for b in self._loads.out
+                      if b.ctx[0] is not None and b.ctx[0].expired(now)]:
+            self._loads.settle(batch)
+            for waiters in batch.values():
+                for fn in waiters:
+                    fn(None)
 
     def _fault(self, sha: str, ctx: Optional[RequestContext] = None,
                span: Optional[tuple] = None):
@@ -2221,28 +2327,50 @@ class KvsModule(CommsModule):
         self._fetch(sha, ev.succeed, ctx, span)
         return ev
 
-    @request_handler(required={"sha": str})
+    @request_handler(required={"shas": list})
     def req_load(self, msg: Message) -> None:
-        """A downstream slave faulting an object through us."""
-        sha = msg.payload["sha"]
+        """A downstream slave faulting objects in through us: answer
+        what this rank holds, join what is in flight, queue the rest and
+        pump once.  The reply ``{"objs": [obj | null, ...]}`` has one
+        entry per SHA; ``null`` (the master does not know it, or its
+        load failed here) fails only the reads waiting for it."""
+        shas = msg.payload["shas"]
+        if not all(type(s) is str for s in shas):
+            self.respond(msg, error="'shas' must be a list of strings",
+                         code=EINVAL)
+            return
+        objs = [self._obj_get(s) for s in shas]
+        todo = ([] if self.master is not None
+                else [i for i, obj in enumerate(objs) if obj is None])
+        if not todo:
+            self._answer_load(msg, shas, objs)
+            return
+        child = msg.src_rank
+        left = len(todo)
 
-        def relay(obj: Optional[dict]) -> None:
-            if obj is not None:
-                # {"obj": X} costs 8 framing bytes plus X's canonical
-                # size, which its sha already keys — no
-                # re-serialization of a possibly huge directory object
-                # per fault-in hop.
-                self.respond(msg, {"obj": obj},
-                             payload_size=8 + size_by_sha(sha, obj))
-            else:
-                self.respond(msg, error=f"unknown object {sha}",
-                             code=ENOENT)
+        def fill(i: int, obj: Optional[dict]) -> None:
+            nonlocal left
+            objs[i] = obj
+            left -= 1
+            if not left:
+                self._loads.unpark(child)
+                self._answer_load(msg, shas, objs)
 
-        obj = self._obj_get(sha)
-        if obj is not None or self.master is not None:
-            relay(obj)
-        else:
-            self._fetch(sha, relay, msg.ctx, msg.span)
+        self._load_expire()
+        self._loads.park(child)
+        for i in todo:
+            self._load_enqueue(shas[i], partial(fill, i), msg.ctx, msg.span)
+        self._load_pump()
+
+    def _answer_load(self, msg: Message, shas: list, objs: list) -> None:
+        # {"objs":[X,...]}: 10 framing bytes, one per entry (its comma,
+        # or the closing bracket) and each object's size, which its sha
+        # already keys — no re-serialization of a possibly huge
+        # directory object per fault-in hop; a null is 4 bytes.
+        size = (10 + len(objs) + sum(
+            4 if obj is None else size_by_sha(sha, obj)
+            for sha, obj in zip(shas, objs)) if objs else None)
+        self.respond(msg, {"objs": objs}, payload_size=size)
 
     # ------------------------------------------------------------------
     # combined remote walks (``dedup=True``)
@@ -2271,30 +2399,20 @@ class KvsModule(CommsModule):
         rank's walk combiner; ``fn(tag, result)`` gets each per-item
         result.  An item already in flight is joined, not re-sent; the
         rest queue, deduplicated, and leave as one list when
-        :meth:`_walk_pump` next may send (self-clocked like ``_fault``
-        coalescing): one request per child, not per key."""
+        :meth:`_walk_pump` next may send (self-clocked, like fault-in
+        loads): one request per child, not per key."""
         for tag, item in items.items():
-            waiters = next((b[item] for b in self._walk_out if item in b),
-                           None)
-            if waiters is None:
-                waiters = self._walk_q.setdefault(item, [])
-            waiters.append((msg, fn, tag))
+            self._walks.waiters(item).append((msg, fn, tag))
         self._walk_pump()
 
     def _walk_pump(self) -> None:
-        """Send the queue as one ``kvs.walk`` batch if none is in
-        flight — or as a second one when every live child already has
-        an unanswered walk parked here: a blocked child asks again only
-        under this same rule, so holding the queue merges next to
-        nothing and idles the uplink (DESIGN.md "Read path")."""
-        if not self._walk_q or len(self._walk_out) > 1:
+        """Send the queue as one ``kvs.walk`` batch when the combiner's
+        gate allows."""
+        walks = self._walks
+        if not walks.may_send(self.broker.children):
             return
-        children = self.broker.children
-        if self._walk_out and not (children and all(
-                self._walk_parked.get(c) for c in children)):
-            return
-        queued, self._walk_q = self._walk_q, {}
-        batch: dict = {}
+        queued = walks.take()
+        batch = _Batch()
         late = {"error": "deadline expired in the walk queue",
                 "errnum": ETIMEDOUT, "rank": self.rank}
         for item, waiters in queued.items():
@@ -2305,11 +2423,11 @@ class KvsModule(CommsModule):
                     batch.setdefault(item, []).append(w)
         if not batch:
             return
-        self._walk_out.append(batch)
+        walks.out.append(batch)
         msgs = [w[0] for waiters in batch.values() for w in waiters]
-        # Rides the first waiter's context (as a coalesced ``_fault``
-        # does) under the earliest deadline of its items — and failfast,
-        # so a hop giving up on it cannot strand the reads queued here.
+        # Rides the first waiter's context (as a load batch does) under
+        # the earliest deadline of its items — and failfast, so a hop
+        # giving up on it cannot strand the reads queued here.
         ends = [m.ctx.deadline for m in msgs if m.ctx.deadline is not None]
         # Items name their root snapshot by index into one roots table.
         roots: dict = {}
@@ -2322,8 +2440,8 @@ class KvsModule(CommsModule):
                                min(ends, default=None), True),
             span=msgs[0].span)
 
-    def _walk_done(self, batch: dict, resp: Message) -> None:
-        self._walk_out = [b for b in self._walk_out if b is not batch]
+    def _walk_done(self, batch: _Batch, resp: Message) -> None:
+        self._walks.settle(batch)
         self._walk_pump()
         if resp.error is not None:
             # Every waiter of a failed batch gets its (retryable) code.
@@ -2384,14 +2502,13 @@ class KvsModule(CommsModule):
             return
 
         child = msg.src_rank
-        self._walk_parked[child] = self._walk_parked.get(child, 0) + 1
+        self._walks.park(child)
 
         def fill(i: int, r: dict) -> None:
             res[i] = r
             del todo[i]
             if not todo:
-                if self._walk_parked.get(child):    # dropped if it died
-                    self._walk_parked[child] -= 1
+                self._walks.unpark(child)
                 self.respond(msg, {"res": res})
 
         self._walk_enqueue(msg, todo, fill)

@@ -610,7 +610,7 @@ def test_child_killed_mid_read_strands_no_walk():
     assert [p.value for p in procs] == [
         v for rank in range(7, 15) for v in (rank * 10, (rank - 7) * 10)]
     assert sorted(session.brokers[1].children) == [4, 7, 8]
-    assert 3 not in session.module_at(1, "kvs")._walk_parked
+    assert 3 not in session.module_at(1, "kvs")._walks.parked
     assert _idle(session)
 
 

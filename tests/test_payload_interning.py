@@ -24,11 +24,12 @@ from repro.kap import KapConfig, run_kap
 from .chaos import run_chaos_workload
 from .conftest import _spy_on_sends
 
-#: Re-pinned four times (barrier tallies leave when the subtree is
+#: Re-pinned five times (barrier tallies leave when the subtree is
 #: complete; reductions without acknowledgements on the fault-free path;
 #: self-clocked fence relay; the callback request hop, which deletes
-#: each broker's and each ``kvs.get``'s process bookkeeping events).
-GOLDEN_KAP_256 = "e87c23375b7a98a8dd30dfec6bd273656b1bb4b9"
+#: each broker's and each ``kvs.get``'s process bookkeeping events;
+#: batched fault-in, where ``kvs.load`` carries a list of SHAs).
+GOLDEN_KAP_256 = "4569dcddb29ea9a65b1363dcb2911a61a4a318b1"
 
 
 @pytest.fixture(autouse=True)

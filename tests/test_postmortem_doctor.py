@@ -227,19 +227,24 @@ def test_bundle_shows_read_stuck_behind_dead_uplink(dedup):
     bundle = capture_bundle(session, "seeded hung read", kind="test")
     session.stop()
     census = bundle["brokers"][3]["kvs"]
+    no_loads = {"outstanding": 0, "batches": 0, "parked": 0, "queued": 0,
+                "shas": []}
     if dedup:
         # One walk left for the dead parent; the other queued behind it.
         assert census["walks"] == {"outstanding": 1, "batches": 1,
                                    "parked": 0, "queued": 1,
                                    "keys": ["hung.a", "hung.b"]}
-        assert census["loads"] == []
+        assert census["loads"] == no_loads
     else:
+        # Both reads joined one load of the root, left for the dead parent.
         root = session.module_at(3, "kvs").root_sha
-        assert census["loads"] == [root]        # coalesced fault-in
+        assert census["loads"] == {"outstanding": 1, "batches": 1,
+                                   "parked": 0, "queued": 0,
+                                   "shas": [root]}
         assert census["walks"] == {"outstanding": 0, "batches": 0,
                                    "parked": 0, "queued": 0, "keys": []}
     idle = bundle["brokers"][2]["kvs"]
-    assert idle["loads"] == [] and idle["walks"]["outstanding"] == 0
+    assert idle["loads"] == no_loads and idle["walks"]["outstanding"] == 0
     json.dumps(bundle)              # the census stays JSON-able
 
 

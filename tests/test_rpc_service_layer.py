@@ -207,7 +207,7 @@ MALFORMED = [
     ("kvs.fence", {"name": "f", "nprocs": 2, "sender": {}}),
     ("kvs.waitversion", {"version": "x"}),
     ("kvs.waitversion", {"version": None}),
-    ("kvs.load", {"sha": [1]}),
+    ("kvs.load", {"shas": [1]}),
     ("kvs.flush", {"ops": "x", "objs": {}}),
     ("kvs.flush", {"ops": [], "objs": []}),
     ("kvs.flush", {"ops": [["k", "0" * 40]], "objs": {}}),

@@ -168,7 +168,7 @@ class TestSerializedOnce:
         """Names of the KVS handlers under which a KVS object was
         re-measured with ``canonical_size``."""
         hits = Counter()
-        watched = {"req_fencedata", "_fetch_done"}
+        watched = {"req_fencedata", "_load_done"}
         real = jsonutil.canonical_size
 
         def spy(obj):
@@ -188,13 +188,13 @@ class TestSerializedOnce:
     @pytest.fixture
     def fetches(self, monkeypatch):
         calls = Counter()
-        real = KvsModule._fetch_done
+        real = KvsModule._load_done
 
-        def spy(self, sha, resp):
-            calls["_fetch_done"] += 1
-            return real(self, sha, resp)
+        def spy(self, batch, resp):
+            calls["_load_done"] += 1
+            return real(self, batch, resp)
 
-        monkeypatch.setattr(KvsModule, "_fetch_done", spy)
+        monkeypatch.setattr(KvsModule, "_load_done", spy)
         return calls
 
     def test_each_object_hashed_once(self, dumps_log):
@@ -208,5 +208,5 @@ class TestSerializedOnce:
                                                 nconsumers):
         _kap_fence(nconsumers=nconsumers)
         if nconsumers is None:
-            assert fetches["_fetch_done"] > 0
+            assert fetches["_load_done"] > 0
         assert sized_in == Counter()
