@@ -12,10 +12,11 @@ the two whole-program rules:
   handler on such a cycle can be waiting on the next while holding its
   own requester — the static shape of the hung-waiter pathologies the
   chaos suite finds at runtime.  Same-handler self-loops are exempt:
-  tree-climbing reduction (``kvs.fencedata`` → parent's
-  ``kvs.fencedata``) is the sanctioned aggregation idiom and
-  terminates at the root by construction.  A one-way send is no
-  wait edge at all.
+  tree-climbing reduction (a re-emitted fence aggregate's acknowledged
+  ``kvs.fencedata`` → parent's ``kvs.fencedata``) is the sanctioned
+  aggregation idiom and terminates at the root by construction.  A
+  one-way send — every other fence contribution — is no wait edge at
+  all.
 - **FLOW001** (opt-in, warning): an event topic in the canonical
   ``EVENT_TOPICS`` table that the analyzed source never publishes, or
   never subscribes to.  Off by default because some topics are

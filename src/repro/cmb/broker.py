@@ -959,7 +959,11 @@ class Broker:
             return
         if session.parent_of(self.rank) == rank:
             self.parent = rank
-        if session.parent_of(rank) == self.rank and rank not in self.children:
+        if (self.rank in (session.parent_of(rank),
+                          session.brokers[rank].parent)
+                and rank not in self.children):
+            # Its static parent, or the rank it attached to when that
+            # parent had died (a static edge to a corpse is no edge).
             self.children.append(rank)
         for orphan in session.children_of(rank):
             if orphan != self.rank and orphan in self.children:

@@ -89,7 +89,7 @@ class CommsSession:
         self.local_procs: dict[int, int] = {r: 0 for r in range(self.size)}
         #: True once the heartbeat (``hb``) is loaded: the session then
         #: runs the hardened protocol — retransmission timers,
-        #: shares-format fences, anti-entropy gossip — because only
+        #: anti-entropy gossip and fence re-emission — because only
         #: there can ``live`` declare a rank dead.  Without it the
         #: paper's loss-free protocol runs.  Derived by
         #: :meth:`load_module`, never configured.

@@ -10,15 +10,15 @@ Implements the full Section IV-B protocol:
   each hop — and finally the client's slave — applies that root before
   responding, giving read-your-writes consistency.
 - **fence** — the collective commit.  Each slave merges the fence
-  contributions of its subtree (local clients plus the aggregates of
-  its children) — content objects union by SHA1, so redundant values
-  reduce; (key, SHA1) tuples concatenate, which is why Figure 3's
-  redundant case still falls short of logarithmic — and forwards what
-  it holds to its parent once the whole subtree is in, or earlier
-  whenever it holds a message's worth and its NIC is idle, so a big
-  fence streams up the tree.  The
-  master rank holds what arrives until all ``nprocs`` participants are
-  in, then commits the fence and multicasts the new root.  When only a
+  contributions of its subtree (local clients plus the per-origin
+  shares of its children) — content objects union by SHA1, so
+  redundant values reduce; (key, SHA1) tuples concatenate, which is
+  why Figure 3's redundant case still falls short of logarithmic — and
+  forwards what it holds unsent to its parent once the whole subtree
+  is in, or earlier whenever it holds a message's worth and its NIC is
+  idle, so a big fence streams up the tree.  The master rank holds
+  what arrives until all ``nprocs`` participants are in, then commits
+  the fence and multicasts the new root.  When only a
   subset of a subtree's clients joins a fence, a short aggregation
   window flushes partial aggregates upstream so the root still gets
   there.
@@ -72,6 +72,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -79,6 +80,7 @@ from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO,
                           ENOENT, ETIMEDOUT, RETRYABLE_CODES)
 from ..cmb.message import Message, MessageType, RequestContext
 from ..cmb.module import CommsModule, request_handler
+from ..cmb.modules.reduce import Slot
 from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
                         interned_size, size_by_sha)
@@ -201,77 +203,51 @@ class _Combiner:
                         for i in b][:4]}
 
 
-class _FenceAgg:
-    """Per-name fence aggregation at one rank.
+class _FenceAgg(Slot):
+    """One round of a named fence at one rank (DESIGN.md "One fence
+    protocol"): a :class:`Slot` whose ``parts[origin]`` is ``(count,
+    ops)``, how many of rank ``origin``'s clients entered and their ops
+    in entry order.  An origin's ops only grow, so the larger count
+    wins and a duplicate or a re-emission adds nothing.  ``objs`` unions
+    the objects by SHA1; ``gen`` is the root version the name's previous
+    fence committed at (0: none); ``senders`` are the children whose
+    contributions were folded in, where a refusal goes.
 
-    ``count``/``ops``/``objs`` hold contributions not yet flushed
-    upstream; ``total_seen`` counts everything that ever arrived (the
-    fast-path trigger: flush as soon as the whole subtree has
-    contributed).  When only a subset of the subtree participates in a
-    fence (e.g. two jobs sharing a session), a window timer flushes
-    partial aggregates so the root can still complete the fence.  A
-    slave holding a message's worth (:func:`_fence_batch`) while its
-    NIC is busy arms one wake-up (``wake_armed``) for when it frees.  The
-    master rank never flushes: it holds everything until ``total_seen``
-    reaches ``nprocs``, then commits the fence once (``completing``).
-
-    ``local_count``/``local_ops``/``local_objs`` additionally keep the
-    *cumulative* contributions of this rank's own clients (never
-    cleared by upstream flushes): the shares format sends them as this
-    rank's share.  ``created_version`` guards against a stale
-    completion notice for a previous fence of the same name releasing
-    this one.  ``senders`` are the children whose incremental
-    contributions were folded in: they hold their own clients'
-    requests, so a refusal reaches them (shares mode records none).
-    An incremental contribution is a one-way send: the fence's
-    ``setroot`` is its only acknowledgement.
-
-    ``shares`` drives the *idempotent* wire format every hardened
-    session (heartbeat loaded) uses: ``shares[origin]`` is the
-    ``[count, ops]`` cumulative contribution of rank ``origin``'s own
-    clients, merged monotonically (larger count wins) like a G-counter.
-    Re-emitting the full merged map is always safe — duplicates and
-    arbitrary re-orderings cannot double-count — so lost messages and
-    shares that died with an interior rank are repaired by simply
-    re-sending, on every heartbeat pulse and after each ``live.down``.
+    What went up (slaves only): ``sent[origin]`` is the ``(count,
+    len(ops))`` last sent to ``uplink``, ``nobjs_sent`` how many of
+    ``objs`` (insertion order), ``pend[origin]`` the size of the unsent
+    ops' elements and ``ops_size``/``objs_size`` the unsent totals, so
+    neither the flush rule nor the frame sizing re-walks the aggregate.
+    ``wake_armed``/``timer_armed``/``acked`` are :meth:`KvsModule.
+    _maybe_flush_fence`'s and :meth:`KvsModule._flush_fence`'s; the
+    master rank commits once (``completing``).  ``span`` is the tracing
+    context of the latest contribution, the flush's parent span.
     """
 
-    __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
-                 "total_seen", "timer_armed", "wake_armed", "local_count",
-                 "local_ops", "local_objs", "created_version", "shares",
-                 "completing", "span", "ops_size", "objs_size", "senders")
+    __slots__ = ("name", "nprocs", "gen", "objs", "held", "senders",
+                 "sent", "pend", "uplink", "nobjs_sent", "ops_size",
+                 "objs_size", "timer_armed", "wake_armed", "completing",
+                 "acked", "span")
 
-    def __init__(self, name: str, nprocs: int, created_version: int = 0):
-        self.name = name
-        self.nprocs = nprocs
-        self.count = 0
-        self.ops: list[list] = []
-        #: Running sum of the canonical byte sizes of ``ops``'s
-        #: *elements* — maintained incrementally at every mutation of
-        #: ``ops`` so the flush-time payload sizing never re-walks the
-        #: aggregate (outgoing list size = 1 + len(ops) + ops_size).
-        self.ops_size = 0
+    def __init__(self, name: str, nprocs: int, gen: int):
+        super().__init__()
+        self.name, self.nprocs, self.gen = name, nprocs, gen
         self.objs: dict[str, dict] = {}
-        #: ``objs``'s share of the outgoing payload, kept the same way:
-        #: 44 framing bytes (quoted sha, colon, comma) plus the object's
-        #: canonical size per *distinct* pending object.  Slaves only —
-        #: the master never flushes.
-        self.objs_size = 0
         self.held: list[Message] = []       # local client fence requests
-        self.total_seen = 0
-        self.timer_armed = False
-        self.wake_armed = False
-        self.local_count = 0
-        self.local_ops: list[list] = []
-        self.local_objs: dict[str, dict] = {}
-        self.created_version = created_version
-        self.shares: dict[int, list] = {}
-        self.completing = False
         self.senders: set[int] = set()
-        #: Tracing context of the latest contribution folded in: the
-        #: upstream flush (and the completing setroot publish) parent
-        #: under it, keeping the whole fence inside one span tree.
+        self.sent: dict[int, tuple[int, int]] = {}
+        self.pend: dict[int, int] = {}
+        self.uplink: Optional[int] = None
+        self.nobjs_sent = self.ops_size = self.objs_size = 0
+        self.timer_armed = self.wake_armed = False
+        self.completing = self.acked = False
         self.span = None
+
+    def pending(self, origin: int, size: int) -> None:
+        """``origin``'s share grew by ops whose elements take ``size``
+        bytes: it goes up with the next flush."""
+        self.pend[origin] = self.pend.get(origin, 0) + size
+        self.ops_size += size
 
 
 class KvsModule(CommsModule):
@@ -573,11 +549,9 @@ class KvsModule(CommsModule):
         if (self.master is None
                 and (self.broker.parent is not None or self._failed_over)):
             self._resync_root()
-            # Anti-entropy for in-progress fences too: re-emitting the
-            # cumulative shares map is idempotent, so a pulse-period
-            # re-send repairs any contribution lost on a lossy link.
-            for name in list(self._fences):
-                self._flush_fence(name)
+            # Fences too: a lost contribution (or refusal) is repaired
+            # within a pulse.
+            self._reemit_fences()
         if self.replicas:
             # Replication re-drives (idempotent: streaming re-sends the
             # unacked log suffix, elections re-circulate tokens).
@@ -627,10 +601,10 @@ class KvsModule(CommsModule):
         names an object nobody sent, or a malformed key).
 
         Client commits, relayed flushes, in-broker services, delegation
-        link/recall commits and completed fences of either wire format
-        (``fence`` names it) all come through here, so each queues for
-        the master's service time, enters the replication log and
-        publishes its setroot exactly once.  With replicas, ``done``
+        link/recall commits and completed fences (``fence`` names it)
+        all come through here, so each queues for the master's service
+        time, enters the replication log and publishes its setroot
+        exactly once.  With replicas, ``done``
         waits until ``_REPL_ACK_MIN`` live standbys acknowledged the
         :class:`CommitRecord` (an acknowledged write survives the
         master's death); a fence also waits for its delegated parts.
@@ -875,8 +849,14 @@ class KvsModule(CommsModule):
             # missed the announcement — repair it.
             self._publish_newmaster()
             return
-        if self._standby is None or not self._master_down:
+        if self._standby is None:
             return
+        if not self._master_down:
+            # A candidate saw the master die; this standby missed that
+            # ``live.down`` (events are not retransmitted).
+            if self.broker.session.brokers[self.master_rank].alive:
+                return
+            self._master_down, self._master_down_at = True, self.broker.sim.now
         if p["cand"] == self.rank:
             self._promote()
             return
@@ -920,8 +900,8 @@ class KvsModule(CommsModule):
             self._record_completed(fname, ver, root)
         self._apply_root(self.master.version, self.master.root_sha)
         self._publish_newmaster()
-        # In-flight fences replay (idempotently: the shares are
-        # re-sent) toward the promoted master.
+        # In-flight fences replay (idempotently: their shares are
+        # re-emitted) toward the promoted master.
         self.broker.after(0.0, self._recover_after_down)
 
     def _publish_newmaster(self) -> None:
@@ -1606,16 +1586,31 @@ class KvsModule(CommsModule):
     # ------------------------------------------------------------------
     # fence (collective commit with tree reduction)
     # ------------------------------------------------------------------
-    def _fence_for(self, msg: Message) -> Optional[_FenceAgg]:
+    def _fence_gen(self, name: str) -> int:
+        """The root version the last fence of ``name`` known here
+        committed at (0: none): the generation of its next round."""
+        done = self._completed.get(name)
+        return 0 if done is None else done[0]
+
+    def _fence_for(self, msg: Message,
+                   gen: Optional[int] = None) -> Optional[_FenceAgg]:
         """The aggregate ``msg`` (``fence``/``fencedata``) contributes
-        to, its tracing context moved under ``msg``'s.  ``nprocs`` comes
-        from the client: one contradicting the pending aggregate's is
-        refused with ``EINVAL`` and leaves it alone."""
+        to, its tracing context moved under ``msg``'s.  A contribution
+        of another generation ``gen`` than the round open here is
+        dropped: a finished round's late re-emission, or one whose
+        completion this rank has not learnt yet (the pull brings it,
+        and the sender re-emits).  A client's entry (``gen`` None)
+        joins the open round.  ``nprocs`` comes from the client: one
+        contradicting the pending aggregate's is refused with
+        ``EINVAL`` and leaves it alone."""
         name, nprocs = msg.payload["name"], msg.payload["nprocs"]
         agg = self._fences.get(name)
+        mine = self._fence_gen(name) if agg is None else agg.gen
+        if gen is not None and gen != mine:
+            self.respond(msg, {})
+            return None
         if agg is None:
-            agg = self._fences[name] = _FenceAgg(
-                name, nprocs, created_version=self.version)
+            agg = self._fences[name] = _FenceAgg(name, nprocs, mine)
         elif agg.nprocs != nprocs:
             error = (f"fence {name!r}: inconsistent nprocs "
                      f"({agg.nprocs} vs {nprocs})")
@@ -1623,12 +1618,20 @@ class KvsModule(CommsModule):
             if msg.ctx is None:
                 # A child's one-way contribution: nobody reads that
                 # answer, so the refusal travels down.
-                self._fence_abort(msg.src_rank, name, error, EINVAL,
+                self._fence_abort(msg.src_rank, name, mine, error, EINVAL,
                                   self.rank)
             return None
         if msg.span is not None:
             agg.span = msg.span
         return agg
+
+    def _fence_objs(self, agg: _FenceAgg, objs: dict) -> None:
+        """Union ``objs`` into ``agg``; a slave counts the new ones."""
+        slave = self.master is None
+        for sha, obj in objs.items():
+            if slave and sha not in agg.objs:
+                agg.objs_size += 44 + size_by_sha(sha, obj)
+            agg.objs[sha] = obj
 
     @request_handler(required={"name": str, "nprocs": int})
     def req_fence(self, msg: Message) -> None:
@@ -1641,122 +1644,98 @@ class KvsModule(CommsModule):
         sender = msg.payload.get("sender", 0)
         d = self._dirty.pop(sender, None)
         agg.held.append(msg)
-        if d is not None:
-            agg.ops.extend(d.ops)
-            agg.local_ops.extend(d.ops)
-            for op in d.ops:
-                agg.ops_size += canonical_size(op)
-            for sha, obj in d.objs.items():
-                if self.master is None and sha not in agg.objs:
-                    agg.objs_size += 44 + size_by_sha(sha, obj)
-                agg.objs[sha] = obj
-                agg.local_objs[sha] = obj
-        agg.count += 1
-        agg.total_seen += 1
-        agg.local_count += 1
+        ops, objs = (d.ops, d.objs) if d is not None else ([], {})
+        count, mine = agg.parts.get(self.rank, (0, []))
+        agg.put(self.rank, count + 1, mine + ops)
+        agg.pending(self.rank, sum(map(canonical_size, ops)))
+        self._fence_objs(agg, objs)
         self.broker._frec(self.broker.sim.now, "kvs_fence_enter",
-                          agg.name, sender, agg.total_seen)
+                          agg.name, sender, agg.total)
         self._maybe_flush_fence(agg)
 
-    @request_handler(required={"name": str, "nprocs": int, "objs": dict})
+    @request_handler(required={"name": str, "nprocs": int, "shares": dict,
+                               "objs": dict})
     def req_fencedata(self, msg: Message) -> None:
-        """A child subtree's aggregated fence contribution.
-
-        Two wire formats share this topic: the paper's *incremental*
-        one (``count``/``ops`` deltas, sent one-way without the
-        heartbeat: the response made here goes nowhere, and a refusal
-        travels down as ``kvs.fenceabort``) and the idempotent *shares*
-        one (full per-origin cumulative map, used by every hardened
-        session — see ``_FenceAgg``).
-        """
+        """A child subtree's fence contribution (:meth:`_flush_fence`):
+        ``shares`` maps an origin rank to its whole ``[count, ops]``
+        share, or to ``[count, ops, base]``, the ops added since the
+        sender sent it at count ``base``; ``gen`` is the round's
+        generation (omitted while 0)."""
         p = msg.payload
-        if not (self.check_field(msg, "shares", dict)
-                and self.check_field(msg, "count", int)
-                and self.check_field(msg, "ops", list)):
+        if not (self.check_field(msg, "gen", int)
+                and self._shares_ok(msg)):
             return
-        if "shares" in p:
-            self._merge_fence_shares(msg, p)
-            return
-        agg = self._fence_for(msg)
+        agg = self._fence_for(msg, p.get("gen", 0))
         if agg is None:
             return
-        agg.senders.add(msg.src_rank)
-        count = p.get("count", 0)
-        agg.count += count
-        agg.total_seen += count
-        child_ops = p.get("ops", [])
-        agg.ops.extend(child_ops)
-        if child_ops:
-            # One intern probe replaces the O(len) re-walk of the
-            # child's aggregate: the sender interned the flushed list
-            # with its exact size, and in-process delivery shares the
-            # object, so the probe hits at every tree level.
-            csize = interned_size(child_ops)
-            if csize is not None:
-                self._cv_interned.inc((self.name, "sizing"), csize)
-            else:
-                csize = canonical_size(child_ops)
-            agg.ops_size += csize - 1 - len(child_ops)
+        if msg.src_rank != self.rank:
+            agg.senders.add(msg.src_rank)
         slave = self.master is None
+        for origin, share in p["shares"].items():
+            self._fold_share(agg, int(origin), share, slave)
         for sha, obj in p["objs"].items():
-            if slave and sha not in agg.objs:
-                # The flush adds this counter instead of re-walking
-                # the objects.
-                agg.objs_size += 44 + size_by_sha(sha, obj)
-            agg.objs[sha] = obj      # union by SHA1: redundancy reduces
             self._obj_put(sha, obj)
+        self._fence_objs(agg, p["objs"])
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
 
-    def _merge_fence_shares(self, msg: Message, p: dict) -> None:
-        """Fold a shares-mode contribution in (idempotent merge)."""
-        name = p["name"]
-        if name in self._completed:
-            # Late re-emission for a fence already committed: the
-            # sender learns the outcome via setroot/gossip; folding it
-            # back in could re-create (and re-commit) the fence.
-            self.respond(msg, {})
+    def _shares_ok(self, msg: Message) -> bool:
+        ok = all(o.isdigit() and type(s) is list and len(s) in (2, 3)
+                 and type(s[1]) is list
+                 and all(type(n) is int for n in s[::2])
+                 for o, s in msg.payload["shares"].items())
+        if not ok:
+            self.respond(msg, error="fencedata: payload field 'shares' "
+                         "must map origin ranks to [count, ops] or "
+                         "[count, ops, base]", code=EINVAL)
+        return ok
+
+    def _fold_share(self, agg: _FenceAgg, origin: int, share: list,
+                    slave: bool) -> None:
+        """Merge one origin's share.  A delta that does not extend the
+        count held here follows a lost one: the next re-emission
+        repairs both."""
+        count, ops = share[0], share[1]
+        base = share[2] if len(share) > 2 else 0
+        have, mine = agg.parts.get(origin, (0, []))
+        if count <= have or base not in (0, have):
             return
-        agg = self._fence_for(msg)
-        if agg is None:
-            return
-        changed = False
-        for origin_s, share in p["shares"].items():
-            origin = int(origin_s)
-            if origin == self.rank:
-                continue            # our own share is authoritative here
-            cur = agg.shares.get(origin)
-            if cur is None or share[0] > cur[0]:
-                agg.shares[origin] = [share[0], list(share[1])]
-                changed = True
-        for sha, obj in p["objs"].items():
-            agg.objs[sha] = obj
-            self._obj_put(sha, obj)
-        self.respond(msg, {})
-        if changed:
-            self._flush_fence(agg.name)
+        # A whole share extends the prefix held here.
+        tail = ops[len(mine):] if mine and not base else ops
+        agg.put(origin, count, mine + tail if mine else ops)
+        if slave:
+            size = interned_size(tail)
+            if size is not None:
+                # The sender interned what it sent with its exact size,
+                # and in-process delivery shares the object: one probe
+                # instead of an O(len) re-walk at every tree level.
+                self._cv_interned.inc((self.name, "sizing"), size)
+            else:
+                size = canonical_size(tail)
+            agg.pending(origin, size - 1 - len(tail) if tail else 0)
 
     def _maybe_flush_fence(self, agg: _FenceAgg) -> None:
-        """Flush the aggregate upstream when complete, when a message's
-        worth is pending and the uplink is idle — or after the
-        aggregation window, so fences joined by only a subset of the
-        subtree's clients (e.g. two jobs sharing a session) still make
-        progress.  A hardened session's shares flush every time."""
-        if self.broker.session.hardened:
-            self._flush_fence(agg.name)
+        """The one flush rule.  The master rank commits once every
+        participant is in.  A slave flushes when its whole subtree has
+        contributed, when a message's worth is pending and the uplink
+        is idle — or after the aggregation window, so fences joined by
+        only a subset of the subtree's clients (e.g. two jobs sharing a
+        session) still make progress."""
+        if self.master is not None:
+            self._maybe_complete(agg)
             return
         expected = self.broker.session.subtree_procs(self.rank)
         # Fast path (whole session fencing): the root-ward aggregation
         # matches the subtree counts.
-        complete = agg.total_seen >= min(expected, agg.nprocs)
+        complete = agg.total >= min(expected, agg.nprocs)
         # Self-clocked relay: a message's worth leaves as soon as the
         # NIC has nothing queued, else the rule is looked at again when
         # it frees.
-        batched = (self.master is None and agg.ops_size + agg.objs_size
+        batched = (agg.ops_size + agg.objs_size
                    >= _fence_batch(self.broker.network.params))
         now = self.broker.sim.now
         if complete or (batched and self.broker.nic_free_at() <= now):
-            self._flush_fence(agg.name)
+            self._flush_fence(agg)
         elif batched:
             if not agg.wake_armed:
                 agg.wake_armed = True
@@ -1768,12 +1747,12 @@ class KvsModule(CommsModule):
                               lambda: self._fence_timer(agg))
 
     def _fence_timer(self, agg: _FenceAgg) -> None:
-        # The timer belongs to *this* aggregate: a legacy fence name is
+        # The timer belongs to *this* aggregate: a fence name is
         # reusable, and a later fence of the name arms its own.
         if self._fences.get(agg.name) is not agg:
             return
         agg.timer_armed = False
-        self._flush_fence(agg.name)
+        self._flush_fence(agg)
 
     def _fence_wake(self, agg: _FenceAgg) -> None:
         # Owned by its aggregate like the window timer; the NIC may
@@ -1783,60 +1762,87 @@ class KvsModule(CommsModule):
         agg.wake_armed = False
         self._maybe_flush_fence(agg)
 
-    def _flush_fence(self, name: str) -> None:
-        agg = self._fences.get(name)
-        if agg is None:
+    def _flush_fence(self, agg: _FenceAgg, full: bool = False) -> None:
+        """Send up what this rank holds of ``agg`` and has not sent: the
+        origins whose count rose, each with its ops since (and the count
+        they extend), and the objects since.  ``full`` (a re-emission)
+        or a new uplink sends every share whole and every object, which
+        repairs whatever was lost on the way.
+
+        A contribution is one-way: the fence's ``setroot`` acknowledges
+        it.  Once the aggregate has been re-emitted — it outlived a
+        heartbeat pulse, or its uplink changed — every message it sends
+        is a request the parent answers at once (``acked``), so a lost
+        repair is repaired within a retransmission timeout rather than
+        a pulse.  A fence that completes between pulses, as every fence
+        of a session without the heartbeat does, sends none."""
+        hop = self._uplink_peer()
+        if hop is None:
             return
-        if self.broker.session.hardened:
-            self._flush_fence_shared(agg)
+        if full or (agg.uplink is not None and hop != agg.uplink):
+            agg.acked = True
+            agg.sent, agg.nobjs_sent, agg.pend, agg.ops_size = {}, 0, {}, 0
+            for origin, (_count, ops) in agg.parts.items():
+                agg.pending(origin, canonical_size(ops) - 1 - len(ops)
+                            if ops else 0)
+            agg.objs_size = sum(44 + size_by_sha(sha, obj)
+                                for sha, obj in agg.objs.items())
+        if not agg.pend:
             return
-        if self.master is not None:
-            if agg.total_seen >= agg.nprocs:    # else keep holding
-                self._complete_fence(agg, agg.ops, agg.objs)
-            return
-        if agg.count == 0:
-            return
-        count, agg.count = agg.count, 0
-        ops, agg.ops = agg.ops, []
-        objs, agg.objs = agg.objs, {}
-        ops_size, agg.ops_size = agg.ops_size, 0
-        objs_size, agg.objs_size = agg.objs_size, 0
-        payload = {"name": agg.name, "nprocs": agg.nprocs, "count": count,
-                   "ops": ops}
-        if ops:
-            # The flushed list is frozen from here on: intern it with
-            # its incrementally maintained exact size, so this hop's
-            # frame sizing — and the parent's fold-in — are each one
-            # probe instead of an O(len) re-walk.
-            total = 1 + len(ops) + ops_size
-            intern_fragment(ops, total)
-            if interned_size(ops) is not None:
-                self._cv_interned.inc((self.name, "sizing"), total)
+        shares = {}
+        for origin, size in agg.pend.items():
+            count, ops = agg.parts[origin]
+            base, nsent = agg.sent.get(origin, (0, 0))
+            delta = ops[nsent:] if nsent else ops
+            if delta:
+                # Frozen from here on: intern it with its exact size, so
+                # this hop's frame sizing — and the parent's fold-in —
+                # are each one probe instead of an O(len) re-walk.
+                total = 1 + len(delta) + size
+                intern_fragment(delta, total)
+                if interned_size(delta) is not None:
+                    self._cv_interned.inc((self.name, "sizing"), total)
+            shares[str(origin)] = ([count, delta, base] if base
+                                   else [count, delta])
+            agg.sent[origin] = (count, len(ops))
+        objs = dict(islice(agg.objs.items(), agg.nobjs_sent, None))
+        payload = {"name": agg.name, "nprocs": agg.nprocs, "shares": shares,
+                   **({"gen": agg.gen} if agg.gen else {})}
         # Canonical sizes are additive: the frame plus the per-object
         # counter, less the comma the last entry does not have.
         size = (canonical_size({**payload, "objs": {}})
-                + max(objs_size - 1, 0))
-        # One-way: the fence's setroot is the only acknowledgement.
-        self.broker.send_hop(self.broker.parent, "kvs.fencedata",
-                             {**payload, "objs": objs},
-                             span=agg.span, payload_size=size)
+                + max(agg.objs_size - 1, 0))
+        agg.pend, agg.ops_size, agg.objs_size = {}, 0, 0
+        agg.nobjs_sent, agg.uplink = len(agg.objs), hop
+        payload["objs"] = objs
+        if agg.acked:
+            self.broker.rpc_hop_cb(hop, "kvs.fencedata", payload,
+                                   lambda resp: self._fence_sent(agg, resp),
+                                   span=agg.span, payload_size=size)
+        else:
+            self.broker.send_hop(hop, "kvs.fencedata", payload,
+                                 span=agg.span, payload_size=size)
 
-    def _fencedata_sent(self, agg: _FenceAgg, resp: Message) -> None:
-        """The parent's answer to a shares-mode contribution, or the
-        master's to the completed fence.  Transient failures are
-        repaired by the re-emissions; a refusal (``EINVAL``: our
-        clients' ``nprocs`` contradicts the fence the parent is
-        collecting, or the master refused the commit) is final and
-        fails the fence here and below."""
-        if resp.errnum == EINVAL:
+    def _fence_sent(self, agg: _FenceAgg, resp: Message) -> None:
+        # Only a refusal matters: anything lost is re-emitted.
+        if resp.errnum == EINVAL and self._fences.get(agg.name) is agg:
             self._refuse_fence(agg, resp.error, resp.errnum, resp.err_rank)
+
+    def _reemit_fences(self) -> None:
+        """A slave re-sends each pending fence whole (no share counts
+        twice); the master rank re-checks completion."""
+        for agg in list(self._fences.values()):
+            if self.master is not None:
+                self._maybe_complete(agg)
+            else:
+                self._flush_fence(agg, full=True)
 
     def _refuse_fence(self, agg: _FenceAgg, error: str, code: str,
                       err_rank: int) -> None:
         """Drop ``agg`` and fail what it held: this rank's client
         requests and, by ``kvs.fenceabort``, the children whose
-        incremental contributions it folded in — each holds its own
-        clients' requests and tells its own senders in turn."""
+        contributions it folded in — each holds its own clients'
+        requests and tells its own senders in turn."""
         if self._fences.get(agg.name) is agg:
             del self._fences[agg.name]
         held, agg.held = agg.held, []
@@ -1844,69 +1850,50 @@ class KvsModule(CommsModule):
             self.respond(msg, error=error, code=code, err_rank=err_rank)
         senders, agg.senders = agg.senders, set()
         for child in sorted(senders):
-            self._fence_abort(child, agg.name, error, code, err_rank)
+            self._fence_abort(child, agg.name, agg.gen, error, code,
+                              err_rank)
 
-    def _fence_abort(self, rank: int, name: str, error: str, code: str,
-                     err_rank: int) -> None:
-        self.broker.send_hop(rank, "kvs.fenceabort",
-                             {"name": name, "error": error, "errnum": code,
-                              "rank": err_rank})
+    def _fence_abort(self, rank: int, name: str, gen: int, error: str,
+                     code: str, err_rank: int) -> None:
+        self.broker.send_hop(rank, "kvs.fenceabort", {
+            "name": name, "error": error, "errnum": code, "rank": err_rank,
+            **({"gen": gen} if gen else {})})
 
     @request_handler(required={"name": str, "error": str, "errnum": str,
                                "rank": int})
     def req_fenceabort(self, msg: Message) -> None:
         """The parent refused a fence aggregate this rank contributed
-        to: fail the fence here too (and below)."""
+        to: fail the fence here too (and below).  A lost one is sent
+        again when the next re-emission meets the same refusal."""
         p = msg.payload
+        if not self.check_field(msg, "gen", int):
+            return
         agg = self._fences.get(p["name"])
-        if agg is not None:
+        if agg is not None and agg.gen == p.get("gen", 0):
             self._refuse_fence(agg, p["error"], p["errnum"], p["rank"])
 
-    def _flush_fence_shared(self, agg: _FenceAgg) -> None:
-        """Shares-mode flush: send (or, at the master, evaluate) the
-        full merged per-origin map.  Nothing is cleared — the map is
-        cumulative, so this is safe to call arbitrarily often."""
-        if agg.local_count > 0:
-            agg.shares[self.rank] = [agg.local_count,
-                                     list(agg.local_ops)]
-        if not agg.shares:
-            return
-        if self.master is not None:
-            self._maybe_complete_shared(agg)
-            return
-        objs = {**agg.objs, **agg.local_objs}
-        payload = {"name": agg.name, "nprocs": agg.nprocs,
-                   "shares": {str(o): [s[0], s[1]]
-                              for o, s in agg.shares.items()}}
-        self._send_objs("kvs.fencedata", payload, objs,
-                        lambda resp: self._fencedata_sent(agg, resp),
-                        span=agg.span)
+    def _maybe_complete(self, agg: _FenceAgg) -> None:
+        """At the master rank: commit ``agg`` once the share counts sum
+        to ``nprocs`` (they are disjoint per origin, so the sum is exact
+        however often shares were re-sent).  A round this rank has seen
+        commit already (before a failover) is only released."""
+        if agg.gen < self._fence_gen(agg.name):
+            self._release_fence(agg)
+        elif agg.total >= agg.nprocs:
+            self._complete_fence(agg)
 
-    def _maybe_complete_shared(self, agg: _FenceAgg) -> None:
-        """Commit a shares-mode fence once every participant's share
-        has arrived (counts are disjoint per origin, so the sum is
-        exact no matter how often shares were re-sent).  Unlike a
-        legacy-format name, a name still in the completed-fence digest
-        is refused: a late re-emission must never commit it twice."""
-        if agg.name in self._completed:
-            return
-        if sum(s[0] for s in agg.shares.values()) < agg.nprocs:
-            return
-        ops = []
-        for origin in sorted(agg.shares):
-            ops.extend(agg.shares[origin][1])
-        self._complete_fence(agg, ops, {**agg.objs, **agg.local_objs})
-
-    def _complete_fence(self, agg: _FenceAgg, ops: list,
-                        objs: dict) -> None:
-        """Every participant of ``agg`` is in (either wire format): ship
-        the delegated parts to their owners and commit the rest as one
-        master commit, which publishes and releases the waiters only
-        once every part is acknowledged — a fence ack implies the whole
-        collective write is readable."""
+    def _complete_fence(self, agg: _FenceAgg) -> None:
+        """Every participant of ``agg`` is in: ship the delegated parts
+        to their owners and commit the rest, ops in origin-rank order,
+        as one master commit, which publishes and releases the waiters
+        only once every part is acknowledged — a fence ack implies the
+        whole collective write is readable."""
         if agg.completing:
             return
         agg.completing = True
+        ops = [op for origin in sorted(agg.parts)
+               for op in agg.parts[origin][1]]
+        objs = agg.objs
         if self.owners:
             ops, objs, groups = self._partition_ops(ops, objs)
             if groups:
@@ -1916,7 +1903,9 @@ class KvsModule(CommsModule):
         self._master_commit(
             ops, objs,
             lambda resp: (self._release_fence(agg) if resp.error is None
-                          else self._fencedata_sent(agg, resp)),
+                          else self._refuse_fence(agg, resp.error,
+                                                  resp.errnum,
+                                                  resp.err_rank)),
             span=agg.span, fence=agg.name)
 
     def _release_fence(self, agg: _FenceAgg) -> None:
@@ -1925,7 +1914,8 @@ class KvsModule(CommsModule):
         here) and let their now-clean objects expire again."""
         self._fences.pop(agg.name, None)
         held, agg.held = agg.held, []
-        self._unpin(agg.local_objs)
+        self._unpin(sha for _key, sha in agg.parts.get(self.rank,
+                                                       (0, []))[1])
         now = self.broker.sim.now
         san = self._san()
         if san is not None and held:
@@ -1939,11 +1929,11 @@ class KvsModule(CommsModule):
 
     def _record_completed(self, name: str, version: int,
                           root_sha: str) -> None:
-        """Record a completed fence.  Only a new or changed entry takes
-        the next tag and writes a flight record: re-learning a known
-        completion is a no-op."""
+        """Record a completed fence.  Only a newer completion of the
+        name takes the next tag and writes a flight record: re-learning
+        a known one, or an older round's, is a no-op."""
         cur = self._completed.get(name)
-        if cur is not None and cur[0] == version and cur[1] == root_sha:
+        if cur is not None and cur[0] >= version:
             return
         self.broker._frec(self.broker.sim.now, "kvs_commit",
                           name, version, None)
@@ -1964,10 +1954,9 @@ class KvsModule(CommsModule):
             "version_waiters": sorted(w for w, _m in
                                       self._version_waiters),
             "fences": {name: {"nprocs": agg.nprocs,
-                              "count": agg.count,
-                              "total_seen": agg.total_seen,
-                              "held": len(agg.held),
-                              "created_version": agg.created_version}
+                              "gen": agg.gen,
+                              "total_seen": agg.total,
+                              "held": len(agg.held)}
                        for name, agg in sorted(self._fences.items())},
             "repl_waiters": sorted(v for v, _fn in self._repl_waiters),
             "fence_deferred": sorted(self._fence_deferred),
@@ -2008,19 +1997,17 @@ class KvsModule(CommsModule):
     def _recover_after_down(self) -> None:
         """Re-establish KVS invariants on the healed overlay.
 
-        - Every rank (the master included) re-sends its incomplete
-          fences' merged per-origin shares over the healed route.  The
-          shares map is idempotent, so a share that died with the
-          corpse is restored and one that got through is not counted
-          twice: there is nothing to reset.
+        - Every rank (the master included) re-emits its pending fences
+          whole over the healed route.  Shares merge idempotently, so
+          a share that died with the corpse is restored and one that
+          got through is not counted twice: there is nothing to reset.
         - Slaves pull their (possibly new) parent's root version and
           completed-fence digest: setroot events flooding through the
           corpse at the moment of death are lost for its whole former
           subtree, and a lost fence-completion notice would strand held
           waiters forever.
         """
-        for name in list(self._fences):
-            self._flush_fence(name)
+        self._reemit_fences()
         if self.master is None:
             self._resync_root()
 
@@ -2062,7 +2049,7 @@ class KvsModule(CommsModule):
             ver, root = p["completed"][name]
             self._record_completed(name, ver, root)
             agg = self._fences.get(name)
-            if agg is not None and ver > agg.created_version:
+            if agg is not None and ver > agg.gen:
                 # We missed this fence's completion notice: replay it.
                 self._local_setroot_event(ver, root, fence=name)
 
@@ -2126,12 +2113,10 @@ class KvsModule(CommsModule):
         if fence is not None:
             self._record_completed(fence, p["version"], p["rootref"])
             agg = self._fences.get(fence)
-            if agg is not None and p["version"] > agg.created_version:
-                # The master completed the fence: every contribution
-                # (including any this node held) was accounted for.
-                # The version guard keeps a late/replayed completion
-                # notice for a *previous* fence of the same name (KAP
-                # re-fences every iteration) from releasing this one.
+            if agg is not None and p["version"] > agg.gen:
+                # The master completed the fence; the generation keeps
+                # a replayed notice of an earlier round of the name
+                # (KAP re-fences every iteration) from releasing it.
                 self._release_fence(agg)
 
     def req_getversion(self, msg: Message) -> None:
@@ -2277,8 +2262,9 @@ class KvsModule(CommsModule):
     def _load_pump(self) -> None:
         """Send the queued SHAs as one ``kvs.load`` when the combiner's
         gate allows — the walk's gate.  Unlike a walk batch the request
-        keeps its first waiter's context as it is: no ``failfast``, no
-        deadline of its own (DESIGN.md "Read path")."""
+        keeps its first waiter's context: no deadline of its own, and
+        ``failfast`` only when that context has no deadline for
+        :meth:`_load_expire` to drop it by (DESIGN.md "Read path")."""
         loads = self._loads
         if not loads.may_send(self.broker.children):
             return
@@ -2290,6 +2276,8 @@ class KvsModule(CommsModule):
         size = (10 + sum(map(len, shas)) + 3 * len(shas)
                 if all(s.isascii() and s.isalnum() for s in shas) else None)
         ctx, span = batch.ctx
+        if ctx is not None and ctx.deadline is None:
+            ctx = ctx._replace(failfast=True)
         self._toward_master_cb("kvs.load", {"shas": shas},
                                lambda resp: self._load_done(batch, resp),
                                ctx=ctx, span=span, payload_size=size)
@@ -2307,11 +2295,11 @@ class KvsModule(CommsModule):
                 fn(obj)
 
     def _load_expire(self) -> None:
-        """Drop every load batch whose deadline has passed.  Loads are
-        not failfast, so a hop may have given up on one quietly; left
-        in flight it would be joined by every later read of its SHAs
-        and hold a combiner slot for good.  Its waiters get ``None``,
-        the retryable EIO of an object lost in transit."""
+        """Drop every load batch whose deadline has passed.  A load with
+        a deadline is not failfast, so a hop may have given up on one
+        quietly; left in flight it would be joined by every later read
+        of its SHAs and hold a combiner slot for good.  Its waiters get
+        ``None``, the retryable EIO of an object lost in transit."""
         now = self.broker.sim.now
         for batch in [b for b in self._loads.out
                       if b.ctx[0] is not None and b.ctx[0].expired(now)]:

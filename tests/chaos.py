@@ -38,7 +38,7 @@ __all__ = ["ChaosReport", "JobChaosReport", "anti_entropy_misses",
 def anti_entropy_misses(session) -> list[tuple[int, str]]:
     """``(rank, fence)`` for every aggregate a live non-master rank
     still holds although the live master records that fence completed
-    at a version above the aggregate's ``created_version`` — a
+    at a version above the aggregate's generation ``gen`` — a
     completion the per-pulse ``kvs.getroot`` pull failed to carry
     down.  Reads every rank: a harness check, not a protocol step."""
     live = [b.modules["kvs"] for b in session.brokers if b.alive]
@@ -46,7 +46,7 @@ def anti_entropy_misses(session) -> list[tuple[int, str]]:
             for name, entry in kvs._completed.items()}
     return [(kvs.rank, name) for kvs in live if kvs.master is None
             for name, agg in sorted(kvs._fences.items())
-            if done.get(name, -1) > agg.created_version]
+            if done.get(name, -1) > agg.gen]
 
 
 def _maybe_postmortem(session, *, kind: str, out: Optional[str],

@@ -27,18 +27,18 @@ def _spy_on_sends(monkeypatch, record):
 @pytest.fixture
 def fencedata_log(monkeypatch):
     """Every ``kvs.fencedata`` request put on the fabric while the test
-    runs, in send order: simulated time, sending node, contribution
-    count (of a shares-format message: the sum of its shares), the
-    bytes the NIC was charged and the bytes a real canonical encoding
-    of the message would take."""
+    runs, in send order: simulated time, sending node, the client
+    entries it carries (per origin, its count less the ``base`` count
+    a delta extends), the bytes the NIC was charged and the bytes a
+    real canonical encoding of the message would take."""
     log = []
 
     def record(network, src, msg, size):
         if (msg.topic == "kvs.fencedata"
                 and msg.mtype is MessageType.REQUEST):
             p = msg.payload
-            count = (p["count"] if "count" in p
-                     else sum(s[0] for s in p["shares"].values()))
+            count = sum(s[0] - (s[2] if len(s) > 2 else 0)
+                        for s in p["shares"].values())
             log.append(FenceData(
                 network.sim.now, src, count, size,
                 HEADER_BYTES + len(canonical_dumps(p))))

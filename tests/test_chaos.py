@@ -324,6 +324,37 @@ def test_revive_rank_reattaches_and_serves():
     session.stop()
 
 
+def test_falsely_buried_orphan_of_a_dead_root_rejoins_its_adopter():
+    """Rank 2 was adopted by the acting root, rank 1, when rank 0 died.
+    Its hellos are then lost until rank 1 declares it dead, and when
+    they resume it re-attaches: rank 1 must take it back as a child —
+    its static parent is the corpse, so restoring static edges alone
+    would leave it cut off from every pulse and flood."""
+    cluster = make_cluster(7, seed=23)
+    plan = FaultPlan(seed=1)
+    cluster.network.fault_plan = plan
+    session = standard_session(cluster, with_heartbeat=True,
+                               hb_period=0.05, hb_max_epochs=100000)
+    session.start()
+    sim = cluster.sim
+    sim.run(until=0.3)
+    session.fail_rank(0)
+    sim.run(until=1.0)
+    assert session.brokers[2].parent == 1
+    assert 2 in session.brokers[1].children
+    plan.drop_next(session.node_of_rank(2), session.node_of_rank(1),
+                   count=8)
+    live1, live2 = (session.module_at(r, "live") for r in (1, 2))
+    sim.run(until=1.4)
+    assert 2 in live1.announced             # buried while silent
+    sim.run(until=2.5)
+    assert 2 not in live1.announced         # its hellos brought it back
+    assert session.brokers[2].parent == 1
+    assert 2 in session.brokers[1].children
+    assert live2.epoch >= live1.epoch - 1   # pulses reach it again
+    session.stop()
+
+
 # ----------------------------------------------------------------------
 # Convergence under chaos (the acceptance workload)
 # ----------------------------------------------------------------------

@@ -413,3 +413,36 @@ def test_abandoned_load_is_dropped_past_its_deadline():
     sim.run(until=5.0)
     assert later.value == 1
     assert _idle(session)
+
+
+def test_abandoned_load_without_a_deadline_fails_fast():
+    """The same lost load, but the cold get at rank 3 has no timeout, so
+    the batch rank 1 sends rides a context with no deadline to drop it
+    by.  Such a load is failfast: the hop that gives up on it answers
+    at once — the cold get fails retryably — and rank 1's later read
+    faults the root in afresh instead of joining a batch nobody will
+    ever answer."""
+    plan = FaultPlan(seed=1)
+    cluster = make_cluster(7, seed=1)
+    cluster.network.fault_plan = plan
+    session = standard_session(cluster, with_heartbeat=True,
+                               hb_max_epochs=40).start()
+    sim = cluster.sim
+
+    def writer():
+        kvs = KvsClient(session.connect(0, collective=False))
+        yield kvs.put("a.b", 1)
+        yield kvs.commit()
+
+    proc = sim.spawn(writer())
+    sim.run(until=0.4)
+    assert proc.ok
+    plan.drop_next(session.node_of_rank(1), session.node_of_rank(0),
+                   count=14)
+    cold, = _gets(session, sim, 3, ["a.b"])
+    sim.run(until=1.0)
+    later, = _gets(session, sim, 1, ["a.b"], timeout=0.1, retries=8)
+    sim.run(until=5.0)
+    assert later.value == 1
+    assert cold.value.code == EIO       # retryable: lost in transit
+    assert _idle(session)

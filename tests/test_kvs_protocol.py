@@ -11,11 +11,19 @@ from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
 from repro.kvs import KvsClient, KvsModule
 from repro.sim.cluster import make_cluster
+from repro.sim.faults import FaultPlan
 from repro.sim.network import NetworkParams
 
+#: Sessions the refusal and reuse tests run on: the paper's loss-free
+#: protocol, the hardened one (the heartbeat loaded), and the hardened
+#: one over a fabric that drops 1% of the messages between nodes.
+PLAIN, HB, HB_LOSS = {}, {"hb": True}, {"hb": True, "drop": 0.01}
 
-def make_kvs_session(n=8, arity=2, expiry=None, hb=False):
+
+def make_kvs_session(n=8, arity=2, expiry=None, hb=False, drop=0.0):
     cluster = make_cluster(n, seed=5)
+    if drop:
+        cluster.network.fault_plan = FaultPlan(seed=5, drop_rate=drop)
     modules = [ModuleSpec(KvsModule, expiry=expiry),
                ModuleSpec(BarrierModule)]
     if hb:
@@ -379,8 +387,10 @@ class TestFence:
             (i + 1) % N for i in range(N)]
         answered = session.message_counts()[("kvs", "ipc", "response")]
         assert answered == 3 * N    # puts + fences + gets
+        # Each origin's share adds its key: rank 1 relays rank 3's too.
         assert [(m.src, m.count, m.accounted) for m in fencedata_log] == [
-            (2, 2, 329), (3, 2, 329), (1, 4, 541)]
+            (2, 2, 332), (3, 2, 332), (1, 4, 554)]
+        assert [m for m in fencedata_log if m.accounted != m.encoded] == []
 
     def test_nprocs_mismatch_on_one_rank_is_einval(self):
         cluster, session = make_kvs_session(n=4)
@@ -407,11 +417,14 @@ class TestFence:
         assert run(cluster, member(0, 2, 0.0), odd_one_out(),
                    member(1, 2, 2e-3)) == [1, "refused", 1]
 
-    def test_nprocs_mismatch_across_ranks_fails_the_refused_subtree(self):
+    @pytest.mark.parametrize("shape", [PLAIN, HB, HB_LOSS],
+                             ids=["plain", "hb", "hb-loss"])
+    def test_nprocs_mismatch_across_ranks_fails_the_refused_subtree(
+            self, shape):
         """The contradiction is only visible where the contributions
         meet: the parent refuses the child's aggregate, and the child
         fails the requests it holds instead of leaving them to hang."""
-        cluster, session = make_kvs_session(n=4)
+        cluster, session = make_kvs_session(n=4, **shape)
         sim = cluster.sim
 
         def member(rank, nprocs, delay):
@@ -434,12 +447,14 @@ class TestFence:
                    member(2, 2, 2e-3)) == [1, "refused", 1]
         assert session.module_at(0, "kvs").master.version == 1
 
-    def test_refusal_reaches_the_subtree_below_the_refused_rank(self):
+    @pytest.mark.parametrize("shape", [PLAIN, HB, HB_LOSS],
+                             ids=["plain", "hb", "hb-loss"])
+    def test_refusal_reaches_the_subtree_below_the_refused_rank(self, shape):
         """Rank 3's contribution leaves rank 3 at once and is refused
         one level up, where rank 1's flush meets the master's pending
         fence: rank 1 tells rank 3, whose client fails too — instead of
         being acknowledged later by a commit that never held its write."""
-        cluster, session = make_kvs_session(n=7)
+        cluster, session = make_kvs_session(n=7, **shape)
         sim = cluster.sim
 
         def member(rank, nprocs, at):
@@ -511,10 +526,11 @@ class TestFence:
         assert root.master.version == 2
         assert root.waiter_census()["fences"] == {}
 
-    def test_completed_fence_name_is_reusable(self):
+    @pytest.mark.parametrize("shape", [PLAIN, HB], ids=["plain", "hb"])
+    def test_completed_fence_name_is_reusable(self, shape):
         """KAP re-fences one name every iteration: each round is a
         fresh fence — including one with a different ``nprocs``."""
-        cluster, session = make_kvs_session(n=4)
+        cluster, session = make_kvs_session(n=4, **shape)
 
         def member(i):
             kvs = KvsClient(session.connect(i))

@@ -24,12 +24,13 @@ from repro.kap import KapConfig, run_kap
 from .chaos import run_chaos_workload
 from .conftest import _spy_on_sends
 
-#: Re-pinned five times (barrier tallies leave when the subtree is
+#: Re-pinned six times (barrier tallies leave when the subtree is
 #: complete; reductions without acknowledgements on the fault-free path;
 #: self-clocked fence relay; the callback request hop, which deletes
 #: each broker's and each ``kvs.get``'s process bookkeeping events;
-#: batched fault-in, where ``kvs.load`` carries a list of SHAs).
-GOLDEN_KAP_256 = "4569dcddb29ea9a65b1363dcb2911a61a4a318b1"
+#: batched fault-in, where ``kvs.load`` carries a list of SHAs; one
+#: fence wire format, where a contribution carries its origin keys).
+GOLDEN_KAP_256 = "c7379c863c88a73c0cb33391a7090c0c5d5e54da"
 
 
 @pytest.fixture(autouse=True)

@@ -13,8 +13,8 @@ optimization perturbs scheduling order, message sizes, or float
 arithmetic, these pins catch it; they are the regression gate the
 DESIGN.md "Performance engineering" section points at.
 
-The KAP pins were re-declared five times since, the chaos golden
-five times (see its comment).
+The KAP pins were re-declared six times since, the chaos golden
+six times (see its comment).
 First "barrier tallies leave when the subtree is complete": the setup
 barrier lost its per-level windows, so fingerprints, event counts,
 bytes and ``total_time`` moved and the phase latencies moved in the
@@ -39,7 +39,13 @@ behind one in flight share a request.  Producer and sync latencies
 did not move; ``medium`` lost 120 events and its consumer phase fell
 21%, while ``small`` and ``large`` (same events) read later, because a
 second distinct object now waits for the load in flight instead of
-going in parallel.
+going in parallel.  Then "one fence wire format": a contribution maps
+each origin rank to its ``[count, ops]`` share instead of carrying one
+count and one op list, so every contribution carries its origin keys
+(``small`` +81 bytes, ``medium`` +272) and the sync phase reads later
+by those bytes (+0.05% / +0.07%); ``medium`` lost the master rank's
+idle window timer (one event).  ``large`` commits instead of fencing
+and did not move.
 """
 
 import copy
@@ -58,21 +64,21 @@ GOLDEN_KAP = {
     "small": (
         dict(nnodes=8, procs_per_node=2, value_size=64, nputs=2,
              naccess=2, seed=3),
-        dict(fingerprint="9d9662c4d280dfa179b0485e4f90bdd23543712b",
-             events=671, bytes_sent=35466,
+        dict(fingerprint="3c3887a71a6e8fa6de9ee462bfdd6ee93d7d41e8",
+             events=670, bytes_sent=35547,
              producer=1.6094000000000005e-05,
-             sync=2.96042083333333e-05,
-             consumer=8.5297875e-05,
-             total_time=0.00015769856249999998),
+             sync=2.9619520833333292e-05,
+             consumer=8.529787499999997e-05,
+             total_time=0.00015771387499999995),
     ),
     "medium": (
         dict(nnodes=16, procs_per_node=4, value_size=512, dir_width=16,
              seed=5),
-        dict(fingerprint="257bac4fbb37aa17deb9823f0623a4bc249ddc75",
-             events=1536, bytes_sent=165853,
+        dict(fingerprint="52ba22355f63944bd7f7f2536dbf624df650b32d",
+             events=1535, bytes_sent=166125,
              producer=8.122166666666672e-06,
-             sync=4.356981249999994e-05,
-             consumer=4.5226520833333375e-05,
+             sync=4.359887499999996e-05,
+             consumer=4.522652083333335e-05,
              total_time=0.00014958312500000002),
     ),
     "large": (
@@ -87,7 +93,7 @@ GOLDEN_KAP = {
     ),
 }
 
-#: Re-pinned five times: the live watchdog armed with or without a
+#: Re-pinned six times: the live watchdog armed with or without a
 #: fault plan, then the heartbeat (not the plan) selecting the hardened
 #: protocol — ``kvs.getroot`` replies lost their fence-epoch field, and
 #: gossip and retransmission timers keep running through the clean-
@@ -96,13 +102,17 @@ GOLDEN_KAP = {
 #: ``since`` and gets only what the child lacks (``{}`` when idle), so
 #: message sizes, and with them the fault schedule, changed; then
 #: batched fault-in (``kvs.load`` carries a list of SHAs, 6 bytes more
-#: for a lone load, so the fault schedule changed again).  Each time
-#: ``converged`` and the verified reads did not move; the makespan did
-#: not move before the last re-pin and rose by 7.5 ns (0.005%) at it.
+#: for a lone load, so the fault schedule changed again), then one fence
+#: wire format (per-origin delta shares sent one-way, acknowledged only
+#: once re-emitted, instead of the whole cumulative map as a request on
+#: every arrival: fewer, smaller messages, so the fault schedule changed
+#: again).  Each time ``converged`` and the verified reads did not move;
+#: the makespan did not move before the fifth re-pin, rose by 7.5 ns
+#: (0.005%) at it and fell by 10.8 us (6.9%) at the last.
 GOLDEN_CHAOS = dict(
-    fingerprint="c6f1612e1b52e60d5a45ab2ff7380a9fb20fefd6",
+    fingerprint="775b7dfe4e3ab3d42315412b833034e1dc5377c2",
     converged=True, reads_verified=16,
-    makespan=0.00015685306249999995)
+    makespan=0.00014604685416666661)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_KAP))

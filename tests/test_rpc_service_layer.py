@@ -211,10 +211,10 @@ MALFORMED = [
     ("kvs.flush", {"ops": "x", "objs": {}}),
     ("kvs.flush", {"ops": [], "objs": []}),
     ("kvs.flush", {"ops": [["k", "0" * 40]], "objs": {}}),
-    ("kvs.fencedata", {"name": "f", "nprocs": 2, "count": "x", "ops": [],
+    ("kvs.fencedata", {"name": "f", "nprocs": 2, "shares": {"1": [1, 5]},
                        "objs": {}}),
-    ("kvs.fencedata", {"name": "f", "nprocs": 2, "count": 1, "ops": 5,
-                       "objs": {}}),
+    ("kvs.fencedata", {"name": "f", "nprocs": 2, "shares": {"x": [1, []]},
+                       "objs": {}, "gen": "x"}),
     ("kvs.fencedata", {"name": "f", "nprocs": 2, "shares": 5, "objs": {}}),
     ("kvs.delegate", {"pfx": "job", "rank": "1"}),
     ("kvs.recall", {"pfx": ["job"]}),
@@ -269,8 +269,8 @@ def test_fence_completed_with_an_unknown_object_fails_its_waiters():
     def client(h):
         before = yield h.rpc("kvs.getversion", {})
         held = h.rpc("kvs.fence", {"name": "f", "nprocs": 2}, timeout=0.5)
-        yield h.rpc("kvs.fencedata", {"name": "f", "nprocs": 2, "count": 1,
-                                      "ops": [["k", "0" * 40]], "objs": {}})
+        yield h.rpc("kvs.fencedata", {"name": "f", "nprocs": 2, "shares": {
+            "5": [1, [["k", "0" * 40]]]}, "objs": {}})
         try:
             yield held
         except RpcError as exc:
