@@ -2285,7 +2285,6 @@ class KvsModule(CommsModule):
     def _load_done(self, batch: _Batch, resp: Message) -> None:
         if not self._loads.settle(batch):
             return          # dropped past its deadline, waiters answered
-        self._load_pump()
         objs = (resp.payload["objs"] if resp.error is None
                 else [None] * len(batch))
         for (sha, waiters), obj in zip(batch.items(), objs):
@@ -2293,6 +2292,10 @@ class KvsModule(CommsModule):
                 self._obj_put(sha, obj)
             for fn in waiters:
                 fn(obj)
+        # Answer, then pump: the children just answered are unparked, so
+        # the queue waits for their next miss instead of leaving beside
+        # the other batch (DESIGN.md "Fault-in on the same combiner").
+        self._load_pump()
 
     def _load_expire(self) -> None:
         """Drop every load batch whose deadline has passed.  A load with

@@ -193,11 +193,14 @@ def test_doctor_root_causes_lost_fence_ack(tmp_path):
     diag = diagnose([path])
     fence_findings = [f for f in diag["findings"]
                       if f["pathology"] == "lost-fence-ack"]
-    assert fence_findings
-    f = fence_findings[0]
+    # One finding for the fence, not one per rank holding it.
+    f, = fence_findings
     assert f["severity"] == "error"
     assert "'stuck'" in f["summary"]
     assert f["entity"] == ("fence", "stuck")
+    assert (f["ranks"], f["held"], f["seen"], f["nprocs"]) == (
+        [1, 2], 2, [1, 1], [3, 3])
+    assert f["evidence"][0].startswith("rank(s) [1, 2]: fence 'stuck'")
     assert "fence:stuck" in diag["timelines"]
 
 
