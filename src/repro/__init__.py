@@ -31,10 +31,9 @@ from typing import Optional
 
 from .sim import Cluster, Simulation, make_cluster
 from .cmb import CommsSession, Handle, ModuleSpec, TreeTopology
-from .cmb.modules import (BarrierModule, GroupModule, HealthModule,
-                          HeartbeatModule, LiveModule, LogModule,
-                          MonModule, ResvcModule, StatsModule,
-                          WexecModule, registry_samplers)
+from .cmb.modules import (BarrierModule, GroupModule, HeartbeatModule,
+                          LiveModule, LogModule, MonModule, ResvcModule,
+                          StatsModule, WexecModule, registry_samplers)
 from .kvs import KvsClient, KvsModule
 
 __version__ = "1.0.0"
@@ -80,13 +79,10 @@ def standard_session(cluster: Cluster,
         ModuleSpec(ResvcModule),
         ModuleSpec(WexecModule, registry=task_registry or {},
                    **(wexec_config or {})),
-        # Registry-backed samplers are registered but inactive: they
-        # generate no traffic until a client activates them.
+        # Registry-backed samplers and the ``health`` op are inactive:
+        # they generate no traffic until a client activates them.
         ModuleSpec(MonModule, samplers=registry_samplers()),
         ModuleSpec(StatsModule),
-        # Passive until a client RPCs ``health.activate``; then each
-        # hb.pulse tree-reduces a cluster health view at the root.
-        ModuleSpec(HealthModule),
     ]
     if with_heartbeat:
         modules.append(ModuleSpec(HeartbeatModule, period=hb_period,

@@ -19,7 +19,8 @@
     Run a small KAP scenario (and optionally a chaos scenario) with
     every runtime sanitizer enabled, verify the run is event-identical
     to a sanitizer-off run, and replay it to check determinism.
-    Exits nonzero on any finding or divergence.
+    Exits nonzero on any finding or divergence, and with ``--chaos``
+    when the chaos harness (``tests/chaos.py``) cannot be imported.
 """
 
 from __future__ import annotations
@@ -155,9 +156,13 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
         sys.path.insert(0, os.path.join(os.getcwd(), "tests"))
         try:
             from chaos import run_chaos_workload
-        except ImportError:
-            notes.append("chaos: harness not found (run from the repo "
-                         "root); skipped")
+        except ImportError as exc:
+            # A check that cannot run must not read as one that passed.
+            findings.append(Finding(
+                rule="SAN105", severity="error",
+                message=f"chaos harness not importable ({exc}): run "
+                        f"from the repo root; the chaos check did not "
+                        f"run"))
         else:
             report = run_chaos_workload(
                 n_nodes=15, n_clients=8, drop_rate=0.01,

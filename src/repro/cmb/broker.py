@@ -75,7 +75,8 @@ _EVENT_SALIENT = {
     "wexec.respawn": lambda p: (p.get("jobid"), p.get("epoch")),
     "wexec.lost": lambda p: p.get("jobid"),
     "job.state": lambda p: (p.get("jobid"), p.get("state")),
-    "health.update": lambda p: (p.get("state"), p.get("epoch")),
+    "mon.update": lambda p: (p.get("name"), p.get("state"),
+                             p.get("epoch")),
 }
 
 
@@ -207,8 +208,9 @@ class Broker:
         #: feeding the ROADMAP fence-payload investigation via
         #: ``CommsSession.plane_bytes()`` and ``bench_simperf``.
         self.plane_bytes: dict[str, int] = {}
-        #: Peak inbox depth since last health-plane sample (the health
-        #: module reads and resets this; one compare on the hot path).
+        #: Peak inbox depth since the last pulse of an active ``health``
+        #: metric (``mon`` reads and resets it; one compare on the hot
+        #: path).
         self.inbox_peak = 0
 
     # -- int-compat views over the registry counters -----------------------

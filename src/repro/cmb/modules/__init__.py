@@ -26,7 +26,6 @@ lint time — from the very registry the runtime itself dispatches on.
 from .barrier import BarrierModule
 from .group import GroupModule
 from .hb import HeartbeatModule
-from .health import HealthModule
 from .jobmgr import JobManagerModule
 from .live import LiveModule
 from .log import LogModule
@@ -36,7 +35,7 @@ from .stats import StatsModule, registry_samplers
 from .wexec import TaskContext, WexecModule
 
 __all__ = [
-    "BarrierModule", "GroupModule", "HealthModule", "HeartbeatModule",
+    "BarrierModule", "GroupModule", "HeartbeatModule",
     "JobManagerModule", "LiveModule",
     "LogModule", "MonModule", "ResvcModule", "StatsModule",
     "TaskContext", "WexecModule", "registry_samplers",
@@ -54,9 +53,7 @@ EVENT_TOPICS = frozenset({
     "group.update",
     "mon.activate",
     "mon.deactivate",
-    "health.activate",
-    "health.deactivate",
-    "health.update",
+    "mon.update",
     "wexec.start",
     "wexec.signal",
     "wexec.done",
@@ -81,7 +78,6 @@ def module_classes() -> dict:
     return {
         BarrierModule.name: BarrierModule,
         GroupModule.name: GroupModule,
-        HealthModule.name: HealthModule,
         HeartbeatModule.name: HeartbeatModule,
         JobManagerModule.name: JobManagerModule,
         LiveModule.name: LiveModule,

@@ -1,41 +1,27 @@
-"""``health`` — tree-reduced cluster health (live observability plane).
-
-Zhang et al.'s monitoring study (PAPERS.md) argues hierarchical
-information services must be bounded-overhead and tree-aggregated;
-this module applies that to *self*-monitoring.  Once activated
-(``health.activate``), every broker samples its own vitals at each
-``hb.pulse`` — inbox depth/peak, in-flight forwarded RPCs, retry
-amplification over the last epoch, KVS dirty ops / held fences /
-version waiters, wexec respawn burn, flight-ring pressure — classifies
-itself ``ok`` / ``degraded`` / ``overloaded`` against
-``DEFAULT_THRESHOLDS`` merged with the activation's overrides, and
-reduces the classification census up the tree exactly
-like :mod:`~repro.cmb.modules.mon` (one message per broker per epoch).
-
-The root folds the census into a cluster state (worst state with at
-least ``quorum_frac`` of one broker, i.e. any non-ok broker degrades
-the cluster) and publishes a ``health.update`` event *only on state
-transitions*, so a healthy session pays one reduction per heartbeat
-and zero event fanouts.
-
-Like ``mon``, the module is passive until activated: loading it adds
-subscriptions only, so fault-free event streams (and their replay
-fingerprints) are untouched.
+"""The ``health`` op of :mod:`.mon`: self-monitoring, hierarchical and
+cheap as Zhang et al. (PAPERS.md) ask of a monitoring service.  After
+``mon.activate {"name": "health", "op": "health"}`` (``thresholds``
+merge over ``DEFAULT_THRESHOLDS`` afresh each time) every broker reads
+its vitals at each ``hb.pulse`` — inbox depth/peak, in-flight RPCs,
+retry amplification, KVS backlog, wexec respawns — and rates itself
+``ok`` / ``degraded`` / ``overloaded``; the root keeps one cluster view
+per epoch (the worst state reported).  ``mon`` publishes ``mon.update``
+only when that state changes and never writes it to the KVS, so a
+healthy session pays one reduction per pulse.  Nothing here sends.
 """
 
 from __future__ import annotations
 
 import operator
 
-from ..message import Message
-from ..module import CommsModule, request_handler
-from .reduce import HISTORY, TreeReduce
-
-__all__ = ["HealthModule", "HEALTH_STATES"]
+__all__ = ["DEFAULT_THRESHOLDS", "HEALTH_STATES", "cluster_view"]
 
 #: Classification ladder; index = severity.
 HEALTH_STATES = ("ok", "degraded", "overloaded")
 
+DEFAULT_THRESHOLDS = {"inbox_degraded": 16, "inbox_overloaded": 64,
+                      "pending_degraded": 32, "pending_overloaded": 128,
+                      "retry_amp_degraded": 0.5, "retry_amp_overloaded": 2.0}
 
 #: Aggregate field -> (the sample field it starts from, its fold); an
 #: aggregate also has ``counts`` (brokers per state) and ``worst``.
@@ -47,7 +33,68 @@ _FIELDS = {"inbox_sum": ("inbox_depth", operator.add),
            "respawn_sum": ("respawn_delta", operator.add)}
 
 
-def _merge(a: dict, b: dict) -> dict:
+def params(payload: dict, _samplers: dict) -> dict:
+    """The activation's thresholds: the defaults, overrides merged in."""
+    over = payload.get("thresholds")
+    if not isinstance(over, (dict, type(None))):
+        raise TypeError("payload field 'thresholds' must be an object")
+    return {"thresholds": {**DEFAULT_THRESHOLDS, **(over or {})}}
+
+
+def read(metric, broker, advance: bool = False) -> dict:
+    """This broker's vitals, classified; the counters are deltas since
+    the last epoch.  Only a pulse (``advance``) starts the next epoch's
+    deltas: a local read leaves them to the epoch they belong to."""
+    wexec = broker.modules.get("wexec")
+    now = {"retransmits": broker.retransmits, "reroutes": broker.reroutes,
+           "requests": broker.requests_handled,
+           "respawns": wexec.respawns if wexec is not None else 0}
+    delta = {k: v - (metric.base or now)[k] for k, v in now.items()}
+    depth = broker.inbox_depth
+    sample = {
+        "inbox_depth": depth,
+        "inbox_peak": max(broker.inbox_peak, depth),
+        "pending_rpcs": len(broker._pending),
+        "retry_amp": (delta["retransmits"] + delta["reroutes"])
+        / max(1, delta["requests"]),
+        "respawn_delta": delta["respawns"],
+        "flight_dropped": broker.flight.dropped,
+        "dirty_ops": 0, "held_fences": 0, "version_waiters": 0,
+    }
+    if advance:
+        metric.base, broker.inbox_peak = now, 0
+    kvs = broker.modules.get("kvs")
+    if kvs is not None:
+        sample["dirty_ops"] = sum(len(d.ops) for d in kvs._dirty.values())
+        sample["held_fences"] = sum(len(agg.held)
+                                    for agg in kvs._fences.values())
+        sample["version_waiters"] = len(kvs._version_waiters)
+    sample["state"] = HEALTH_STATES[classify(sample,
+                                             metric.spec["thresholds"])]
+    return sample
+
+
+def classify(sample: dict, th: dict) -> int:
+    """Threshold ladder over one local sample -> state index."""
+    for level in (2, 1):
+        bar = HEALTH_STATES[level]
+        if (sample["inbox_peak"] >= th[f"inbox_{bar}"]
+                or sample["pending_rpcs"] >= th[f"pending_{bar}"]
+                or sample["retry_amp"] >= th[f"retry_amp_{bar}"]):
+            return level
+    return 0
+
+
+def contribution(sample: dict) -> dict:
+    """A rank's share of the epoch: its vitals and a one-broker census."""
+    state = HEALTH_STATES.index(sample["state"])
+    acc = {k: sample[field] for k, (field, _fold) in _FIELDS.items()}
+    acc["counts"] = [int(i == state) for i in range(len(HEALTH_STATES))]
+    acc["worst"] = state
+    return acc
+
+
+def merge(a: dict, b: dict) -> dict:
     """Fold two partial health aggregates (associative/commutative)."""
     acc = {k: fold(a[k], b[k]) for k, (_f, fold) in _FIELDS.items()}
     acc["counts"] = [x + y for x, y in zip(a["counts"], b["counts"])]
@@ -55,228 +102,27 @@ def _merge(a: dict, b: dict) -> dict:
     return acc
 
 
-class HealthModule(CommsModule):
-    """Periodic self-health snapshots, tree-reduced to a cluster view.
+def view(acc: dict, epoch: int, now: float) -> dict:
+    """The root's cluster view of one completed epoch."""
+    return {"epoch": epoch, "t": now, "state": HEALTH_STATES[acc["worst"]],
+            "brokers": sum(acc["counts"]),
+            "counts": dict(zip(HEALTH_STATES, acc["counts"])),
+            **{k: acc[k] for k in _FIELDS}}
 
-    Classification thresholds are ``DEFAULT_THRESHOLDS`` until an
-    activation installs its own overrides merged over them.
-    """
 
-    name = "health"
+def transition(last, new: dict):
+    """The ``mon.update`` payload when the cluster state changed."""
+    if last is None or last["state"] != new["state"]:
+        return {"state": new["state"], "epoch": new["epoch"],
+                "counts": new["counts"]}
+    return None
 
-    DEFAULT_THRESHOLDS = {
-        "inbox_degraded": 16, "inbox_overloaded": 64,
-        "pending_degraded": 32, "pending_overloaded": 128,
-        "retry_amp_degraded": 0.5, "retry_amp_overloaded": 2.0,
-    }
 
-    def __init__(self, broker):
-        super().__init__(broker)
-        self.thresholds = dict(self.DEFAULT_THRESHOLDS)
-        self.active = False
-        self._epochs = TreeReduce(_merge)           # epoch -> Slot
-        # Root only: the newest HISTORY completed cluster views.
-        self.views: list[dict] = []
-        self.cluster_state = "unknown"
-        # Baselines for per-epoch deltas (retry amplification).
-        self._base = {"retransmits": 0, "reroutes": 0, "requests": 0,
-                      "respawns": 0}
-        self._g_state = broker.registry.gauge("health_state")
-        self._c_transitions = broker.registry.counter(
-            "health_transitions_total")
-
-    def start(self) -> None:
-        self.broker.subscribe("hb.pulse", self._on_pulse)
-        self.broker.subscribe("health.activate", self._on_activate)
-        self.broker.subscribe("health.deactivate", self._on_deactivate)
-        self.broker.subscribe("live.down", self._on_down)
-
-    # ------------------------------------------------------------------
-    # activation (root RPCs -> session-wide events)
-    # ------------------------------------------------------------------
-    def req_activate(self, msg: Message) -> None:
-        """Root RPC: start health sampling session-wide.  A
-        ``thresholds`` dict in the payload overrides
-        ``DEFAULT_THRESHOLDS`` on every broker (partial dicts merge);
-        overrides of an earlier activation do not carry over."""
-        if not self.check_field(msg, "thresholds", dict, type(None)):
-            return
-        th = self._merged_thresholds(msg)
-        self.broker.publish("health.activate", {"thresholds": th})
-        self.respond(msg, {"active": True, "thresholds": th})
-
-    def req_deactivate(self, msg: Message) -> None:
-        self.broker.publish("health.deactivate", {})
-        self.respond(msg, {"active": False})
-
-    def _on_activate(self, msg: Message) -> None:
-        self.thresholds = self._merged_thresholds(msg)
-        if not self.active:
-            self.active = True
-            self._rebase()
-
-    def _merged_thresholds(self, msg: Message) -> dict:
-        """``DEFAULT_THRESHOLDS`` with ``msg``'s overrides merged in."""
-        return {**self.DEFAULT_THRESHOLDS,
-                **(msg.payload.get("thresholds") or {})}
-
-    def _on_deactivate(self, msg: Message) -> None:
-        self.active = False
-        self._epochs.clear()
-
-    def _rebase(self) -> None:
-        """Reset delta baselines so the first epoch after activation
-        reports activity *since* activation, not since boot."""
-        b = self.broker
-        self._base = {"retransmits": b.retransmits,
-                      "reroutes": b.reroutes,
-                      "requests": b.requests_handled,
-                      "respawns": self._respawns()}
-
-    def _respawns(self) -> int:
-        wexec = self.broker.modules.get("wexec")
-        return wexec.respawns if wexec is not None else 0
-
-    # ------------------------------------------------------------------
-    # sampling
-    # ------------------------------------------------------------------
-    def local_sample(self) -> dict:
-        """This broker's vitals right now (deltas since last epoch)."""
-        b = self.broker
-        depth = b.inbox_depth
-        peak, b.inbox_peak = max(b.inbox_peak, depth), 0
-        d_rt = b.retransmits - self._base["retransmits"]
-        d_rr = b.reroutes - self._base["reroutes"]
-        d_req = b.requests_handled - self._base["requests"]
-        d_spawn = self._respawns() - self._base["respawns"]
-        self._rebase()
-        retry_amp = (d_rt + d_rr) / max(1, d_req)
-        sample = {
-            "inbox_depth": depth,
-            "inbox_peak": peak,
-            "pending_rpcs": len(b._pending),
-            "retry_amp": retry_amp,
-            "respawn_delta": d_spawn,
-            "flight_dropped": b.flight.dropped,
-            "dirty_ops": 0, "held_fences": 0, "version_waiters": 0,
-        }
-        kvs = b.modules.get("kvs")
-        if kvs is not None:
-            sample["dirty_ops"] = sum(len(d.ops)
-                                      for d in kvs._dirty.values())
-            sample["held_fences"] = sum(len(agg.held)
-                                        for agg in kvs._fences.values())
-            sample["version_waiters"] = len(kvs._version_waiters)
-        sample["state"] = HEALTH_STATES[self.classify(sample)]
-        return sample
-
-    def classify(self, sample: dict) -> int:
-        """Threshold ladder over one local sample -> state index."""
-        th = self.thresholds
-        peak = sample["inbox_peak"]
-        pend = sample["pending_rpcs"]
-        amp = sample["retry_amp"]
-        if (peak >= th["inbox_overloaded"]
-                or pend >= th["pending_overloaded"]
-                or amp >= th["retry_amp_overloaded"]):
-            return 2
-        if (peak >= th["inbox_degraded"]
-                or pend >= th["pending_degraded"]
-                or amp >= th["retry_amp_degraded"]):
-            return 1
-        return 0
-
-    def _acc_of(self, sample: dict, state: int) -> dict:
-        acc = {k: sample[field] for k, (field, _fold) in _FIELDS.items()}
-        acc["counts"] = [int(i == state) for i in range(len(HEALTH_STATES))]
-        acc["worst"] = state
-        return acc
-
-    # ------------------------------------------------------------------
-    # reduction (the same epoch reduction as ``mon``)
-    # ------------------------------------------------------------------
-    def _on_pulse(self, msg: Message) -> None:
-        if not self.active:
-            return
-        epoch = msg.payload["epoch"]
-        sample = self.local_sample()
-        state = HEALTH_STATES.index(sample["state"])
-        self._g_state.set(state)
-        self._epochs.slot(epoch).put(self.rank, 1,
-                                     self._acc_of(sample, state))
-        self._maybe_complete(epoch)
-        self._epochs.gc(epoch)
-        if self.is_root and self._epochs.stalled():
-            # As in ``mon``: announce again what a rank may have lost.
-            self.broker.publish("health.activate",
-                                {"thresholds": self.thresholds})
-
-    def _on_down(self, msg: Message) -> None:
-        """As ``MonModule._on_down``: only pending epochs are
-        re-checked."""
-        def recheck() -> None:
-            for epoch in list(self._epochs):
-                self._maybe_complete(epoch)
-        if self._epochs:
-            self.broker.after(0.0, recheck)
-
-    @request_handler(required=("epoch", "acc"))
-    def req_sample(self, msg: Message) -> None:
-        """A child subtree's partial health aggregate."""
-        p = msg.payload
-        self.respond(msg, {})
-        if self.active and self._epochs.slot(p["epoch"]).put(
-                msg.src_rank, 1, p["acc"]):
-            self._maybe_complete(p["epoch"])
-
-    def _maybe_complete(self, epoch: int) -> None:
-        acc = self._epochs.take(epoch, [self.rank, *self.broker.children])
-        if acc is None:
-            return
-        if not self.is_root:
-            # Broker totals ride inside the acc's state census.
-            self.broker.rpc_parent_cb(
-                "health.sample", {"epoch": epoch, "acc": acc},
-                lambda resp: None)
-            return
-        state = HEALTH_STATES[acc["worst"]]
-        view = {"epoch": epoch, "t": self.broker.sim.now,
-                "state": state, "brokers": sum(acc["counts"]),
-                "counts": dict(zip(HEALTH_STATES, acc["counts"])),
-                **{k: acc[k] for k in _FIELDS}}
-        self.views.append(view)
-        if len(self.views) > HISTORY:
-            del self.views[0]
-        if state != self.cluster_state:
-            self.cluster_state = state
-            self._c_transitions.inc()
-            self.broker.publish("health.update",
-                                {"state": state, "epoch": epoch,
-                                 "counts": view["counts"]})
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def cluster_view(self) -> dict:
-        """Latest cluster view (root; post-mortem bundles call this)."""
-        if self.views:
-            return dict(self.views[-1], cluster_state=self.cluster_state)
-        return {"state": self.cluster_state, "epoch": -1,
-                "cluster_state": self.cluster_state}
-
-    def req_view(self, msg: Message) -> None:
-        """Root RPC: the latest reduced cluster health view."""
-        self.respond(msg, {"view": self.cluster_view(),
-                           "n_views": len(self.views)})
-
-    def req_local(self, msg: Message) -> None:
-        """Any rank: this broker's local vitals, classified."""
-        self.respond(msg, dict(self.local_sample()))
-
-    def sync_metrics(self) -> None:
-        if self.is_root and self.views:
-            reg = self.broker.registry
-            view = self.views[-1]
-            reg.gauge("health_cluster_state").set(
-                HEALTH_STATES.index(view["state"]))
-            reg.gauge("health_brokers_reporting").set(view["brokers"])
+def cluster_view(mon) -> dict:
+    """The newest view a root's ``mon`` holds, as post-mortem bundles
+    and stats documents carry it; ``epoch`` -1 before the first."""
+    views = mon.results.get("health")
+    if not views:
+        return {"state": "unknown", "epoch": -1, "cluster_state": "unknown"}
+    last = views[next(reversed(views))]
+    return dict(last, cluster_state=last["state"])

@@ -1,5 +1,5 @@
-"""Tree reductions: the per-key state ``barrier``, ``mon`` and ``health``
-share (DESIGN.md "Tree reductions" has the contract).
+"""Tree reductions: the per-key state ``barrier`` and ``mon`` share
+(DESIGN.md "Tree reductions" has the contract).
 
 It never sends: every send and publish stays in its module with its
 literal topic, so the protocol-flow analyzer keeps each edge.
@@ -17,8 +17,7 @@ __all__ = ["HISTORY", "STALE_EPOCHS", "Slot", "TreeReduce"]
 #: (lost to a crash that predates ``live.down``, or to a deactivate
 #: racing the pulse).
 STALE_EPOCHS = 8
-#: Completed epochs a root keeps in memory (``mon.results``,
-#: ``health.views``), oldest first out.
+#: Completed epochs a root keeps per metric (``mon.results``).
 HISTORY = 64
 
 

@@ -1951,6 +1951,9 @@ class KvsModule(CommsModule):
             "master_rank": self.master_rank,
             "is_master": self.master is not None,
             "master_down": self._master_down,
+            "standby_version": (self._standby.version
+                                if self._standby is not None else None),
+            "repl_acks": dict(sorted(self._repl_acks.items())),
             "version_waiters": sorted(w for w, _m in
                                       self._version_waiters),
             "fences": {name: {"nprocs": agg.nprocs,

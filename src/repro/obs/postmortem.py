@@ -27,6 +27,7 @@ import json
 from typing import Any, Optional
 
 from ..cmb.broker import RETRANSMIT_MAX, RETRANSMIT_TIMEOUT
+from ..cmb.modules.health import cluster_view
 
 __all__ = ["capture_bundle", "write_bundle", "load_bundle"]
 
@@ -73,6 +74,9 @@ def capture_bundle(session, reason: str, kind: str = "",
         kvs = broker.modules.get("kvs")
         if kvs is not None:
             entry["kvs"] = kvs.waiter_census()
+        live = broker.modules.get("live")
+        if live is not None:
+            entry["live"] = {"announced": sorted(live.announced)}
         wexec = broker.modules.get("wexec")
         if wexec is not None:
             entry["wexec"] = {
@@ -81,9 +85,9 @@ def capture_bundle(session, reason: str, kind: str = "",
                 "jobs": sorted(str(j) for j in wexec.jobs),
                 "lost_jobs": [str(j) for j in wexec.lost_jobs],
             }
-        health = broker.modules.get("health")
-        if health is not None and broker.parent is None:
-            entry["health"] = health.cluster_view()
+        mon = broker.modules.get("mon")
+        if mon is not None and broker.parent is None:
+            entry["health"] = cluster_view(mon)
         brokers.append(entry)
     bundle: dict[str, Any] = {
         "meta": meta,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import make_cluster, standard_session
+from repro.cmb.modules.health import cluster_view
 from repro.kvs import KvsClient
 from repro.obs.postmortem import capture_bundle, write_bundle
 from repro.sim import FaultPlan
@@ -305,11 +306,12 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     # dead.
     live_ranks = [r for r in range(n_nodes) if session.brokers[r].alive]
     root = session.acting_root()
-    health = (session.brokers[root].modules.get("health")
-              if root is not None else None)
-    health_doc = ({"cluster": health.cluster_view(),
-                   "views": list(health.views[-16:])}
-                  if health is not None else None)
+    mon = (session.brokers[root].modules.get("mon")
+           if root is not None else None)
+    health_doc = None
+    if mon is not None:
+        views = list(mon.results.get("health", {}).values())
+        health_doc = {"cluster": cluster_view(mon), "views": views[-16:]}
     session.stop()
     if trace_out:
         session.span_tracer.write_chrome_trace(trace_out)

@@ -421,10 +421,11 @@ def test_repo_source_is_flow_clean():
     assert graph.cycles == []
 
 
-#: Every (src, dst, kind) edge touching ``barrier.*`` / ``mon.*`` /
-#: ``health.*`` before the three moved onto one tree-reduction state
-#: (``cmb/modules/reduce.py``), which never sends: each module keeps
-#: its sends and their literal topics, so none of these may go.
+#: Every (src, dst, kind) edge touching ``barrier.*`` / ``mon.*``: the
+#: tree-reduction state (``cmb/modules/reduce.py``) and ``mon``'s op
+#: entries (the ``health`` metric among them) never send, so each
+#: module keeps its sends and their literal topics, and none of these
+#: may go.
 REDUCTION_EDGES = {
     ("barrier.abort", "barrier.abort", "request"),
     ("barrier.enter", "barrier.abort", "request"),
@@ -438,28 +439,20 @@ REDUCTION_EDGES = {
     ("barrier:_on_pulse", "barrier.enter", "request"),
     ("event:barrier.exit", "barrier:_on_exit", "deliver"),
     ("event:hb.pulse", "barrier:_on_pulse", "deliver"),
-    ("event:hb.pulse", "health:_on_pulse", "deliver"),
     ("event:hb.pulse", "mon:_on_pulse", "deliver"),
-    ("event:health.activate", "health:_on_activate", "deliver"),
-    ("event:health.deactivate", "health:_on_deactivate", "deliver"),
     ("event:live.down", "barrier:_on_live_down", "deliver"),
-    ("event:live.down", "health:_on_down", "deliver"),
     ("event:live.down", "mon:_on_down", "deliver"),
     ("event:live.reattach", "barrier:_on_reattach", "deliver"),
     ("event:mon.activate", "mon:_on_activate", "deliver"),
     ("event:mon.deactivate", "mon:_on_deactivate", "deliver"),
-    ("health.activate", "event:health.activate", "event"),
-    ("health.deactivate", "event:health.deactivate", "event"),
-    ("health.sample", "event:health.update", "event"),
-    ("health.sample", "health.sample", "request"),
-    ("health:_on_down", "event:health.update", "event"),
-    ("health:_on_down", "health.sample", "request"),
-    ("health:_on_pulse", "event:health.update", "event"),
-    ("health:_on_pulse", "health.sample", "request"),
     ("mon.activate", "event:mon.activate", "event"),
     ("mon.deactivate", "event:mon.deactivate", "event"),
+    ("mon.sample", "event:mon.update", "event"),
     ("mon.sample", "mon.sample", "request"),
+    ("mon:_on_down", "event:mon.update", "event"),
     ("mon:_on_down", "mon.sample", "request"),
+    ("mon:_on_pulse", "event:mon.activate", "event"),
+    ("mon:_on_pulse", "event:mon.update", "event"),
     ("mon:_on_pulse", "mon.sample", "request"),
 }
 

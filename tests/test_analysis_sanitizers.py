@@ -366,6 +366,19 @@ def test_chaos_run_sanitized_and_event_identical():
     assert again.event_fingerprint == checked.event_fingerprint
 
 
+def test_sanitize_chaos_fails_when_its_harness_is_missing(
+        tmp_path, monkeypatch, capsys):
+    """``sanitize --chaos`` (CI's sanitize smoke) run where the chaos
+    harness cannot be imported is an error finding and exit 1, not a
+    note and a pass: a check that did not run passed nothing."""
+    from repro.analysis.__main__ import main
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "chaos", None)     # import fails
+    assert main(["sanitize", "--chaos", "--nodes", "2", "--puts", "1"]) == 1
+    assert "chaos harness not importable" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # every drain path feeds the batched recorder
 # ---------------------------------------------------------------------------

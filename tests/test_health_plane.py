@@ -1,12 +1,13 @@
-"""Live health plane: activation, tree reduction, threshold states.
+"""Live health plane: the ``health`` metric of ``mon``.
 
-The ``health`` module samples each broker's vitals on every heartbeat
-pulse, tree-reduces the census to the root, and publishes a
-``health.update`` event only on cluster-state transitions.  These
-tests pin the contract: passive until activated (zero traffic, golden
-event streams untouched), correct broker accounting through the
-reduction, threshold-driven ok/degraded/overloaded classification,
-and survival of mid-run broker death.
+Activated as ``mon.activate {"name": "health", "op": "health"}``, every
+broker samples its vitals on each heartbeat pulse, ``mon``'s epoch
+reduction carries the census to the root, and the root publishes a
+``mon.update`` event only on cluster-state transitions.  These tests
+pin the contract: passive until activated (zero traffic, golden event
+streams untouched), correct broker accounting through the reduction,
+threshold-driven ok/degraded/overloaded classification, a read-only
+local sample, no KVS write, and survival of mid-run broker death.
 """
 
 import json
@@ -14,18 +15,21 @@ import json
 import pytest
 
 from repro import make_cluster, standard_session
-from repro.cmb.modules import HealthModule, HeartbeatModule
-from repro.cmb.modules.health import HEALTH_STATES
+from repro.cmb.modules import HeartbeatModule, MonModule
+from repro.cmb.modules.health import (DEFAULT_THRESHOLDS, HEALTH_STATES,
+                                      cluster_view)
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.stats import validate_stats
 
 from .chaos import run_chaos_workload
 
+HEALTH = {"name": "health", "op": "health"}
+
 
 def make_health_session(n=8, max_epochs=20):
     cluster = make_cluster(n, seed=3)
     session = CommsSession(cluster, modules=[
-        ModuleSpec(HealthModule),
+        ModuleSpec(MonModule),
         ModuleSpec(HeartbeatModule, period=0.05, max_epochs=max_epochs),
     ]).start()
     return cluster, session
@@ -36,21 +40,43 @@ def run_proc(cluster, gen):
     return cluster.sim.run_until_complete(proc)
 
 
+def call(cluster, h, topic, payload):
+    """One RPC from ``h``, run to its answer."""
+    def client():
+        return (yield h.rpc(topic, payload))
+    return run_proc(cluster, client())
+
+
+def root_views(session):
+    """The cluster views the root keeps, oldest first."""
+    return list(session.module_at(0, "mon").results.get("health",
+                                                          {}).values())
+
+
+def latest_view(session):
+    """A root-rank client's read of the newest view over ``mon.results``
+    (the views live at the root broker)."""
+    root_h = session.connect(0, collective=False)
+    resp = yield root_h.rpc("mon.results", {"name": "health"})
+    views = list(resp["results"].values())
+    return views[-1], len(views)
+
+
 # ----------------------------------------------------------------------
 # passivity
 # ----------------------------------------------------------------------
 def test_inactive_plane_sends_nothing():
-    """Heartbeats alone must not make the health module talk — the
-    module is loaded in every standard session, so any traffic here
-    would perturb the golden fingerprints."""
+    """Heartbeats alone must not make ``mon`` talk — the module is
+    loaded in every standard session, so any traffic here would perturb
+    the golden fingerprints."""
     cluster, session = make_health_session()
     cluster.sim.run()
     counts = session.message_counts()
-    assert not any(mod == "health" for (mod, _plane, _kind) in counts)
-    root = session.brokers[0].modules["health"]
-    assert root.views == []
-    assert root.cluster_state == "unknown"
-    assert root.cluster_view()["epoch"] == -1
+    assert not any(mod == "mon" for (mod, _plane, _kind) in counts)
+    root = session.module_at(0, "mon")
+    assert root.results == {}
+    assert cluster_view(root) == {"state": "unknown", "epoch": -1,
+                                  "cluster_state": "unknown"}
 
 
 # ----------------------------------------------------------------------
@@ -60,43 +86,37 @@ def test_activation_reduces_cluster_view_at_root():
     cluster, session = make_health_session()
 
     def client(h):
-        resp = yield h.rpc("health.activate", {})
-        assert resp["active"]
+        resp = yield h.rpc("mon.activate", HEALTH)
+        assert resp == {**HEALTH, "thresholds": DEFAULT_THRESHOLDS}
         yield cluster.sim.timeout(0.6)
-        # The reduced view lives at the root broker.
-        root_h = session.connect(0, collective=False)
-        return (yield root_h.rpc("health.view", {}))
+        return (yield from latest_view(session))
 
-    resp = run_proc(cluster, client(session.connect(5, collective=False)))
-    view = resp["view"]
-    assert resp["n_views"] > 0
+    view, n_views = run_proc(cluster,
+                             client(session.connect(5, collective=False)))
+    assert n_views > 0
     assert view["state"] == "ok"
     assert view["brokers"] == 8
     assert view["counts"] == {"ok": 8, "degraded": 0, "overloaded": 0}
-    assert view["cluster_state"] == "ok"
-    root = session.brokers[0].modules["health"]
-    assert all(v["brokers"] == 8 for v in root.views)
-    # Healthy cluster: no state transition beyond unknown -> ok, and
-    # therefore exactly one health.update fanout.
-    assert root.cluster_state == "ok"
+    assert all(v["brokers"] == 8 for v in root_views(session))
+    # Healthy cluster: no state transition beyond unknown -> ok.
+    assert cluster_view(session.module_at(0, "mon"))["cluster_state"] == "ok"
 
 
 def test_update_event_only_on_transition():
     cluster, session = make_health_session()
     updates = []
-    session.brokers[6].subscribe("health.update",
+    session.brokers[6].subscribe("mon.update",
                                  lambda m: updates.append(m.payload))
 
     def client(h):
-        yield h.rpc("health.activate", {})
+        yield h.rpc("mon.activate", HEALTH)
         yield cluster.sim.timeout(0.8)
 
     run_proc(cluster, client(session.connect(2, collective=False)))
     # Many epochs completed, but the state only changed once
     # (unknown -> ok), so exactly one event was published.
-    assert [u["state"] for u in updates] == ["ok"]
-    root = session.brokers[0].modules["health"]
-    assert len(root.views) > 3
+    assert [(u["name"], u["state"]) for u in updates] == [("health", "ok")]
+    assert len(root_views(session)) > 3
 
 
 def test_threshold_override_degrades_cluster():
@@ -104,37 +124,35 @@ def test_threshold_override_degrades_cluster():
     impossible inbox bar classifies everyone as degraded."""
     cluster, session = make_health_session()
     updates = []
-    session.brokers[3].subscribe("health.update",
+    session.brokers[3].subscribe("mon.update",
                                  lambda m: updates.append(m.payload))
 
     def client(h):
-        yield h.rpc("health.activate",
-                    {"thresholds": {"inbox_degraded": 0}})
+        yield h.rpc("mon.activate",
+                    {**HEALTH, "thresholds": {"inbox_degraded": 0}})
         yield cluster.sim.timeout(0.6)
-        root_h = session.connect(0, collective=False)
-        return (yield root_h.rpc("health.view", {}))
+        return (yield from latest_view(session))
 
-    resp = run_proc(cluster, client(session.connect(4, collective=False)))
-    assert resp["view"]["state"] == "degraded"
-    assert resp["view"]["counts"]["degraded"] == 8
+    view, _n = run_proc(cluster, client(session.connect(4, collective=False)))
+    assert view["state"] == "degraded"
+    assert view["counts"]["degraded"] == 8
     assert updates and updates[0]["state"] == "degraded"
-    root = session.brokers[0].modules["health"]
-    assert root.cluster_state == "degraded"
+    assert cluster_view(session.module_at(0, "mon"))["cluster_state"] \
+        == "degraded"
 
 
 def test_overloaded_outranks_degraded():
     cluster, session = make_health_session()
 
     def client(h):
-        yield h.rpc("health.activate", {"thresholds": {
+        yield h.rpc("mon.activate", {**HEALTH, "thresholds": {
             "inbox_degraded": 0, "inbox_overloaded": 0}})
         yield cluster.sim.timeout(0.5)
-        root_h = session.connect(0, collective=False)
-        return (yield root_h.rpc("health.view", {}))
+        return (yield from latest_view(session))
 
-    resp = run_proc(cluster, client(session.connect(1, collective=False)))
-    assert resp["view"]["state"] == "overloaded"
-    assert resp["view"]["counts"]["overloaded"] == 8
+    view, _n = run_proc(cluster, client(session.connect(1, collective=False)))
+    assert view["state"] == "overloaded"
+    assert view["counts"]["overloaded"] == 8
 
 
 def test_reactivation_starts_from_default_thresholds():
@@ -143,31 +161,30 @@ def test_reactivation_starts_from_default_thresholds():
     cluster, session = make_health_session()
 
     def client(h):
-        yield h.rpc("health.activate",
-                    {"thresholds": {"inbox_degraded": 0}})
+        yield h.rpc("mon.activate",
+                    {**HEALTH, "thresholds": {"inbox_degraded": 0}})
         yield cluster.sim.timeout(0.2)
-        yield h.rpc("health.deactivate", {})
-        resp = yield h.rpc("health.activate", {})
+        yield h.rpc("mon.deactivate", {"name": "health"})
+        resp = yield h.rpc("mon.activate", HEALTH)
         yield cluster.sim.timeout(0.2)
         return resp
 
     resp = run_proc(cluster, client(session.connect(0, collective=False)))
-    default = HealthModule.DEFAULT_THRESHOLDS
-    assert resp["thresholds"] == default
-    assert all(b.modules["health"].thresholds == default
-               for b in session.brokers)
+    assert resp["thresholds"] == DEFAULT_THRESHOLDS
+    assert all(b.modules["mon"].active["health"].spec["thresholds"]
+               == DEFAULT_THRESHOLDS for b in session.brokers)
 
 
 def test_deactivate_stops_reduction():
     cluster, session = make_health_session(max_epochs=40)
 
     def client(h):
-        yield h.rpc("health.activate", {})
+        yield h.rpc("mon.activate", HEALTH)
         yield cluster.sim.timeout(0.5)
-        yield h.rpc("health.deactivate", {})
-        n_before = (yield h.rpc("health.view", {}))["n_views"]
+        yield h.rpc("mon.deactivate", {"name": "health"})
+        _view, n_before = yield from latest_view(session)
         yield cluster.sim.timeout(0.7)
-        n_after = (yield h.rpc("health.view", {}))["n_views"]
+        _view, n_after = yield from latest_view(session)
         return n_before, n_after
 
     n_before, n_after = run_proc(
@@ -181,15 +198,70 @@ def test_local_sample_rpc():
     cluster, session = make_health_session()
 
     def client(h):
-        yield h.rpc("health.activate", {})
+        yield h.rpc("mon.activate", HEALTH)
         yield cluster.sim.timeout(0.3)
-        return (yield h.rpc("health.local", {}))
+        return (yield h.rpc("mon.local", {"name": "health"}))
 
-    sample = run_proc(cluster, client(session.connect(5, collective=False)))
+    resp = run_proc(cluster, client(session.connect(5, collective=False)))
+    sample = resp["sample"]
     assert sample["state"] in HEALTH_STATES
     for key in ("inbox_depth", "inbox_peak", "pending_rpcs",
                 "retry_amp", "dirty_ops", "flight_dropped"):
         assert key in sample
+
+
+@pytest.mark.parametrize("local_read", [False, True])
+def test_local_read_leaves_the_epoch_its_deltas(local_read):
+    """Rank 5 retransmits 40 times and peaks at 70 queued messages
+    between two pulses.  A ``mon.local`` read in between sees that and
+    changes nothing: the next epoch reports the rank overloaded, with
+    its retry amplification and inbox peak, read or no read."""
+    cluster, session = make_health_session()
+    sim = cluster.sim
+    call(cluster, session.connect(0, collective=False), "mon.activate",
+         HEALTH)
+    sim.run(until=0.13)                 # between the pulses of 0.1, 0.15
+    broker = session.brokers[5]
+    broker._c_retransmits.inc(40)
+    broker.inbox_peak = 70
+    if local_read:
+        resp = call(cluster, session.connect(5, collective=False),
+                    "mon.local", {"name": "health"})
+        assert resp["sample"]["state"] == "overloaded"
+        assert resp["sample"]["inbox_peak"] == 70
+    sim.run(until=0.3)
+    view = next(v for v in root_views(session) if v["t"] > 0.13)
+    assert view["state"] == "overloaded"
+    assert view["counts"]["overloaded"] == 1
+    assert view["retry_amp_max"] == 40.0
+    assert view["inbox_max"] == 70
+
+
+def test_health_writes_nothing_to_the_kvs_and_stays_quiet():
+    """Over a dozen healthy epochs an active health metric commits
+    nothing to the KVS (a commit would flood ``kvs.setroot`` to every
+    rank) and publishes one ``mon.update``: unknown -> ok."""
+    cluster = make_cluster(8, seed=3)
+    session = standard_session(cluster, with_heartbeat=True,
+                               hb_period=0.05, hb_max_epochs=20).start()
+    updates = []
+    session.brokers[7].subscribe("mon.update",
+                                 lambda m: updates.append(m.payload))
+    kvs = session.module_at(0, "kvs")
+
+    def kvs_events():
+        return sum(n for (mod, _plane, kind), n in
+                   session.message_counts().items()
+                   if (mod, kind) == ("kvs", "event"))
+
+    call(cluster, session.connect(3, collective=False), "mon.activate",
+         HEALTH)
+    version, events = kvs.version, kvs_events()
+    cluster.sim.run()
+    assert len(root_views(session)) >= 10
+    assert (kvs.version, kvs_events()) == (version, events)
+    assert [u["state"] for u in updates] == ["ok"]
+    session.stop()
 
 
 def test_reduction_survives_broker_death():
@@ -203,15 +275,15 @@ def test_reduction_survives_broker_death():
     sim = cluster.sim
 
     def client(h):
-        yield h.rpc("health.activate", {})
+        yield h.rpc("mon.activate", HEALTH)
 
     run_proc(cluster, client(session.connect(0, collective=False)))
     sim.run(until=0.5)
     session.fail_rank(7)            # a leaf dies mid-run
     sim.run(until=3.0)
-    root = session.brokers[0].modules["health"]
-    assert root.views, "no completed views at the root"
-    assert root.views[-1]["brokers"] == n - 1
+    views = root_views(session)
+    assert views, "no completed views at the root"
+    assert views[-1]["brokers"] == n - 1
     session.stop()
 
 

@@ -52,6 +52,29 @@ def test_bundle_round_trip_structure(clean_bundle_path):
     assert "retry_stats" in bundle and "plane_bytes" in bundle
 
 
+def test_bundle_carries_role_state_after_a_root_kill(tmp_path):
+    """A 15-node root kill with standbys 1 and 2: the bundle shows the
+    dead master's per-standby acknowledgements, the surviving standby's
+    own version, and every live rank's ``live.announced`` holding the
+    dead root — what naming an election stall needs."""
+    path = str(tmp_path / "kill.json")
+    report = run_chaos_workload(n_nodes=15, n_clients=8, n_iters=1,
+                                kill_ranks=(0,), kvs_replicas=(1, 2),
+                                postmortem_out=path)
+    assert report.converged
+    entries = {e["rank"]: e for e in load_bundle(path)["brokers"]}
+    acks = entries[0]["kvs"]["repl_acks"]
+    assert set(acks) == {"1", "2"} and all(v > 0 for v in acks.values())
+    kvs = [entries[r]["kvs"] for r in (1, 2)]
+    assert sorted(k["is_master"] for k in kvs) == [False, True]
+    for k in kvs:
+        assert (k["standby_version"] is None) == k["is_master"]
+        assert k["is_master"] or k["standby_version"] >= max(acks.values())
+    for rank, entry in entries.items():
+        assert ("live" in entry) and (entry["alive"] == (rank != 0))
+        assert rank == 0 or 0 in entry["live"]["announced"]
+
+
 def test_bundle_version_gate(tmp_path, clean_bundle_path):
     bundle = load_bundle(clean_bundle_path)
     bundle["meta"]["bundle_version"] = 99

@@ -220,7 +220,8 @@ MALFORMED = [
     ("kvs.recall", {"pfx": ["job"]}),
     ("barrier.enter", {"name": "b", "nprocs": "x"}),
     ("barrier.enter", {"name": "b", "nprocs": 2, "count": "x"}),
-    ("health.activate", {"thresholds": 5}),
+    ("mon.activate", {"name": "health", "op": "health",
+                      "thresholds": 5}),
     # Right type, impossible value: a barrier of nobody used to complete
     # at once, and a negative tally was acknowledged and subtracted.
     ("barrier.enter", {"name": "b", "nprocs": 0}),

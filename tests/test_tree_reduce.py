@@ -1,16 +1,16 @@
-"""The tree-reduction state that ``barrier``, ``mon`` and ``health``
-share (``repro.cmb.modules.reduce``), and the liveness rule its epoch
-users follow: a rank waits for itself and every child in its own
-``broker.children``, so a crashed child holds the epoch until
-``live.down`` takes it out."""
+"""The tree-reduction state that ``barrier`` and ``mon`` share
+(``repro.cmb.modules.reduce``), and the liveness rule ``mon``'s epochs
+follow, for a scalar metric and the ``health`` metric alike: a rank
+waits for itself and every child in its own ``broker.children``, so a
+crashed child holds the epoch until ``live.down`` takes it out."""
 
 from collections import Counter
 
 import pytest
 
 from repro.cmb.broker import Broker
-from repro.cmb.modules import (BarrierModule, HealthModule, HeartbeatModule,
-                               LiveModule, MonModule, StatsModule)
+from repro.cmb.modules import (BarrierModule, HeartbeatModule, LiveModule,
+                               MonModule, StatsModule)
 from repro.cmb.modules.reduce import HISTORY, STALE_EPOCHS, TreeReduce
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.cmb.topology import TreeTopology
@@ -84,7 +84,6 @@ def epoch_session(n=7, modules=(), max_epochs=30, fault_plan=None):
         cluster, topology=TreeTopology(n, arity=2),
         modules=[*modules,
                  ModuleSpec(MonModule, samplers={"one": lambda b: 1.0}),
-                 ModuleSpec(HealthModule),
                  ModuleSpec(HeartbeatModule, period=PERIOD,
                             max_epochs=max_epochs),
                  ModuleSpec(LiveModule)]).start()
@@ -95,7 +94,7 @@ def activate(sim, session):
     def client():
         h = session.connect(0, collective=False)
         yield h.rpc("mon.activate", {"name": "one", "op": "sum"})
-        yield h.rpc("health.activate", {})
+        yield h.rpc("mon.activate", {"name": "health", "op": "health"})
 
     sim.run_until_complete(sim.spawn(client()))
 
@@ -108,7 +107,7 @@ def watch_down(session):
 
     def on_down(msg):
         seen.append((session.cluster.sim.now, msg.payload["rank"],
-                     msg.payload["epoch"], {e for _n, e in mon.results}))
+                     msg.payload["epoch"], set(mon.results.get("one", ()))))
 
     session.brokers[0].subscribe("live.down", on_down)
     return seen
@@ -123,17 +122,17 @@ def test_crashed_child_holds_the_epoch_until_live_down():
     downs = watch_down(session)
     sim.run(until=0.42)
     mon = session.module_at(0, "mon")
-    kill_epoch = max(e for _n, e in mon.results)
+    kill_epoch = max(mon.results["one"])
     session.fail_rank(6)
     sim.run()
     t_down, rank, _epoch, done_at_down = downs[0]
     assert rank == 6
     assert max(done_at_down) == kill_epoch          # held, not guessed
-    results = {e: v for (_n, e), v in mon.results.items()}
+    results = mon.results["one"]
     held = range(kill_epoch + 1, max(results) + 1)
     assert len(held) > 3
     assert all(results[e] == 6.0 for e in held)
-    views = {v["epoch"]: v for v in session.module_at(0, "health").views}
+    views = mon.results["health"]
     assert all(views[e]["brokers"] == 6 for e in held)
     # The held epochs completed within a few hops of the detection.
     first_after = min(v["t"] for e, v in views.items() if e > kill_epoch)
@@ -142,22 +141,23 @@ def test_crashed_child_holds_the_epoch_until_live_down():
 
 def test_duplicated_child_contribution_leaves_the_result_unchanged(
         monkeypatch):
-    """Every ``mon.sample`` / ``health.sample`` leaves its rank twice,
-    as two requests the broker cannot fold into one: the parent keeps
-    one contribution per child, so each epoch still counts 7 ranks."""
+    """Every ``mon.sample``, the scalar's and health's, leaves its rank
+    twice, as two requests the broker cannot fold into one: the parent
+    keeps one contribution per child, so each epoch still counts 7
+    ranks."""
     send = Broker.rpc_parent_cb
 
     def twice(self, topic, payload, callback, *args, **kw):
         send(self, topic, payload, callback, *args, **kw)
-        if topic in ("mon.sample", "health.sample"):
+        if topic == "mon.sample":
             send(self, topic, dict(payload), callback, *args, **kw)
 
     monkeypatch.setattr(Broker, "rpc_parent_cb", twice)
     sim, session = epoch_session(max_epochs=10)
     activate(sim, session)
     sim.run()
-    results = session.module_at(0, "mon").results
-    views = session.module_at(0, "health").views
+    results = session.module_at(0, "mon").results["one"]
+    views = session.module_at(0, "mon").results["health"].values()
     assert len(results) >= 8 and set(results.values()) == {7.0}
     assert len(views) >= 8 and {v["brokers"] for v in views} == {7}
 
@@ -209,11 +209,11 @@ def test_stats_aggregate_answers_with_the_survivors():
 
 @pytest.mark.parametrize("fault_seed", range(1, 11))
 def test_lossy_session_with_barrier_mon_and_health_and_a_kill(fault_seed):
-    """31 ranks, 1% drop + 1% dup, barrier + mon + health together, and
-    interior rank 5 killed: each barrier entry is released exactly
-    once, before and after the kill, and the epochs after the detection
-    report the 30 survivors.  Seeds 3, 4, 5, 9 and 10 lose a
-    ``mon.activate`` or ``health.activate`` on the way down; the root
+    """31 ranks, 1% drop + 1% dup, barrier + mon's scalar and health
+    metrics together, and interior rank 5 killed: each barrier entry is
+    released exactly once, before and after the kill, and the epochs
+    after the detection report the 30 survivors.  On seeds 4, 5, 9 and
+    10 a rank loses a ``mon.activate`` on the way down; the root
     announces it again once its epochs go stale."""
     sim, session = epoch_session(
         n=31, modules=[ModuleSpec(BarrierModule)], max_epochs=24,
@@ -244,10 +244,9 @@ def test_lossy_session_with_barrier_mon_and_health_and_a_kill(fault_seed):
     # twice.
     detected = [e for _t, rank, e, _d in downs if rank == 5]
     assert len(detected) == 1
-    results = {e: v for (_n, e), v in
-               session.module_at(0, "mon").results.items()}
-    views = {v["epoch"]: v["brokers"]
-             for v in session.module_at(0, "health").views}
+    results = session.module_at(0, "mon").results["one"]
+    views = {e: v["brokers"] for e, v in
+             session.module_at(0, "mon").results["health"].items()}
     later = sorted(e for e in results if e > detected[0])
     assert len(later) >= 5
     assert all(results[e] <= 30.0 for e in later)
