@@ -49,9 +49,10 @@ explicitly configured:
   subtree (e.g. ``job.42``) to an interior broker, which instantiates
   its own :class:`KvsMaster` for that namespace (own root ref and
   version sequence).  Every rank keeps an ownership table fed by
-  totally-ordered ``kvs.delegation`` events; writes and reads under a
-  delegated prefix route hop-by-hop toward the owner
-  (``rpc_hop_cb``), falling back root-ward on a miss.  The root binds a
+  totally-ordered ``kvs.delegation`` events; reads under a delegated
+  prefix route hop-by-hop toward the owner (``rpc_hop_cb``), and every
+  write passes one door (:meth:`KvsModule._write`) that ships the
+  owners' parts first and then the root part.  The root binds a
   *link object* at the delegated path so cross-subtree reads still
   compose into one hash tree: a walk landing on a link re-routes to the
   owning rank.
@@ -351,10 +352,9 @@ class KvsModule(CommsModule):
         #: response is not reported to the sanitizers as a read
         #: regression it is not.
         self._pfx_seen: dict[str, int] = {}
-        # Fence completions deferred on in-flight delegated parts:
-        # fence name -> outstanding part count / deferred finisher.
-        self._fence_deleg_pending: dict[str, int] = {}
-        self._fence_deferred: dict[str, Callable[[], None]] = {}
+        #: Writes the door holds while their owner parts are in flight,
+        #: one entry each: the fence's name, or ``None`` for a commit.
+        self._door_held: list[Optional[str]] = []
         # Per-owner commit counts (a CounterVec materializes no cells
         # until first inc, so snapshots are unchanged when delegation
         # is off).
@@ -472,13 +472,16 @@ class KvsModule(CommsModule):
         byte-identical to pre-failover routing.  When the static hop is
         a corpse, descend into the live child whose static subtree
         holds ``dst`` (adoption attaches whole subtrees, so a healed
-        grandchild edge covers it), else climb to the live parent;
-        parents are always static ancestors, so the walk is monotone
-        and cannot loop.  ``None`` when no live hop exists.
+        grandchild edge covers it), else, for a ``dst`` outside this
+        rank's static subtree, climb to the live parent; parents are
+        always static ancestors, so the walk is monotone and cannot
+        loop.  (From the parent, a ``dst`` below this rank leads straight
+        back here.)  ``None`` when no live hop exists, and for a dead
+        ``dst``: no hop leads to it.
         """
-        if dst == self.rank:
-            return None
         session = self.broker.session
+        if dst == self.rank or not session.brokers[dst].alive:
+            return None
         topo = session.topology
         hop = topo.next_hop_toward(self.rank, dst)
         if session.brokers[hop].alive:
@@ -487,7 +490,8 @@ class KvsModule(CommsModule):
             if child != hop and topo.is_in_subtree(dst, child):
                 return child
         parent = self.broker.parent
-        if parent is not None and session.brokers[parent].alive:
+        if (parent is not None and session.brokers[parent].alive
+                and not topo.is_in_subtree(dst, self.rank)):
             return parent
         return None
 
@@ -513,11 +517,16 @@ class KvsModule(CommsModule):
             self.respond(msg, dict(resp.payload))
 
     def _forwarded(self, msg: Message) -> bool:
-        """Forward ``msg`` another hop when its ``dst`` is not us.
-        Returns True when the message was passed on."""
+        """Forward ``msg`` another hop when its ``dst`` is not us, or
+        answer ``ETIMEDOUT`` once its deadline passed (a request served
+        by a module never meets the broker's per-hop expiry check).
+        Returns True when the message was passed on or answered."""
         dst = msg.payload.get("dst")
         if dst is None or dst == self.rank:
             return False
+        if self.broker._expired(msg):
+            self._relay_response(msg, self.broker._expiry_response(msg))
+            return True
         self._hop_rpc(dst, msg.topic, msg.payload,
                       lambda resp: self._relay_response(msg, resp),
                       ctx=msg.ctx, span=msg.span)
@@ -526,8 +535,6 @@ class KvsModule(CommsModule):
     def _owner_prefix(self, key: str) -> Optional[str]:
         """Longest delegated prefix owning ``key`` (component-wise
         match), or ``None`` when the key lives in the root namespace."""
-        if not self.owners:
-            return None
         k = key
         while True:
             if k in self.owners:
@@ -607,7 +614,7 @@ class KvsModule(CommsModule):
         exactly once.  With replicas, ``done``
         waits until ``_REPL_ACK_MIN`` live standbys acknowledged the
         :class:`CommitRecord` (an acknowledged write survives the
-        master's death); a fence also waits for its delegated parts.
+        master's death).
         """
         def finish(res) -> None:
             if fence is not None:
@@ -617,9 +624,6 @@ class KvsModule(CommsModule):
                                   span=span)
             done(self._local_response({"version": res.version,
                                        "rootref": res.root_sha}))
-
-        def durable(res) -> None:
-            self._fence_finish_when_shipped(fence, lambda: finish(res))
 
         def apply() -> None:
             try:
@@ -632,7 +636,7 @@ class KvsModule(CommsModule):
                 done(self._local_response({}, str(exc.args[0]), EINVAL))
                 return
             if rec is None:
-                durable(res)
+                finish(res)
                 return
             if objs or fence is not None:
                 # The journal only captures objects *new* to the store;
@@ -643,7 +647,7 @@ class KvsModule(CommsModule):
                 # completed-fence digest.
                 rec = CommitRecord(rec.version, rec.root_sha,
                                    {**objs, **rec.objs}, fence)
-            self._replicate(rec, lambda: durable(res))
+            self._replicate(rec, lambda: finish(res))
 
         self._master_run(len(ops), apply)
 
@@ -942,6 +946,8 @@ class KvsModule(CommsModule):
         per delegated prefix: ``(root_ops, root_objs, {pfx: (ops,
         objs)})``.  Objects follow the ops that reference them (an
         object referenced from both sides travels with both)."""
+        if not self.owners:
+            return ops, objs, {}
         root_ops: list = []
         by_pfx: dict[str, list] = {}
         for op in ops:
@@ -1028,12 +1034,13 @@ class KvsModule(CommsModule):
     def _root_part_commit(self, ops: list, objs: dict,
                           done: Callable[[Message], None],
                           ctx: Optional[RequestContext] = None,
-                          span: Optional[tuple] = None) -> None:
+                          span: Optional[tuple] = None,
+                          fence: Optional[str] = None) -> None:
         """Commit root-namespace ``ops`` — on the master when it is here,
         else as a flush forwarded toward it (the one place that decides).
         ``done`` gets a flush response, its root already applied here."""
         if self.master is not None:
-            self._master_commit(ops, objs, done, span=span)
+            self._master_commit(ops, objs, done, span=span, fence=fence)
             return
 
         def relay(resp: Message) -> None:
@@ -1046,99 +1053,60 @@ class KvsModule(CommsModule):
         self._send_objs("kvs.flush", {"ops": ops}, objs, relay,
                         ctx=ctx, span=span)
 
-    def _commit_partitioned(self, msg: Message, sender: Any,
-                            root_ops: list, root_objs: dict,
-                            groups: dict) -> None:
-        """Run a partitioned commit: the root part plus one delegated
-        part per owner, all concurrently; answer ``msg`` once every
-        part settled.  ``sender`` is set when this rank fronts the
-        client (``None`` when relaying a downstream flush): the fronting
-        rank re-stashes the whole batch on a retryable failure so the
-        client's retry re-flushes it, and on success unpins it and
-        notifies the consistency sanitizers (the origin acks)."""
-        state: dict[str, Any] = {"left": 1 + len(groups), "error": None,
-                                 "version": self.version,
-                                 "rootref": self.root_sha,
-                                 "subroots": {}}
-        all_ops = list(root_ops)
-        all_objs = dict(root_objs)
-        for pfx in sorted(groups):
-            all_ops.extend(groups[pfx][0])
-            all_objs.update(groups[pfx][1])
-
-        def finish() -> None:
-            resp = state["error"]
-            if resp is None:
-                out = {"version": state["version"],
-                       "rootref": state["rootref"]}
-                if state["subroots"]:
-                    out["subroots"] = state["subroots"]
-                resp = self._local_response(out)
-            if sender is not None:
-                self._finish_commit(msg, resp, sender, all_ops, all_objs)
-            else:
-                self._relay_response(msg, resp)
-
-        def part_done(pfx: Optional[str], resp: Message) -> None:
-            state["left"] -= 1
-            if resp.error is not None:
-                if state["error"] is None:
-                    state["error"] = resp
-            elif pfx is None:
-                state["version"] = resp.payload["version"]
-                state["rootref"] = resp.payload["rootref"]
-            else:
-                state["subroots"][pfx] = [resp.payload["version"],
-                                          resp.payload["rootref"]]
-            if state["left"] == 0:
-                finish()
-
-        if root_ops or root_objs or not groups:
-            self._root_part_commit(root_ops, root_objs,
-                                   lambda resp: part_done(None, resp),
-                                   ctx=msg.ctx, span=msg.span)
-        else:
-            # Wholly-delegated batch: don't serialize an empty commit
-            # through the root master (that serialization is what
-            # delegation exists to relieve); answer with the root
-            # state as locally applied.
-            state["left"] -= 1
-        for pfx in sorted(groups):
-            g_ops, g_objs = groups[pfx]
-            self._owner_flush(pfx, g_ops, g_objs,
-                              lambda resp, p=pfx: part_done(p, resp),
-                              ctx=msg.ctx, span=msg.span)
-
-    # -- fence completions with delegated parts -------------------------
-    def _fence_part_flush(self, name: str, pfx: str, ops: list,
-                          objs: dict) -> None:
-        def shipped(resp: Message) -> None:
-            if (resp.error is not None
-                    and resp.errnum in RETRYABLE_CODES):
-                self.broker.after(
-                    5e-3,
-                    lambda: self._fence_part_flush(name, pfx, ops, objs))
-                return
-            self._fence_part_done(name)
-        self._owner_flush(pfx, ops, objs, shipped)
-
-    def _fence_part_done(self, name: str) -> None:
-        left = self._fence_deleg_pending.get(name, 0) - 1
-        if left > 0:
-            self._fence_deleg_pending[name] = left
+    def _write(self, ops: list, objs: dict,
+               done: Callable[[Message], None],
+               ctx: Optional[RequestContext] = None,
+               span: Optional[tuple] = None,
+               fence: Optional[str] = None) -> None:
+        """The one door for writes: client commits, flushes, in-broker
+        commits and completed fences (``fence`` names it) all come
+        through here.  Each owner's part ships first, in prefix order;
+        once every part has settled the root part commits — skipped when
+        empty, except a fence's, which carries its completion — and
+        ``done`` gets one flush response, with the parts' ``subroots``.
+        A failed part fails the write with its error; the door never
+        retries, each caller recovers as it always has."""
+        root_ops, root_objs, groups = self._partition_ops(ops, objs)
+        if not groups:
+            self._root_part_commit(ops, objs, done, ctx=ctx, span=span,
+                                   fence=fence)
             return
-        self._fence_deleg_pending.pop(name, None)
-        fire = self._fence_deferred.pop(name, None)
-        if fire is not None:
-            fire()
+        self._door_held.append(fence)
+        subroots: dict[str, list] = {}
+        failed: list[Message] = []
+        left = len(groups)
 
-    def _fence_finish_when_shipped(self, name: Optional[str],
-                                   finish: Callable[[], None]) -> None:
-        """``name`` is ``None`` for a plain commit: nothing to wait for."""
-        if self._fence_deleg_pending.get(name):
-            self._fence_deferred[name] = finish
-        else:
-            finish()
+        def answer(resp: Message) -> None:
+            if resp.error is None:
+                resp = self._local_response(
+                    {"version": resp.payload["version"],
+                     "rootref": resp.payload["rootref"],
+                     "subroots": subroots})
+            done(resp)
+
+        def settled(pfx: str, resp: Message) -> None:
+            nonlocal left
+            left -= 1
+            if resp.error is not None:
+                failed.append(resp)
+            else:
+                subroots[pfx] = [resp.payload["version"],
+                                 resp.payload["rootref"]]
+            if left:
+                return
+            self._door_held.remove(fence)
+            if failed:
+                done(failed[0])
+            elif root_ops or root_objs or fence is not None:
+                self._root_part_commit(root_ops, root_objs, answer, ctx=ctx,
+                                       span=span, fence=fence)
+            else:
+                answer(self._local_response({"version": self.version,
+                                             "rootref": self.root_sha}))
+
+        for pfx in sorted(groups):
+            self._owner_flush(pfx, *groups[pfx], partial(settled, pfx),
+                              ctx=ctx, span=span)
 
     # -- delegation / recall RPCs ---------------------------------------
     @request_handler(required={"pfx": str, "rank": int})
@@ -1450,18 +1418,11 @@ class KvsModule(CommsModule):
                      callback: Optional[Callable[[int, str], None]] = None
                      ) -> None:
         """Commit an in-broker service's dirty data; ``callback(version,
-        rootref)`` fires after the new root is applied locally."""
+        rootref)`` fires once every part is committed and the new root
+        is applied locally."""
         d = self._dirty.pop(sender, None)
         ops = d.ops if d else []
         objs = d.objs if d else {}
-        if self.owners:
-            # In-broker services write the root namespace; should their
-            # keys be delegated anyway, ship those parts to the owner
-            # (fire-and-forget — the callback tracks the root part).
-            ops, objs, groups = self._partition_ops(ops, objs)
-            for pfx in sorted(groups):
-                g_ops, g_objs = groups[pfx]
-                self._owner_flush(pfx, g_ops, g_objs, lambda resp: None)
 
         def done(resp: Message) -> None:
             if resp.error is None:
@@ -1477,7 +1438,7 @@ class KvsModule(CommsModule):
                 self.broker.after(5e-3,
                                   lambda: self.local_commit(sender, callback))
 
-        self._root_part_commit(ops, objs, done)
+        self._write(ops, objs, done)
 
     # ------------------------------------------------------------------
     # commit (single-client flush)
@@ -1489,13 +1450,7 @@ class KvsModule(CommsModule):
         d = self._dirty.pop(sender, None)
         ops = d.ops if d else []
         objs = d.objs if d else {}
-        if self.owners:
-            root_ops, root_objs, groups = self._partition_ops(ops, objs)
-            if groups:
-                self._commit_partitioned(msg, sender, root_ops, root_objs,
-                                         groups)
-                return
-        self._root_part_commit(
+        self._write(
             ops, objs,
             lambda resp: self._finish_commit(msg, resp, sender, ops, objs),
             ctx=msg.ctx, span=msg.span)
@@ -1569,17 +1524,10 @@ class KvsModule(CommsModule):
             # Slaves cache what passes through; the master ingests on commit.
             for sha, obj in objs.items():
                 self._obj_put(sha, obj)
-        elif self.owners:
-            root_ops, root_objs, groups = self._partition_ops(ops, objs)
-            if groups:
-                # Delegated keys reached the root (stale table
-                # downstream): never fold them into the root tree —
-                # that would overwrite the link objects.  Re-split
-                # and ship each part to its owner.
-                self._commit_partitioned(msg, None, root_ops, root_objs,
-                                         groups)
-                return
-        self._root_part_commit(
+        # Delegated keys in a flush (a stale table downstream) are split
+        # off again here: folded into the root tree they would overwrite
+        # the link objects.
+        self._write(
             ops, objs, lambda resp: self._relay_response(msg, resp),
             ctx=msg.ctx, span=msg.span)
 
@@ -1883,30 +1831,33 @@ class KvsModule(CommsModule):
             self._complete_fence(agg)
 
     def _complete_fence(self, agg: _FenceAgg) -> None:
-        """Every participant of ``agg`` is in: ship the delegated parts
-        to their owners and commit the rest, ops in origin-rank order,
-        as one master commit, which publishes and releases the waiters
-        only once every part is acknowledged — a fence ack implies the
-        whole collective write is readable."""
+        """Every participant of ``agg`` is in: write its ops, in
+        origin-rank order, through the door.  The root commit that
+        publishes and releases the waiters comes after every delegated
+        part is acknowledged, so a fence ack implies the whole
+        collective write is readable.  A failed part fails the
+        completion, which is tried again 5 ms later while ``agg`` is
+        still the open round here."""
         if agg.completing:
             return
         agg.completing = True
-        ops = [op for origin in sorted(agg.parts)
-               for op in agg.parts[origin][1]]
-        objs = agg.objs
-        if self.owners:
-            ops, objs, groups = self._partition_ops(ops, objs)
-            if groups:
-                self._fence_deleg_pending[agg.name] = len(groups)
-            for pfx in sorted(groups):
-                self._fence_part_flush(agg.name, pfx, *groups[pfx])
-        self._master_commit(
-            ops, objs,
-            lambda resp: (self._release_fence(agg) if resp.error is None
-                          else self._refuse_fence(agg, resp.error,
-                                                  resp.errnum,
-                                                  resp.err_rank)),
-            span=agg.span, fence=agg.name)
+        self._write([op for origin in sorted(agg.parts)
+                     for op in agg.parts[origin][1]], agg.objs,
+                    lambda resp: self._fence_written(agg, resp),
+                    span=agg.span, fence=agg.name)
+
+    def _fence_written(self, agg: _FenceAgg, resp: Message) -> None:
+        if resp.error is None:
+            self._release_fence(agg)
+        elif resp.errnum not in RETRYABLE_CODES:
+            self._refuse_fence(agg, resp.error, resp.errnum, resp.err_rank)
+        else:
+            def retry() -> None:
+                if (self._fences.get(agg.name) is agg
+                        and self.master is not None):
+                    agg.completing = False
+                    self._complete_fence(agg)
+            self.broker.after(5e-3, retry)
 
     def _release_fence(self, agg: _FenceAgg) -> None:
         """Answer the fence requests held at this rank (once: the
@@ -1962,7 +1913,8 @@ class KvsModule(CommsModule):
                               "held": len(agg.held)}
                        for name, agg in sorted(self._fences.items())},
             "repl_waiters": sorted(v for v, _fn in self._repl_waiters),
-            "fence_deferred": sorted(self._fence_deferred),
+            "fence_deferred": sorted(n for n in self._door_held
+                                     if n is not None),
             "dirty_clients": len(self._dirty),
             "dirty_ops": sum(len(d.ops) for d in self._dirty.values()),
             "loads": self._loads.census("shas", str),
@@ -2184,11 +2136,11 @@ class KvsModule(CommsModule):
                 return
         self._get_proc(msg)
 
-    def _get_proc(self, msg: Message, allow_walk: bool = True) -> None:
+    def _get_proc(self, msg: Message) -> None:
         """Resolve the read ``msg`` from the current root."""
-        self._get_step(msg, allow_walk, self.root_sha, None, 0, None)
+        self._get_step(msg, self.root_sha, None, 0, None)
 
-    def _get_step(self, msg: Message, allow_walk: bool, root: str,
+    def _get_step(self, msg: Message, root: str,
                   sha: Optional[str], i: int, obj: Optional[dict]) -> None:
         """Resolve ``msg`` from ``root``, or resume at depth ``i`` with
         ``obj``, which a fault brought in as ``sha`` (``None``: lost).  A
@@ -2204,15 +2156,15 @@ class KvsModule(CommsModule):
             self.respond(msg, error=str(exc), code=exc.code)
             return
         if kind == "miss":
-            if self.dedup and allow_walk and self.master is None:
+            if self.dedup and self.master is None:
                 # Walk-path cold read: ship the walk to the data instead
                 # of faulting whole directories down the tree (the
                 # Figure 4a effect).
                 self._walk_remote(msg, key, want_ref, root)
             else:
                 self._fault(sha, ctx=msg.ctx, span=msg.span).add_callback(
-                    lambda ev: self._get_step(msg, allow_walk, root, sha,
-                                              i, ev._value))
+                    lambda ev: self._get_step(msg, root, sha, i,
+                                              ev._value))
         elif kind == "link":
             # Ownership link: the rest of the walk belongs to a
             # delegated namespace (this rank's owner table was stale, or
@@ -2380,9 +2332,9 @@ class KvsModule(CommsModule):
                 self.respond(msg, error=r["error"], code=r["errnum"],
                              err_rank=r["rank"])
             elif "link" in r:
-                # The walk crossed into a delegated namespace; the
-                # legacy fault-in path re-routes through link objects.
-                self._get_proc(msg, False)
+                # The walk crossed into a delegated namespace.
+                self._delegated_get(msg, r["link"]["prefix"],
+                                    r["link"]["rank"])
             else:
                 self.respond(msg, r)
 
@@ -2461,7 +2413,7 @@ class KvsModule(CommsModule):
         if kind == "miss":
             return None
         if kind == "link":
-            return {"link": True}
+            return {"link": link_of(obj)}
         return _read_payload(sha, obj)
 
     @request_handler(required={"roots": list, "items": list})

@@ -246,7 +246,7 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
             hung += len(kvs_mod._version_waiters)
             hung += sum(len(agg.held) for agg in kvs_mod._fences.values())
             hung += len(kvs_mod._repl_waiters)
-            hung += len(kvs_mod._fence_deferred)
+            hung += len(kvs_mod._door_held)
     for handle in handles:
         hung += len(handle._waiters)
     misses = anti_entropy_misses(session)
@@ -532,7 +532,7 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
             hung += len(kvs_mod._version_waiters)
             hung += sum(len(agg.held) for agg in kvs_mod._fences.values())
             hung += len(kvs_mod._repl_waiters)
-            hung += len(kvs_mod._fence_deferred)
+            hung += len(kvs_mod._door_held)
     for handle in handles:
         hung += len(handle._waiters)
     misses = anti_entropy_misses(session)

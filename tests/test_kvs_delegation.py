@@ -13,11 +13,14 @@ Exercises the two coupled tentpole moves end to end:
 import pytest
 
 from repro import make_cluster, standard_session
-from repro.cmb.errors import EEXIST, EINVAL, ENOENT, RpcError
+from repro.cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, ENOENT,
+                              ETIMEDOUT, RpcError)
+from repro.cmb.message import MessageType
 from repro.kvs import KvsClient
-from repro.kvs.hashtree import lookup_ref
+from repro.kvs.hashtree import lookup, lookup_ref
 from repro.kvs.store import is_link_obj, link_of
 from repro.sim import FaultPlan
+from repro.sim.network import Network
 
 
 def _session(n, seed, **kw):
@@ -132,6 +135,173 @@ def test_fence_spans_root_and_delegated_namespaces():
 
     assert _run(sim, scenario()) == "ok"
     session.stop()
+
+
+def test_in_broker_commit_under_a_delegated_prefix():
+    """An in-broker service's commit of a delegated key is one write:
+    the part goes to the owner and never through the root master, the
+    callback fires only once the owner serves the key, and the value's
+    pin at the writer is dropped."""
+    cluster, session = _session(8, seed=3)
+    sim = cluster.sim
+    kvs0 = session.module_at(0, "kvs")
+    owner = session.module_at(3, "kvs")
+
+    def scenario():
+        yield KvsClient(session.connect(0)).delegate("job.1", 3)
+        version, pinned = kvs0.version, len(kvs0.cache._pinned)
+        kvs0.local_put("svc", "job.1.out", "hello")
+        committed = sim.event()
+
+        def callback(ver, _rootref):
+            dm = owner.delegates["job.1"]
+            committed.succeed((ver, lookup(dm.store, dm.root_sha,
+                                           "job.1.out")))
+
+        kvs0.local_commit("svc", callback)
+        assert (yield committed) == (version, "hello")
+        assert kvs0.version == version
+        assert len(kvs0.cache._pinned) == pinned
+        return "ok"
+
+    assert _run(sim, scenario()) == "ok"
+    session.stop()
+
+
+def _sends(monkeypatch, sim, topic):
+    """``(time, src, msg)`` of every ``topic`` message put on the
+    fabric from now on."""
+    log = []
+    send = Network.send
+
+    def spy(self, src, dst, payload, size, **kw):
+        msg = payload[1]
+        if msg.topic == topic:
+            log.append((sim.now, src, msg))
+        send(self, src, dst, payload, size, **kw)
+
+    monkeypatch.setattr(Network, "send", spy)
+    return log
+
+
+@pytest.mark.parametrize("owner,dead", [(3, 3), (7, 3)],
+                         ids=["dead-owner", "dead-interior"])
+def test_in_broker_commit_waits_for_a_lost_part(monkeypatch, owner, dead):
+    """A part that cannot reach its owner fails the in-broker commit:
+    its data stays stashed for the retry, one attempt per 5 ms, instead
+    of being dropped behind a callback that reports success."""
+    cluster, session = _session(8, seed=3)
+    sim = cluster.sim
+    kvs0 = session.module_at(0, "kvs")
+    fired = []
+    log = _sends(monkeypatch, sim, "kvs.flush")
+
+    def scenario():
+        yield KvsClient(session.connect(0)).delegate("job.1", owner)
+        session.fail_rank(dead)
+        log.clear()
+        sha = kvs0.local_put("svc", "job.1.out", "hello")
+        kvs0.local_commit("svc", lambda ver, _ref: fired.append(ver))
+        yield sim.timeout(0.05)
+        return sha
+
+    sha = _run(sim, scenario(), budget=0.1)
+    assert fired == []
+    assert kvs0._dirty["svc"].ops == [["job.1.out", sha]]
+    assert kvs0._door_held == []
+    assert len(log) <= 2 * 21      # a request and its refusal per try
+    session.stop()
+
+
+def test_fence_retries_its_completion_after_a_failed_part():
+    """A fence whose delegated part fails retryably is completed again
+    5 ms later: one root commit, and both namespaces hold the data."""
+    cluster, session = _session(8, seed=5)
+    sim = cluster.sim
+    root = session.module_at(0, "kvs")
+    real = root._owner_flush
+    calls = []
+
+    def flaky(pfx, ops, objs, done, **kw):
+        calls.append(sim.now)
+        if len(calls) == 1:
+            done(root._local_response({}, "lost", EHOSTUNREACH))
+            return
+        real(pfx, ops, objs, done, **kw)
+
+    def scenario():
+        admin = KvsClient(session.connect(0))
+        yield admin.delegate("job.2", 4)
+        root._owner_flush = flaky
+        version = root.version
+        k = KvsClient(session.connect(1), timeout=5.0, retries=8)
+        yield k.put("job.2.a", 1)
+        yield k.put("root.a", 2)
+        yield k.fence("retry.f", 1)
+        assert root.version == version + 1
+        assert (yield k.get("job.2.a")) == 1
+        assert (yield k.get("root.a")) == 2
+        return "ok"
+
+    assert _run(sim, scenario()) == "ok"
+    assert len(calls) == 2 and calls[1] - calls[0] >= 5e-3
+    session.stop()
+
+
+@pytest.mark.parametrize("owner,dead", [(3, 3), (7, 3)],
+                         ids=["dead-owner", "dead-interior"])
+def test_read_toward_a_dead_rank_fails_at_once(monkeypatch, owner, dead):
+    """Without a heartbeat nobody heals the overlay: a read of a prefix
+    whose owner, or a rank on the way to it, is dead fails retryably at
+    once instead of bouncing between two live ranks."""
+    cluster, session = _session(8, seed=3)
+    sim = cluster.sim
+    log = _sends(monkeypatch, sim, "kvs.get")
+
+    def scenario():
+        admin = KvsClient(session.connect(0))
+        yield admin.delegate("job.1", owner)
+        yield admin.put("job.1.out", 5)
+        yield admin.commit()
+        session.fail_rank(dead)
+        t0 = sim.now
+        reader = KvsClient(session.connect(6), timeout=0.002, retries=0)
+        with pytest.raises(RpcError) as err:
+            yield reader.get("job.1.out")
+        return err.value.code, sim.now - t0
+
+    code, took = _run(sim, scenario(), budget=0.05)
+    assert code == EHOSTUNREACH and took < 1e-4
+    assert len([m for _t, _s, m in log
+                if m.mtype is MessageType.REQUEST]) <= 3
+
+
+def test_forwarded_request_past_its_deadline_is_answered(monkeypatch):
+    """A rank-addressed request is passed on by the kvs module, not the
+    broker, so the module answers ETIMEDOUT once its deadline passed."""
+    cluster, session = _session(8, seed=3)
+    sim = cluster.sim
+    log = _sends(monkeypatch, sim, "kvs.get")
+
+    def scenario():
+        admin = KvsClient(session.connect(0))
+        yield admin.delegate("job.1", 3)
+        yield admin.put("job.1.out", 5)
+        yield admin.commit()
+        log.clear()
+        ev = session.connect(6, collective=False).rpc(
+            "kvs.get", {"key": "job.1.out", "dst": 3}, timeout=1e-5)
+        with pytest.raises(RpcError):
+            yield ev
+        yield sim.timeout(0.01)
+
+    _run(sim, scenario(), budget=0.05)
+    # 6 -> 2 -> 0 takes two ~3.3 us hops; the deadline passes before 0
+    # would send it on toward 1 and the owner, 3.
+    assert [src for _t, src, m in log
+            if m.mtype is MessageType.REQUEST] == [6, 2]
+    assert {(m.errnum, m.err_rank) for _t, _s, m in log
+            if m.mtype is MessageType.RESPONSE} == {(ETIMEDOUT, 0)}
 
 
 def test_recall_folds_subtree_back_and_clears_table():

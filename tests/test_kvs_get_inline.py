@@ -152,7 +152,7 @@ def test_two_gets_coalesce_on_one_fault():
     assert _no_get_process(names)
 
 
-def test_walk_crossing_a_link_falls_back_in_the_handler():
+def test_walk_crossing_a_link_is_answered_in_the_handler():
     cluster, session = _seeded(dedup=True)
     sim = cluster.sim
 
@@ -167,16 +167,18 @@ def test_walk_crossing_a_link_falls_back_in_the_handler():
     assert proc.ok
     reader = session.module_at(6, "kvs")
     reader.owners.clear()       # stale table: the read meets the link
-    fallbacks = []
-    real = reader._get_proc
+    faults = reader.cache.stats.faults
+    hops = []
+    real = reader._hop_rpc
 
-    def spy(msg, allow_walk=True):
-        fallbacks.append(allow_walk)
-        return real(msg, allow_walk)
+    def spy(dst, topic, *args, **kw):
+        hops.append((dst, topic))
+        return real(dst, topic, *args, **kw)
 
-    reader._get_proc = spy
+    reader._hop_rpc = spy
     values, counts, names = _read(cluster, session, ["job.1.a"], rank=6)
     assert values == [11]
-    assert fallbacks == [True, False]
+    assert hops == [(3, "kvs.get")]
+    assert reader.cache.stats.faults == faults
     assert list(counts.values()) == [1]
     assert _no_get_process(names)

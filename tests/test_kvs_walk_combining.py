@@ -198,9 +198,9 @@ def test_malformed_items_are_rejected(items):
 
 
 # ----------------------------------------------------------------------
-# (c) delegation links fall back to the fault-in path
+# (c) a walk that lands on a delegation link reads from the owner
 # ----------------------------------------------------------------------
-def test_walk_crossing_a_link_falls_back_to_fault_in():
+def test_walk_crossing_a_link_reads_from_the_owner():
     cluster, session = _seeded()
     sim = cluster.sim
 
@@ -215,19 +215,21 @@ def test_walk_crossing_a_link_falls_back_to_fault_in():
     assert setup_proc.ok
     reader = session.module_at(6, "kvs")
     reader.owners.clear()       # stale table: the read meets the link
-    fallbacks = []
-    real = reader._get_proc
+    faults = reader.cache.stats.faults
+    hops = []
+    real = reader._hop_rpc
 
-    def spy(msg, allow_walk=True):
-        fallbacks.append(allow_walk)
-        return real(msg, allow_walk)
+    def spy(dst, topic, *args, **kw):
+        hops.append((dst, topic))
+        return real(dst, topic, *args, **kw)
 
-    reader._get_proc = spy
+    reader._hop_rpc = spy
     proc, = _gets(session, sim, 6, ["job.1.a"])
     sim.run(until=sim.now + 1.0)
     assert proc.value == 11
-    assert fallbacks == [True, False]
     assert reader._cv_walks.data[("kvs",)] == 1
+    assert hops == [(3, "kvs.get")]
+    assert reader.cache.stats.faults == faults
 
 
 # ----------------------------------------------------------------------
