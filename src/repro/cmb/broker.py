@@ -143,6 +143,10 @@ class Broker:
         # Live wiring (mutable for self-healing).
         self.parent: Optional[int] = session.parent_map[rank]
         self.children: list[int] = session.children_of(rank)
+        #: A job's processes connected here (collective handles, kept
+        #: by ``CommsSession.connect`` / ``disconnect``): the rank's own
+        #: sources of requests, beside its children.
+        self.clients = 0
         self.modules: dict[str, CommsModule] = {}
         self._pending: dict[int, _Pending] = {}
         # Idempotent-replay state (tentpole of the chaos work): per

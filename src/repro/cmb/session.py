@@ -360,6 +360,7 @@ class CommsSession:
         handle = Handle(self, rank)
         if collective:
             self.local_procs[rank] += 1
+            self.brokers[rank].clients += 1
             self._subtree_procs_cache = None
         return handle
 
@@ -367,6 +368,7 @@ class CommsSession:
         """Release a handle created with ``collective=True``."""
         if self.local_procs[handle.rank] > 0:
             self.local_procs[handle.rank] -= 1
+            self.brokers[handle.rank].clients -= 1
             self._subtree_procs_cache = None
 
     def subtree_procs(self, rank: int) -> int:

@@ -146,15 +146,17 @@ class _Batch(dict):
 class _Combiner:
     """One rank's self-clocked read combiner (DESIGN.md "Read path"):
     the batches in flight master-ward (at most two), the queue behind
-    them, and per child how many of its requests are parked here.
+    them, per child how many of its requests are parked here, and how
+    many of this rank's own clients' reads wait on it (``blocked``).
     ``kvs.walk`` items and ``kvs.load`` SHAs each run on one."""
 
-    __slots__ = ("out", "q", "parked")
+    __slots__ = ("out", "q", "parked", "blocked")
 
     def __init__(self):
         self.out: list[_Batch] = []
         self.q = _Batch()
         self.parked: dict[int, int] = {}
+        self.blocked = 0
 
     def waiters(self, item) -> list:
         """The waiter list ``item`` joins: its batch's while it is in
@@ -164,15 +166,20 @@ class _Combiner:
                 return batch[item]
         return self.q.setdefault(item, [])
 
-    def may_send(self, children) -> bool:
+    def may_send(self, children, clients: int) -> bool:
         """The gate: the queue leaves when nothing is in flight, or as a
-        second batch when every live child already has a request parked
-        here — a blocked child asks again only under this same rule, so
+        second batch once every source of requests is blocked here —
+        every live child has a request parked, or, at a rank with no
+        live children, every one of its ``clients`` has a read waiting.
+        A blocked source asks again only under this same rule, so
         holding the queue merges next to nothing and idles the uplink."""
         if not self.q or len(self.out) > 1:
             return False
-        return not self.out or bool(children) and all(
-            self.parked.get(c) for c in children)
+        if not self.out:
+            return True
+        if children:
+            return all(self.parked.get(c) for c in children)
+        return 0 < clients <= self.blocked
 
     def take(self) -> _Batch:
         """Hand over the queue (the caller puts what it sends in
@@ -298,6 +305,9 @@ class KvsModule(CommsModule):
         self._fences: dict[str, _FenceAgg] = {}
         #: Fault-in combiner: SHA -> ``fn(obj)`` waiters.
         self._loads = _Combiner()
+        #: Local reads a load batch answered whose path walks have not
+        #: resumed yet; the load queue is held until they have.
+        self._resuming = 0
         self._version_waiters: list[tuple[int, Message]] = []
         #: Recently completed fences (name -> (version, root sha, tag)),
         #: a bounded LRU pulled by children so a fence-completion
@@ -2162,9 +2172,7 @@ class KvsModule(CommsModule):
                 # Figure 4a effect).
                 self._walk_remote(msg, key, want_ref, root)
             else:
-                self._fault(sha, ctx=msg.ctx, span=msg.span).add_callback(
-                    lambda ev: self._get_step(msg, root, sha, i,
-                                              ev._value))
+                self._fault(msg, root, sha, i)
         elif kind == "link":
             # Ownership link: the rest of the walk belongs to a
             # delegated namespace (this rank's owner table was stale, or
@@ -2221,7 +2229,8 @@ class KvsModule(CommsModule):
         ``failfast`` only when that context has no deadline for
         :meth:`_load_expire` to drop it by (DESIGN.md "Read path")."""
         loads = self._loads
-        if not loads.may_send(self.broker.children):
+        if self._resuming or not loads.may_send(self.broker.children,
+                                                self.broker.clients):
             return
         batch = loads.take()
         loads.out.append(batch)
@@ -2250,6 +2259,7 @@ class KvsModule(CommsModule):
         # Answer, then pump: the children just answered are unparked, so
         # the queue waits for their next miss instead of leaving beside
         # the other batch (DESIGN.md "Fault-in on the same combiner").
+        # The local reads answered resume first (see :meth:`_fault`).
         self._load_pump()
 
     def _load_expire(self) -> None:
@@ -2266,12 +2276,29 @@ class KvsModule(CommsModule):
                 for fn in waiters:
                     fn(None)
 
-    def _fault(self, sha: str, ctx: Optional[RequestContext] = None,
-               span: Optional[tuple] = None):
-        """:meth:`_fetch` as an event yielding the object (or None)."""
+    def _fault(self, msg: Message, root: str, sha: str, i: int) -> None:
+        """Fault ``sha`` in for the local read ``msg`` and resume its
+        path walk at depth ``i`` from the load's kernel event.  The read
+        counts as blocked on the combiner from its miss until it has
+        resumed (queued its next miss, or answered), and from its load's
+        answer until then the load queue is held, so the follow-up
+        misses of one batch's readers leave together."""
+        loads = self._loads
         ev = self.broker.sim.event(name=("fault:%s", sha[:8]))
-        self._fetch(sha, ev.succeed, ctx, span)
-        return ev
+
+        def wake(obj: Optional[dict]) -> None:
+            self._resuming += 1
+            ev.succeed(obj)
+
+        def resume(_ev) -> None:
+            loads.blocked -= 1
+            self._get_step(msg, root, sha, i, ev._value)
+            self._resuming -= 1
+            self._load_pump()
+
+        ev.add_callback(resume)
+        loads.blocked += 1
+        self._fetch(sha, wake, msg.ctx, msg.span)
 
     @request_handler(required={"shas": list})
     def req_load(self, msg: Message) -> None:
@@ -2326,8 +2353,10 @@ class KvsModule(CommsModule):
         """Resolve a cold read by shipping the *walk* master-ward instead
         of faulting the path's directories into our cache (Figure 4a)."""
         self._cv_walks.inc((self.name,))
+        self._walks.blocked += 1
 
         def done(_tag, r: dict) -> None:
+            self._walks.blocked -= 1
             if "error" in r:
                 self.respond(msg, error=r["error"], code=r["errnum"],
                              err_rank=r["rank"])
@@ -2355,7 +2384,7 @@ class KvsModule(CommsModule):
         """Send the queue as one ``kvs.walk`` batch when the combiner's
         gate allows."""
         walks = self._walks
-        if not walks.may_send(self.broker.children):
+        if not walks.may_send(self.broker.children, self.broker.clients):
             return
         queued = walks.take()
         batch = _Batch()

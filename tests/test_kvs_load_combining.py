@@ -3,8 +3,10 @@
 A cold read on the default path faults every missing object in through
 the chain of slave caches.  Each rank keeps one ``kvs.load`` request
 outstanding — two once every child is itself blocked on a load parked
-here — and SHAs asked for meanwhile queue and leave as one list
-``{"shas": [...]}``; the answer is ``{"objs": [obj | null, ...]}``.
+here, or, at a rank with no children, once each of its job processes
+has a read waiting — and SHAs asked for meanwhile queue and leave as
+one list ``{"shas": [...]}``; the answer is ``{"objs": [obj | null,
+...]}``.
 These tests pin what a batch may and may not share: one round trip,
 yes; one object's fate, no.
 """
@@ -16,6 +18,7 @@ from repro.cmb.errors import EINVAL, EIO, ETIMEDOUT, RpcError
 from repro.cmb.message import HEADER_BYTES, Message, MessageType
 from repro.jsonutil import canonical_size, sha1_of
 from repro.kvs import KvsClient, make_val_obj
+from repro.kvs.hashtree import lookup_ref
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network
 
@@ -45,6 +48,12 @@ def _seeded(n=8, seed=7, fault_plan=None, **kw):
 def _val(i):
     """The SHA of ``w.k{i}``'s value object."""
     return sha1_of(make_val_obj(i * 10))
+
+
+def _ref(session, key):
+    """The SHA of ``key``'s terminal object at the master."""
+    master = session.module_at(0, "kvs").master
+    return lookup_ref(master.store, master.root_sha, key)
 
 
 class _LoadSpy:
@@ -88,6 +97,14 @@ def _gets(session, sim, rank, keys, **client_kw):
 
         procs.append(sim.spawn(reader()))
     return procs
+
+
+def _read(sim, kvs, key):
+    """Spawn one read of ``key`` through the client ``kvs``."""
+    def reader():
+        return (yield kvs.get(key))
+
+    return sim.spawn(reader())
 
 
 def _warm(session, sim, rank):
@@ -239,9 +256,10 @@ def test_second_batch_waits_until_every_child_is_parked():
     hold.release(0)
     sim.run()
     assert own.value == 0
-    # It left when the root batch settled, before rank 1's own read
-    # went on to ``w`` and then to w.k0's value.
-    assert [p["shas"] for p, _ctx in hold.sent][0] == [_val(7)]
+    # It left when the root batch settled and rank 1's own read, which
+    # that batch answered, had gone on to ``w``: the two leave together.
+    assert [p["shas"] for p, _ctx in hold.sent][0] == [
+        _val(7), _ref(session, "w")]
     assert [r.payload for r in answers[3]][1:] == [
         {"objs": [make_val_obj(70)]}]
     assert _idle(session)
@@ -279,6 +297,116 @@ def test_follow_up_misses_ride_the_pumped_batch():
     # follow-up misses share the last request.
     assert [len(b) for b in batches] == [1, 1, 1, 1, 2]
     assert batches[3:] == [[vals[2]], vals[:2]]
+    assert _idle(session)
+
+
+def test_follow_up_misses_of_a_batchs_readers_leave_together():
+    """Two cold reads on one rank share the root's load.  Each resumes
+    its path walk one kernel event after that load answers, and the
+    queue is held until both have: their next misses, ``a`` and ``b``,
+    leave as one request, and so do their values."""
+    cluster = make_cluster(7, seed=7)
+    session = standard_session(cluster).start()
+    sim = cluster.sim
+
+    def writer():
+        kvs = KvsClient(session.connect(0, collective=False))
+        for key, value in (("a.k1", 1), ("b.k2", 2)):
+            yield kvs.put(key, value)
+        yield kvs.commit()
+
+    proc = sim.spawn(writer())
+    sim.run(until=0.4)
+    assert proc.ok
+    sent = _LoadSpy(session.module_at(3, "kvs")).sent
+    procs = _gets(session, sim, 3, ["a.k1", "b.k2"])
+    sim.run()
+    assert [p.value for p in procs] == [1, 2]
+    assert [p["shas"] for p, _ctx in sent] == [
+        [session.module_at(3, "kvs").root_sha],
+        [_ref(session, "a"), _ref(session, "b")],
+        [_ref(session, "a.k1"), _ref(session, "b.k2")]]
+    assert _idle(session)
+
+
+def test_leaf_sends_a_second_batch_once_every_client_is_blocked():
+    """A leaf has no children: its own job processes are its sources.
+    With four connected, the first cold read leaves alone and the next
+    two queue behind it; the queue leaves as a second batch when the
+    fourth process blocks — not before, and before the first batch
+    returns."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    _warm(session, sim, LEAF)           # a tool's read: counts no process
+    leaf = session.module_at(LEAF, "kvs")
+    hold = _LoadSpy(leaf, hold_first=1)
+    procs = [KvsClient(session.connect(LEAF)) for _ in range(4)]
+    first = [_read(sim, kvs, f"w.k{i}") for i, kvs in enumerate(procs[:3], 1)]
+    sim.run()
+    assert [p for p, _ctx in hold.held] == [{"shas": [_val(1)]}]
+    assert leaf.waiter_census()["loads"] == {
+        "outstanding": 1, "batches": 1, "parked": 0, "queued": 2,
+        "shas": [_val(1), _val(2), _val(3)]}
+    assert not hold.sent                # the fourth may yet ask
+    last = _read(sim, procs[3], "w.k4")
+    sim.run()
+    assert [p for p, _ctx in hold.sent] == [
+        {"shas": [_val(2), _val(3), _val(4)]}]
+    assert not first[0].triggered       # the first batch is still out
+    hold.release()
+    sim.run()
+    assert [p.value for p in first + [last]] == [10, 20, 30, 40]
+    assert _idle(session)
+
+
+def test_leaf_keeps_one_batch_while_a_client_is_idle():
+    """Chaos's shape, one reader beside an idle process, climbs the
+    tree one batch at a time; and a queue behind a batch in flight
+    waits for it while any connected process is not blocked here."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    sent = _LoadSpy(leaf).sent
+    _idler, one, two = (KvsClient(session.connect(LEAF)) for _ in range(3))
+    reader = _read(sim, one, "w.k1")
+    sim.run()
+    assert reader.value == 10
+    assert [p["shas"] for p, _ctx in sent] == [
+        [leaf.root_sha], [_ref(session, "w")], [_val(1)]]
+    hold = _LoadSpy(leaf, hold_first=1)
+    both = [_read(sim, one, "w.k2"), _read(sim, two, "w.k3")]
+    sim.run()
+    assert leaf.waiter_census()["loads"]["queued"] == 1
+    assert not hold.sent                # three processes, two blocked
+    hold.release()
+    sim.run()
+    assert [p.value for p in both] == [20, 30]
+    assert [p for p, _ctx in hold.sent] == [{"shas": [_val(3)]}]
+    assert _idle(session)
+
+
+def test_interior_rank_waits_for_its_children_not_its_clients():
+    """Rank 3's two job processes are both blocked, but its child (leaf
+    7) is not: an interior rank's gate counts children only, so the
+    queue waits until the child parks a load here."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    _warm(session, sim, LEAF)           # rank 3 holds the root and ``w``
+    mod = session.module_at(3, "kvs")
+    hold = _LoadSpy(mod, hold_first=2)
+    own = [_read(sim, KvsClient(session.connect(3)), f"w.k{i}")
+           for i in (1, 2)]
+    sim.run()
+    assert mod.waiter_census()["loads"]["queued"] == 1
+    assert [p for p, _ctx in hold.held] == [{"shas": [_val(1)]}]
+    below, = _gets(session, sim, LEAF, ["w.k3"])
+    sim.run()
+    assert [p for p, _ctx in hold.held] == [
+        {"shas": [_val(1)]}, {"shas": [_val(2), _val(3)]}]
+    hold.release(0)
+    hold.release(1)
+    sim.run()
+    assert [p.value for p in own + [below]] == [10, 20, 30]
     assert _idle(session)
 
 

@@ -3,8 +3,9 @@ semantics of a batch.
 
 In dedup mode a cold read ships its *walk* master-ward.  Each rank
 keeps one ``kvs.walk`` request outstanding — two once every child is
-itself blocked on a walk parked here, when waiting longer could merge
-nothing more; cold reads that arrive meanwhile queue, deduplicated by
+itself blocked on a walk parked here (at a leaf: once each of its job
+processes has a read waiting), when waiting longer could merge nothing
+more; cold reads that arrive meanwhile queue, deduplicated by
 ``(key, root, ref)``, and leave as one list.  These tests pin what a
 batch may and may not share: one round trip, yes; one item's fate, no.
 """
@@ -613,6 +614,86 @@ def test_child_killed_mid_read_strands_no_walk():
         v for rank in range(7, 15) for v in (rank * 10, (rank - 7) * 10)]
     assert sorted(session.brokers[1].children) == [4, 7, 8]
     assert 3 not in session.module_at(1, "kvs")._walks.parked
+    assert _idle(session)
+
+
+def _read(sim, kvs, key):
+    """Spawn one read of ``key`` through the client ``kvs``."""
+    def reader():
+        return (yield kvs.get(key))
+
+    return sim.spawn(reader())
+
+
+def _keys(payloads):
+    return [[i[0] for i in p["items"]] for p in payloads]
+
+
+def test_leaf_sends_a_second_batch_once_every_client_is_blocked():
+    """A leaf has no children: its own job processes are its sources.
+    With four connected, the first cold read leaves alone and the next
+    two queue behind it; the queue leaves as a second batch when the
+    fourth process blocks — not before, and before the first batch
+    returns."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    hold = _WalkSpy(leaf, hold_first=True)
+    procs = [KvsClient(session.connect(LEAF)) for _ in range(4)]
+    first = [_read(sim, kvs, f"w.k{i}") for i, kvs in enumerate(procs[:3], 1)]
+    sim.run()
+    assert _keys(hold.held) == [["w.k1"]]
+    assert leaf.waiter_census()["walks"]["queued"] == 2
+    assert not hold.sent                # the fourth may yet ask
+    last = _read(sim, procs[3], "w.k4")
+    sim.run()
+    assert _keys(p for p, _ctx in hold.sent) == [["w.k2", "w.k3", "w.k4"]]
+    assert not first[0].triggered       # the first batch is still out
+    hold.release()
+    sim.run()
+    assert [p.value for p in first + [last]] == [10, 20, 30, 40]
+    assert _idle(session)
+
+
+def test_leaf_keeps_one_batch_while_a_client_is_idle():
+    """Beside an idle process, the queue behind a batch in flight waits
+    for that batch: the idle one may yet ask."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    leaf = session.module_at(LEAF, "kvs")
+    hold = _WalkSpy(leaf, hold_first=True)
+    _idler, one, two = (KvsClient(session.connect(LEAF)) for _ in range(3))
+    both = [_read(sim, one, "w.k1"), _read(sim, two, "w.k2")]
+    sim.run()
+    assert leaf.waiter_census()["walks"]["queued"] == 1
+    assert not hold.sent                # three processes, two blocked
+    hold.release()
+    sim.run()
+    assert [p.value for p in both] == [10, 20]
+    assert _keys(p for p, _ctx in hold.sent) == [["w.k2"]]
+    assert _idle(session)
+
+
+def test_interior_rank_waits_for_its_children_not_its_clients():
+    """Rank 3's two job processes are both blocked, but its child (leaf
+    7) is not: an interior rank's gate counts children only, so the
+    queue waits until the child parks a walk here."""
+    cluster, session = _seeded()
+    sim = cluster.sim
+    mod = session.module_at(3, "kvs")
+    hold = _WalkSpy(mod, hold_first=2)
+    own = [_read(sim, KvsClient(session.connect(3)), f"w.k{i}")
+           for i in (1, 2)]
+    sim.run()
+    assert mod.waiter_census()["walks"]["queued"] == 1
+    assert _keys(hold.held) == [["w.k1"]]
+    below, = _gets(session, sim, LEAF, ["w.k3"])
+    sim.run()
+    assert _keys(hold.held) == [["w.k1"], ["w.k2", "w.k3"]]
+    hold.release(0)
+    hold.release(1)
+    sim.run()
+    assert [p.value for p in own + [below]] == [10, 20, 30]
     assert _idle(session)
 
 
