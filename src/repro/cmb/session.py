@@ -98,6 +98,9 @@ class CommsSession:
         #: bounded bookkeeping the post-mortem dump triggers consult.
         self.terminal_errors: list = []
         self._next_client_id = 1
+        #: Client ids of the handles holding no collective registration:
+        #: tool handles (``collective=False``) and closed ones.
+        self._unregistered: set[int] = set()
         self._subtree_procs_cache: Optional[list[int]] = None
         #: Distributed-tracing collector (``None`` = tracing off, the
         #: default; see :meth:`enable_tracing`).  Pure bookkeeping —
@@ -362,14 +365,19 @@ class CommsSession:
             self.local_procs[rank] += 1
             self.brokers[rank].clients += 1
             self._subtree_procs_cache = None
+        else:
+            self._unregistered.add(handle.client_id)
         return handle
 
     def disconnect(self, handle: Handle) -> None:
-        """Release a handle created with ``collective=True``."""
-        if self.local_procs[handle.rank] > 0:
-            self.local_procs[handle.rank] -= 1
-            self.brokers[handle.rank].clients -= 1
-            self._subtree_procs_cache = None
+        """Release ``handle``: a collective one leaves the process
+        counts once; a tool handle, or a second close, changes nothing."""
+        if handle.client_id in self._unregistered:
+            return
+        self._unregistered.add(handle.client_id)
+        self.local_procs[handle.rank] -= 1
+        self.brokers[handle.rank].clients -= 1
+        self._subtree_procs_cache = None
 
     def subtree_procs(self, rank: int) -> int:
         """Number of collective participants in the subtree at ``rank``."""

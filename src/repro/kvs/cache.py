@@ -4,9 +4,12 @@ Every broker's KVS slave keeps a cache of full objects faulted in from
 its tree parent.  The paper: "Unused slave object cache entries are
 expired after a period of disuse to save memory" — :meth:`expire`
 implements that policy; the ``kvs`` module drives it from heartbeats
-when the ``hb`` module is loaded.
+when the ``hb`` module is loaded and its ``expiry`` is set.  The
+last-use clock exists only then: a cache without expiry keeps no
+per-entry timestamps, and ``kvs.dropcache`` (:meth:`drop`) walks the
+store instead.
 
-Dirty (not-yet-committed) objects are pinned and never expire.
+Dirty (not-yet-committed) objects are pinned and never evicted.
 """
 
 from __future__ import annotations
@@ -36,16 +39,21 @@ class CacheStats:
 
 
 class SlaveCache:
-    """An :class:`ObjectStore` augmented with last-use tracking (same
-    ``get`` / ``put_with_sha``, so either can hold a rank's objects).
+    """An :class:`ObjectStore` augmented with pinning and, given a
+    clock, last-use tracking (same ``get`` / ``put_with_sha``, so either
+    can hold a rank's objects).
 
     ``now_fn`` supplies the simulated clock so expiry is measured in
-    simulated seconds.
+    simulated seconds.  Only :meth:`expire` reads last use, so a cache
+    built without one (``None``, as the ``kvs`` module builds it when
+    no ``expiry`` is set) keeps no per-entry timestamps and its hits
+    and fills touch no clock; :meth:`drop` needs none.
     """
 
-    def __init__(self, now_fn):
+    def __init__(self, now_fn=None):
         self._store = ObjectStore()
-        self._last_used: dict[str, float] = {EMPTY_DIR_SHA: 0.0}
+        self._last_used: Optional[dict[str, float]] = (
+            None if now_fn is None else {EMPTY_DIR_SHA: 0.0})
         self._pinned: set[str] = set()
         self._now = now_fn
         self.stats = CacheStats()
@@ -63,32 +71,42 @@ class SlaveCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._last_used[sha] = self._now()
+        if self._last_used is not None:
+            self._last_used[sha] = self._now()
         return obj
 
     def put_with_sha(self, sha: str, obj: dict) -> None:
         """Cache ``obj`` under ``sha``."""
         self._store.put_with_sha(sha, obj)
-        self._last_used[sha] = self._now()
+        if self._last_used is not None:
+            self._last_used[sha] = self._now()
 
     def pin(self, sha: str) -> None:
-        """Protect ``sha`` from expiry (a dirty object awaiting commit)."""
+        """Protect ``sha`` from eviction (a dirty object awaiting commit)."""
         self._pinned.add(sha)
 
     def unpin(self, sha: str) -> None:
-        """Allow a previously pinned object to expire again."""
+        """Allow a previously pinned object to be evicted again."""
         self._pinned.discard(sha)
 
     def expire(self, max_idle: float) -> int:
         """Evict unpinned entries idle longer than ``max_idle`` seconds;
-        returns the eviction count.  The empty directory never expires."""
+        returns the eviction count.  Needs the clock."""
         now = self._now()
-        victims = [sha for sha, t in self._last_used.items()
-                   if now - t > max_idle
-                   and sha not in self._pinned
-                   and sha != EMPTY_DIR_SHA]
+        return self._evict([sha for sha, t in self._last_used.items()
+                            if now - t > max_idle])
+
+    def drop(self) -> int:
+        """Evict every unpinned entry; returns the eviction count."""
+        return self._evict(self._store.shas())
+
+    def _evict(self, shas: list[str]) -> int:
+        # The empty directory is every rank's initial root: never evicted.
+        victims = [sha for sha in shas
+                   if sha not in self._pinned and sha != EMPTY_DIR_SHA]
         for sha in victims:
             self._store.discard(sha)
-            del self._last_used[sha]
+            if self._last_used is not None:
+                del self._last_used[sha]
         self.stats.evictions += len(victims)
         return len(victims)

@@ -222,7 +222,9 @@ class _FenceAgg(Slot):
     contributions were folded in, where a refusal goes.
 
     What went up (slaves only): ``sent[origin]`` is the ``(count,
-    len(ops))`` last sent to ``uplink``, ``nobjs_sent`` how many of
+    len(ops))`` last sent to ``uplink`` — ``(count, 0)`` once a session
+    without the heartbeat dropped a relayed origin's sent ops, leaving
+    ``parts[origin]`` as ``(count, [])`` — ``nobjs_sent`` how many of
     ``objs`` (insertion order), ``pend[origin]`` the size of the unsent
     ops' elements and ``ops_size``/``objs_size`` the unsent totals, so
     neither the flush rule nor the frame sizing re-walks the aggregate.
@@ -297,7 +299,9 @@ class KvsModule(CommsModule):
         self.master_op_cost = master_op_cost
         self._master_queue: list = []
         self._master_busy = False
-        self.cache = SlaveCache(lambda: broker.sim.now)
+        # Only expiry reads a last-use clock.
+        self.cache = SlaveCache(None if expiry is None
+                                else lambda: broker.sim.now)
         self._set_master(KvsMaster() if broker.rank == 0 else None)
         self.root_sha: str = EMPTY_DIR_SHA
         self.version: int = 0
@@ -1724,8 +1728,8 @@ class KvsModule(CommsModule):
         """Send up what this rank holds of ``agg`` and has not sent: the
         origins whose count rose, each with its ops since (and the count
         they extend), and the objects since.  ``full`` (a re-emission)
-        or a new uplink sends every share whole and every object, which
-        repairs whatever was lost on the way.
+        or, in a hardened session, a new uplink sends every share whole
+        and every object, which repairs whatever was lost on the way.
 
         A contribution is one-way: the fence's ``setroot`` acknowledges
         it.  Once the aggregate has been re-emitted — it outlived a
@@ -1733,11 +1737,22 @@ class KvsModule(CommsModule):
         is a request the parent answers at once (``acked``), so a lost
         repair is repaired within a retransmission timeout rather than
         a pulse.  A fence that completes between pulses, as every fence
-        of a session without the heartbeat does, sends none."""
+        of a session without the heartbeat does, sends none.
+
+        Only a re-emission reads a relayed share again once it has gone
+        up, and only a hardened session re-emits.  A slave of any other
+        session keeps just the count of each origin it relays (the base
+        of that origin's next delta), not its ops; its own share stays
+        whole for :meth:`_release_fence`, and ``objs`` stays whole as
+        the round's dedup.  What it dropped it cannot send again, so
+        there a new uplink gets no whole map: nothing in a session
+        without the heartbeat repairs a fence across a death."""
         hop = self._uplink_peer()
         if hop is None:
             return
-        if full or (agg.uplink is not None and hop != agg.uplink):
+        lean = not self.broker.session.hardened
+        if full or (not lean and agg.uplink is not None
+                    and hop != agg.uplink):
             agg.acked = True
             agg.sent, agg.nobjs_sent, agg.pend, agg.ops_size = {}, 0, {}, 0
             for origin, (_count, ops) in agg.parts.items():
@@ -1762,7 +1777,11 @@ class KvsModule(CommsModule):
                     self._cv_interned.inc((self.name, "sizing"), total)
             shares[str(origin)] = ([count, delta, base] if base
                                    else [count, delta])
-            agg.sent[origin] = (count, len(ops))
+            if lean and origin != self.rank:
+                agg.parts[origin] = (count, [])
+                agg.sent[origin] = (count, 0)
+            else:
+                agg.sent[origin] = (count, len(ops))
         objs = dict(islice(agg.objs.items(), agg.nobjs_sent, None))
         payload = {"name": agg.name, "nprocs": agg.nprocs, "shares": shares,
                    **({"gen": agg.gen} if agg.gen else {})}
@@ -2502,5 +2521,5 @@ class KvsModule(CommsModule):
 
     def req_dropcache(self, msg: Message) -> None:
         """Evict every unpinned cache entry (admin/testing hook)."""
-        n = self.cache.expire(-1.0)
+        n = self.cache.drop()
         self.respond(msg, {"evicted": n})

@@ -8,7 +8,8 @@ from repro.cmb.message import HEADER_BYTES, MessageType
 from repro.jsonutil import canonical_dumps
 from repro.sim.network import Network
 
-FenceData = namedtuple("FenceData", "time src count accounted encoded")
+FenceData = namedtuple("FenceData",
+                       "time src count accounted encoded payload")
 
 
 def _spy_on_sends(monkeypatch, record):
@@ -29,8 +30,8 @@ def fencedata_log(monkeypatch):
     """Every ``kvs.fencedata`` request put on the fabric while the test
     runs, in send order: simulated time, sending node, the client
     entries it carries (per origin, its count less the ``base`` count
-    a delta extends), the bytes the NIC was charged and the bytes a
-    real canonical encoding of the message would take."""
+    a delta extends), the bytes the NIC was charged, the bytes a real
+    canonical encoding of the message would take, and the payload."""
     log = []
 
     def record(network, src, msg, size):
@@ -41,7 +42,7 @@ def fencedata_log(monkeypatch):
                         for s in p["shares"].values())
             log.append(FenceData(
                 network.sim.now, src, count, size,
-                HEADER_BYTES + len(canonical_dumps(p))))
+                HEADER_BYTES + len(canonical_dumps(p)), p))
 
     _spy_on_sends(monkeypatch, record)
     return log

@@ -282,6 +282,26 @@ class TestSessionShape:
         h.close()
         assert session.subtree_procs(0) == 0
 
+    @staticmethod
+    def _counts(session, rank):
+        return (session.local_procs[rank], session.subtree_procs(rank),
+                session.subtree_procs(0), session.brokers[rank].clients)
+
+    def test_closing_a_tool_handle_unregisters_nothing(self):
+        cluster, session = make_session(n=3)
+        session.connect(1)
+        tool = session.connect(1, collective=False)
+        tool.close()
+        assert self._counts(session, 1) == (1, 1, 1, 1)
+
+    def test_closing_a_handle_twice_unregisters_it_once(self):
+        cluster, session = make_session(n=3)
+        session.connect(1)
+        h = session.connect(1)
+        h.close()
+        h.close()
+        assert self._counts(session, 1) == (1, 1, 1, 1)
+
 
 class TestSelfHealWiring:
     def test_handle_peer_down_reparents_orphans(self):

@@ -9,6 +9,9 @@ the simulation.
   exactly what a ring of 6-tuples would, and retains ≤ 56 B a record.
 - The broker's inbox-depth histogram counts empty-inbox deliveries
   lazily, yet every read of it equals an eagerly fed histogram.
+- A fence slave of a session without the heartbeat keeps only the
+  counts of the shares it relayed, with the commit, the per-round
+  object dedup and the hardened re-emission unchanged.
 
 numpy is imported here only as the reference the summary is checked
 against.
@@ -27,10 +30,13 @@ import pytest
 
 from repro import make_cluster, standard_session
 from repro.cmb.modules import registry_samplers
-from repro.kvs import KvsClient
+from repro.jsonutil import sha1_of
+from repro.kvs import KvsClient, KvsModule, make_val_obj
 from repro.obs import DEFAULT_SIZE_LADDER, FlightRecorder, Histogram
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import StatSeries
+
+from .test_kvs_protocol import make_kvs_session, run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -250,3 +256,97 @@ def test_inbox_depth_snapshot_mid_run_equals_eager_histogram():
                  if m["name"] == "broker_inbox_depth")
     assert _fields(final) == _fields(eager.snapshot())
     session.stop()
+
+
+# ----------------------------------------------------------------------
+# fence aggregates
+# ----------------------------------------------------------------------
+def _fence(hb, value=None, rounds=1, late=None):
+    """Two clients on each rank of a 15-node session fence ``f`` (two
+    keys each) ``rounds`` times, one entry a millisecond, so every
+    slave relays shares as deltas; ``late`` delays the last client's
+    entries by that much.  Returns the session and what each client
+    read back."""
+    cluster, session = make_kvs_session(n=15, hb=hb)
+    sim = cluster.sim
+
+    def member(i):
+        kvs = KvsClient(session.connect(i % 15))
+        got = []
+        for rnd in range(rounds):
+            yield sim.timeout(late if late and i == 29 else 1e-3 * i)
+            for j in range(2):
+                yield kvs.put(f"r{rnd}.k{i}.{j}", value or f"{rnd}.{i}.{j}")
+            yield kvs.fence("f", 30)
+            got.append((yield kvs.get(f"r{rnd}.k{(i + 1) % 30}.1")))
+        return got
+
+    return session, run(cluster, *[member(i) for i in range(30)])
+
+
+def test_lean_slave_holds_only_its_own_ops_after_a_flush(monkeypatch):
+    """Without the heartbeat nothing re-emits, so once a slave's flush
+    sent a relayed origin's share it keeps only that origin's count;
+    the commit is the one a hardened session (which keeps every op)
+    makes."""
+    held, flush = [], KvsModule._flush_fence
+
+    def spy(self, agg, full=False):
+        flush(self, agg, full)
+        held.append((self.rank, {o for o, (n, ops) in agg.parts.items()
+                                 if n and o != self.rank},
+                     {o for o, (_n, ops) in agg.parts.items() if ops}))
+
+    monkeypatch.setattr(KvsModule, "_flush_fence", spy)
+    plain, got = _fence(hb=False)
+    want = [[f"0.{(i + 1) % 30}.1"] for i in range(30)]
+    assert got == want
+    # Interior slaves relayed their subtrees' shares, and kept no ops
+    # but their own clients'.
+    assert {r for r, relayed, _ops in held if relayed} == {1, 2, 3, 4, 5, 6}
+    assert all(ops <= {rank} for rank, _relayed, ops in held)
+    root = plain.module_at(0, "kvs").root_sha
+
+    held.clear()
+    hardened, got = _fence(hb=True)
+    assert got == want
+    assert hardened.module_at(0, "kvs").root_sha == root
+    assert any(ops - {rank} for rank, _relayed, ops in held)
+
+
+def test_redundant_value_object_goes_up_once_a_round(fencedata_log):
+    """Fig. 3's redundant-value case: every client stores the same
+    32 KiB value, and however many deltas a rank sends in a round, the
+    value object rides only the first."""
+    value = "x" * 32768
+    sha = sha1_of(make_val_obj(value))
+    _session, got = _fence(hb=False, value=value, rounds=2)
+    assert got == [[value, value]] * 30
+    sends = {}
+    for m in fencedata_log:
+        carries = sends.setdefault((m.src, m.payload.get("gen", 0)), [])
+        carries.append(sha in m.payload["objs"])
+    assert len({gen for _src, gen in sends}) == 2
+    assert sorted({src for src, _gen in sends}) == list(range(1, 15))
+    assert max(map(len, sends.values())) > 1     # deltas did follow
+    assert all(sum(c) == 1 for c in sends.values())
+
+
+def test_hardened_slave_reemits_every_share_whole(fencedata_log):
+    """With the heartbeat a fence that outlives a pulse is re-emitted:
+    rank 1 then sends every origin of its subtree whole, with all of
+    its ops."""
+    _session, got = _fence(hb=True, late=0.25)
+    assert got == [[f"0.{(i + 1) % 30}.1"] for i in range(30)]
+    reemitted = [m.payload["shares"] for m in fencedata_log
+                 if m.src == 1 and 0.1 < m.time < 0.25]
+    assert reemitted
+    subtree = {"1", "3", "4", "7", "8", "9", "10"}
+    for shares in reemitted:
+        assert set(shares) == subtree
+        for origin, share in shares.items():
+            count, ops = share              # whole: no base
+            assert count == 2 and len(ops) == 4
+            assert {key for key, _sha in ops} == {
+                f"r0.k{i}.{j}" for i in (int(origin), int(origin) + 15)
+                for j in range(2)}

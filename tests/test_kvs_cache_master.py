@@ -73,6 +73,25 @@ class TestSlaveCache:
         cache.expire(max_idle=1.0)
         assert EMPTY_DIR_SHA in cache
 
+    def test_cache_without_a_clock_keeps_no_last_use(self):
+        cache = SlaveCache()
+        for i in range(5):
+            sha, obj = obj_for(i)
+            cache.put_with_sha(sha, obj)
+            assert cache.get(sha) == obj
+        assert cache._last_used is None
+        cache.pin(sha)
+        assert cache.drop() == 4
+        assert len(cache) == 2 and sha in cache and EMPTY_DIR_SHA in cache
+
+    def test_drop_ignores_idleness(self, cache, clock):
+        for i in range(3):
+            sha, obj = obj_for(i)
+            cache.put_with_sha(sha, obj)
+        assert cache.drop() == 3
+        assert cache._last_used == {EMPTY_DIR_SHA: 0.0}
+        assert cache.stats.evictions == 3
+
     def test_eviction_stat(self, cache, clock):
         for i in range(5):
             sha, obj = obj_for(i)

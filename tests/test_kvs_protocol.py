@@ -392,6 +392,30 @@ class TestFence:
             (2, 2, 332), (3, 2, 332), (1, 4, 554)]
         assert [m for m in fencedata_log if m.accounted != m.encoded] == []
 
+    @pytest.mark.parametrize("close", ["tool", "twice"])
+    def test_fence_after_a_close_relays_the_subtree_once(
+            self, close, fencedata_log):
+        """Closing a tool handle, or one handle twice, leaves rank 1's
+        two fencing processes registered: the fence completes, and rank 1
+        relays its subtree in one contribution once both are in."""
+        cluster, session = make_kvs_session(n=3)
+        handles = [session.connect(1) for _ in range(2)]
+        if close == "tool":
+            session.connect(1, collective=False).close()
+        else:
+            extra = session.connect(1)
+            extra.close()
+            extra.close()
+
+        def member(i):
+            kvs = KvsClient(handles[i])
+            yield kvs.put(f"c.k{i}", i)
+            yield kvs.fence("c", 2)
+            return (yield kvs.get(f"c.k{1 - i}"))
+
+        assert run(cluster, member(0), member(1)) == [1, 0]
+        assert [(m.src, m.count) for m in fencedata_log] == [(1, 2)]
+
     def test_nprocs_mismatch_on_one_rank_is_einval(self):
         cluster, session = make_kvs_session(n=4)
         sim = cluster.sim
@@ -780,6 +804,28 @@ class TestFaultInAndCaching:
             return (yield kvs.get("k"))  # refetched through the chain
 
         assert run(cluster, flow()) == [7]
+
+    @pytest.mark.parametrize("expiry", [None, 5.0])
+    def test_dropcache_evicts_every_unpinned_entry(self, expiry):
+        """With and without a last-use clock: everything cached goes
+        but the dirty (pinned) objects and the empty directory."""
+        cluster, session = make_kvs_session(n=4, expiry=expiry)
+        mod = session.module_at(3, "kvs")
+
+        def flow():
+            kvs = KvsClient(session.connect(3))
+            for i in range(5):
+                yield kvs.put(f"d.k{i}", i)
+            yield kvs.commit()
+            yield kvs.get("d.k2")
+            yield kvs.put("d.dirty", "pinned")
+            cached = len(mod.cache)
+            resp = yield kvs.handle.rpc("kvs.dropcache")
+            return cached, resp["evicted"], len(mod.cache)
+
+        [(cached, evicted, left)] = run(cluster, flow())
+        assert (evicted, left) == (cached - 2, 2)
+        assert (mod.cache._last_used is None) == (expiry is None)
 
     def test_heartbeat_driven_expiry(self):
         cluster, session = make_kvs_session(n=4, expiry=0.2, hb=True)
