@@ -13,17 +13,13 @@ the paper and out of scope here too.)
 """
 
 import os
-import pathlib
-import sys
 
 import pytest
 
 from conftest import write_table
 from repro import make_cluster, standard_session
+from repro.chaos import run_chaos_workload, run_job_chaos_workload
 from repro.kvs import KvsClient
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from chaos import run_chaos_workload, run_job_chaos_workload  # noqa: E402
 
 N_NODES = 31  # depth-4 binary tree
 PERIODS = (0.02, 0.05, 0.1, 0.2)
@@ -148,13 +144,13 @@ def test_fault_benchmark_representative(benchmark, detection_grid):
 # ----------------------------------------------------------------------
 def chaos_run(loss_rate: float):
     """One chaos workload at ``loss_rate`` with an interior broker
-    killed mid-run (see ``tests/chaos.run_chaos_workload``)."""
+    killed mid-run (see ``repro.chaos.run_chaos_workload``)."""
     kwargs = dict(n_nodes=N_NODES, n_clients=16, drop_rate=loss_rate,
-                  kill_ranks=(5,), kill_at=0.25,
-                  n_iters=2, iter_gap=0.2, run_until=40.0)
+                  kills=((5, 0.25),),
+                  n_iters=2, think=0.2, run_until=40.0)
     if CHAOS_SMOKE:
         kwargs.update(n_nodes=15, n_clients=8, n_iters=1,
-                      iter_gap=0.1, run_until=25.0)
+                      think=0.1, run_until=25.0)
     return run_chaos_workload(**kwargs)
 
 
@@ -228,14 +224,13 @@ JOB_SCENARIOS = (
 
 def job_chaos_run(kill_ranks):
     """One parallel job under 1% loss with ``kill_ranks`` failing
-    mid-run (see ``tests/chaos.run_job_chaos_workload``)."""
+    0.3 s in (see ``repro.chaos.run_job_chaos_workload``)."""
     n_nodes, nprocs = (15, 12) if CHAOS_SMOKE else (N_NODES, 24)
-    kills = tuple(n_nodes // 2 + 2 if r == "leaf" else r
+    kills = tuple((n_nodes // 2 + 2 if r == "leaf" else r, 0.3)
                   for r in kill_ranks)
     return run_job_chaos_workload(
-        n_nodes=n_nodes, nprocs=nprocs, drop_rate=0.01,
-        kill_ranks=kills, kill_at=0.3,
-        kvs_replicas=(1, 2) if 0 in kills else ())
+        n_nodes=n_nodes, nprocs=nprocs, drop_rate=0.01, kills=kills,
+        kvs_replicas=(1, 2) if (0, 0.3) in kills else ())
 
 
 @pytest.fixture(scope="module")

@@ -40,10 +40,8 @@ import time
 import pytest
 
 from conftest import OUT_DIR, write_table
+from repro.chaos import run_chaos_workload
 from repro.kap import KapConfig, run_kap
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from chaos import run_chaos_workload  # noqa: E402
 
 #: Node counts swept at 16 procs/node: 64 -> 8192 producers.  The
 #: smoke sweep includes 16 and 256 nodes (256 / 4096 producers)

@@ -3,8 +3,8 @@
 ``python -m repro.analysis lint [paths...]``
     Run the AST linter.  The default target is the installed ``repro``
     package source plus, when run from a repo checkout, ``benchmarks/``
-    and ``tests/chaos.py`` (deterministic harness code is held to the
-    same determinism/protocol rules).  ``--strict`` exits nonzero on
+    (deterministic harness code is held to the same determinism/protocol
+    rules).  ``--strict`` exits nonzero on
     any finding — the CI gate.
 
 ``python -m repro.analysis flow [paths...]``
@@ -19,8 +19,7 @@
     Run a small KAP scenario (and optionally a chaos scenario) with
     every runtime sanitizer enabled, verify the run is event-identical
     to a sanitizer-off run, and replay it to check determinism.
-    Exits nonzero on any finding or divergence, and with ``--chaos``
-    when the chaos harness (``tests/chaos.py``) cannot be imported.
+    Exits nonzero on any finding or divergence.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ def _package_path() -> str:
 def _default_lint_paths() -> list[str]:
     paths = [_package_path()]
     # Harness code rides along when linting from a repo checkout.
-    for extra in ("benchmarks", os.path.join("tests", "chaos.py")):
-        if os.path.exists(extra):
-            paths.append(extra)
+    if os.path.exists("benchmarks"):
+        paths.append("benchmarks")
     return paths
 
 
@@ -153,28 +151,17 @@ def cmd_sanitize(args: argparse.Namespace) -> int:
                      f"{second.event_fingerprint[:12]}")))
 
     if args.chaos:
-        sys.path.insert(0, os.path.join(os.getcwd(), "tests"))
-        try:
-            from chaos import run_chaos_workload
-        except ImportError as exc:
-            # A check that cannot run must not read as one that passed.
+        from repro.chaos import run_chaos_workload
+        report = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
+                                    n_iters=1, sanitize=True)
+        findings.extend(report.sanitizer_findings)
+        if not report.converged:
             findings.append(Finding(
                 rule="SAN105", severity="error",
-                message=f"chaos harness not importable ({exc}): run "
-                        f"from the repo root; the chaos check did not "
-                        f"run"))
-        else:
-            report = run_chaos_workload(
-                n_nodes=15, n_clients=8, drop_rate=0.01,
-                n_iters=1, sanitize=True)
-            findings.extend(report.sanitizer_findings)
-            if not report.converged:
-                findings.append(Finding(
-                    rule="SAN105", severity="error",
-                    message=f"chaos run did not converge: "
-                            f"{report.errors[:3]}"))
-            notes.append(f"chaos: converged={report.converged}, "
-                         f"fingerprint {report.event_fingerprint[:12]}")
+                message=f"chaos run did not converge: "
+                        f"{report.errors[:3]}"))
+        notes.append(f"chaos: converged={report.converged}, "
+                     f"fingerprint {report.event_fingerprint[:12]}")
 
     if args.json:
         print(render_json(findings, kind="sanitize", notes=notes))
@@ -241,7 +228,7 @@ def main(argv=None) -> int:
                        choices=("fence", "commit"))
     p_san.add_argument("--seed", type=int, default=1)
     p_san.add_argument("--chaos", action="store_true",
-                       help="also run a chaos scenario (needs tests/)")
+                       help="also run the chaos harness scenario")
     p_san.add_argument("--json", action="store_true")
     p_san.set_defaults(func=cmd_sanitize)
 

@@ -1,10 +1,12 @@
-"""Chaos harness: a KAP-style KVS workload under seeded faults.
+"""Chaos harness: a closed-loop KVS workload under seeded faults.
 
-The entry point :func:`run_chaos_workload` builds a session on a
-binary tree, installs a seeded :class:`~repro.sim.faults.FaultPlan`
-(probabilistic drop/duplication/extra delay per link), optionally
-kills interior brokers mid-run, and drives a fence-synchronized
-put/get workload with client-level retries enabled.
+:func:`run_chaos_workload` builds a session on a binary tree, installs
+a seeded :class:`~repro.sim.faults.FaultPlan` (probabilistic
+drop/duplication/extra delay per link), kills the brokers of a
+``kills`` schedule mid-run, and drives a closed loop: each client
+issues put -> fence -> get(peer), each call timed on the simulated
+clock, with client-level retries enabled.  A wrong peer read is
+tallied and the client goes on.
 
 After the workload drains it verifies *convergence*:
 
@@ -13,27 +15,39 @@ After the workload drains it verifies *convergence*:
   removed for the verification pass);
 - no hung waiters remain anywhere (held fences, version waiters,
   outstanding client RPCs on live brokers);
-- every process finished without error.
+- every process finished without error, and every peer read after a
+  fence saw the peer's write.
 
-The returned :class:`ChaosReport` also carries the recovery/retry
-telemetry the chaos benchmarks tabulate.
+:func:`run_job_chaos_workload` is the job-plane counterpart: one
+``wexec`` bulk launch under node loss, checked for exactly-once
+completion.
+
+``python -m repro.chaos sweep`` and ``python -m repro.chaos probe``
+run the hardened path's two fixed multi-seed configurations (see
+:data:`COMMANDS`) and print one JSON document, one row per fault seed.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import statistics
+import sys
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro import make_cluster, standard_session
 from repro.cmb.modules.health import cluster_view
 from repro.kvs import KvsClient
+from repro.obs.doctor import diagnose
 from repro.obs.postmortem import capture_bundle, write_bundle
 from repro.sim import FaultPlan
 
-__all__ = ["ChaosReport", "JobChaosReport", "anti_entropy_misses",
-           "run_chaos_workload", "run_job_chaos_workload"]
+__all__ = ["COMMANDS", "ChaosReport", "JobChaosReport",
+           "anti_entropy_misses", "run_chaos_workload",
+           "run_job_chaos_workload"]
 
 
 def anti_entropy_misses(session) -> list[tuple[int, str]]:
@@ -70,12 +84,51 @@ def _maybe_postmortem(session, *, kind: str, out: Optional[str],
     return write_bundle(bundle, path)
 
 
+def _schedule_kills(session, kills) -> tuple[int, dict[int, float]]:
+    """Fail each ``(rank, t)`` of ``kills`` at simulated time ``t``.
+
+    Returns the observation rank (the lowest rank never killed) and the
+    dict its ``live.down`` subscription fills with each rank's
+    detection time."""
+    sim = session.sim
+    killed = {rank for rank, _t in kills}
+    obs_rank = min(r for r in range(session.size) if r not in killed)
+    detect_times: dict[int, float] = {}
+    session.brokers[obs_rank].subscribe(
+        "live.down",
+        lambda msg: detect_times.setdefault(msg.payload["rank"], sim.now))
+    for rank, at in kills:
+        sim.timeout(at).add_callback(
+            lambda _e, v=rank: session.fail_rank(v))
+    return obs_rank, detect_times
+
+
+def _hung_waiters(session, handles) -> int:
+    """Held fences, version/replication waiters and deferred fence doors
+    on live brokers, plus the client handles' outstanding RPCs."""
+    hung = sum(len(h._waiters) for h in handles)
+    for broker in session.brokers:
+        kvs = broker.modules.get("kvs") if broker.alive else None
+        if kvs is not None:
+            hung += (len(kvs._version_waiters) + len(kvs._repl_waiters)
+                     + len(kvs._door_held)
+                     + sum(len(agg.held) for agg in kvs._fences.values()))
+    return hung
+
+
+def _run_while(sim, busy, deadline: float, step: float) -> None:
+    """Run in slices so the simulation stops soon after the work
+    drains, not after every remaining heartbeat epoch."""
+    while sim.now < deadline and busy():
+        sim.run(until=min(deadline, sim.now + step))
+
+
 @dataclass
 class ChaosReport:
     """Outcome + telemetry of one chaos run."""
 
     converged: bool                 # procs ok + reads verified + no hangs
-    procs_ok: bool                  # every workload process finished clean
+    procs_ok: bool                  # every client finished clean, read right
     reads_verified: int             # acked writes re-read successfully
     reads_failed: int               # acked writes missing/mismatched
     hung_waiters: int               # leftover held fences/version waiters
@@ -83,8 +136,15 @@ class ChaosReport:
     client_rpcs: int                # logical client RPCs issued
     broker_stats: dict = field(default_factory=dict)
     fault_stats: dict = field(default_factory=dict)
-    detect_latency: float = 0.0     # kill -> last live.down at rank 0
+    detect_latency: float = 0.0     # first kill -> its live.down
+    failover: float = 0.0           # first kill -> next fence completion
     makespan: float = 0.0           # last workload process completion
+    #: Simulated seconds per timed client call: ``put``/``fence``/``get``.
+    latencies: dict = field(default_factory=dict)
+    errored_clients: int = 0        # clients that raised
+    hung_clients: int = 0           # clients that never finished
+    events: int = 0                 # simulation events, verify pass included
+    bytes_sent: int = 0             # wire bytes, verify pass included
     errors: list = field(default_factory=list)
     #: Runtime-sanitizer findings (``sanitize=True`` runs only).
     sanitizer_findings: list = field(default_factory=list)
@@ -110,11 +170,9 @@ class ChaosReport:
 def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
                        seed: int = 7, fault_seed: int = 11,
                        drop_rate: float = 0.01, dup_rate: float = 0.0,
-                       delay_rate: float = 0.0,
-                       kill_ranks: tuple = (), kill_at: float = 0.25,
-                       kill_stagger: float = 0.5,
+                       delay_rate: float = 0.0, kills: tuple = (),
                        hb_period: float = 0.05, n_iters: int = 2,
-                       iter_gap: float = 0.0,
+                       think: float = 0.0,
                        timeout: float = 0.5, retries: int = 8,
                        run_until: float = 60.0,
                        trace_out: Optional[str] = None,
@@ -131,12 +189,13 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     retransmissions and reroutes) and the merged per-broker metrics
     registries.  Pure exports: leaving them ``None`` changes nothing.
 
-    ``kill_ranks`` are failed one by one starting at ``kill_at``
-    (``kill_stagger`` apart), so cascades like "kill a parent, then
-    its replacement" are expressible.  Clients are placed round-robin
-    on ranks that are never killed.
+    ``kills`` is a schedule of ``(rank, t)`` pairs: each rank fails at
+    simulated time ``t``, so cascades like "kill a parent, then its
+    replacement" are expressible; detection and failover are timed
+    from its first entry.  Clients are placed round-robin on ranks that
+    are never killed.
 
-    ``iter_gap`` inserts a per-client think time between iterations
+    ``think`` inserts a per-client think time after each iteration
     (skewed per client, so fence contributions trickle in over the
     gap): without it a small workload finishes in milliseconds and a
     mid-run kill would land after the last fence instead of across it.
@@ -164,23 +223,22 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
         session.enable_sanitizers()
         fingerprint = replay_fingerprint_hook(sim, keep_records=False)
 
-    # Detection telemetry: when the lowest surviving rank hears each
-    # live.down (rank 0 itself may be on the kill list).
-    obs_rank = min(r for r in range(n_nodes) if r not in set(kill_ranks))
-    detect_times: dict[int, float] = {}
-    session.brokers[obs_rank].subscribe(
-        "live.down",
-        lambda msg: detect_times.setdefault(msg.payload["rank"], sim.now))
-
-    for i, victim in enumerate(kill_ranks):
-        ev = sim.timeout(kill_at + i * kill_stagger)
-        ev.add_callback(lambda _e, v=victim: session.fail_rank(v))
-
-    client_ranks = [r for r in range(n_nodes) if r not in set(kill_ranks)]
+    obs_rank, detect_times = _schedule_kills(session, kills)
+    killed = {rank for rank, _t in kills}
+    client_ranks = [r for r in range(n_nodes) if r not in killed]
+    lat: dict[str, list[float]] = {"put": [], "fence": [], "get": []}
+    fence_done: list[float] = []
     acked: list[tuple[str, object]] = []
     finish_times: list[float] = []
     handles = []
     errors: list[str] = []
+    wrong: list[str] = []
+
+    def timed(kind, event):
+        t0 = sim.now
+        value = yield event
+        lat[kind].append(sim.now - t0)
+        return value
 
     def client_proc(idx: int, rank: int):
         # Failures are recorded, not raised: an unhandled process
@@ -192,18 +250,20 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
             kvs = KvsClient(handle, timeout=timeout, retries=retries)
             for it in range(n_iters):
                 key = f"chaos.k{it}.{idx}"
-                yield kvs.put(key, [idx, it])
-                yield kvs.fence(f"chaos.f{it}", n_clients)
+                yield from timed("put", kvs.put(key, [idx, it]))
+                yield from timed("fence",
+                                 kvs.fence(f"chaos.f{it}", n_clients))
+                fence_done.append(sim.now)
                 acked.append((key, [idx, it]))
                 peer = (idx + 1) % n_clients
-                got = yield kvs.get(f"chaos.k{it}.{peer}")
+                got = yield from timed("get",
+                                       kvs.get(f"chaos.k{it}.{peer}"))
                 if got != [peer, it]:
-                    raise AssertionError(
-                        f"client {idx} iter {it}: read {got!r}, "
-                        f"expected {[peer, it]!r}")
-                if iter_gap > 0.0:
-                    yield sim.timeout(iter_gap * (1 + idx / n_clients))
-            yield kvs.put(f"chaos.c.{idx}", idx)
+                    wrong.append(f"client {idx} iter {it}: read {got!r}, "
+                                 f"expected {[peer, it]!r}")
+                if think > 0.0:
+                    yield sim.timeout(think * (1 + idx / n_clients))
+            yield from timed("put", kvs.put(f"chaos.c.{idx}", idx))
             yield kvs.commit()
             acked.append((f"chaos.c.{idx}", idx))
         except Exception as exc:  # noqa: BLE001 - tallied in the report
@@ -214,41 +274,26 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     procs = [sim.spawn(client_proc(i, client_ranks[i % len(client_ranks)]),
                        name=f"chaos-client-{i}")
              for i in range(n_clients)]
-    # Poll in slices so the run stops shortly after the workload drains
-    # instead of simulating every remaining heartbeat epoch.
-    while sim.now < run_until and not all(p.triggered for p in procs):
-        sim.run(until=min(run_until, sim.now + 0.5))
+    _run_while(sim, lambda: not all(p.triggered for p in procs),
+               run_until, 0.5)
     sim.run(until=sim.now + 1.0)  # settle in-flight bookkeeping
 
-    for i, p in enumerate(procs):
-        if not p.triggered:
-            errors.append(f"client {i}: hung")
-        elif not p.ok:
-            try:
-                p.value
-            except Exception as exc:  # noqa: BLE001 - reporting
-                errors.append(f"client {i}: {exc}")
+    errored = len(errors)
+    hung_clients = [i for i, p in enumerate(procs) if not p.triggered]
+    errors.extend(f"client {i}: hung" for i in hung_clients)
+    errors.extend(wrong)
     procs_ok = not errors
     makespan = max(finish_times) if finish_times else sim.now
-    detect_latency = (max(detect_times.get(v, sim.now)
-                          for v in kill_ranks) - kill_at
-                      if kill_ranks else 0.0)
+    detect_latency = failover = 0.0
+    if kills:
+        victim, t0 = kills[0]
+        detect_latency = detect_times.get(victim, sim.now) - t0
+        failover = min((t - t0 for t in fence_done if t > t0), default=0.0)
 
     # Hung-waiter census on live brokers: a converged run leaves no
     # held fence requests, no version waiters, and no outstanding
     # client RPCs behind.
-    hung = 0
-    for broker in session.brokers:
-        if not broker.alive:
-            continue
-        kvs_mod = broker.modules.get("kvs")
-        if kvs_mod is not None:
-            hung += len(kvs_mod._version_waiters)
-            hung += sum(len(agg.held) for agg in kvs_mod._fences.values())
-            hung += len(kvs_mod._repl_waiters)
-            hung += len(kvs_mod._door_held)
-    for handle in handles:
-        hung += len(handle._waiters)
+    hung = _hung_waiters(session, handles)
     misses = anti_entropy_misses(session)
 
     client_retries = sum(h.retries for h in handles)
@@ -266,13 +311,13 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     if session.terminal_errors:
         triggers.append(f"{len(session.terminal_errors)} terminal "
                         f"RpcError(s)")
-    if kill_ranks:
-        triggers.append(f"chaos kill of ranks {list(kill_ranks)}")
+    if kills:
+        triggers.append(f"chaos kills {[list(k) for k in kills]}")
     postmortem_path = _maybe_postmortem(
         session, kind="chaos", out=postmortem_out, triggers=triggers,
         default_name=f"chaos-pm-s{seed}-f{fault_seed}.json",
         extra={"seed": seed, "fault_seed": fault_seed,
-               "kill_ranks": list(kill_ranks),
+               "kills": [list(k) for k in kills],
                "drop_rate": drop_rate, "hung_waiters": hung,
                "errors": errors[:20]})
 
@@ -297,9 +342,10 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
                               f"expected {want!r}")
 
     vproc = sim.spawn(verifier(), name="chaos-verifier")
-    sim.run(until=sim.now + 20.0)
+    _run_while(sim, lambda: not vproc.triggered, sim.now + 20.0, 0.05)
     if not vproc.triggered or not vproc.ok:
         errors.append("verifier did not complete")
+    events, bytes_sent = sim.event_count, cluster.network.total_bytes_sent()
 
     # Liveness-dependent snapshots (per-rank metrics, health views at
     # the acting root) must be taken before stop() marks every broker
@@ -320,7 +366,7 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
             "meta": {"kind": "chaos", "n_nodes": n_nodes,
                      "n_clients": n_clients, "seed": seed,
                      "fault_seed": fault_seed,
-                     "kill_ranks": list(kill_ranks),
+                     "kills": [list(k) for k in kills],
                      "sim_time": sim.now},
             "aggregate": session.metrics_aggregate(),
             "per_rank": [session.metrics_snapshot(r)
@@ -339,7 +385,9 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
         hung_waiters=hung, client_retries=client_retries,
         client_rpcs=client_rpcs, broker_stats=broker_stats,
         fault_stats=fault_stats, detect_latency=detect_latency,
-        makespan=makespan, errors=errors,
+        failover=failover, makespan=makespan, latencies=lat,
+        errored_clients=errored, hung_clients=len(hung_clients),
+        events=events, bytes_sent=bytes_sent, errors=errors,
         sanitizer_findings=(list(session.sanitizers.finish())
                             if sanitize else []),
         event_fingerprint=fingerprint.digest() if sanitize else "",
@@ -368,8 +416,8 @@ class JobChaosReport:
     client_rpcs: int                # logical client RPCs issued
     broker_stats: dict = field(default_factory=dict)
     fault_stats: dict = field(default_factory=dict)
-    detect_latency: float = 0.0     # kill -> last live.down at obs rank
-    recovery_latency: float = 0.0   # kill -> job terminal event
+    detect_latency: float = 0.0     # first kill -> its live.down
+    recovery_latency: float = 0.0   # first kill -> job terminal event
     makespan: float = 0.0           # launch -> terminal event
     errors: list = field(default_factory=list)
     sanitizer_findings: list = field(default_factory=list)
@@ -394,13 +442,10 @@ class JobChaosReport:
 
 def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
                            seed: int = 7, fault_seed: int = 11,
-                           drop_rate: float = 0.01,
-                           kill_ranks: tuple = (), kill_at: float = 0.3,
-                           kill_stagger: float = 0.5,
+                           drop_rate: float = 0.01, kills: tuple = (),
                            hb_period: float = 0.05,
                            task_work: float = 1.0,
                            max_restarts: int = 2,
-                           respawn_backoff: float = 0.05,
                            timeout: float = 0.5, retries: int = 8,
                            run_until: float = 60.0,
                            trace_out: Optional[str] = None,
@@ -408,8 +453,9 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
                            kvs_replicas: tuple = (),
                            postmortem_out: Optional[str] = None
                            ) -> JobChaosReport:
-    """Drive one ``wexec`` bulk launch across every rank while
-    ``kill_ranks`` die mid-run, then verify the exactly-once contract:
+    """Drive one ``wexec`` bulk launch across every rank while the
+    ``kills`` schedule (``(rank, t)`` pairs) fails brokers mid-run,
+    then verify the exactly-once contract:
 
     - the job reaches a terminal state (``wexec.done`` — or
       ``wexec.lost`` once a task's ``max_restarts`` budget runs out)
@@ -419,7 +465,7 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
       falsely-buried incarnations may race their replacements;
     - each task's stdout is durable in the KVS over a clean fabric.
 
-    ``task_work`` should comfortably exceed ``kill_at`` so the kills
+    ``task_work`` should comfortably exceed the kill times so the kills
     land mid-task (tasks on the victims die *running* and must be
     respawned, the hard case) rather than after the tally closed.
     """
@@ -436,8 +482,7 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
         hb_max_epochs=max(64, int(run_until / hb_period)),
         task_registry={"chaos": chaos_task},
         kvs_replicas=kvs_replicas,
-        wexec_config={"max_restarts": max_restarts,
-                      "respawn_backoff": respawn_backoff})
+        wexec_config={"max_restarts": max_restarts})
     session.start()
     sim = cluster.sim
     if trace_out:
@@ -449,13 +494,9 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
         fingerprint = replay_fingerprint_hook(sim, keep_records=False)
 
     jobid = "lwj-chaos"
-    obs_rank = min(r for r in range(n_nodes) if r not in set(kill_ranks))
-    detect_times: dict[int, float] = {}
+    obs_rank, detect_times = _schedule_kills(session, kills)
     terminal: list[tuple[str, dict, float]] = []  # (topic, payload, t)
     obs = session.brokers[obs_rank]
-    obs.subscribe("live.down",
-                  lambda msg: detect_times.setdefault(
-                      msg.payload["rank"], sim.now))
     obs.subscribe("wexec.done",
                   lambda msg: terminal.append(("done", msg.payload,
                                                sim.now))
@@ -464,10 +505,6 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
                   lambda msg: terminal.append(("lost", msg.payload,
                                                sim.now))
                   if msg.payload.get("jobid") == jobid else None)
-
-    for i, victim in enumerate(kill_ranks):
-        ev = sim.timeout(kill_at + i * kill_stagger)
-        ev.add_callback(lambda _e, v=victim: session.fail_rank(v))
 
     errors: list[str] = []
     handles = []
@@ -486,8 +523,7 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
             errors.append(f"launcher (t={sim.now:.3f}): {exc}")
 
     lproc = sim.spawn(launcher(), name="job-chaos-launcher")
-    while sim.now < run_until and not terminal:
-        sim.run(until=min(run_until, sim.now + 0.5))
+    _run_while(sim, lambda: not terminal, run_until, 0.5)
     sim.run(until=sim.now + 1.0)  # settle in-flight bookkeeping
 
     if not lproc.triggered:
@@ -516,25 +552,14 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
         errors.append(f"tally not exactly-once: {len(terminal)} terminal "
                       f"events, {sorted(got_ranks)} of {nprocs} taskranks")
 
-    detect_latency = (max(detect_times.get(v, sim.now)
-                          for v in kill_ranks) - kill_at
-                      if kill_ranks else 0.0)
-    recovery_latency = max(0.0, term_t - kill_at) if kill_ranks else 0.0
+    detect_latency = recovery_latency = 0.0
+    if kills:
+        victim, t0 = kills[0]
+        detect_latency = detect_times.get(victim, sim.now) - t0
+        recovery_latency = max(0.0, term_t - t0)
     respawns = sum(b.modules["wexec"].respawns
                    for b in session.brokers if b.alive)
-
-    hung = 0
-    for broker in session.brokers:
-        if not broker.alive:
-            continue
-        kvs_mod = broker.modules.get("kvs")
-        if kvs_mod is not None:
-            hung += len(kvs_mod._version_waiters)
-            hung += sum(len(agg.held) for agg in kvs_mod._fences.values())
-            hung += len(kvs_mod._repl_waiters)
-            hung += len(kvs_mod._door_held)
-    for handle in handles:
-        hung += len(handle._waiters)
+    hung = _hung_waiters(session, handles)
     misses = anti_entropy_misses(session)
 
     triggers = []
@@ -549,14 +574,14 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
     if session.terminal_errors:
         triggers.append(f"{len(session.terminal_errors)} terminal "
                         f"RpcError(s)")
-    if kill_ranks:
-        triggers.append(f"chaos kill of ranks {list(kill_ranks)}")
+    if kills:
+        triggers.append(f"chaos kills {[list(k) for k in kills]}")
     postmortem_path = _maybe_postmortem(
         session, kind="job-chaos", out=postmortem_out,
         triggers=triggers,
         default_name=f"job-chaos-pm-s{seed}-f{fault_seed}.json",
         extra={"seed": seed, "fault_seed": fault_seed,
-               "kill_ranks": list(kill_ranks), "jobid": jobid,
+               "kills": [list(k) for k in kills], "jobid": jobid,
                "nprocs": nprocs, "max_restarts": max_restarts,
                "hung_waiters": hung, "errors": errors[:20]})
 
@@ -608,3 +633,86 @@ def run_job_chaos_workload(n_nodes: int = 31, nprocs: int = 24,
                             if sanitize else []),
         event_fingerprint=fingerprint.digest() if sanitize else "",
         postmortem_path=postmortem_path, anti_entropy_misses=misses)
+
+
+# ----------------------------------------------------------------------
+# python -m repro.chaos sweep | probe
+# ----------------------------------------------------------------------
+#: The hardened path's fixed configurations: the benchmark's
+#: ``chaos_failover_127`` scenario (a lossy fabric, the root killed at
+#: 0.25 s, standbys 1 and 2) over 100 fault seeds, and a probe whose
+#: standbys host no client and whose first standby also dies.
+_SWEEP = dict(n_nodes=127, n_clients=64, n_iters=8, think=0.1,
+              drop_rate=0.01, dup_rate=0.01, kvs_replicas=(1, 2),
+              kills=((0, 0.25),))
+COMMANDS = {
+    "sweep": (_SWEEP, range(100)),
+    "probe": (dict(_SWEEP, kvs_replicas=(100, 101),
+                   kills=((0, 0.25), (100, 0.30))), range(20)),
+}
+
+
+def _ms(seconds: float) -> float:
+    return round(seconds * 1e3, 3)
+
+
+def seed_row(command: str, fault_seed: int) -> dict:
+    """One seed of ``command``, summarized as a JSON-able row.  A seed
+    that does not converge is replayed with a post-mortem bundle, and
+    its row names the ``doctor`` findings of that bundle."""
+    config, _seeds = COMMANDS[command]
+    rep = run_chaos_workload(fault_seed=fault_seed, **config)
+    row = {
+        "seed": fault_seed, "converged": rep.converged,
+        "reads_failed": rep.reads_failed,
+        "errored": rep.errored_clients, "hung": rep.hung_clients,
+        "events": rep.events, "bytes": rep.bytes_sent,
+        "fence_max_ms": _ms(max(rep.latencies["fence"], default=0.0)),
+        "get_max_ms": _ms(max(rep.latencies["get"], default=0.0)),
+        "makespan_ms": _ms(rep.makespan),
+        "failover_ms": _ms(rep.failover),
+        "detect_ms": _ms(rep.detect_latency),
+    }
+    if not rep.converged:
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = os.path.join(tmp, "pm.json")
+            run_chaos_workload(fault_seed=fault_seed,
+                               postmortem_out=bundle, **config)
+            row["doctor"] = sorted({f["pathology"] for f in
+                                    diagnose([bundle])["findings"]})
+    return row
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or argv[0] not in COMMANDS:
+        print(f"usage: python -m repro.chaos {{{'|'.join(COMMANDS)}}}",
+              file=sys.stderr)
+        return 2
+    command = argv[0]
+    config, seeds = COMMANDS[command]
+    # A fresh process per seed: nothing one run warms up reaches the next.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(cpus, maxtasksperchild=1) as pool:
+        rows = pool.starmap(seed_row, [(command, s) for s in seeds],
+                            chunksize=1)
+    failover = [r["failover_ms"] for r in rows]
+    doc = {
+        "command": command,
+        "config": dict(config, seeds=[seeds.start, seeds.stop]),
+        "converged": sum(r["converged"] for r in rows),
+        "failing": [r["seed"] for r in rows if not r["converged"]],
+        "failover_ms": {"p50": round(statistics.median(failover), 3),
+                        "max": max(failover)},
+        "fence_max_mean_ms": round(statistics.mean(
+            r["fence_max_ms"] for r in rows), 1),
+        "rows": rows,
+    }
+    print(json.dumps(doc, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

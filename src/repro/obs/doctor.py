@@ -24,6 +24,10 @@ pathology                   signature
                             the cluster's committed maximum
 ``double-promote``          two masters promoted for one failover
                             era (resolved or not by a demote)
+``standby-missed-down``     the master's rank is dead, no live rank
+                            is master, and a live standby still
+                            believes the master alive: the election
+                            that needs it cannot complete
 ``respawn-exhausted``       a job declared lost after its tasks'
                             retry budget burned out
 ``root-failover``           (narrative) rank-0 death → election →
@@ -318,6 +322,33 @@ class Doctor:
                           f"(winner {r[4]})" for r in demotes],
         }]
 
+    def _find_standby_missed_down(self) -> list[dict]:
+        """From the bundles' role state: the dead master's live standbys
+        that never marked it down, while nobody took over."""
+        dead = set(self.dead_ranks())
+        live = {r: e["kvs"] for r, e in sorted(self.brokers.items())
+                if r not in dead and "kvs" in e}
+        if any(k["is_master"] for k in live.values()):
+            return []
+        standbys = {r: k for r, k in live.items()
+                    if k["standby_version"] is not None
+                    and k["master_rank"] in dead}
+        deaf = [r for r, k in standbys.items() if not k["master_down"]]
+        if not deaf:
+            return []
+        masters = sorted({standbys[r]["master_rank"] for r in deaf})
+        return [{
+            "pathology": "standby-missed-down",
+            "severity": "error",
+            "summary": f"master rank(s) {masters} dead and no live "
+                       f"master, but standby(s) {deaf} still see the "
+                       f"master alive: the election cannot complete",
+            "evidence": [f"dead ranks: {sorted(dead)}"]
+                       + [f"standby {r}: version {k['standby_version']}, "
+                          f"master_down={k['master_down']}"
+                          for r, k in standbys.items()],
+        }]
+
     def _find_respawn_exhausted(self) -> list[dict]:
         findings = []
         for r in self.by_kind("wexec_lost"):
@@ -434,6 +465,7 @@ class Doctor:
         _find_orphaned_waiter,
         _find_version_regression,
         _find_double_promote,
+        _find_standby_missed_down,
         _find_respawn_exhausted,
         _find_root_failover,
         _find_terminal_errors,

@@ -165,19 +165,32 @@ def test_exit_flood_has_nothing_queued_ahead_of_it():
 
 
 @pytest.mark.parametrize("fault_seed,lost", [
-    (5, {"barrier.enter"}),                       # tallies on the way up
+    (5, {"barrier.enter"}),                       # a tally on the way up
     (12, {"barrier.exit", "barrier.release"}),    # the exit, and its repair
+    (0, {"barrier.enter"}),
+    (1, {"barrier.exit", "barrier.release"}),
 ])
-def test_lossy_barrier_releases_every_entry_exactly_once(fault_seed, lost):
-    """1% drop + 1% dup on a 31-node heartbeat session: cumulative
-    tallies re-sent on the pulse and exits handed down again to a child
-    that missed them release all 62 entries, each once."""
+def test_lossy_barrier_releases_every_entry_exactly_once(monkeypatch,
+                                                         fault_seed, lost):
+    """1% drop + 1% dup on a 31-node heartbeat session, plus the loss
+    of the first relayed tally (or of the first exit and of the release
+    that repairs it): cumulative tallies re-sent on the pulse and exits
+    handed down again to a child that missed them release all 62
+    entries, each once."""
+    dropped = set()
+
+    def drop(_dst, msg):
+        # A client's own entry carries no count: only relays are lost.
+        if msg.topic in lost - dropped and (
+                msg.topic != "barrier.enter" or "count" in msg.payload):
+            dropped.add(msg.topic)
+            return True
+        return False
+
+    drop_sends(monkeypatch, drop)
     cluster = make_cluster(31, seed=3)
     cluster.network.fault_plan = FaultPlan(seed=fault_seed, drop_rate=0.01,
                                            dup_rate=0.01)
-    dropped = set()
-    cluster.network.drop_hook = (
-        lambda _src, _dst, payload: dropped.add(payload[1].topic))
     session = CommsSession(
         cluster, topology=TreeTopology(31, arity=2),
         modules=[ModuleSpec(BarrierModule),

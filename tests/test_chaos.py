@@ -4,18 +4,22 @@ Covers the chaos tentpole end to end: seeded fault plans (drop /
 duplicate / delay), broker-level retransmission and idempotent replay,
 client retries, prompt EHOSTUNREACH failure of in-flight RPCs,
 cascading-failure self-healing, revive/reattach, and convergence of a
-KAP-style workload under loss plus an interior broker kill.
+KAP-style workload under loss plus an interior broker kill.  The
+harness is also checked against the benchmark's own copy of its
+scenario (``benchmarks/perf/chaos_driver.py``).
 """
+
+import importlib.util
+import pathlib
 
 import pytest
 
 from repro import make_cluster, standard_session
 from repro.analysis.sanitizers import replay_fingerprint_hook
+from repro.chaos import COMMANDS, run_chaos_workload
 from repro.cmb.errors import EHOSTUNREACH, EINVAL, ENOENT, ETIMEDOUT, RpcError
 from repro.kvs import KvsClient
 from repro.sim import FaultPlan
-
-from .chaos import run_chaos_workload
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +367,8 @@ def test_chaos_loss_and_interior_kill_converges():
     every acknowledged write is readable, fences release, and no
     waiter hangs."""
     report = run_chaos_workload(n_nodes=31, n_clients=16, drop_rate=0.01,
-                                kill_ranks=(5,), kill_at=0.25,
-                                n_iters=2, iter_gap=0.2, run_until=40.0)
+                                kills=((5, 0.25),),
+                                n_iters=2, think=0.2, run_until=40.0)
     assert report.converged, report.errors
     assert report.hung_waiters == 0
     assert report.reads_failed == 0
@@ -393,8 +397,8 @@ def test_chaos_kill_root_mid_fence_converges():
     no stale read served)."""
     report = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                                 seed=5, fault_seed=13,
-                                kill_ranks=(0,), kill_at=0.12,
-                                hb_period=0.05, n_iters=2, iter_gap=0.1,
+                                kills=((0, 0.12),),
+                                hb_period=0.05, n_iters=2, think=0.1,
                                 timeout=0.5, retries=10, run_until=40.0,
                                 kvs_replicas=(1, 2), sanitize=True)
     assert report.converged, report.errors
@@ -413,3 +417,39 @@ def test_chaos_harness_fault_free_baseline():
     assert report.converged, report.errors
     assert report.client_retries == 0
     assert report.retry_amplification == 0.0
+
+
+def chaos_driver():
+    """``benchmarks/perf/chaos_driver.py``, loaded by path (it imports
+    nothing but ``repro``)."""
+    path = (pathlib.Path(__file__).parent.parent / "benchmarks" / "perf"
+            / "chaos_driver.py")
+    spec = importlib.util.spec_from_file_location("chaos_driver", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("fault_seed", [4, 11])
+def test_harness_reproduces_the_benchmark_chaos_driver(fault_seed):
+    """The sweep's scenario at 31 nodes and 16 clients: the harness
+    reports what the ``chaos_failover_127`` driver reports, call for
+    call, so the driver's copy of the scenario can give way to this
+    one with the benchmark row unmoved."""
+    driver = chaos_driver()
+    config = dict(COMMANDS["sweep"][0], n_nodes=31, n_clients=16,
+                  fault_seed=fault_seed)
+    assert (config["kills"], config["kvs_replicas"], config["drop_rate"],
+            config["dup_rate"]) == (((driver.KILL_RANK, driver.KILL_AT),),
+                                    driver.KVS_REPLICAS, driver.DROP_RATE,
+                                    driver.DUP_RATE)
+    want = driver.run_chaos(
+        **{k: config[k] for k in ("n_nodes", "n_clients", "n_iters",
+                                  "think", "fault_seed")})
+    got = run_chaos_workload(**config)
+    assert got.converged, got.errors
+    assert (got.events, got.bytes_sent, got.makespan, got.latencies,
+            got.failover, got.detect_latency, got.reads_verified) == (
+        want["events"], want["bytes_sent"], want["makespan"],
+        want["latencies"], want["failover_s"], want["detect_s"],
+        want["reads_verified"])

@@ -197,14 +197,18 @@ def test_histogram_observe_zeros_equals_eager_zeros():
     assert lazy.snapshot() == eager.snapshot()
 
 
-def test_inbox_depth_snapshot_mid_run_equals_eager_histogram():
+@pytest.mark.parametrize("fault_seed", [3, 0, 1])
+def test_inbox_depth_snapshot_mid_run_equals_eager_histogram(fault_seed):
     """A ``stats.get`` served at rank 2 in the middle of a busy run
     reports the same ``broker_inbox_depth`` as a histogram fed every
-    delivery's depth as it happened.  Duplicated messages land at the
-    same instant as their originals, so some deliveries find a
-    backlog."""
+    delivery's depth as it happened.  Every message sent to rank 2 is
+    duplicated, and a duplicate lands at the same instant as its
+    original, so some deliveries find a backlog."""
     cluster = make_cluster(8, seed=5)
-    cluster.network.fault_plan = FaultPlan(seed=3, dup_rate=0.3)
+    plan = FaultPlan(seed=fault_seed, dup_rate=0.3)
+    for src in range(8):
+        plan.set_link(src, 2, dup_rate=1.0)
+    cluster.network.fault_plan = plan
     session = standard_session(cluster, with_heartbeat=True,
                                hb_period=0.05, hb_max_epochs=10).start()
     sim = cluster.sim

@@ -21,7 +21,7 @@ from repro.cmb.modules.health import (DEFAULT_THRESHOLDS, HEALTH_STATES,
 from repro.cmb.session import CommsSession, ModuleSpec
 from repro.stats import validate_stats
 
-from .chaos import run_chaos_workload
+from repro.chaos import run_chaos_workload
 
 HEALTH = {"name": "health", "op": "health"}
 

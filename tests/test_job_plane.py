@@ -23,7 +23,7 @@ from repro.kvs import KvsClient
 from repro.resource import ResourcePool, build_cluster_graph
 from repro.sim import FaultPlan
 
-from .chaos import run_job_chaos_workload
+from repro.chaos import run_job_chaos_workload
 
 
 # ----------------------------------------------------------------------
@@ -34,8 +34,8 @@ class TestJobChaosAcceptance:
         """Kill an interior broker mid-job: its running tasks are
         respawned on survivors and the tally closes exactly once."""
         rep = run_job_chaos_workload(
-            n_nodes=31, nprocs=24, drop_rate=0.01, kill_ranks=(3,),
-            kill_at=0.3, task_work=1.0, run_until=60.0, sanitize=True)
+            n_nodes=31, nprocs=24, drop_rate=0.01, kills=((3, 0.3),),
+            task_work=1.0, run_until=60.0, sanitize=True)
         assert rep.converged, rep.errors
         assert rep.completed and rep.status == "ok"
         assert rep.exactly_once
@@ -51,8 +51,8 @@ class TestJobChaosAcceptance:
         completion reduction and respawn duty; KVS replicas keep the
         stdout commits durable."""
         rep = run_job_chaos_workload(
-            n_nodes=31, nprocs=24, drop_rate=0.01, kill_ranks=(0,),
-            kill_at=0.3, task_work=1.0, run_until=60.0, sanitize=True,
+            n_nodes=31, nprocs=24, drop_rate=0.01, kills=((0, 0.3),),
+            task_work=1.0, run_until=60.0, sanitize=True,
             kvs_replicas=(1, 2))
         assert rep.converged, rep.errors
         assert rep.completed and rep.exactly_once
@@ -64,8 +64,8 @@ class TestJobChaosAcceptance:
         """A task whose respawn budget runs out drives the job to a
         ``wexec.lost`` failure instead of an unclosable tally."""
         rep = run_job_chaos_workload(
-            n_nodes=15, nprocs=8, drop_rate=0.01, kill_ranks=(3,),
-            kill_at=0.3, task_work=1.0, run_until=30.0, max_restarts=0)
+            n_nodes=15, nprocs=8, drop_rate=0.01, kills=((3, 0.3),),
+            task_work=1.0, run_until=30.0, max_restarts=0)
         assert rep.lost and not rep.completed
         assert rep.status == "lost"
         assert rep.hung_waiters == 0

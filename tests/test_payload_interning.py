@@ -21,7 +21,7 @@ from repro.jsonutil import (canonical_dumps, canonical_size,
                             set_interning)
 from repro.kap import KapConfig, run_kap
 
-from .chaos import run_chaos_workload
+from repro.chaos import run_chaos_workload
 from .conftest import _spy_on_sends
 
 #: Re-pinned six times (barrier tallies leave when the subtree is
@@ -207,8 +207,8 @@ def test_dedup_root_failover_mid_fence_converges():
     to it, and no acked write is lost."""
     rep = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                              seed=5, fault_seed=13,
-                             kill_ranks=(0,), kill_at=0.12,
-                             hb_period=0.05, n_iters=2, iter_gap=0.1,
+                             kills=((0, 0.12),),
+                             hb_period=0.05, n_iters=2, think=0.1,
                              timeout=0.5, retries=10, run_until=40.0,
                              kvs_replicas=(1, 2), sanitize=True,
                              kvs_dedup=True)

@@ -72,7 +72,7 @@ import pytest
 
 from repro.kap import KapConfig, run_kap
 
-from .chaos import run_chaos_workload
+from repro.chaos import run_chaos_workload
 
 #: (config kwargs, goldens from the pre-optimization tree).
 GOLDEN_KAP = {
@@ -108,7 +108,7 @@ GOLDEN_KAP = {
     ),
 }
 
-#: Re-pinned six times: the live watchdog armed with or without a
+#: Re-pinned seven times: the live watchdog armed with or without a
 #: fault plan, then the heartbeat (not the plan) selecting the hardened
 #: protocol — ``kvs.getroot`` replies lost their fence-epoch field, and
 #: gossip and retransmission timers keep running through the clean-
@@ -123,9 +123,14 @@ GOLDEN_KAP = {
 #: every arrival: fewer, smaller messages, so the fault schedule changed
 #: again).  Each time ``converged`` and the verified reads did not move;
 #: the makespan did not move before the fifth re-pin, rose by 7.5 ns
-#: (0.005%) at it and fell by 10.8 us (6.9%) at the last.
+#: (0.005%) at it and fell by 10.8 us (6.9%) at the last.  The seventh
+#: re-pin moved only the fingerprint: the harness's clean-fabric verify
+#: pass stops once the verifier finishes (in 50 ms slices, as the
+#: benchmark's chaos driver does) instead of simulating 20 s of
+#: heartbeats, so the stream it hashes is shorter; the workload before
+#: it is event-identical.
 GOLDEN_CHAOS = dict(
-    fingerprint="775b7dfe4e3ab3d42315412b833034e1dc5377c2",
+    fingerprint="c70141e9cc6c71c30d335895eb214cfe8deaaa33",
     converged=True, reads_verified=16,
     makespan=0.00014604685416666661)
 

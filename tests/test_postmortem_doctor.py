@@ -11,12 +11,11 @@ import json
 import pytest
 
 from repro import make_cluster, standard_session
+from repro.chaos import COMMANDS, run_chaos_workload, run_job_chaos_workload
 from repro.kvs import KvsClient
 from repro.obs.doctor import Doctor, diagnose, main as doctor_main
 from repro.obs.postmortem import (BUNDLE_VERSION, capture_bundle,
                                   load_bundle, write_bundle)
-
-from .chaos import run_chaos_workload, run_job_chaos_workload
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +58,7 @@ def test_bundle_carries_role_state_after_a_root_kill(tmp_path):
     dead root — what naming an election stall needs."""
     path = str(tmp_path / "kill.json")
     report = run_chaos_workload(n_nodes=15, n_clients=8, n_iters=1,
-                                kill_ranks=(0,), kvs_replicas=(1, 2),
+                                kills=((0, 0.25),), kvs_replicas=(1, 2),
                                 postmortem_out=path)
     assert report.converged
     entries = {e["rank"]: e for e in load_bundle(path)["brokers"]}
@@ -73,6 +72,22 @@ def test_bundle_carries_role_state_after_a_root_kill(tmp_path):
     for rank, entry in entries.items():
         assert ("live" in entry) and (entry["alive"] == (rank != 0))
         assert rank == 0 or 0 in entry["live"]["announced"]
+    kinds = {f["pathology"] for f in diagnose([path])["findings"]}
+    assert "standby-missed-down" not in kinds
+
+
+def test_doctor_names_a_standby_that_missed_the_masters_death(tmp_path):
+    """Probe seed 6: rank 0 dies at 0.25 s and standby 100 at 0.30 s,
+    and standby 101 never learns that rank 0 is down, so nobody is
+    elected.  The bundle's role state names that stall once."""
+    path = str(tmp_path / "probe-6.json")
+    config, _seeds = COMMANDS["probe"]
+    report = run_chaos_workload(fault_seed=6, postmortem_out=path, **config)
+    assert not report.converged
+    found = [f for f in diagnose([path])["findings"]
+             if f["pathology"] == "standby-missed-down"]
+    assert len(found) == 1 and found[0]["severity"] == "error"
+    assert "standby(s) [101]" in found[0]["summary"]
 
 
 def test_bundle_version_gate(tmp_path, clean_bundle_path):
@@ -99,7 +114,7 @@ def test_clean_run_diagnoses_clean(clean_bundle_path):
 def lost_job_bundle(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("pm") / "lost-job.json")
     report = run_job_chaos_workload(n_nodes=15, nprocs=8,
-                                    max_restarts=0, kill_ranks=(1,),
+                                    max_restarts=0, kills=((1, 0.3),),
                                     task_work=1.0, postmortem_out=path)
     assert report.lost
     assert report.postmortem_path == path
@@ -143,8 +158,8 @@ def test_doctor_narrates_root_failover(tmp_path):
     path = str(tmp_path / "root-kill.json")
     report = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                                 seed=5, fault_seed=13,
-                                kill_ranks=(0,), kill_at=0.12,
-                                hb_period=0.05, n_iters=2, iter_gap=0.1,
+                                kills=((0, 0.12),),
+                                hb_period=0.05, n_iters=2, think=0.1,
                                 timeout=0.5, retries=10, run_until=40.0,
                                 kvs_replicas=(1, 2),
                                 postmortem_out=path)

@@ -11,7 +11,7 @@ from repro.kap.results import KapResult
 from repro.obs.span import SpanTracer
 from repro.stats import validate_trace
 
-from .chaos import run_chaos_workload, run_job_chaos_workload
+from repro.chaos import run_chaos_workload, run_job_chaos_workload
 
 
 class TestStatSeries:
@@ -143,8 +143,8 @@ class TestFailoverSpanExport:
         path = str(tmp_path / "election-trace.json")
         report = run_chaos_workload(
             n_nodes=15, n_clients=8, drop_rate=0.01,
-            seed=5, fault_seed=13, kill_ranks=(0,), kill_at=0.12,
-            hb_period=0.05, n_iters=2, iter_gap=0.1,
+            seed=5, fault_seed=13, kills=((0, 0.12),),
+            hb_period=0.05, n_iters=2, think=0.1,
             timeout=0.5, retries=10, run_until=40.0,
             kvs_replicas=(1, 2), trace_out=path)
         assert report.converged, report.errors
@@ -164,7 +164,7 @@ class TestFailoverSpanExport:
         span (the respawn epoch fanout) in the Chrome export."""
         path = str(tmp_path / "respawn-trace.json")
         report = run_job_chaos_workload(
-            n_nodes=15, nprocs=8, kill_ranks=(1,), task_work=1.0,
+            n_nodes=15, nprocs=8, kills=((1, 0.3),), task_work=1.0,
             trace_out=path)
         assert report.converged, report.errors
         assert report.respawns > 0
