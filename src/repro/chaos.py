@@ -362,21 +362,13 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     if trace_out:
         session.span_tracer.write_chrome_trace(trace_out)
     if stats_out:
-        doc = {
-            "meta": {"kind": "chaos", "n_nodes": n_nodes,
-                     "n_clients": n_clients, "seed": seed,
-                     "fault_seed": fault_seed,
-                     "kills": [list(k) for k in kills],
-                     "sim_time": sim.now},
-            "aggregate": session.metrics_aggregate(),
-            "per_rank": [session.metrics_snapshot(r)
-                         for r in live_ranks],
-        }
-        if health_doc is not None:
-            doc["health"] = health_doc
-        with open(stats_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        session.write_stats(
+            stats_out,
+            {"kind": "chaos", "n_nodes": n_nodes, "n_clients": n_clients,
+             "seed": seed, "fault_seed": fault_seed,
+             "kills": [list(k) for k in kills], "sim_time": sim.now},
+            live_ranks,
+            {"health": health_doc} if health_doc is not None else None)
     converged = (procs_ok and verified[1] == 0 and hung == 0
                  and vproc.triggered and vproc.ok)
     return ChaosReport(

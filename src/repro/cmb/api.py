@@ -90,9 +90,9 @@ class Handle:
             msg = Message.request(topic, payload or {}, self.rank,
                                   deadline=deadline)
             if self.session.span_tracer is not None:
-                # Guarded here, not in _trace_root, so the tracing-off
-                # fast path never even formats the span name.
-                self._trace_root(f"rpc:{topic}", msg, ev)
+                # Guarded here so the tracing-off fast path skips the
+                # call.
+                self._trace_root("rpc", topic, msg, ev)
             self._waiters[msg.msgid] = ev
             self._ipc_deliver(msg)
             if timeout is not None:
@@ -101,16 +101,16 @@ class Handle:
         return self._rpc_with_retries(topic, payload or {}, timeout,
                                       deadline, retries)
 
-    def _trace_root(self, name: str, msg: Message, ev: Event):
+    def _trace_root(self, kind: str, topic: str, msg: Message, ev: Event):
         """Open the root span of a new trace for one client call,
         attach its context to ``msg``, and close it when ``ev``
-        resolves (success, error, or timeout).  Returns the span
-        (``None`` when tracing is off)."""
+        resolves (success, error, or timeout).  Returns the span's
+        context (``None`` when tracing is off)."""
         tr = self.session.span_tracer
         if tr is None:
             return None
-        root = tr.start_trace(name, self.rank, client=self.client_id)
-        msg.span = (root.trace_id, root.span_id)
+        root = msg.span = tr.start_trace(kind, topic, self.rank,
+                                         client=self.client_id)
 
         def close(done_ev: Event) -> None:
             exc = done_ev._exc
@@ -130,7 +130,7 @@ class Handle:
         ev = self.sim.event(name=("client-rpc:%s", topic))
         msg0 = Message(topic=topic, payload=payload, src_rank=self.rank)
         tr = self.session.span_tracer
-        root = self._trace_root(f"rpc:{topic}", msg0, ev)
+        root = self._trace_root("rpc", topic, msg0, ev)
         attempt_no = 0
 
         def attempt() -> None:
@@ -150,10 +150,9 @@ class Handle:
             if root is not None:
                 # One child span per attempt under the logical call's
                 # root, so retries are visible in the trace tree.
-                aspan = tr.start_span((root.trace_id, root.span_id),
-                                      f"attempt:{topic}", "client",
-                                      self.rank, attempt=attempt_no)
-                msg.span = (aspan.trace_id, aspan.span_id)
+                aspan = msg.span = tr.start_span(
+                    root, "attempt", topic, "client", self.rank,
+                    attempt=attempt_no)
                 inner.add_callback(
                     lambda done_ev, s=aspan: tr.finish(
                         s, **({"error": getattr(done_ev._exc, "code",
@@ -191,8 +190,7 @@ class Handle:
             attempt_no += 1
             self.retries += 1
             if root is not None:
-                tr.instant((root.trace_id, root.span_id),
-                           f"retry:{topic}", "retry", self.rank,
+                tr.instant(root, "retry", topic, "retry", self.rank,
                            attempt=attempt_no, backoff=backoff)
             t = self.sim.timeout(backoff)
             t.add_callback(lambda _e: attempt())
@@ -233,7 +231,7 @@ class Handle:
         msg.ensure_context(
             origin_rank=self.rank,
             deadline=self.sim.now + timeout if timeout is not None else None)
-        self._trace_root(f"ring:{topic}", msg, ev)
+        self._trace_root("ring", topic, msg, ev)
         self._waiters[msg.msgid] = ev
         delay = self._ipc_delay(msg.size())
         t = self.sim.timeout(delay)
@@ -247,10 +245,9 @@ class Handle:
         tr = self.session.span_tracer
         span = None
         if tr is not None:
-            root = tr.start_trace(f"publish:{topic}", self.rank,
+            span = tr.start_trace("publish", topic, self.rank,
                                   client=self.client_id)
-            span = (root.trace_id, root.span_id)
-            tr.finish(root)  # fire-and-forget: deliveries are children
+            tr.finish(span)  # fire-and-forget: deliveries are children
         delay = self._ipc_delay(
             Message(topic=topic, payload=payload or {}).size())
         t = self.sim.timeout(delay)

@@ -430,10 +430,8 @@ class Broker:
                 # Open the dispatch span and re-point the message's
                 # span context at it, so sub-requests the module issues
                 # (carrying span=msg.span) become its children.
-                span = tr.start_span(msg.span, f"dispatch:{msg.topic}",
-                                     "dispatch", self.rank)
-                msg._obs_span = span  # type: ignore[attr-defined]
-                msg.span = (span.trace_id, span.span_id)
+                msg._obs_span = msg.span = tr.start_span(
+                    msg.span, "dispatch", topic, "dispatch", self.rank)
             if key is not None:
                 self._inflight[key] = []
             try:
@@ -482,7 +480,7 @@ class Broker:
                 self._frec(self.sim.now, "replay", msg.topic, key[0], None)
                 tr = self.session.span_tracer
                 if tr is not None:
-                    tr.instant(msg.span, f"replay:{msg.topic}", "retry",
+                    tr.instant(msg.span, "replay", msg.topic, "retry",
                                self.rank)
                 payload, error, errnum, err_rank = hit
                 self._emit_response(msg, msg.make_response(
@@ -492,7 +490,7 @@ class Broker:
         self._frec(self.sim.now, "dup_parked", msg.topic, key[0], None)
         tr = self.session.span_tracer
         if tr is not None:
-            tr.instant(msg.span, f"dup_parked:{msg.topic}", "retry",
+            tr.instant(msg.span, "dup_parked", msg.topic, "retry",
                        self.rank)
         self._inflight[key].append(msg)
         self._kick_pending(msg.ctx)
@@ -606,10 +604,9 @@ class Broker:
             # this broker, closed when its response retraces the hop
             # (or the hop is failed/re-routed).  Re-pointing msg.span
             # chains the next hop's span under this one.
-            span = tr.start_span(msg.span, f"fwd:{msg.topic}", "net",
-                                 self.rank, hop=hop, plane=plane)
-            entry.span = span
-            msg.span = (span.trace_id, span.span_id)
+            entry.span = msg.span = tr.start_span(
+                msg.span, "fwd", msg.topic, "net", self.rank, hop=hop,
+                plane=plane)
         if msg.ctx is not None and self.session.hardened:
             self._arm_retransmit(entry)
         return entry
@@ -655,7 +652,7 @@ class Broker:
                    entry.attempts, hop)
         tr = self.session.span_tracer
         if tr is not None:
-            tr.instant(entry.msg.span, f"retransmit:{entry.msg.topic}",
+            tr.instant(entry.msg.span, "retransmit", entry.msg.topic,
                        "retry", self.rank, attempt=entry.attempts)
         self._send(hop, entry.plane, entry.msg)
         self._arm_retransmit(entry)
@@ -713,7 +710,7 @@ class Broker:
         if msg.span is not None:
             tr = self.session.span_tracer
             if tr is not None:
-                tr.instant(msg.span, f"event:{msg.topic}", "event",
+                tr.instant(msg.span, "event", msg.topic, "event",
                            self.rank)
         topic = msg.topic
         fns = self._topic_subs.get(topic)
@@ -764,7 +761,7 @@ class Broker:
         if msg.span is not None:
             tr = self.session.span_tracer
             if tr is not None:
-                tr.instant(msg.span, f"ring_hop:{msg.topic}", "net",
+                tr.instant(msg.span, "ring_hop", msg.topic, "net",
                            self.rank)
         self._send(self.session.ring.next_rank(self.rank), PLANE_RING, msg)
 
@@ -995,9 +992,9 @@ class Broker:
                            dead_rank, self.parent)
                 tr = self.session.span_tracer
                 if tr is not None:
-                    tr.instant(entry.msg.span,
-                               f"reroute:{entry.msg.topic}", "retry",
-                               self.rank, dead=dead_rank, hop=self.parent)
+                    tr.instant(entry.msg.span, "reroute",
+                               entry.msg.topic, "retry", self.rank,
+                               dead=dead_rank, hop=self.parent)
                 self._send(self.parent, entry.plane, entry.msg)
                 self._arm_retransmit(entry)
                 continue

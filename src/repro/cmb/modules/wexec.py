@@ -500,11 +500,10 @@ class WexecModule(CommsModule):
         tr = self.broker.session.span_tracer
         span = None
         if tr is not None:
-            root = tr.start_trace("wexec_respawn", self.rank,
+            span = tr.start_trace("wexec_respawn", None, self.rank,
                                   jobid=jobid, epoch=epoch,
                                   tasks=list(lost))
-            span = (root.trace_id, root.span_id)
-            tr.finish(root)  # fire-and-forget: deliveries are children
+            tr.finish(span)  # fire-and-forget: deliveries are children
         self.broker.publish("wexec.respawn",
                             {"jobid": jobid, "epoch": epoch,
                              "taskranks": lost, "ranks": survivors},

@@ -10,6 +10,8 @@ session is bootstrapped over a subset of its parent's nodes (see
 
 from __future__ import annotations
 
+import functools
+import json
 from typing import Callable, Iterable, Optional, Sequence, Type
 
 from ..obs import SpanTracer, merge_snapshots
@@ -227,16 +229,42 @@ class CommsSession:
             self.sanitizers.attach_tracer(self.enable_tracing())
         return self.sanitizers
 
-    def metrics_snapshot(self, rank: int) -> dict:
-        """The metrics-registry snapshot of the broker at ``rank``."""
-        return self.brokers[rank].metrics_snapshot()
-
     def metrics_aggregate(self) -> dict:
         """Session-wide aggregate of every broker's registry, merged
         in-process (the ``stats`` comms module computes the same thing
         over the wire via tree reduction)."""
         return merge_snapshots(b.metrics_snapshot()
                                for b in self.brokers)
+
+    def write_stats(self, path: str, meta: dict, ranks: Iterable[int],
+                    extra: Optional[dict] = None) -> None:
+        """Write the stats document (``python -m repro.stats``) to
+        ``path``: ``meta``, the ``aggregate`` of every broker's
+        registry, the ``per_rank`` snapshots of ``ranks`` and any
+        ``extra`` top-level sections.
+
+        Each registry is snapshotted once and the aggregate merges
+        those snapshots.  The document is ``json.dumps(doc,
+        sort_keys=True)`` with compact separators, which the C encoder
+        writes; ``per_rank``, the bulk, is encoded one snapshot at a
+        time, so the whole text is never in memory at once.
+        """
+        snaps = [b.metrics_snapshot() for b in self.brokers]
+        doc = {"meta": meta, "aggregate": merge_snapshots(snaps),
+               "per_rank": None, **(extra or {})}
+        dumps = functools.partial(json.dumps, sort_keys=True,
+                                  separators=(",", ":"))
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, key in enumerate(sorted(doc)):
+                fh.write(("," if i else "{") + dumps(key) + ":")
+                if key != "per_rank":
+                    fh.write(dumps(doc[key]))
+                    continue
+                fh.write("[")
+                for j, r in enumerate(ranks):
+                    fh.write(("," if j else "") + dumps(snaps[r]))
+                fh.write("]")
+            fh.write("}\n")
 
     def message_counts(self) -> dict[tuple[str, str, str], int]:
         """Session-wide message counts keyed by (module, plane, kind).

@@ -22,7 +22,6 @@ no simulation events and draws no randomness, and with both left
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from ..cmb.modules.barrier import BarrierModule
@@ -182,21 +181,13 @@ def run_kap(config: KapConfig,
     if trace_out:
         session.span_tracer.write_chrome_trace(trace_out)
     if stats_out:
-        doc = {
-            "meta": {
-                "kind": "kap",
-                "nnodes": config.nnodes,
-                "nprocs": config.nprocs,
-                "sync": config.sync,
-                "seed": config.seed,
-                "sim_time": result.total_time,
-                "sim_events": result.events,
-            },
-            "aggregate": session.metrics_aggregate(),
-            "per_rank": [session.metrics_snapshot(r)
-                         for r in range(config.nnodes)],
-        }
-        with open(stats_out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        session.write_stats(stats_out, {
+            "kind": "kap",
+            "nnodes": config.nnodes,
+            "nprocs": config.nprocs,
+            "sync": config.sync,
+            "seed": config.seed,
+            "sim_time": result.total_time,
+            "sim_events": result.events,
+        }, range(config.nnodes))
     return result

@@ -842,7 +842,7 @@ class KvsModule(CommsModule):
         tr = self.broker.session.span_tracer
         if tr is not None and self._elect_span is None:
             self._elect_span = tr.start_trace(
-                "kvs_election", self.rank, ns=self.name,
+                "kvs_election", None, self.rank, ns=self.name,
                 standby_version=self._standby.version)
         if len(ring) == 1:
             self._promote()

@@ -39,7 +39,7 @@ def why(path: str, trace_id: Optional[int] = None) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             tracer = SpanTracer.from_chrome_trace(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return {"ok": False, "data": None,
                 "error": f"cannot read trace {path!r}: {exc}"}
     if trace_id is None:

@@ -14,16 +14,44 @@ Span identity is the triple ``(trace_id, span_id, parent_span_id)``;
 messages carry ``(trace_id, span_id)`` in the fixed-size header frame
 (:class:`~repro.cmb.message.Message.span`), which rides free because
 header size is a constant — enabling the byte-identical guarantee.
+That same pair is the *context* the tracer hands out and takes back:
+``start_trace`` / ``start_span`` return it and ``finish`` closes the
+span it names.
 
-Exports Chrome trace-event JSON (the ``ph: "X"`` complete-event form)
-loadable in Perfetto / ``chrome://tracing``, and computes the critical
-path of a trace: the chain of spans that determined its end time.
+Storage is column-wise, as in :mod:`repro.obs.flight`: one row per
+span and no Python object per span on the record path.
+
+- ``trace`` and ``parent`` (``0`` for a root) are ``array('q')``,
+  ``rank`` and ``client`` (``0`` = no client) ``array('i')``: 24 B;
+- ``t0`` and ``t1`` are ``array('d')``, with NaN in ``t1`` while the
+  span is open: 16 B;
+- ``kind``, ``topic`` and ``cat`` are lists of references to strings
+  the caller already holds (``"dispatch"`` and the message's topic,
+  say): 24 B.  A span's name is ``kind:topic`` (just ``kind`` when
+  ``topic`` is ``None``), built only when someone reads it.
+
+That is 64 B a span, ≈ 70 B with the columns' over-allocation.  Args
+live in a side dict keyed by span id, only for the spans that record
+any (a forwarding hop's ``hop`` and ``plane``).  All told a traced
+64 × 16 KAP run (``kap_get_1k``'s shape, 25,745 spans) retains 83 B a
+span, where one ``Span`` object per span, with its f-string name and
+a root's ``client=`` dict, retained 333 B; ``tests/test_footprint.py``
+holds the 16-node run to ≤ 96 B.  A span's id is its row index + 1,
+so the context locates its row.
+
+The read side — :attr:`SpanTracer.spans`, :meth:`~SpanTracer.traces`,
+the critical path, the Chrome export — builds :class:`Span` views on
+demand.  Exports Chrome trace-event JSON (the ``ph: "X"``
+complete-event form) loadable in Perfetto / ``chrome://tracing``, and
+computes the critical path of a trace: the chain of spans that
+determined its end time.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+from array import array
 from typing import Any, Optional
 
 __all__ = ["Span", "SpanTracer"]
@@ -31,12 +59,14 @@ __all__ = ["Span", "SpanTracer"]
 #: Multiplier from simulated seconds to trace-event microseconds.
 _US = 1e6
 
+_NAN = math.nan
+
 
 class Span:
-    """One timed operation inside a trace.
+    """A read-side view of one timed operation inside a trace.
 
-    ``args`` stays ``None`` until the span records one (most never
-    do), so a bare hop allocates no dict.
+    ``parent_id`` is ``None`` for a root and ``t1`` while the span is
+    still open; ``args`` is ``None`` when the span recorded none.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "cat",
@@ -44,7 +74,8 @@ class Span:
 
     def __init__(self, trace_id: int, span_id: int,
                  parent_id: Optional[int], name: str, cat: str,
-                 rank: int, t0: float):
+                 rank: int, t0: float, t1: Optional[float],
+                 args: Optional[dict[str, Any]]):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -52,8 +83,8 @@ class Span:
         self.cat = cat
         self.rank = rank
         self.t0 = t0
-        self.t1: Optional[float] = None     # None while still open
-        self.args: Optional[dict[str, Any]] = None
+        self.t1 = t1
+        self.args = args
 
     @property
     def duration(self) -> float:
@@ -67,7 +98,7 @@ class Span:
 
 
 class SpanTracer:
-    """Collects spans for every trace in a session.
+    """Collects spans for every trace in a session, one row each.
 
     All methods are no-ops in terms of simulation state: they never
     create events, draw randomness, or alter message sizes.  The
@@ -77,79 +108,173 @@ class SpanTracer:
 
     def __init__(self, now_fn):
         self._now = now_fn
-        self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
-        self.spans: list[Span] = []
+        #: Traces started here; their ids are 1..``_ntraces``.
+        self._ntraces = 0
+        self._trace = array("q")
+        self._parent = array("q")
+        self._rank = array("i")
+        self._client = array("i")
+        self._t0 = array("d")
+        self._t1 = array("d")
+        self._kind: list = []
+        self._topic: list = []
+        self._cat: list = []
+        #: row + 1 -> the args that span recorded (only spans with
+        #: any); row + 1 is the span id of a recorded span.
+        self._args: dict[int, dict] = {}
         #: Trace ids of traces in which some span recorded an
         #: ``error`` arg (what :meth:`error_spans` ships).
         self._error: set[int] = set()
+        #: ``None`` while spans are recorded here (span id = row + 1,
+        #: times in simulated seconds).  A tracer rebuilt by
+        #: :meth:`from_chrome_trace` keeps the export's span ids here
+        #: and its ``ts`` / ``dur`` (µs) in ``t0`` / ``t1``, so a
+        #: re-export reproduces the document exactly.
+        self._ids: Optional[array] = None
+        # The record path's appends, bound once.
+        self._push = (self._trace.append, self._parent.append,
+                      self._rank.append, self._client.append,
+                      self._t0.append, self._t1.append,
+                      self._kind.append, self._topic.append,
+                      self._cat.append)
 
     # -- recording ------------------------------------------------------
-    def _note_args(self, span: Span, args: dict) -> None:
+    def _note_args(self, sid: int, tid: int, args: dict) -> None:
         """Merge a call's non-empty ``**args`` (a fresh dict each call,
-        so the first one is adopted as is) into the span."""
-        if span.args is None:
-            span.args = args
+        so the first one is adopted as is) into span ``sid``'s."""
+        have = self._args.get(sid)
+        if have is None:
+            self._args[sid] = args
         else:
-            span.args.update(args)
+            have.update(args)
         if "error" in args:
-            self._error.add(span.trace_id)
+            self._error.add(tid)
 
-    def start_trace(self, name: str, rank: int, **args: Any) -> Span:
-        """Open the root span of a new trace (one per client call)."""
-        span = Span(next(self._trace_ids), next(self._span_ids), None,
-                    name, "client", rank, self._now())
+    def _open(self, tid: int, parent: int, kind: str,
+              topic: Optional[str], cat: str, rank: int, client: int,
+              closed: bool) -> int:
+        (trace, par, ranks, clients, t0s, t1s, kinds, topics,
+         cats) = self._push
+        now = self._now()
+        trace(tid)
+        par(parent)
+        ranks(rank)
+        clients(client)
+        t0s(now)
+        t1s(now if closed else _NAN)
+        kinds(kind)
+        topics(topic)
+        cats(cat)
+        return len(self._kind)
+
+    def start_trace(self, kind: str, topic: Optional[str], rank: int,
+                    client: int = 0, **args: Any) -> tuple:
+        """Open the root span of a new trace (one per client call,
+        ``client`` naming its handle); returns its context."""
+        tid = self._ntraces = self._ntraces + 1
+        sid = self._open(tid, 0, kind, topic, "client", rank, client,
+                         False)
         if args:
-            self._note_args(span, args)
-        self.spans.append(span)
-        return span
+            self._note_args(sid, tid, args)
+        return (tid, sid)
 
-    def start_span(self, parent: Optional[tuple], name: str, cat: str,
-                   rank: int, **args: Any) -> Optional[Span]:
-        """Open a child span under ``parent`` = ``(trace_id, span_id)``.
+    def start_span(self, parent: Optional[tuple], kind: str,
+                   topic: Optional[str], cat: str, rank: int,
+                   **args: Any) -> Optional[tuple]:
+        """Open a child span under ``parent`` = ``(trace_id, span_id)``
+        and return its context.
 
         Returns ``None`` when the parent is unknown (an untraced
         message), so call sites can stay unconditional.
         """
         if not parent:
             return None
-        span = Span(parent[0], next(self._span_ids), parent[1],
-                    name, cat, rank, self._now())
+        tid = parent[0]
+        sid = self._open(tid, parent[1], kind, topic, cat, rank, 0, False)
         if args:
-            self._note_args(span, args)
-        self.spans.append(span)
-        return span
+            self._note_args(sid, tid, args)
+        return (tid, sid)
 
-    def finish(self, span: Optional[Span], **args: Any) -> None:
-        """Close ``span`` at the current simulated time."""
-        if span is None or span.t1 is not None:
+    def finish(self, ctx: Optional[tuple], **args: Any) -> None:
+        """Close the span ``ctx`` names at the current simulated time
+        (a closed one stays as it is)."""
+        if ctx is None:
             return
-        span.t1 = self._now()
+        i = ctx[1] - 1
+        t1 = self._t1
+        if t1[i] == t1[i]:      # not NaN: already closed
+            return
+        t1[i] = self._now()
         if args:
-            self._note_args(span, args)
+            self._note_args(ctx[1], ctx[0], args)
 
-    def instant(self, parent: Optional[tuple], name: str, cat: str,
-                rank: int, **args: Any) -> None:
+    def instant(self, parent: Optional[tuple], kind: str,
+                topic: Optional[str], cat: str, rank: int,
+                **args: Any) -> None:
         """Record a zero-duration marker (retry, drop, replay hit...)."""
-        span = self.start_span(parent, name, cat, rank, **args)
-        if span is not None:
-            span.t1 = span.t0
+        if not parent:
+            return
+        tid = parent[0]
+        sid = self._open(tid, parent[1], kind, topic, cat, rank, 0, True)
+        if args:
+            self._note_args(sid, tid, args)
 
     def close_open(self) -> int:
         """Close any still-open spans (end of run); returns how many.
 
-        A span is open while its ``t1`` is ``None``; the end-of-run
-        scan replaces a per-span open table the hot path would pay for.
+        A span is open while its ``t1`` is NaN; the end-of-run scan
+        replaces a per-span open table the hot path would pay for.
         """
         now = self._now()
+        t1 = self._t1
         closed = 0
-        for span in self.spans:
-            if span.t1 is None:
-                span.t1 = now
+        for i, v in enumerate(t1):
+            if v != v:
+                t1[i] = now
                 closed += 1
         return closed
 
-    # -- analysis -------------------------------------------------------
+    # -- read side ------------------------------------------------------
+    def _span_ids(self):
+        return (self._ids if self._ids is not None
+                else range(1, len(self._kind) + 1))
+
+    def _name(self, i: int) -> str:
+        topic = self._topic[i]
+        kind = self._kind[i]
+        return kind if topic is None else f"{kind}:{topic}"
+
+    def _times(self, i: int) -> tuple[float, Optional[float]]:
+        """Row ``i``'s ``(t0, t1)`` in simulated seconds (``t1`` is
+        ``None`` while open)."""
+        a, b = self._t0[i], self._t1[i]
+        if self._ids is not None:
+            return a / _US, (a + b) / _US
+        return a, (None if b != b else b)
+
+    def _row_args(self, i: int) -> Optional[dict]:
+        client = self._client[i]
+        args = self._args.get(i + 1)
+        if not client:
+            return args
+        return {"client": client, **args} if args else {"client": client}
+
+    def _view(self, i: int, sid: int) -> Span:
+        parent = self._parent[i]
+        t0, t1 = self._times(i)
+        return Span(self._trace[i], sid, parent or None, self._name(i),
+                    self._cat[i], self._rank[i], t0, t1,
+                    self._row_args(i))
+
+    def _views(self, rows) -> list[Span]:
+        ids = self._span_ids()
+        return [self._view(i, ids[i]) for i in rows]
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every span, in recording order."""
+        return self._views(range(len(self._kind)))
+
     def traces(self) -> dict[int, list[Span]]:
         """Spans grouped by trace id (insertion-ordered)."""
         out: dict[int, list[Span]] = {}
@@ -158,23 +283,47 @@ class SpanTracer:
         return out
 
     def validate(self) -> list[str]:
-        """Structural check: every parent resolves within its trace and
-        each trace has exactly one root.  Returns human-readable
-        problems (empty = connected)."""
+        """Structural check: every parent resolves within its trace,
+        each trace has exactly one root and every span is closed.
+        Returns human-readable problems (empty = connected).
+
+        One pass over the columns.  A recorded parent id is a row, so
+        it resolves by index, and the roots of the traces started here
+        are counted in an array indexed by trace id; only a tracer
+        rebuilt from an export (arbitrary ids) builds lookups.
+        """
         problems: list[str] = []
-        for tid, spans in self.traces().items():
-            ids = {s.span_id for s in spans}
-            roots = [s for s in spans if s.parent_id is None]
-            if len(roots) != 1:
-                problems.append(f"trace {tid}: {len(roots)} roots")
-            for s in spans:
-                if s.parent_id is not None and s.parent_id not in ids:
-                    problems.append(f"trace {tid}: span {s.span_id} "
-                                    f"({s.name}) parent {s.parent_id} "
-                                    f"missing")
-                if s.t1 is None:
-                    problems.append(f"trace {tid}: span {s.span_id} "
-                                    f"({s.name}) never finished")
+        trace, parent, t1 = self._trace, self._parent, self._t1
+        n = len(trace)
+        recorded = self._ids is None
+        if recorded:
+            def resolves(tid: int, p: int) -> bool:
+                return 0 < p <= n and trace[p - 1] == tid
+        else:
+            known = set(zip(trace, self._ids))
+
+            def resolves(tid: int, p: int) -> bool:
+                return (tid, p) in known
+        ids = self._span_ids()
+        ntr = self._ntraces
+        roots = array("i", bytes(4 * (ntr + 1)))   # traces 1..ntr
+        other: dict[int, int] = {}                  # any other trace id
+        for i in range(n):
+            tid, p = trace[i], parent[i]
+            if 0 < tid <= ntr:
+                roots[tid] += not p
+            else:
+                other[tid] = other.get(tid, 0) + (not p)
+            if p and not resolves(tid, p):
+                problems.append(f"trace {tid}: span {ids[i]} "
+                                f"({self._name(i)}) parent {p} missing")
+            if recorded and t1[i] != t1[i]:
+                problems.append(f"trace {tid}: span {ids[i]} "
+                                f"({self._name(i)}) never finished")
+        problems.extend(f"trace {tid}: {roots[tid]} roots"
+                        for tid in range(1, ntr + 1) if roots[tid] != 1)
+        problems.extend(f"trace {tid}: {k} roots"
+                        for tid, k in other.items() if k != 1)
         return problems
 
     def error_spans(self) -> list[Span]:
@@ -183,7 +332,9 @@ class SpanTracer:
         if not self._error:
             return []
         keep = self._error
-        return [s for s in self.spans if s.trace_id in keep]
+        trace = self._trace
+        return self._views(i for i in range(len(trace))
+                           if trace[i] in keep)
 
     def critical_path(self, trace_id: int) -> list[Span]:
         """The root-to-leaf chain that determined the trace's end time.
@@ -193,7 +344,9 @@ class SpanTracer:
         determinism); the returned chain is where the elapsed time of
         the client call was actually spent.
         """
-        spans = self.traces().get(trace_id, [])
+        trace = self._trace
+        spans = self._views(i for i in range(len(trace))
+                            if trace[i] == trace_id)
         children: dict[Optional[int], list[Span]] = {}
         root = None
         for s in spans:
@@ -229,7 +382,8 @@ class SpanTracer:
 
     def slowest_trace(self) -> Optional[int]:
         """Trace id of the longest root span (lowest id on a tie)."""
-        roots = [s for s in self.spans if s.parent_id is None]
+        parent = self._parent
+        roots = self._views(i for i in range(len(parent)) if not parent[i])
         if not roots:
             return None
         return max(roots, key=lambda s: (s.duration, -s.trace_id)).trace_id
@@ -244,22 +398,25 @@ class SpanTracer:
         visible in the args.
         """
         events: list[dict] = []
-        ranks: set[int] = set()
-        for s in self.spans:
-            ranks.add(s.rank)
+        loaded = self._ids is not None
+        t0s, t1s, trace, rank = self._t0, self._t1, self._trace, self._rank
+        for i, sid in enumerate(self._span_ids()):
+            a, b = t0s[i], t1s[i]
+            if loaded:
+                ts, dur = a, b
+            else:
+                ts, dur = a * _US, max(0.0, (a if b != b else b) - a) * _US
+            tid = trace[i]
             events.append({
-                "name": s.name, "cat": s.cat, "ph": "X",
-                "ts": s.t0 * _US,
-                "dur": max(0.0, (s.t1 if s.t1 is not None else s.t0)
-                           - s.t0) * _US,
-                "pid": s.rank, "tid": s.trace_id,
-                "args": {**(s.args or {}), "span_id": s.span_id,
-                         "parent_id": s.parent_id,
-                         "trace_id": s.trace_id},
+                "name": self._name(i), "cat": self._cat[i], "ph": "X",
+                "ts": ts, "dur": dur, "pid": rank[i], "tid": tid,
+                "args": {**(self._row_args(i) or {}), "span_id": sid,
+                         "parent_id": self._parent[i] or None,
+                         "trace_id": tid},
             })
-        for rank in sorted(ranks):
-            events.append({"name": "process_name", "ph": "M", "pid": rank,
-                           "args": {"name": f"broker-{rank}"}})
+        for r in sorted(set(rank)):
+            events.append({"name": "process_name", "ph": "M", "pid": r,
+                           "args": {"name": f"broker-{r}"}})
         return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -275,18 +432,28 @@ class SpanTracer:
         """Rebuild the span forest of a :meth:`to_chrome_trace` export
         (a ``--trace-out`` file) for analysis.  Each complete event's
         ``args`` carry its ``trace_id``, ``span_id`` and ``parent_id``;
-        the remaining args are the span's own.  Times come back in
-        simulated seconds."""
+        the remaining args are the span's own.  Times read back in
+        simulated seconds, and :meth:`to_chrome_trace` of the result
+        reproduces ``doc``."""
         tracer = cls(lambda: 0.0)
+        ids = tracer._ids = array("q")
+        (trace, parent, rank, client, t0, t1, kind, topic,
+         cat) = tracer._push
         for ev in doc.get("traceEvents", ()):
             if ev.get("ph") != "X":
                 continue
             args = dict(ev.get("args") or {})
-            span = Span(args.pop("trace_id"), args.pop("span_id"),
-                        args.pop("parent_id"), ev["name"],
-                        ev.get("cat", ""), ev.get("pid", -1),
-                        ev["ts"] / _US)
-            span.t1 = (ev["ts"] + ev.get("dur", 0.0)) / _US
-            span.args = args or None
-            tracer.spans.append(span)
+            tid = args.pop("trace_id")
+            ids.append(args.pop("span_id"))
+            trace(tid)
+            parent(args.pop("parent_id") or 0)
+            rank(ev.get("pid", -1))
+            client(0)
+            t0(ev["ts"])
+            t1(ev.get("dur", 0.0))
+            kind(ev["name"])
+            topic(None)
+            cat(ev.get("cat", ""))
+            if args:
+                tracer._note_args(len(ids), tid, args)
         return tracer

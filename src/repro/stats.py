@@ -222,7 +222,12 @@ def validate_trace(doc: Any) -> list:
                 shaped = False
         if shaped:
             complete.append(ev)
-    forest = SpanTracer.from_chrome_trace({"traceEvents": complete})
+    try:
+        forest = SpanTracer.from_chrome_trace({"traceEvents": complete})
+    except (TypeError, OverflowError) as exc:
+        # The span store's integer columns take 64-bit ids and an
+        # int pid only.
+        return problems + [f"traceEvents: span forest not rebuilt: {exc}"]
     return problems + forest.validate()
 
 

@@ -176,9 +176,9 @@ def test_clean_commit_run_is_silent():
 
 def test_span_forest_violation_flagged():
     tracer = SpanTracer(lambda: 0.0)
-    root = tracer.start_trace("ok", rank=0)
+    root = tracer.start_trace("ok", None, rank=0)
     tracer.finish(root)
-    tracer.start_span((root.trace_id, 9999), "orphan", "test", rank=1)
+    tracer.start_span((root[0], 9999), "orphan", None, "test", rank=1)
     san = SanitizerSet()
     san.attach_tracer(tracer)
     findings = san.finish()
@@ -189,9 +189,8 @@ def test_span_forest_violation_flagged():
 
 def test_span_forest_clean_tracer_silent():
     tracer = SpanTracer(lambda: 0.0)
-    root = tracer.start_trace("ok", rank=0)
-    child = tracer.start_span((root.trace_id, root.span_id), "hop",
-                              "net", rank=1)
+    root = tracer.start_trace("ok", None, rank=0)
+    child = tracer.start_span(root, "hop", None, "net", rank=1)
     tracer.finish(child)
     tracer.finish(root)
     san = SanitizerSet()

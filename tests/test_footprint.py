@@ -7,6 +7,8 @@ the simulation.
   library, reproduces numpy's min/max/mean/percentiles bit for bit.
 - The always-on flight ring stores records column-wise, reads back
   exactly what a ring of 6-tuples would, and retains ≤ 56 B a record.
+- The span tracer stores spans column-wise too and retains ≤ 96 B a
+  span over a traced KAP run.
 - The broker's inbox-depth histogram counts empty-inbox deliveries
   lazily, yet every read of it equals an eagerly fed histogram.
 - A fence slave of a session without the heartbeat keeps only the
@@ -17,6 +19,7 @@ numpy is imported here only as the reference the summary is checked
 against.
 """
 
+import gc
 import os
 import random
 import subprocess
@@ -24,15 +27,19 @@ import sys
 import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import make_cluster, standard_session
 from repro.cmb.modules import registry_samplers
+from repro.cmb.session import CommsSession
+from repro.kap import KapConfig, run_kap
 from repro.jsonutil import sha1_of
 from repro.kvs import KvsClient, KvsModule, make_val_obj
-from repro.obs import DEFAULT_SIZE_LADDER, FlightRecorder, Histogram
+from repro.obs import (DEFAULT_SIZE_LADDER, FlightRecorder, Histogram,
+                       SpanTracer)
 from repro.sim.faults import FaultPlan
 from repro.sim.trace import StatSeries
 
@@ -174,6 +181,41 @@ def test_flight_ring_retains_at_most_56_bytes_a_record():
         tracemalloc.stop()
     assert fr.peak == cap
     assert grown / cap <= 56, f"{grown / cap:.1f} B per record"
+
+
+def test_span_store_retains_at_most_96_bytes_a_span(monkeypatch):
+    """What a traced 16-node KAP run's tracer holds, per span: the
+    bytes freed when the tracer goes, once the run is over.  The
+    tracer's clock reads the simulation through ``clock``, which is
+    cut after the run so the tracer is all that dropping it frees."""
+    clock = SimpleNamespace(sim=None)
+    tracers = []
+
+    def enable_tracing(session):
+        if session.span_tracer is None:
+            clock.sim = session.sim
+            session.span_tracer = SpanTracer(lambda: clock.sim.now)
+            tracers.append(session.span_tracer)
+        return session.span_tracer
+
+    monkeypatch.setattr(CommsSession, "enable_tracing", enable_tracing)
+    tracemalloc.start()
+    try:
+        run_kap(KapConfig(nnodes=16, procs_per_node=16, value_size=8,
+                          naccess=8, dir_width=128), tracing=True)
+        (tracer,) = tracers
+        tracers.clear()
+        clock.sim = None
+        n = len(tracer.spans)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del tracer
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n > 5000
+    assert freed / n <= 96, f"{freed / n:.1f} B per span"
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ The acceptance bar for the tracing layer:
   fingerprint as a run on a build where tracing never existed.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 
 from repro import make_cluster, standard_session
 from repro.cmb import TreeTopology
+from repro.cmb.broker import Broker
 from repro.cmb.modules.reduce import STALE_EPOCHS
 from repro.kap import KapConfig, run_kap
 from repro.kvs import KvsClient
@@ -220,6 +222,45 @@ class TestWhy:
 
 
 # ----------------------------------------------------------------------
+# the export does not depend on how spans are stored
+# ----------------------------------------------------------------------
+#: SHA-1 of the ``--trace-out`` file of one sanitized 16 × 4 KAP run,
+#: and the ``why`` report of that file.
+PINNED_TRACE_SHA1 = "1d12cdba547202e6ccbb8ee842535fb3191f44fe"
+PINNED_WHY = """\
+trace 15: rpc:barrier.enter total 0.037 ms, 2 hops on critical path
+  rpc:barrier.enter [client] rank=14 t=0.000..0.037 ms (0.037 ms)
+    dispatch:barrier.enter [dispatch] rank=14 t=0.004..0.033 ms (0.029 ms)
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pinned") / "t.json"
+    run_kap(KapConfig(nnodes=16, procs_per_node=4, seed=1), sanitize=True,
+            trace_out=str(path))
+    return path
+
+
+class TestExportPinned:
+    def test_trace_export_digest(self, pinned_trace):
+        digest = hashlib.sha1(pinned_trace.read_bytes()).hexdigest()
+        assert digest == PINNED_TRACE_SHA1
+
+    def test_rebuilt_tracer_reexports_the_document(self, pinned_trace):
+        doc = json.loads(pinned_trace.read_text())
+        assert SpanTracer.from_chrome_trace(doc).to_chrome_trace() == doc
+
+    def test_why_report(self, pinned_trace):
+        env = {**os.environ, "PYTHONPATH": str(
+            Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.obs", "why", str(pinned_trace)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert out.returncode == 0 and out.stdout == PINNED_WHY
+
+
+# ----------------------------------------------------------------------
 # stats module: tree reduction == in-process merge
 # ----------------------------------------------------------------------
 class TestStatsAggregation:
@@ -270,6 +311,28 @@ class TestStatsAggregation:
             compared += 1
         assert compared >= 8
         session.stop()
+
+    def test_stats_export_snapshots_each_broker_once(self, tmp_path,
+                                                     monkeypatch):
+        seen = []
+        snapshot = Broker.metrics_snapshot
+
+        def spy(broker):
+            seen.append(broker.rank)
+            return snapshot(broker)
+
+        monkeypatch.setattr(Broker, "metrics_snapshot", spy)
+        path = tmp_path / "stats.json"
+        run_kap(KapConfig(nnodes=8, procs_per_node=2), stats_out=str(path))
+        assert sorted(seen) == list(range(8))
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+        assert validate_stats(doc) == []
+        assert [s["labels"]["rank"] for s in doc["per_rank"]] == list(
+            range(8))
+        assert doc["aggregate"] == merge_snapshots(doc["per_rank"])
 
     def test_interior_rank_aggregates_its_subtree(self):
         cluster = make_cluster(21)

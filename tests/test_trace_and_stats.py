@@ -84,12 +84,12 @@ class TestKapResult:
 # ----------------------------------------------------------------------
 class TestSpanSampling:
     def _trace(self, tr, error=False):
-        root = tr.start_trace("call", 0)
-        child = tr.start_span((root.trace_id, root.span_id),
-                              "hop", "fwd", 1)
+        root = tr.start_trace("call", None, 0)
+        child = tr.start_span(root, "hop", None, "fwd", 1)
+        assert child[0] == root[0] and child[1] != root[1]
         tr.finish(child, **({"error": "boom"} if error else {}))
         tr.finish(root)
-        return root.trace_id
+        return root[0]
 
     def test_default_keeps_every_trace(self):
         tr = SpanTracer(lambda: 0.0)
@@ -130,6 +130,16 @@ class TestSpanSampling:
         assert any("non-numeric ts" in p for p in problems)
         assert any("negative dur" in p for p in problems)
         assert any("args.trace_id" in p for p in problems)
+
+    def test_validate_trace_reports_ids_the_store_cannot_hold(self):
+        tr = SpanTracer(lambda: 0.0)
+        self._trace(tr)
+        for field, bad in (("pid", "broker-0"), ("span_id", 2 ** 64)):
+            doc = tr.to_chrome_trace()
+            ev = doc["traceEvents"][0]
+            (ev["args"] if field == "span_id" else ev)[field] = bad
+            problems = validate_trace(doc)
+            assert any("span forest not rebuilt" in p for p in problems)
 
 
 # ----------------------------------------------------------------------
